@@ -15,9 +15,6 @@
 //!   successor array (wavefront walks vs sequential walks),
 //! * `euler_build`        — the Euler-tour construction over a random
 //!   forest (tour successors + 2n-arc ranking + positions),
-//! * `scatter`            — the bucketed-scatter subsystem on a shuffled
-//!   permutation store (direct stores vs write-combining tiles; this row's
-//!   engine pair is `ScatterEngine`, not the sort/rank engines),
 //! * `decompose`          — the decomposition pipeline (cold pools: fresh
 //!   context per repetition),
 //! * `decompose_warm`     — the roots-threaded decomposition on warm
@@ -47,8 +44,8 @@
 //! Service rows carry `"batch"`, `"p50_ms"`, `"p99_ms"` and `"rps"`
 //! columns instead of the two engine columns (the server picks engines per
 //! request; these rows measure the serving path, not an engine pair), and
-//! their `"trace"` is the span/decision summary of one traced request's
-//! serving run, reported by the server itself over the wire.
+//! their `"trace"` is the span summary of one traced request's serving
+//! run, reported by the server itself over the wire.
 //!
 //! Each row records the best-of-k wall-clock per engine set plus the
 //! tracked work/depth of both (asserted equal: the engine choices differ
@@ -56,30 +53,25 @@
 //!
 //! Run with: `cargo run -p sfcp-bench --bin bench_json --release [out.json]`
 //!
-//! `--bign` runs the separate **out-of-cache tier** instead: `scatter`,
-//! `csr_build` and `decompose` at n = 1e8 (override with `--bign-n`), one
-//! row per `ScatterEngine` including the footprint-adaptive `Auto`, written
-//! to `BENCH_parprim_bign.json` — see [`run_bign`].
-//!
-//! Schema 2: every row also embeds a `"trace"` object — the span/decision
-//! summary of one instrumented run under the default engines (per-phase
-//! wall/self time, charges, workspace checkouts, and the resolved engine
-//! of every scatter dispatch).  `--trace <path>` additionally exports a
-//! Chrome/Perfetto `trace.json` of one warm traced decompose at the
-//! largest measured size.
+//! Schema 2: every row also embeds a `"trace"` object — the span summary
+//! of one instrumented run under the default engines (per-phase wall/self
+//! time, charges and workspace checkouts).  `--trace <path>` additionally
+//! exports a Chrome/Perfetto `trace.json` of one warm traced decompose at
+//! the largest measured size.
 //!
 //! `--smoke` runs only n = 1e5 and additionally compares the fresh
 //! `decompose`, `decompose_warm`, `decompose_checked`, `csr_build`,
-//! `list_rank`, `euler_build`,
-//! and `scatter` rows against the committed `BENCH_parprim.json` (or the
-//! file given with `--committed <path>`), failing on a >10%
-//! machine-normalized wall-clock regression — the CI gate for the
-//! decomposition pipeline, the CSR subsystem, the list-ranking engines,
-//! and the scatter subsystem.
+//! `list_rank` and `euler_build` rows against the committed
+//! `BENCH_parprim.json` (or the file given with `--committed <path>`),
+//! failing on a >10% machine-normalized wall-clock regression — the CI
+//! gate for the decomposition pipeline, the CSR subsystem and the
+//! list-ranking engines.  The comparison only runs when the committed
+//! file's `"threads"` matches this host's available parallelism; otherwise
+//! the two files are not comparable and only the in-run gates apply.
 
 use rand::prelude::*;
 use sfcp::{coarsest_partition, Algorithm, Instance};
-use sfcp_pram::{Ctx, Mode, RankEngine, ScatterEngine, SortEngine, Stats};
+use sfcp_pram::{Ctx, Mode, RankEngine, SortEngine, Stats};
 use sfcp_service::{Client, ComputeRequest, Kind, Reply, Server, ServerConfig};
 use std::time::Instant;
 
@@ -113,8 +105,8 @@ fn best_ms<F: FnMut(&Ctx)>(engines: EngineSet, reps: usize, mut f: F) -> f64 {
     best
 }
 
-/// Tracked work/depth of `f` under `engines`, plus the span/decision
-/// summary of the same (traced) run.  Tracing is charge-neutral by
+/// Tracked work/depth of `f` under `engines`, plus the span summary of the
+/// same (traced) run.  Tracing is charge-neutral by
 /// construction — `tests/charge_determinism.rs` pins that the charges here
 /// are bit-identical to an untraced run — so one tracked pass yields both.
 fn charges<F: FnMut(&Ctx)>(engines: EngineSet, mut f: F) -> (Stats, String) {
@@ -129,24 +121,13 @@ fn charges<F: FnMut(&Ctx)>(engines: EngineSet, mut f: F) -> (Stats, String) {
 struct Row {
     name: &'static str,
     n: usize,
-    /// What the two timing columns actually dispatch on — `SortEngine` /
-    /// `RankEngine` sets for most rows, `ScatterEngine`s for the scatter
-    /// row.  Emitted per row so the JSON is self-describing: the historical
-    /// schema labelled every row with the global
-    /// `"engines": ["packed", "permutation"]` header, which mislabelled the
-    /// scatter row (its columns are direct vs combining stores and have
-    /// nothing to do with the sort engines).  The column *field names* keep
-    /// the historical `packed_ms` / `permutation_ms` spelling so committed
-    /// trajectories stay comparable.
-    engines: [&'static str; 2],
     packed_ms: f64,
     permutation_ms: f64,
     work: u64,
     rounds: u64,
-    /// Span/decision summary of one tracked+traced run under the default
-    /// engines ([`sfcp_pram::TraceSummary::to_json`]): per-phase wall/self
-    /// time, charges and checkouts, plus per-site engine decisions.  Wall
-    /// times in here come from that single instrumented pass, not the
+    /// Span summary of one tracked+traced run under the default engines
+    /// ([`sfcp_pram::TraceSummary::to_json`]): per-phase wall/self time,
+    /// charges and checkouts.  Wall times in here come from that single instrumented pass, not the
     /// best-of-k timing columns — they describe *shape* (where a row's time
     /// goes), not the trajectory numbers.  Schema 2 field.
     trace: String,
@@ -164,8 +145,8 @@ impl Row {
             ),
             self.name,
             self.n,
-            self.engines[0],
-            self.engines[1],
+            SORT_RANK_LABELS[0],
+            SORT_RANK_LABELS[1],
             self.packed_ms,
             self.permutation_ms,
             self.permutation_ms / self.packed_ms,
@@ -176,12 +157,12 @@ impl Row {
     }
 }
 
-/// Row engine labels for the sort/rank-engine benches.
+/// Row engine labels: the columns are the default vs the baseline
+/// sort/rank engine set.  The field names keep the historical `packed_ms` /
+/// `permutation_ms` spelling so committed trajectories stay comparable;
+/// sfcp-lint's `bench-engines` rule validates the labels in the committed
+/// JSON (`crates/xtask/src/rules/bench_engines.rs`).
 const SORT_RANK_LABELS: [&str; 2] = ["packed", "permutation"];
-/// Row engine labels for the scatter-engine bench (`ScatterEngine` columns).
-/// Both label sets are validated against the committed JSON by sfcp-lint's
-/// `bench-engines` rule (`crates/xtask/src/rules/bench_engines.rs`).
-const SCATTER_LABELS: [&str; 2] = ["direct", "combining"];
 
 fn measure<F: FnMut(&Ctx) + Clone>(name: &'static str, n: usize, reps: usize, f: F) -> Row {
     let packed_ms = best_ms(DEFAULT_ENGINES, reps, f.clone());
@@ -196,7 +177,6 @@ fn measure<F: FnMut(&Ctx) + Clone>(name: &'static str, n: usize, reps: usize, f:
     Row {
         name,
         n,
-        engines: SORT_RANK_LABELS,
         packed_ms,
         permutation_ms,
         work: cp.work,
@@ -296,7 +276,6 @@ where
         Row {
             name,
             n,
-            engines: SORT_RANK_LABELS,
             packed_ms,
             permutation_ms,
             work: c.work,
@@ -309,61 +288,6 @@ where
         row(name_b, packed_b, perm_b, cb, trace_b),
         paired_ratio,
     )
-}
-
-/// The scatter row: a shuffled-permutation store through the scatter
-/// subsystem.  The two columns are the two `ScatterEngine`s (direct stores
-/// vs write-combining tiles) under otherwise-default engines; charges are
-/// asserted identical, like every engine pair.
-fn measure_scatter(n: usize, reps: usize, idx: &[u32]) -> Row {
-    let run = |engine: ScatterEngine| {
-        let mut best = f64::INFINITY;
-        let mut dest = vec![0u32; n];
-        // One persistent context per engine, warmed by an untimed call, so
-        // the combining column's staging checkout is a pool hit inside the
-        // timed window — the engines pay symmetric setup costs.
-        let ctx = Ctx::untracked(Mode::Parallel).with_scatter_engine(engine);
-        sfcp_parprim::scatter::scatter_into(&ctx, &mut dest, n, |s| {
-            Some((idx[s] as usize, s as u32))
-        });
-        for _ in 0..reps {
-            let t = Instant::now();
-            sfcp_parprim::scatter::scatter_into(&ctx, &mut dest, n, |s| {
-                Some((idx[s] as usize, s as u32))
-            });
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            std::hint::black_box(&dest);
-        }
-        best
-    };
-    let stats = |engine: ScatterEngine| {
-        let ctx = Ctx::parallel().with_scatter_engine(engine).with_tracing();
-        let mut dest = vec![0u32; n];
-        sfcp_parprim::scatter::scatter_into(&ctx, &mut dest, n, |s| {
-            Some((idx[s] as usize, s as u32))
-        });
-        (ctx.stats(), ctx.trace().snapshot().summary().to_json())
-    };
-    let direct_ms = run(ScatterEngine::Direct);
-    let combining_ms = run(ScatterEngine::Combining);
-    let (cd, trace) = stats(ScatterEngine::Direct);
-    let (cc, _) = stats(ScatterEngine::Combining);
-    assert_eq!(cd, cc, "scatter: engines must charge identical work/depth");
-    println!(
-        "{:>22} n={n:>8}: direct {direct_ms:9.3} ms  combining {combining_ms:9.3} ms  ({:.2}x)",
-        "scatter",
-        combining_ms / direct_ms
-    );
-    Row {
-        name: "scatter",
-        n,
-        engines: SCATTER_LABELS,
-        packed_ms: direct_ms,
-        permutation_ms: combining_ms,
-        work: cd.work,
-        rounds: cd.rounds,
-        trace,
-    }
 }
 
 /// One service-tier measurement: the TCP front-end driven end to end.
@@ -381,8 +305,8 @@ struct ServiceRow {
     rps: f64,
     work: u64,
     rounds: u64,
-    /// Span/decision summary of one traced request's serving run, as
-    /// reported by the server over the wire (schema 2 field; same shape as
+    /// Span summary of one traced request's serving run, as reported by
+    /// the server over the wire (schema 2 field; same shape as
     /// [`Row::trace`] — the serving path runs the same instrumented
     /// context).
     trace: String,
@@ -553,310 +477,6 @@ fn measure_service_batch(n: usize, batch: usize, total: usize) -> ServiceRow {
     }
 }
 
-/// One out-of-cache tier measurement: a routine under one explicit (or
-/// auto-resolved) scatter engine.
-struct BignRow {
-    name: &'static str,
-    n: usize,
-    engine: &'static str,
-    ms: f64,
-    work: u64,
-    rounds: u64,
-}
-
-impl BignRow {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"engine\": \"{}\", ",
-                "\"ms\": {:.3}, \"work\": {}, \"rounds\": {}}}"
-            ),
-            self.name, self.n, self.engine, self.ms, self.work, self.rounds,
-        )
-    }
-}
-
-/// The out-of-cache bench tier (`--bign`): every scatter-dispatching
-/// routine at a footprint far past the probed LLC, one row per
-/// `ScatterEngine` *including* `Auto`, written to
-/// `BENCH_parprim_bign.json`.  This is the tier that proves where the
-/// engines cross over and that the footprint-adaptive selector lands on
-/// the right side: past the LLC a direct store misses on nearly every
-/// slot, while the combining tiles turn the same stream into bucketed
-/// line-sized bursts.  Two in-run gates:
-///
-/// * charges are asserted bit-identical across all three engines for the
-///   scatter and CSR rows (`decompose` charge equality across engines is
-///   pinned by `tests/charge_determinism.rs`; its tracked pass here runs
-///   once, under `Auto`, and its charges label all three rows), and
-/// * `Auto` must land within 10% of the best explicit engine on every
-///   routine that actually dispatches on the selection — the acceptance
-///   bound for the selector.  (`csr_build` at default bign scale is in
-///   the bucketed fallback, which never consults the scatter engine; its
-///   three rows are the same code, so the gate is skipped there as
-///   vacuous — it would only measure environment noise.)
-///
-/// Every routine times all three engines against **shared state**: one
-/// context (so all engines hit the same warm workspace pools and the same
-/// physical pages) and one destination/output buffer set, with the
-/// selector swapped per run via `with_scatter_engine` and the engine
-/// order rotated per rep.  Per-engine buffers would hand each engine
-/// different allocation luck — THP backing and heap fragmentation at the
-/// moment its multi-GB buffers were carved — which at this footprint
-/// dwarfs the engine effect itself (observed: the *same machine code*
-/// measuring 10–14% apart between separately-allocated contexts); and
-/// running engines in per-engine blocks lands slow environmental drift
-/// entirely on whichever runs last — the same ordering-bias class the
-/// warm/checked pair fix addresses ([`measure_warm_pair`]).
-///
-/// Workloads are generated chunked (see
-/// [`sfcp_bench::workloads::bign_function`]) and the scatter permutation
-/// is the zero-memory multiplicative bijection
-/// ([`sfcp_bench::workloads::scatter_dest`]): at `n = 10^8` a shuffled
-/// index array alone would be 400 MB of harness state.
-fn run_bign(out_path: &str, n: usize) {
-    use sfcp_bench::workloads::{bign_function, scatter_dest};
-
-    let engines: [(&str, ScatterEngine); 3] = [
-        ("direct", ScatterEngine::Direct),
-        ("combining", ScatterEngine::Combining),
-        ("auto", ScatterEngine::Auto),
-    ];
-    let probe_ctx = Ctx::untracked(Mode::Parallel);
-    let llc = probe_ctx.topology().llc_bytes();
-    let resolved = probe_ctx.scatter_engine_for(n * std::mem::size_of::<u32>());
-    println!(
-        "bign tier: n={n}, dest footprint {} MB, probed LLC {} MB, Auto resolves to {resolved:?}",
-        n * 4 / (1 << 20),
-        llc / (1 << 20),
-    );
-
-    let mut rows: Vec<BignRow> = Vec::new();
-
-    // At the default n = 1e8 each rep is seconds long and best-of-few is
-    // already tight; a small `--bign-n` smoke has millisecond reps where
-    // the 10% gate needs more samples for the minima to converge.
-    let reps_fast = (100_000_000 / n.max(1)).clamp(3, 15);
-    let reps_slow = (100_000_000 / n.max(1)).clamp(2, 5);
-
-    // -- scatter: a full permutation store through the subsystem. --
-    {
-        let run = |ctx: &Ctx, dest: &mut Vec<u32>| {
-            sfcp_parprim::scatter::scatter_into(ctx, dest, n, |s| {
-                Some((scatter_dest(n, s), s as u32))
-            });
-        };
-        let stats = |engine: ScatterEngine| {
-            let ctx = Ctx::parallel().with_scatter_engine(engine);
-            let mut dest = vec![0u32; n];
-            run(&ctx, &mut dest);
-            ctx.stats()
-        };
-        let all_stats: Vec<Stats> = engines.iter().map(|&(_, e)| stats(e)).collect();
-        assert!(
-            all_stats.windows(2).all(|w| w[0] == w[1]),
-            "scatter: engines must charge identical work/depth at n={n}"
-        );
-        // Shared-state timing (see the function doc): one ctx + one dest
-        // for all engines, selector swapped per run, order rotated per rep.
-        let mut ctx = Ctx::untracked(Mode::Parallel);
-        let mut dest = vec![0u32; n];
-        let mut best = [f64::INFINITY; 3];
-        for &(_, e) in &engines {
-            ctx = ctx.with_scatter_engine(e);
-            run(&ctx, &mut dest); // warm pools + pages under every engine
-        }
-        for rep in 0..reps_fast {
-            for k in 0..engines.len() {
-                let i = (rep + k) % engines.len();
-                ctx = ctx.with_scatter_engine(engines[i].1);
-                let t = Instant::now();
-                run(&ctx, &mut dest);
-                best[i] = best[i].min(t.elapsed().as_secs_f64() * 1e3);
-                std::hint::black_box(&dest);
-            }
-        }
-        for (i, &(label, _)) in engines.iter().enumerate() {
-            let ms = best[i];
-            println!("{:>22} n={n:>10}: {label:>9} {ms:10.3} ms", "bign scatter");
-            rows.push(BignRow {
-                name: "scatter",
-                n,
-                engine: label,
-                ms,
-                work: all_stats[i].work,
-                rounds: all_stats[i].rounds,
-            });
-        }
-    }
-
-    // -- csr_build + decompose share the chunked function workload. --
-    let g = bign_function(n);
-    let f = g.table();
-
-    // CSR of the buddy-edge incidence stream, exactly the decompose-gating
-    // build (at this key count the builder is in the bucketed fallback —
-    // `direct_build_max_keys` caps the counting array far below n — and the
-    // scatter engine drives the value-placement passes).
-    {
-        let run = |ctx: &Ctx, offsets: &mut Vec<u32>, items: &mut Vec<u32>| {
-            sfcp_parprim::csr::build_csr_into(
-                ctx,
-                n,
-                2 * n,
-                |s| {
-                    let x = s / 2;
-                    if f[x] as usize == x {
-                        None
-                    } else if s % 2 == 0 {
-                        Some((x as u32, (x as u32) * 2 + 1))
-                    } else {
-                        Some((f[x], (x as u32) * 2))
-                    }
-                },
-                offsets,
-                items,
-            );
-        };
-        let stats = |engine: ScatterEngine| {
-            let ctx = Ctx::parallel().with_scatter_engine(engine);
-            let (mut offsets, mut items) = (Vec::new(), Vec::new());
-            run(&ctx, &mut offsets, &mut items);
-            ctx.stats()
-        };
-        let all_stats: Vec<Stats> = engines.iter().map(|&(_, e)| stats(e)).collect();
-        assert!(
-            all_stats.windows(2).all(|w| w[0] == w[1]),
-            "csr_build: engines must charge identical work/depth at n={n}"
-        );
-        let mut ctx = Ctx::untracked(Mode::Parallel);
-        let (mut offsets, mut items) = (Vec::new(), Vec::new());
-        let mut best = [f64::INFINITY; 3];
-        for &(_, e) in &engines {
-            ctx = ctx.with_scatter_engine(e);
-            run(&ctx, &mut offsets, &mut items); // warm pools + pages
-        }
-        for rep in 0..reps_fast {
-            for k in 0..engines.len() {
-                let i = (rep + k) % engines.len();
-                ctx = ctx.with_scatter_engine(engines[i].1);
-                let t = Instant::now();
-                run(&ctx, &mut offsets, &mut items);
-                best[i] = best[i].min(t.elapsed().as_secs_f64() * 1e3);
-                std::hint::black_box(offsets.len() + items.len());
-            }
-        }
-        for (i, &(label, _)) in engines.iter().enumerate() {
-            let ms = best[i];
-            println!(
-                "{:>22} n={n:>10}: {label:>9} {ms:10.3} ms",
-                "bign csr_build"
-            );
-            rows.push(BignRow {
-                name: "csr_build",
-                n,
-                engine: label,
-                ms,
-                work: all_stats[i].work,
-                rounds: all_stats[i].rounds,
-            });
-        }
-    }
-
-    // -- decompose: the whole pipeline on warm pools per engine. --
-    {
-        // One tracked pass (under Auto) labels all three rows; cross-engine
-        // charge equality at every size is pinned by charge_determinism.
-        let charges = {
-            let ctx = Ctx::parallel().with_scatter_engine(ScatterEngine::Auto);
-            let d = sfcp_forest::decompose(&ctx, &g, sfcp_forest::cycles::CycleMethod::Euler);
-            std::hint::black_box(d.num_cycles());
-            ctx.stats()
-        };
-        let mut ctx = Ctx::untracked(Mode::Parallel);
-        let mut best = [f64::INFINITY; 3];
-        for &(_, e) in &engines {
-            ctx = ctx.with_scatter_engine(e);
-            let d = sfcp_forest::decompose(&ctx, &g, sfcp_forest::cycles::CycleMethod::Euler);
-            std::hint::black_box(d.num_cycles()); // warm pools + pages
-        }
-        for rep in 0..reps_slow {
-            for k in 0..engines.len() {
-                let i = (rep + k) % engines.len();
-                ctx = ctx.with_scatter_engine(engines[i].1);
-                let t = Instant::now();
-                let d = sfcp_forest::decompose(&ctx, &g, sfcp_forest::cycles::CycleMethod::Euler);
-                best[i] = best[i].min(t.elapsed().as_secs_f64() * 1e3);
-                std::hint::black_box(d.num_cycles());
-            }
-        }
-        for (i, &(label, _)) in engines.iter().enumerate() {
-            let ms = best[i];
-            println!(
-                "{:>22} n={n:>10}: {label:>9} {ms:10.3} ms",
-                "bign decompose"
-            );
-            rows.push(BignRow {
-                name: "decompose",
-                n,
-                engine: label,
-                ms,
-                work: charges.work,
-                rounds: charges.rounds,
-            });
-        }
-    }
-
-    // The selector gate: Auto within 10% of the best explicit engine on
-    // every routine that dispatches on the selection.  (Auto *is* one of
-    // the explicit engines after resolution, so this bounds pure selection
-    // overhead plus noise.)  `csr_build` only consults the scatter engine
-    // in its direct-build regime; past `direct_build_max_keys` the
-    // bucketed fallback runs identical code under all three selections and
-    // the ratio would gate nothing but environment noise, so it is skipped
-    // (the charge-equality assert above still covers it).
-    let csr_dispatches =
-        n <= sfcp_parprim::csr::direct_build_max_keys(&Ctx::untracked(Mode::Parallel));
-    for name in ["scatter", "csr_build", "decompose"] {
-        let of = |engine: &str| {
-            rows.iter()
-                .find(|r| r.name == name && r.engine == engine)
-                .map(|r| r.ms)
-                .expect("row present")
-        };
-        let (auto, best_explicit) = (of("auto"), of("direct").min(of("combining")));
-        let ratio = auto / best_explicit;
-        if name == "csr_build" && !csr_dispatches {
-            println!(
-                "bign gate: csr_build skipped — {n} keys is past direct_build_max_keys, \
-                 the bucketed fallback never consults the scatter engine \
-                 (auto {auto:.3} ms vs best explicit {best_explicit:.3} ms is noise only)"
-            );
-            continue;
-        }
-        println!("bign gate: {name} auto {auto:.3} ms vs best explicit {best_explicit:.3} ms ({ratio:.3}x)");
-        assert!(
-            ratio < 1.10,
-            "{name}: Auto selection is {ratio:.2}x the best explicit engine at n={n} \
-             (must stay within 10%)"
-        );
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"sfcp_parprim_out_of_cache\",\n");
-    json.push_str(&format!(
-        "  \"threads\": {},\n",
-        std::thread::available_parallelism().map_or(0, usize::from)
-    ));
-    json.push_str(&format!("  \"llc_bytes\": {llc},\n"));
-    json.push_str("  \"results\": [\n");
-    let body: Vec<String> = rows.iter().map(BignRow::json).collect();
-    json.push_str(&body.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write(out_path, &json).expect("failed to write bign benchmark json");
-    println!("wrote {out_path}");
-}
-
 /// Extract `field` from the row of `json` whose name/n match, e.g.
 /// `{"name": "decompose", "n": 100000, ..., "packed_ms": 12.3, ...}`.
 /// The file is this binary's own output format, so a string scan suffices.
@@ -867,30 +487,30 @@ fn committed_field(json: &str, name: &str, n: usize, field: &str) -> Option<f64>
     tail.split([',', '}']).next()?.trim().parse().ok()
 }
 
+/// Extract the header field `field` of `json` (a `  "threads": 2,` line).
+fn committed_header(json: &str, field: &str) -> Option<usize> {
+    let key = format!("\"{field}\": ");
+    let line = json
+        .lines()
+        .map(str::trim_start)
+        .find(|l| l.starts_with(&key))?;
+    line[key.len()..].trim_end_matches(',').trim().parse().ok()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let threads = std::thread::available_parallelism().map_or(0, usize::from);
     let mut out_path: Option<String> = None;
     let mut committed_path = "BENCH_parprim.json".to_string();
     let mut smoke = false;
-    let mut bign = false;
-    let mut bign_n: usize = 100_000_000;
     let mut trace_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" => smoke = true,
-            "--bign" => bign = true,
             "--trace" => {
                 i += 1;
                 trace_path = Some(args.get(i).expect("--trace needs a path").clone());
-            }
-            "--bign-n" => {
-                i += 1;
-                bign_n = args
-                    .get(i)
-                    .expect("--bign-n needs a size")
-                    .parse()
-                    .expect("--bign-n must be an integer");
             }
             "--committed" => {
                 i += 1;
@@ -899,16 +519,6 @@ fn main() {
             other => out_path = Some(other.to_string()),
         }
         i += 1;
-    }
-    if bign {
-        assert!(!smoke, "--bign and --smoke are separate tiers");
-        assert!(
-            trace_path.is_none(),
-            "--trace is a main-tier flag (the bign tier has no traced pass)"
-        );
-        let out = out_path.unwrap_or_else(|| "BENCH_parprim_bign.json".to_string());
-        run_bign(&out, bign_n);
-        return;
     }
     // A smoke run must never clobber the committed trajectory it is about to
     // read back, so its default output goes elsewhere.
@@ -1023,13 +633,6 @@ fn main() {
             let tour = sfcp_parprim::euler::EulerTour::build(ctx, &forest);
             std::hint::black_box(tour.len());
         }));
-        // The scatter subsystem on a shuffled permutation store.
-        let scatter_idx: Vec<u32> = {
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            idx.shuffle(&mut rng);
-            idx
-        };
-        rows.push(measure_scatter(n, 2 * reps, &scatter_idx));
         rows.push(measure("decompose", n, reps, |ctx: &Ctx| {
             let d = sfcp_forest::decompose(ctx, &g, sfcp_forest::cycles::CycleMethod::Euler);
             std::hint::black_box(d.num_cycles());
@@ -1089,17 +692,13 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"sfcp_parprim_sort_rank_engine\",\n");
-    // Schema 2: every result row carries a "trace" span/decision summary
+    // Schema 2: every result row carries a "trace" span summary
     // (see `Row::trace`).  Bumped from the unversioned (implicitly 1)
     // schema; `bench-engines` lint enforces the field's presence at this
     // version.
     json.push_str("  \"schema\": 2,\n");
-    json.push_str(&format!(
-        "  \"threads\": {},\n",
-        std::thread::available_parallelism().map_or(0, usize::from)
-    ));
-    // Historical header kept for old tooling; rows now carry their own
-    // (authoritative) per-row "engines" labels — see `Row::engines`.
+    json.push_str(&format!("  \"threads\": {threads},\n"));
+    // Historical header kept for old tooling; every row repeats the labels.
     json.push_str("  \"engines\": [\"packed\", \"permutation\"],\n");
     json.push_str("  \"results\": [\n");
     let body: Vec<String> = rows
@@ -1232,10 +831,21 @@ fn main() {
     // files: that row touches neither the decomposition code, the CSR
     // builder, nor the list-ranking engines, so a uniformly slower or
     // faster machine cancels out and the gate tracks genuine regressions
-    // rather than runner hardware.
+    // rather than runner hardware.  Files recorded at a different thread
+    // count are not comparable at all, so the comparison is skipped then.
     if smoke {
         let committed = std::fs::read_to_string(&committed_path)
             .unwrap_or_else(|e| panic!("cannot read committed bench {committed_path}: {e}"));
+        let committed_threads = committed_header(&committed, "threads");
+        if committed_threads != Some(threads) {
+            println!(
+                "smoke: {committed_path} was recorded at {} threads and this host has \
+                 {threads}; the files are not comparable, so the comparisons against \
+                 committed rows are skipped (the in-run gates above still ran)",
+                committed_threads.map_or("unknown".into(), |t| t.to_string())
+            );
+            return;
+        }
         let calib = rows
             .iter()
             .find(|r| r.name == "radix_sort_pairs")
@@ -1257,7 +867,6 @@ fn main() {
             "csr_build",
             "list_rank",
             "euler_build",
-            "scatter",
         ] {
             let fresh = rows
                 .iter()

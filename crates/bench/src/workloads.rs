@@ -121,38 +121,6 @@ pub fn sharded_multigraph(num_slots: usize, seed: u64) -> ShardedMultigraph {
     ShardedMultigraph { num_keys, slots }
 }
 
-/// Multiplier of the big-`n` scatter bijection `s ↦ (s · P) mod n`:
-/// Knuth's 2^32 golden-ratio constant, odd and not divisible by 5, hence
-/// coprime to every power-of-ten size — the map is a full permutation of
-/// `{0, …, n-1}`.
-pub const SCATTER_MULT: u64 = 2_654_435_761;
-
-/// Zero-memory scatter permutation for the big-`n` tier: destination of
-/// slot `s` under the multiplicative bijection.  A materialized shuffled
-/// index array at `n = 10^8` would itself be 400 MB of harness state and
-/// its generation would dominate the run; the bijection computes each
-/// destination in two ALU ops while still jumping `≈ P mod n` positions
-/// per slot — every store misses the cache just like a genuine shuffle.
-///
-/// # Panics
-/// Panics when `n` shares a factor with [`SCATTER_MULT`] (the map would
-/// not be a bijection).
-#[must_use]
-#[inline]
-pub fn scatter_dest(n: usize, s: usize) -> usize {
-    debug_assert!(
-        {
-            let (mut a, mut b) = (SCATTER_MULT, n as u64);
-            while b != 0 {
-                (a, b) = (b, a % b);
-            }
-            a == 1
-        },
-        "scatter bijection multiplier must be coprime to n = {n}"
-    );
-    ((s as u64).wrapping_mul(SCATTER_MULT) % n as u64) as usize
-}
-
 /// The big-`n` functional-graph workload: the chunked generator under the
 /// harness seed (see
 /// [`sfcp_forest::generators::random_function_chunked`] for the chunking
@@ -191,18 +159,6 @@ mod tests {
         let strings = canonical_cycle_strings(40, 16);
         assert_eq!(strings.len(), 40);
         assert!(strings.iter().all(|s| s.len() == 16));
-    }
-
-    #[test]
-    fn scatter_bijection_is_a_permutation_at_power_of_ten_sizes() {
-        for n in [10usize, 1000, 100_000] {
-            let mut seen = vec![false; n];
-            for s in 0..n {
-                let d = scatter_dest(n, s);
-                assert!(!seen[d], "collision at n={n}, s={s}");
-                seen[d] = true;
-            }
-        }
     }
 
     #[test]

@@ -5,28 +5,40 @@
 //! The algorithm keeps a worklist of *splitter* blocks.  Processing a
 //! splitter `A` intersects every block `Y` with `f⁻¹(A)`; blocks cut into two
 //! pieces are replaced and the smaller piece joins the worklist ("process the
-//! smaller half"), which bounds the total work by `O(n log n)`.
+//! smaller half").
+//!
+//! Blocks are contiguous ranges of one element array with a position index,
+//! so intersecting with `f⁻¹(A)` moves only the hit members (each swapped
+//! into the hit prefix of its block) and a split relabels only the smaller
+//! piece.  Processing a splitter therefore costs `O(|f⁻¹(A)|)`, and the
+//! smaller-half rule bounds the total by `O(n log n)`.
 
 use crate::problem::{Instance, Partition};
 
 /// Compute the coarsest stable refinement by Hopcroft's algorithm.
 #[must_use]
 pub fn coarsest_hopcroft(instance: &Instance) -> Partition {
+    refine(instance).0
+}
+
+/// [`coarsest_hopcroft`] plus the number of member moves it made (one per
+/// pre-image member swapped into the hit prefix of its block) — the
+/// quantity the `O(n log n)` bound is about.
+pub(crate) fn refine(instance: &Instance) -> (Partition, u64) {
     let n = instance.len();
     if n == 0 {
-        return Partition::new(Vec::new());
+        return (Partition::new(Vec::new()), 0);
     }
     let f = instance.f();
 
     // Inverse function as CSR.
-    let mut indeg = vec![0u32; n + 1];
+    let mut offsets = vec![0u32; n + 1];
     for &y in f {
-        indeg[y as usize + 1] += 1;
+        offsets[y as usize + 1] += 1;
     }
     for i in 0..n {
-        indeg[i + 1] += indeg[i];
+        offsets[i + 1] += offsets[i];
     }
-    let offsets = indeg;
     let mut cursor = offsets.clone();
     let mut preimage = vec![0u32; n];
     for (x, &y) in f.iter().enumerate() {
@@ -34,112 +46,108 @@ pub fn coarsest_hopcroft(instance: &Instance) -> Partition {
         cursor[y as usize] += 1;
     }
 
-    // Blocks as vectors of members; block_of[x] = current block id.
-    let mut blocks: Vec<Vec<u32>> = Vec::new();
+    // Blocks as ranges `start[b]..end[b]` of `elems`, grouped by initial
+    // label; `pos[x]` is the slot of `x` in `elems`.
     let mut block_of = vec![0u32; n];
+    let mut start: Vec<u32> = Vec::new();
     {
-        let mut map = std::collections::HashMap::new();
-        for x in 0..n as u32 {
-            let label = instance.blocks()[x as usize];
-            let id = *map.entry(label).or_insert_with(|| {
-                blocks.push(Vec::new());
-                (blocks.len() - 1) as u32
+        let mut ids = std::collections::HashMap::new();
+        for (x, &label) in instance.blocks().iter().enumerate() {
+            let id = *ids.entry(label).or_insert_with(|| {
+                start.push(0);
+                start.len() as u32 - 1
             });
-            blocks[id as usize].push(x);
-            block_of[x as usize] = id;
+            block_of[x] = id;
+            start[id as usize] += 1; // size, turned into a start below
         }
+    }
+    let mut running = 0u32;
+    for s in start.iter_mut() {
+        let size = *s;
+        *s = running;
+        running += size;
+    }
+    let mut end = start.clone();
+    let mut elems = vec![0u32; n];
+    let mut pos = vec![0u32; n];
+    for x in 0..n {
+        let b = block_of[x] as usize;
+        elems[end[b] as usize] = x as u32;
+        pos[x] = end[b];
+        end[b] += 1;
     }
 
     // Worklist: initially every block (the classical optimisation of leaving
     // out the largest block also works; keeping all of them only costs a
     // constant factor and keeps the code simpler to reason about).
-    let mut on_worklist = vec![true; blocks.len()];
-    let mut worklist: Vec<u32> = (0..blocks.len() as u32).collect();
+    let num_blocks = start.len();
+    let mut worklist: Vec<u32> = (0..num_blocks as u32).collect();
 
-    // Scratch: how many members of each block fall into f⁻¹(splitter), and an
-    // epoch-stamped membership mark for the current pre-image (so deciding
-    // "inside" does not depend on block ids that may change mid-iteration,
-    // e.g. when the splitter block itself gets split).
-    let mut touched_count: Vec<u32> = vec![0; blocks.len()];
-    let mut touched_blocks: Vec<u32> = Vec::new();
-    let mut pre_epoch = vec![0u32; n];
-    let mut epoch = 0u32;
+    // Per block, how many of its members sit in the hit prefix of the
+    // current splitter's pre-image.
+    let mut hits: Vec<u32> = vec![0; num_blocks];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut pre: Vec<u32> = Vec::new();
+    let mut moves = 0u64;
 
     while let Some(splitter) = worklist.pop() {
-        on_worklist[splitter as usize] = false;
-        epoch += 1;
-
-        // Collect the pre-image of the splitter block.
-        let mut pre: Vec<u32> = Vec::new();
-        for &member in &blocks[splitter as usize] {
-            let start = offsets[member as usize] as usize;
-            let end = offsets[member as usize + 1] as usize;
-            pre.extend_from_slice(&preimage[start..end]);
+        // Collect the pre-image first: marking below reorders `elems`,
+        // possibly inside the splitter block itself.
+        pre.clear();
+        for &y in &elems[start[splitter as usize] as usize..end[splitter as usize] as usize] {
+            pre.extend_from_slice(
+                &preimage[offsets[y as usize] as usize..offsets[y as usize + 1] as usize],
+            );
         }
 
-        // Count, per block, how many of its members are in the pre-image.
-        touched_blocks.clear();
+        // Move every hit member into the hit prefix of its block.
+        touched.clear();
         for &x in &pre {
-            pre_epoch[x as usize] = epoch;
-            let b = block_of[x as usize];
-            if touched_count[b as usize] == 0 {
-                touched_blocks.push(b);
+            let b = block_of[x as usize] as usize;
+            if hits[b] == 0 {
+                touched.push(b as u32);
             }
-            touched_count[b as usize] += 1;
+            let slot = start[b] + hits[b];
+            let other = elems[slot as usize];
+            let from = pos[x as usize];
+            elems.swap(slot as usize, from as usize);
+            pos[other as usize] = from;
+            pos[x as usize] = slot;
+            hits[b] += 1;
+            moves += 1;
         }
 
-        for &b in &touched_blocks {
-            let hit = touched_count[b as usize] as usize;
-            touched_count[b as usize] = 0;
-            let size = blocks[b as usize].len();
-            if hit == size {
+        for &b in &touched {
+            let b = b as usize;
+            let hit = std::mem::take(&mut hits[b]);
+            let (lo, hi) = (start[b], end[b]);
+            if hit == hi - lo {
                 continue; // the whole block maps into the splitter: no split
             }
-            // Split block b into (members hitting the splitter) and the rest.
-            let members = std::mem::take(&mut blocks[b as usize]);
-            let (mut inside, mut outside) =
-                (Vec::with_capacity(hit), Vec::with_capacity(size - hit));
-            for x in members {
-                if pre_epoch[x as usize] == epoch {
-                    inside.push(x);
-                } else {
-                    outside.push(x);
-                }
-            }
-            debug_assert_eq!(inside.len(), hit);
-            // Keep the larger part under the old id, create a new block for
-            // the smaller part, and enqueue the smaller part.
-            let (keep, new_part) = if inside.len() >= outside.len() {
-                (inside, outside)
+            // The smaller piece (the hit prefix or the rest) becomes a new
+            // block; the larger keeps the old id.
+            let mid = lo + hit;
+            let new_id = start.len() as u32;
+            let (new_lo, new_hi) = if hit <= hi - mid {
+                start[b] = mid;
+                (lo, mid)
             } else {
-                (outside, inside)
+                end[b] = mid;
+                (mid, hi)
             };
-            let new_id = blocks.len() as u32;
-            for &x in &new_part {
+            for &x in &elems[new_lo as usize..new_hi as usize] {
                 block_of[x as usize] = new_id;
             }
-            blocks[b as usize] = keep;
-            blocks.push(new_part);
-            on_worklist.push(false);
-            touched_count.push(0);
-            // If b was on the worklist both halves must be processed; if not,
-            // the smaller half suffices.
-            if on_worklist[b as usize] {
-                worklist.push(new_id);
-                on_worklist[new_id as usize] = true;
-            } else {
-                let smaller = if blocks[b as usize].len() <= blocks[new_id as usize].len() {
-                    b
-                } else {
-                    new_id
-                };
-                worklist.push(smaller);
-                on_worklist[smaller as usize] = true;
-            }
+            start.push(new_lo);
+            end.push(new_hi);
+            hits.push(0);
+            // If b is still on the worklist both halves get processed; if
+            // not, the smaller half suffices — the new block either way.
+            worklist.push(new_id);
         }
     }
 
-    Partition::new(block_of)
+    (Partition::new(block_of), moves)
 }
 
 #[cfg(test)]
@@ -185,6 +193,24 @@ mod tests {
             let q = coarsest_hopcroft(&inst);
             assert!(q.same_partition(&coarsest_naive(&inst)));
             assert_valid(&inst, &q);
+        }
+    }
+
+    /// A chain `f(i) = i + 1` ending in a fixed point whose label is the
+    /// only distinct one: every refinement step cuts a single node off the
+    /// big block, so a split that scans the whole block costs Θ(n²) over
+    /// the run.  The member moves must stay within `2·n·⌈log₂ n⌉`.
+    #[test]
+    fn chain_splits_move_n_log_n_members() {
+        for n in [1_000usize, 8_000, 64_000] {
+            let f: Vec<u32> = (1..=n as u32).map(|i| i.min(n as u32 - 1)).collect();
+            let mut labels = vec![0u32; n];
+            labels[n - 1] = 1;
+            let inst = Instance::new(f, labels);
+            let (q, moves) = refine(&inst);
+            assert_eq!(q.num_blocks(), n, "every chain node is its own class");
+            let bound = 2 * n as u64 * u64::from(sfcp_pram::ceil_log2(n));
+            assert!(moves <= bound, "n = {n}: {moves} moves > {bound}");
         }
     }
 

@@ -49,15 +49,18 @@ pub fn coarsest_sequential(instance: &Instance) -> Partition {
     let mut next_label = 0u32;
 
     // ---- Step 2: cycle node labelling --------------------------------------
-    // class key (canonical period string, offset) → Q label.
-    let mut class_of: FxHashMap<(Vec<u32>, u32), u32> = FxHashMap::default();
+    // Canonical period string → first of its `p` consecutive Q labels; the
+    // node at offset `o` from the least rotation gets `base + o`.  One
+    // lookup per cycle keeps the step O(n) however long the periods are.
+    let mut class_base: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
     let mut visited = vec![false; n];
+    let mut cycle = Vec::new();
     for start in 0..n as u32 {
         if removed[start as usize] || visited[start as usize] {
             continue;
         }
         // Walk the cycle containing `start`.
-        let mut cycle = Vec::new();
+        cycle.clear();
         let mut cur = start;
         loop {
             visited[cur as usize] = true;
@@ -71,16 +74,13 @@ pub fn coarsest_sequential(instance: &Instance) -> Partition {
         let p = smallest_period_seq(&s);
         let prefix = &s[..p];
         let msp = booth_msp(prefix);
-        let canonical = rotation(prefix, msp);
+        let base = *class_base.entry(rotation(prefix, msp)).or_insert_with(|| {
+            let l = next_label;
+            next_label += p as u32;
+            l
+        });
         for (pos, &x) in cycle.iter().enumerate() {
-            let offset = ((pos + p - msp) % p) as u32;
-            let key = (canonical.clone(), offset);
-            let label = *class_of.entry(key).or_insert_with(|| {
-                let l = next_label;
-                next_label += 1;
-                l
-            });
-            labels[x as usize] = label;
+            labels[x as usize] = base + ((pos + p - msp) % p) as u32;
         }
     }
 

@@ -66,8 +66,16 @@ use crate::intsort::{
     counting_pass_items_uncharged, fill_items_uncharged, for_each_block, plan_digits, sig_bits,
     transpose_scan_offsets,
 };
-use crate::scatter::{ScatterTiles, BUCKET_BITS, NUM_BUCKETS};
-use sfcp_pram::{Ctx, ScatterEngine, SortEngine};
+use sfcp_pram::{Ctx, SortEngine};
+
+/// Key bits used to bucket the write-combined counting pass: `2^6 = 64`
+/// staging buckets.  Few enough that the per-block fill state lives in
+/// registers/L1, many enough that one bucket's row window is a small
+/// fraction of the histogram row.
+const BUCKET_BITS: u32 = 6;
+
+/// Staging buckets per block of the write-combined counting pass.
+const NUM_BUCKETS: usize = 1 << BUCKET_BITS;
 
 /// Below this stream length the blocked machinery is pure overhead; both
 /// engines run the sequential baseline.
@@ -92,7 +100,7 @@ pub const DIRECT_BUILD_MAX_KEYS: usize = 1 << 22;
 /// LLC budget ([`sfcp_pram::Topology::csr_direct_counter_budget`]).  The
 /// regime choice is physical only — results and charges are identical in
 /// both regimes — so consulting the probe here is charge-neutral (DESIGN.md,
-/// "Footprint-adaptive selection").
+/// "The topology probe").
 #[must_use]
 pub fn direct_build_max_keys(ctx: &Ctx) -> usize {
     DIRECT_BUILD_MAX_KEYS.min(ctx.topology().csr_direct_counter_budget())
@@ -250,8 +258,7 @@ fn build_csr_direct<F>(
     // Write-combined counting regime: once a block's histogram row outgrows
     // the probed L2, the random `row[k] += 1` increments become the pass's
     // miss bill.  Past that boundary each block stages the keys into
-    // per-bucket tiles (bucketed by the high key bits, like the scatter
-    // engine's sinks) and applies a tile of increments at a time, so every
+    // per-bucket tiles (bucketed by the high key bits) and applies a tile of increments at a time, so every
     // burst lands in one `num_keys / 2^BUCKET_BITS` row window instead of
     // striding the whole row.  Physical only: the counts are identical, the
     // model charge above never changes.
@@ -336,56 +343,39 @@ fn build_csr_direct<F>(
     offsets[num_keys] = running;
 
     // Scatter: stream the slots again; the histogram rows double as write
-    // cursors, and each (block, key) range is disjoint.  The value stores
-    // go through the scatter engine on the context — resolved against the
-    // items footprint when the selection is `Auto` — as direct stores or
-    // write-combining tiles (the cursor bumps stay direct either way: a
-    // block's row is private and cache-resident).
+    // cursors, and each (block, key) range is disjoint.
     items.clear();
     items.resize(running as usize, 0);
     let total = items.len();
-    {
-        let hist_ptr = SendPtr(hist.as_mut_ptr());
-        let items_ptr = SendPtr(items.as_mut_ptr());
-        let resolved = ctx.resolve_scatter("csr_direct_items", total * std::mem::size_of::<u32>());
-        let tiles = (resolved == ScatterEngine::Combining)
-            .then(|| ScatterTiles::new(ctx, total, num_blocks));
-        for_each_block(ctx, num_blocks, |b| {
-            let (hp, ip) = (hist_ptr, items_ptr);
-            let mut sink = tiles.as_ref().map(|t| t.sink(b, ip.0));
-            let start = b * block_size;
-            let end = (start + block_size).min(num_slots);
-            // SAFETY: disjoint histogram rows (see above).
-            let row = unsafe { std::slice::from_raw_parts_mut(hp.0.add(b * num_keys), num_keys) };
-            for s in start..end {
-                if let Some((k, v)) = edge(s) {
-                    let cursor = &mut row[k as usize];
-                    // The cursors were derived from a *separate* counting
-                    // invocation of `edge`; a non-deterministic closure could
-                    // otherwise push one past the buffer.  Keep the unsafe
-                    // write bounded so that inconsistency panics instead of
-                    // scribbling.
-                    assert!(
-                        (*cursor as usize) < total,
-                        "csr edge stream changed between the counting and scatter passes"
-                    );
-                    match sink.as_mut() {
-                        // SAFETY: in-bounds by the check above; offsets of
-                        // different (block, key) pairs are disjoint ranges,
-                        // so each item slot is written once.
-                        None => unsafe {
-                            *ip.0.add(*cursor as usize) = v;
-                        },
-                        Some(sink) => sink.push(*cursor as usize, v),
-                    }
-                    *cursor += 1;
+    let hist_ptr = SendPtr(hist.as_mut_ptr());
+    let items_ptr = SendPtr(items.as_mut_ptr());
+    for_each_block(ctx, num_blocks, |b| {
+        let (hp, ip) = (hist_ptr, items_ptr);
+        let start = b * block_size;
+        let end = (start + block_size).min(num_slots);
+        // SAFETY: disjoint histogram rows (see above).
+        let row = unsafe { std::slice::from_raw_parts_mut(hp.0.add(b * num_keys), num_keys) };
+        for s in start..end {
+            if let Some((k, v)) = edge(s) {
+                let cursor = &mut row[k as usize];
+                // The cursors were derived from a *separate* counting
+                // invocation of `edge`; a non-deterministic closure could
+                // otherwise push one past the buffer.  Keep the unsafe write
+                // bounded so that inconsistency panics instead of scribbling.
+                assert!(
+                    (*cursor as usize) < total,
+                    "csr edge stream changed between the counting and scatter passes"
+                );
+                // SAFETY: in-bounds by the check above; offsets of different
+                // (block, key) pairs are disjoint ranges, so each item slot
+                // is written once.
+                unsafe {
+                    *ip.0.add(*cursor as usize) = v;
                 }
+                *cursor += 1;
             }
-            if let Some(mut sink) = sink {
-                sink.flush();
-            }
-        });
-    }
+        }
+    });
 }
 
 /// The cache-bucketed fallback for huge key spaces: pack, radix-bucket by

@@ -21,8 +21,7 @@
 
 use crate::listrank::{is_sampled_ruler, list_rank_into};
 use crate::scan::scan_generic_into;
-use crate::scatter::{combining_tasks, ScatterTiles, TileValue};
-use sfcp_pram::{Ctx, Error, ScatterEngine};
+use sfcp_pram::{Ctx, Error};
 
 /// A rooted forest on nodes `0..n`: `parent[r] == r` exactly for roots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,8 +254,7 @@ fn settle_node<W: FnMut(u32, u32, bool)>(forest: &RootedForest, v: u32, emit: &m
 
 /// The shared successor-construction pass: stream every node's CSR child
 /// list and write each arc's (optionally transformed) successor exactly
-/// once, through the scatter engine selected on the context.  Charges one
-/// round of `2n` operations (one per arc) under both engines.
+/// once.  Charges one round of `2n` operations (one per arc).
 fn arc_successor_pass<T>(ctx: &Ctx, forest: &RootedForest, succ: &mut [u32], transform: T)
 where
     T: Fn(u32, u32, bool) -> u32 + Sync + Send,
@@ -266,85 +264,38 @@ where
     let n = forest.len();
     assert_eq!(succ.len(), 2 * n, "tour successor slice must hold 2n arcs");
     let succ_ptr = SendPtr(succ.as_mut_ptr());
-    match ctx.resolve_scatter("arc_successors", std::mem::size_of_val::<[u32]>(succ)) {
-        ScatterEngine::Direct => {
-            ctx.par_for_idx(n, |vi| {
-                let sp = succ_ptr;
-                settle_node(forest, vi as u32, &mut |slot, val, head| {
-                    // SAFETY: each arc slot has exactly one writer (see the
-                    // covering argument on `arc_successors_into`).
-                    unsafe {
-                        *sp.0.add(slot as usize) = transform(slot, val, head);
-                    }
-                });
-            });
-        }
-        ScatterEngine::Combining => {
-            ctx.charge_step(n as u64);
-            let num_tasks = combining_tasks(n);
-            let block = n.div_ceil(num_tasks);
-            let tiles = ScatterTiles::new(ctx, 2 * n, num_tasks);
-            crate::intsort::for_each_block(ctx, num_tasks, |t| {
-                let sp = succ_ptr;
-                let mut sink = tiles.sink(t, sp.0);
-                for vi in t * block..((t + 1) * block).min(n) {
-                    settle_node(forest, vi as u32, &mut |slot, val, head| {
-                        sink.push(slot as usize, transform(slot, val, head));
-                    });
-                }
-                sink.flush();
-            });
-        }
-        // `scatter_engine_for` always resolves `Auto`.
-        ScatterEngine::Auto => unreachable!("Auto resolves to an explicit engine"),
-    }
+    ctx.par_for_idx(n, |vi| {
+        let sp = succ_ptr;
+        settle_node(forest, vi as u32, &mut |slot, val, head| {
+            // SAFETY: each arc slot has exactly one writer (see the covering
+            // argument on `arc_successors_into`).
+            unsafe {
+                *sp.0.add(slot as usize) = transform(slot, val, head);
+            }
+        });
+    });
     // One round of n was charged for the per-node dispatch; the pass
     // settles 2n arcs, one operation each.
     ctx.charge_work(n as u64);
 }
 
-/// Scatter `±value` deltas at every node's entry/exit tour positions,
-/// through the scatter engine on the context.  Charged one round of `n`
-/// (two disjoint writes per node) under both engines — exactly what the
-/// direct `par_for_idx` pass charges.
+/// Scatter `±value` deltas at every node's entry/exit tour positions.
+/// Charged one round of `n` (two disjoint writes per node).
 fn scatter_entry_exit_deltas<T, F>(ctx: &Ctx, entry: &[u32], exit: &[u32], deltas: &mut [T], f: F)
 where
-    T: TileValue,
+    T: Copy + Send + Sync,
     F: Fn(usize) -> (T, T) + Sync + Send,
 {
-    let n = entry.len();
     let ptr = SendPtr(deltas.as_mut_ptr());
-    match ctx.resolve_scatter("euler_deltas", std::mem::size_of_val(deltas)) {
-        ScatterEngine::Direct => {
-            ctx.par_for_idx(n, |v| {
-                let p = ptr;
-                let (plus, minus) = f(v);
-                // SAFETY: entry/exit positions are all distinct.
-                unsafe {
-                    *p.0.add(entry[v] as usize) = plus;
-                    *p.0.add(exit[v] as usize) = minus;
-                }
-            });
+    ctx.par_for_idx(entry.len(), |v| {
+        let p = ptr;
+        let (plus, minus) = f(v);
+        // SAFETY: entry/exit positions are all distinct.
+        unsafe {
+            *p.0.add(entry[v] as usize) = plus;
+            *p.0.add(exit[v] as usize) = minus;
         }
-        ScatterEngine::Combining => {
-            ctx.charge_step(n as u64);
-            let num_tasks = combining_tasks(n);
-            let block = n.div_ceil(num_tasks);
-            let tiles = ScatterTiles::new(ctx, deltas.len(), num_tasks);
-            crate::intsort::for_each_block(ctx, num_tasks, |t| {
-                let p = ptr;
-                let mut sink = tiles.sink(t, p.0);
-                for v in t * block..((t + 1) * block).min(n) {
-                    let (plus, minus) = f(v);
-                    sink.push(entry[v] as usize, plus);
-                    sink.push(exit[v] as usize, minus);
-                }
-                sink.flush();
-            });
-        }
-        // `scatter_engine_for` always resolves `Auto`.
-        ScatterEngine::Auto => unreachable!("Auto resolves to an explicit engine"),
-    }
+    });
 }
 
 /// An Euler tour of a [`RootedForest`], with global positions.

@@ -15,7 +15,7 @@
 //! | [`csr`] | parallel CSR construction from `(key, value)` streams | children lists, buddy-edge incidence rotations, level buckets |
 //! | [`intsort`] | stable counting sort and LSD radix sort (sequential + parallel) | the Bhatt-et-al. integer sorting the paper charges `O(n log log n)` work to |
 //! | [`rank`] | sorting-based renaming: map items to dense ranks | "replace each pair by its rank" steps of m.s.p. / string sorting |
-//! | [`scatter`] | engine-dispatched bucketed scatter writes (direct vs write-combining) | the physical layer under every disjoint-scatter pass |
+//! | [`scatter`] | disjoint scatter writes (one direct store per pair) | the EREW exclusive-write pass under every scatter |
 //! | [`listrank`] | engine-dispatched list ranking (pointer jumping, ruling set, cache-bucketed wavefront walks) | Step 1 of *cycle node labeling*, fused Euler-tour + cycle-chain ranking |
 //! | [`jump`] | pointer jumping on rooted forests | tree-node labelling, cycle detection cross-check |
 //! | [`euler`] | Euler tours of rooted forests (levels, entry/exit, ancestor sums) | Section 4 tree labelling and Section 5 cycle finding |
@@ -64,4 +64,4 @@ pub use scan::{
     exclusive_scan, exclusive_scan_into, inclusive_scan, inclusive_scan_into, scan_generic,
     scan_generic_into,
 };
-pub use scatter::{scatter_into, ScatterTiles, TileSink, TileValue};
+pub use scatter::scatter_into;

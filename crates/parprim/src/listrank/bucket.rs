@@ -15,22 +15,18 @@
 //! measure-then-scatter layout, one pass stores per interior node the packed
 //! word `(steps from segment start) << 32 | (start ruler)`, and the final
 //! rank falls out as `rank(start ruler) − steps` — the second walk is gone
-//! entirely.  The per-node record stores go through the scatter engine
-//! selected on the context ([`sfcp_pram::ScatterEngine`]): direct stores,
-//! or write-combining tiles once the record array outgrows the LLC.
-//! Charges are **bit-identical** to the `RulingSet` engine
+//! entirely.  Charges are **bit-identical** to the `RulingSet` engine
 //! (regression-tested): the walk pass charges the same round of `m` plus
 //! `n` work, and the packed contracted doubling charges the two steps per
 //! round of the unpacked loop.
 
-use sfcp_pram::{Ctx, ScatterEngine};
+use sfcp_pram::Ctx;
 
 use super::ruling::{
     charge_sampling_model, contracted_rank_doubling, index_rulers, sample_chain_rulers,
     segment_target, SendPtr, FLAGGED_LOW, TINY_LIST_MAX,
 };
 use super::wyllie::list_rank_wyllie_into;
-use crate::scatter::{ScatterTiles, TileSink, TileValue};
 
 /// Upper bound on walks advanced in lockstep per bucket, and the
 /// compile-time size of the lane-state arrays.  The *runtime* lane count is
@@ -45,36 +41,6 @@ const WAVE: usize = 64;
 /// Rulers handed to one wavefront task: coarse enough that the per-task
 /// lane-state setup amortises, fine enough to load-balance across threads.
 const WALKS_PER_TASK: usize = 4096;
-
-/// How one wavefront task records its per-node words: straight stores or a
-/// write-combining tile sink, both behind one inlined call.  The sink
-/// variant carries its fill state inline (the size difference to the bare
-/// pointer is expected and task-local).
-#[allow(clippy::large_enum_variant)]
-enum Recorder<'s, T: TileValue> {
-    Direct(*mut T),
-    Combining(TileSink<'s, T>),
-}
-
-impl<T: TileValue> Recorder<'_, T> {
-    /// Record `val` at `idx` (indices are disjoint across all writers).
-    #[inline]
-    fn write(&mut self, idx: usize, val: T) {
-        match self {
-            // SAFETY: disjoint indices, in range by the caller's walk
-            // invariants (the index was just bounds-checked as a gather).
-            Recorder::Direct(p) => unsafe { *p.add(idx) = val },
-            Recorder::Combining(sink) => sink.push(idx, val),
-        }
-    }
-
-    /// Drain staged writes (no-op for direct stores).
-    fn finish(&mut self) {
-        if let Recorder::Combining(sink) = self {
-            sink.flush();
-        }
-    }
-}
 
 /// Sparse-ruling-set list ranking with wavefront-batched walks — the
 /// `CacheBucket` engine's entry point.
@@ -180,10 +146,10 @@ pub(crate) fn chain_walk_bucketed(
     let wave = ctx.topology().wavefront_lanes().min(WAVE);
     let interior_ptr = SendPtr(interior.as_mut_ptr());
     let seg_ptr = SendPtr(seg_state.as_mut_ptr());
-    let walk = |t: usize, mut rec: Recorder<u64>| {
+    crate::intsort::for_each_block(ctx, num_tasks, |t| {
         let lo = t * WALKS_PER_TASK;
         let hi = ((t + 1) * WALKS_PER_TASK).min(m);
-        let sp = seg_ptr;
+        let (ip, sp) = (interior_ptr, seg_ptr);
         let mut lane_j = [0u32; WAVE];
         let mut lane_cur = [0u32; WAVE];
         let mut lane_word = [0u32; WAVE];
@@ -219,9 +185,12 @@ pub(crate) fn chain_walk_bucketed(
                         Some((lane_steps[l] + 1, ruler_index[nxt]))
                     } else {
                         let steps = lane_steps[l] + 1;
-                        // Each non-ruler node is interior to exactly one
-                        // segment — one writer per slot.
-                        rec.write(nxt, (u64::from(steps) << 32) | u64::from(lane_j[l]));
+                        // SAFETY: in range (just gathered); each non-ruler
+                        // node is interior to exactly one segment — one
+                        // writer per slot.
+                        unsafe {
+                            *ip.0.add(nxt) = (u64::from(steps) << 32) | u64::from(lane_j[l]);
+                        }
                         lane_cur[l] = nxt as u32;
                         lane_word[l] = w;
                         lane_steps[l] = steps;
@@ -247,24 +216,7 @@ pub(crate) fn chain_walk_bucketed(
                 }
             }
         }
-        rec.finish();
-    };
-    match ctx.resolve_scatter("rank_chain_walk", std::mem::size_of_val(&*interior)) {
-        ScatterEngine::Direct => {
-            crate::intsort::for_each_block(ctx, num_tasks, |t| {
-                let p = interior_ptr;
-                walk(t, Recorder::Direct(p.0));
-            });
-        }
-        ScatterEngine::Combining => {
-            let tiles = ScatterTiles::new(ctx, interior.len(), num_tasks);
-            crate::intsort::for_each_block(ctx, num_tasks, |t| {
-                let p = interior_ptr;
-                walk(t, Recorder::Combining(tiles.sink(t, p.0)));
-            });
-        }
-        ScatterEngine::Auto => unreachable!("Auto resolves to an explicit engine"),
-    }
+    });
 }
 
 /// The wavefront cycle walk of the cycle-min contraction: for every ruler
@@ -285,10 +237,10 @@ pub(crate) fn cycle_walk_bucketed(
     let wave = ctx.topology().wavefront_lanes().min(WAVE);
     let end_ptr = SendPtr(end_ruler.as_mut_ptr());
     let state_ptr = SendPtr(state.as_mut_ptr());
-    let walk = |t: usize, mut rec: Recorder<u32>| {
+    crate::intsort::for_each_block(ctx, num_tasks, |t| {
         let lo = t * WALKS_PER_TASK;
         let hi = ((t + 1) * WALKS_PER_TASK).min(m);
-        let sp = state_ptr;
+        let (ep, sp) = (end_ptr, state_ptr);
         let mut lane_j = [0u32; WAVE];
         let mut lane_start = [0u32; WAVE];
         let mut lane_cur = [0u32; WAVE];
@@ -322,9 +274,12 @@ pub(crate) fn cycle_walk_bucketed(
                     if w >> 31 == 1 {
                         Some((lane_min[l], ruler_index[cur]))
                     } else {
-                        // Each element is interior to exactly one segment —
-                        // one writer per slot.
-                        rec.write(cur, lane_j[l]);
+                        // SAFETY: in range (just gathered); each element is
+                        // interior to exactly one segment — one writer per
+                        // slot.
+                        unsafe {
+                            *ep.0.add(cur) = lane_j[l];
+                        }
                         lane_min[l] = lane_min[l].min(cur as u32);
                         lane_cur[l] = w & FLAGGED_LOW;
                         None
@@ -332,9 +287,9 @@ pub(crate) fn cycle_walk_bucketed(
                 };
                 if let Some((min, next_ruler)) = finished {
                     // The start ruler's own slot, plus the contracted state.
-                    rec.write(lane_start[l] as usize, lane_j[l]);
-                    // SAFETY: one writer per ruler j.
+                    // SAFETY: one writer per ruler j, and per start ruler.
                     unsafe {
+                        *ep.0.add(lane_start[l] as usize) = lane_j[l];
                         *sp.0.add(lane_j[l] as usize) =
                             (u64::from(min) << 32) | u64::from(next_ruler);
                     }
@@ -352,22 +307,5 @@ pub(crate) fn cycle_walk_bucketed(
                 }
             }
         }
-        rec.finish();
-    };
-    match ctx.resolve_scatter("rank_cycle_walk", std::mem::size_of_val(&*end_ruler)) {
-        ScatterEngine::Direct => {
-            crate::intsort::for_each_block(ctx, num_tasks, |t| {
-                let p = end_ptr;
-                walk(t, Recorder::Direct(p.0));
-            });
-        }
-        ScatterEngine::Combining => {
-            let tiles = ScatterTiles::new(ctx, end_ruler.len(), num_tasks);
-            crate::intsort::for_each_block(ctx, num_tasks, |t| {
-                let p = end_ptr;
-                walk(t, Recorder::Combining(tiles.sink(t, p.0)));
-            });
-        }
-        ScatterEngine::Auto => unreachable!("Auto resolves to an explicit engine"),
-    }
+    });
 }

@@ -32,10 +32,9 @@ use crate::intsort::{
     idx_bits_for, radix_sort_recs_prebounded, radix_sort_u64, radix_sort_words, sig_bits,
 };
 use crate::scan::{charge_scan_cost, inclusive_scan, SCAN_BLOCK};
-use crate::scatter::ScatterTiles;
 use rayon::prelude::*;
 use sfcp_pram::fxhash::FxHashMap;
-use sfcp_pram::{Ctx, Rec, ScatterEngine, SortEngine};
+use sfcp_pram::{Ctx, Rec, SortEngine};
 
 /// Order-preserving dense ranks of `keys`: returns `(ranks, distinct)`, where
 /// `ranks[i] < distinct`, `ranks[i] == ranks[j]` iff `keys[i] == keys[j]`, and
@@ -197,73 +196,25 @@ where
     let running =
         crate::intsort::transpose_scan_offsets(ctx, &mut block_bounds, 1, num_blocks, None);
     let distinct = running as usize + 1;
-    {
-        let ranks_ptr = SendPtr(ranks.as_mut_ptr());
-        let base = &block_bounds;
-        let key = &key;
-        let pay = &pay;
-        // One rank-and-scatter sweep of block `b`, emitting through `write`
-        // (a direct store or a write-combining sink, monomorphized).
-        #[inline]
-        fn sweep_block<T, K, P, W>(
-            items: &[T],
-            n: usize,
-            base: &[u32],
-            key: &K,
-            pay: &P,
-            b: usize,
-            write: &mut W,
-        ) where
-            K: Fn(&T) -> u64,
-            P: Fn(&T) -> u32,
-            W: FnMut(usize, u32),
-        {
-            let start = b * SCAN_BLOCK;
-            let end = (start + SCAN_BLOCK).min(n);
-            let mut group = base[b];
-            for i in start..end {
-                if i > 0 && key(&items[i]) != key(&items[i - 1]) {
-                    group += 1;
-                }
-                write(pay(&items[i]) as usize, group);
+    let ranks_ptr = SendPtr(ranks.as_mut_ptr());
+    let key = &key;
+    let pay = &pay;
+    let base = &block_bounds;
+    (0..num_blocks).into_par_iter().for_each(|b| {
+        let ptr = ranks_ptr;
+        let start = b * SCAN_BLOCK;
+        let end = (start + SCAN_BLOCK).min(n);
+        let mut group = base[b];
+        for i in start..end {
+            if i > 0 && key(&items[i]) != key(&items[i - 1]) {
+                group += 1;
+            }
+            // SAFETY: payloads form a permutation — one write per slot.
+            unsafe {
+                *ptr.0.add(pay(&items[i]) as usize) = group;
             }
         }
-        match ctx.resolve_scatter("dense_rank_scatter", n * std::mem::size_of::<u32>()) {
-            ScatterEngine::Direct => {
-                (0..num_blocks).into_par_iter().for_each(|b| {
-                    let ptr = ranks_ptr;
-                    // SAFETY: payloads form a permutation — one write per
-                    // slot.
-                    sweep_block(items, n, base, key, pay, b, &mut |idx, group| unsafe {
-                        *ptr.0.add(idx) = group;
-                    });
-                });
-            }
-            ScatterEngine::Combining => {
-                // One sink per clamped task, not per SCAN_BLOCK: tiles only
-                // pay off when a task pushes enough entries to fill them,
-                // and the staging checkout must stay a small fraction of
-                // the destination.
-                let num_tasks = crate::scatter::combining_tasks(n);
-                let blocks_per_task = num_blocks.div_ceil(num_tasks);
-                let tiles = ScatterTiles::new(ctx, n, num_tasks);
-                (0..num_tasks).into_par_iter().for_each(|t| {
-                    let ptr = ranks_ptr;
-                    let mut sink = tiles.sink(t, ptr.0);
-                    let lo = t * blocks_per_task;
-                    let hi = ((t + 1) * blocks_per_task).min(num_blocks);
-                    for b in lo..hi {
-                        sweep_block(items, n, base, key, pay, b, &mut |idx, group| {
-                            sink.push(idx, group);
-                        });
-                    }
-                    sink.flush();
-                });
-            }
-            // `scatter_engine_for` always resolves `Auto`.
-            ScatterEngine::Auto => unreachable!("Auto resolves to an explicit engine"),
-        }
-    }
+    });
     distinct
 }
 

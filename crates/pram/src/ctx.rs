@@ -90,50 +90,6 @@ impl RankEngine {
     ];
 }
 
-/// Which scatter-write engine `sfcp-parprim` routes random `(index, value)`
-/// stores through.
-///
-/// Both engines produce identical destination contents and charge
-/// **identical** work/depth (a regression-tested invariant, like the other
-/// engine selectors), so the choice only affects wall-clock and the staging
-/// buffers checked out of the workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScatterEngine {
-    /// Plain random stores straight into the destination — the model
-    /// baseline.  Fastest whenever the destination is cache-resident (on
-    /// hosts with a large last-level cache this covers surprisingly large
-    /// problems).
-    Direct,
-    /// Software write-combining: stores are staged into cache-resident
-    /// per-bucket tiles (bucketed by the high bits of the destination
-    /// index) and flushed a tile at a time, so each flush touches one small
-    /// destination window instead of the whole array.  Pays off when the
-    /// destination outgrows the last-level cache; charge-identical to
-    /// [`ScatterEngine::Direct`].
-    Combining,
-    /// Footprint-adaptive: each scatter pass resolves to [`Direct`] or
-    /// [`Combining`] by comparing its destination footprint in bytes against
-    /// the probed last-level cache, gated on more than one core being
-    /// active ([`Ctx::scatter_engine_for`]).  The resolution itself charges
-    /// nothing and the candidates charge identically, so `Auto` is
-    /// charge-identical to both explicit engines.
-    ///
-    /// [`Direct`]: ScatterEngine::Direct
-    /// [`Combining`]: ScatterEngine::Combining
-    #[default]
-    Auto,
-}
-
-impl ScatterEngine {
-    /// Every engine variant — swept by the parity/determinism/leak suites,
-    /// like [`RankEngine::ALL`].
-    pub const ALL: [ScatterEngine; 3] = [
-        ScatterEngine::Direct,
-        ScatterEngine::Combining,
-        ScatterEngine::Auto,
-    ];
-}
-
 /// Execution context shared by all algorithms: execution mode + cost tracker
 /// + scratch-buffer workspace.
 #[derive(Debug)]
@@ -143,7 +99,6 @@ pub struct Ctx {
     grain: usize,
     engine: SortEngine,
     rank_engine: RankEngine,
-    scatter_engine: ScatterEngine,
     topology: Topology,
     workspace: Workspace,
     trace: Trace,
@@ -166,7 +121,6 @@ impl Ctx {
             grain: topology.default_grain(),
             engine: SortEngine::default(),
             rank_engine: RankEngine::default(),
-            scatter_engine: ScatterEngine::default(),
             topology,
             workspace: Workspace::new(),
             trace: Trace::new(),
@@ -196,14 +150,13 @@ impl Ctx {
             grain: topology.default_grain(),
             engine: SortEngine::default(),
             rank_engine: RankEngine::default(),
-            scatter_engine: ScatterEngine::default(),
             topology,
             workspace: Workspace::new(),
             trace: Trace::new(),
         }
     }
 
-    /// Enable span/decision tracing on this context (builder form of
+    /// Enable span tracing on this context (builder form of
     /// [`Trace::enable`]; see [`crate::trace`] for the span model and the
     /// disabled-cost contract).
     #[must_use]
@@ -248,22 +201,6 @@ impl Ctx {
         self.rank_engine
     }
 
-    /// Select the scatter-write engine (default: [`ScatterEngine::Auto`]).
-    #[must_use]
-    pub fn with_scatter_engine(mut self, engine: ScatterEngine) -> Self {
-        self.scatter_engine = engine;
-        self
-    }
-
-    /// The selected scatter-write engine (possibly [`ScatterEngine::Auto`];
-    /// scatter passes resolve it per destination via
-    /// [`Ctx::scatter_engine_for`]).
-    #[inline]
-    #[must_use]
-    pub fn scatter_engine(&self) -> ScatterEngine {
-        self.scatter_engine
-    }
-
     /// Mutating twin of [`Ctx::with_sort_engine`] for long-running owners
     /// (e.g. a service worker that re-targets its persistent context per
     /// request without rebuilding it — pools and probed topology stay warm).
@@ -277,85 +214,8 @@ impl Ctx {
         self.rank_engine = engine;
     }
 
-    /// Mutating twin of [`Ctx::with_scatter_engine`]; see
-    /// [`Ctx::set_sort_engine`].
-    pub fn set_scatter_engine(&mut self, engine: ScatterEngine) {
-        self.scatter_engine = engine;
-    }
-
-    /// Resolve the scatter engine for a pass whose destination occupies
-    /// `dest_bytes`: explicit selections pass through; [`ScatterEngine::Auto`]
-    /// picks [`ScatterEngine::Combining`] when the destination outgrows the
-    /// probed last-level cache **and** more than one core is active, and
-    /// [`ScatterEngine::Direct`] otherwise.  Never returns `Auto`, and
-    /// charges nothing — selection is charge-neutral because both candidates
-    /// charge identically (see DESIGN.md, "Footprint-adaptive selection").
-    ///
-    /// The core-count term is measured, not theoretical: combining's payoff
-    /// is keeping each destination cache line's writers on one core and
-    /// batching its ownership traffic, so with a single core the staging
-    /// pass is pure overhead — on the 1-core reference container the big-`n`
-    /// tier (`BENCH_parprim_bign.json`) has direct stores ahead of the
-    /// combining tiles even at 3.6× the probed LLC.
-    #[inline]
-    #[must_use]
-    pub fn scatter_engine_for(&self, dest_bytes: usize) -> ScatterEngine {
-        match self.scatter_engine {
-            ScatterEngine::Auto => {
-                if self.topology.cores() > 1 && dest_bytes > self.topology.llc_bytes() {
-                    ScatterEngine::Combining
-                } else {
-                    ScatterEngine::Direct
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
-    /// Resolve the scatter engine for the dispatch site `site`, recording an
-    /// engine-decision record (site, destination footprint, probed LLC and
-    /// core count, resolved engine) when tracing is enabled.  The traced and
-    /// untraced paths resolve identically via [`Ctx::scatter_engine_for`] and
-    /// both charge nothing, so the record is an observation, never an input.
-    ///
-    /// All scatter dispatch sites in the workspace route through this (the
-    /// `trace-span` lint keeps engine passes instrumented); plain
-    /// [`Ctx::scatter_engine_for`] remains for tests and predictions.
-    #[inline]
-    #[must_use]
-    pub fn resolve_scatter(&self, site: &'static str, dest_bytes: usize) -> ScatterEngine {
-        let resolved = self.scatter_engine_for(dest_bytes);
-        if self.trace.is_enabled() {
-            self.record_scatter_decision(site, dest_bytes, resolved);
-        }
-        resolved
-    }
-
-    /// Slow path of [`Ctx::resolve_scatter`]: write the decision record.
-    #[cold]
-    fn record_scatter_decision(
-        &self,
-        site: &'static str,
-        dest_bytes: usize,
-        resolved: ScatterEngine,
-    ) {
-        let name = match resolved {
-            ScatterEngine::Direct => "Direct",
-            ScatterEngine::Combining => "Combining",
-            // `scatter_engine_for` never returns `Auto`.
-            ScatterEngine::Auto => "Auto",
-        };
-        self.trace.decision(
-            site,
-            dest_bytes as u64,
-            self.topology.llc_bytes() as u64,
-            self.topology.cores() as u64,
-            name,
-        );
-    }
-
-    /// Replace the probed host topology (tests: mock the LLC boundary so
-    /// footprint-adaptive selection flips without a 100 MB input).
+    /// Replace the probed host topology (tests: mock the cache sizes so the
+    /// radix and CSR regimes flip without a 100 MB input).
     #[must_use]
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
@@ -406,7 +266,7 @@ impl Ctx {
         &self.tracker
     }
 
-    /// The span/decision trace recorder (disabled by default; enable with
+    /// The span trace recorder (disabled by default; enable with
     /// [`Ctx::with_tracing`] or [`Trace::enable`]).
     #[inline]
     #[must_use]

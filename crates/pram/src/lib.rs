@@ -27,10 +27,8 @@
 //!   layer ([`faults`]) that is zero-cost when disabled;
 //! * an observability layer ([`trace`]): RAII spans ([`Ctx::span`]) opened
 //!   at every engine pass and pipeline phase, recording wall time, charge
-//!   deltas, and workspace churn into a per-context ring, plus
-//!   engine-decision records at every `Auto`-scatter resolution
-//!   ([`Ctx::resolve_scatter`]) — also zero-cost when disabled, and
-//!   charge-neutral in every state;
+//!   deltas, and workspace churn into a per-context ring — also zero-cost
+//!   when disabled, and charge-neutral in every state;
 //! * [`brent::predicted_time`], Brent's scheduling principle
 //!   (`time ≈ work / p + depth`), used by the benchmark harness to convert
 //!   (work, depth) pairs into the per-processor running times that the
@@ -69,7 +67,7 @@ pub mod workspace;
 
 pub use brent::{predicted_time, BrentModel};
 pub use crcw::{ArbitraryCell, CommonCell, CrcwTable};
-pub use ctx::{Ctx, Mode, RankEngine, ScatterEngine, SortEngine};
+pub use ctx::{Ctx, Mode, RankEngine, SortEngine};
 pub use error::{check_index_width, Error, MAX_DOMAIN};
 pub use topology::Topology;
 pub use trace::{Span, Trace, TraceSnapshot, TraceSummary};

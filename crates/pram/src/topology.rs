@@ -4,7 +4,7 @@
 //! Every cache-aware layer in this workspace used to carry its own
 //! host-tuned constant — a 2048-element grain in [`crate::Ctx`], a 4M-counter
 //! histogram budget in the radix `block_plan`, 64 wavefront lanes in the
-//! bucketed list-ranking walks, 2 KB scatter tiles — all calibrated on one
+//! bucketed list-ranking walks, 2 KB staging tiles — all calibrated on one
 //! container and silently wrong everywhere else.  [`Topology`] probes the
 //! actual machine once (Linux sysfs, with documented fallbacks) and derives
 //! each of those quantities, so the physical geometry follows the host while
@@ -17,8 +17,8 @@
 //! `work`/`rounds` on every host, at every thread count, under every engine
 //! (see `DESIGN.md`, "Charge discipline").  The probe therefore only feeds
 //! *physical* decisions — block counts, tile sizes, lane widths, and the
-//! footprint-adaptive engine resolution ([`crate::Ctx::scatter_engine_for`])
-//! whose candidate engines charge identically by construction.
+//! radix and CSR regime choices, whose candidates charge identically by
+//! construction.
 //!
 //! # Mocking
 //!
@@ -115,8 +115,8 @@ impl Topology {
         topo
     }
 
-    /// Last-level cache capacity in bytes (the footprint boundary the
-    /// adaptive engine selection compares against).
+    /// Last-level cache capacity in bytes (the budget the radix histogram
+    /// and direct CSR build are sized against).
     pub fn llc_bytes(&self) -> usize {
         self.llc_bytes
     }
@@ -169,14 +169,6 @@ impl Topology {
         self
     }
 
-    /// Override the core count (tests: pin the multi-core arm of the
-    /// engine selection on single-core runners and vice versa).
-    #[must_use]
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = cores.max(1);
-        self
-    }
-
     // -----------------------------------------------------------------------
     // Derived physical tuning quantities.  Each replaces a constant that was
     // previously hand-tuned to this repository's original 64-byte-line /
@@ -192,9 +184,9 @@ impl Topology {
         (self.cache_line * 32).clamp(1024, 8192)
     }
 
-    /// Entries per write-combining scatter tile: 32 cache lines of staging
-    /// per bucket at 16 bytes per entry (128 entries / 2 KB tiles on 64-byte
-    /// lines), clamped to `[64, 512]`.
+    /// Entries per staging tile of the CSR builder's write-combined counting
+    /// pass: 32 cache lines of staging per bucket at 16 bytes per entry
+    /// (128 entries / 2 KB tiles on 64-byte lines), clamped to `[64, 512]`.
     pub fn scatter_tile_entries(&self) -> usize {
         ((self.cache_line * 32) / 16).clamp(64, 512)
     }

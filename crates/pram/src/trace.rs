@@ -1,22 +1,17 @@
-//! Span/counter instrumentation: phase trees, Perfetto export, and
-//! engine-decision logging.
+//! Span/counter instrumentation: phase trees and Perfetto export.
 //!
 //! The repo's *model* costs (work/depth charges) are deterministic and
 //! regression-pinned, but the *physical* behaviour of a run — wall time per
-//! pass, workspace churn, which engine [`ScatterEngine::Auto`] actually
-//! resolved and why — used to be visible only through ad-hoc `Instant`
+//! pass, workspace churn — used to be visible only through ad-hoc `Instant`
 //! printlns.  This module is the structured replacement: RAII **spans**
 //! ([`Ctx::span`]) opened at every engine pass and pipeline phase, recorded
-//! into an in-memory ring on the context, plus **engine-decision records**
-//! captured at every `Auto`-scatter resolution ([`Ctx::resolve_scatter`]).
+//! into an in-memory ring on the context.
 //!
 //! ## Disabled-cost contract
 //!
 //! Like the fault-injection layer ([`crate::faults`]), tracing is
 //! dependency-free and **zero-cost when disabled**: [`Ctx::span`] performs a
-//! single relaxed atomic load and returns a no-op guard, and
-//! [`Ctx::resolve_scatter`] adds the same single load to the untraced
-//! resolution.  In *any* state the layer charges nothing to the cost model —
+//! single relaxed atomic load and returns a no-op guard.  In *any* state the layer charges nothing to the cost model —
 //! span open/close only reads the tracker, workspace counters, and the
 //! monotonic clock — so tracked work/depth is bit-identical with tracing on
 //! or off (`tests/charge_determinism.rs` pins this across the engine grid).
@@ -45,15 +40,12 @@
 //!   `examples/profile_decompose.rs` prints);
 //! * [`TraceSnapshot::to_chrome_json`] — a Chrome/Perfetto-compatible
 //!   `trace.json` (open it in `ui.perfetto.dev`); spans become complete
-//!   (`"ph":"X"`) events, engine decisions become instant (`"ph":"i"`)
-//!   events;
+//!   (`"ph":"X"`) events;
 //! * [`TraceSnapshot::summary`] — a compact machine-readable aggregation by
 //!   span name ([`TraceSummary::to_json`]), which `bench_json` embeds per
 //!   row.
 //!
-//! [`ScatterEngine::Auto`]: crate::ScatterEngine::Auto
 //! [`Ctx::span`]: crate::Ctx::span
-//! [`Ctx::resolve_scatter`]: crate::Ctx::resolve_scatter
 //! [`Ctx::recover`]: crate::Ctx::recover
 //! [`Ctx::reset_stats`]: crate::Ctx::reset_stats
 //! [`Tracker::since`]: crate::Tracker::since
@@ -65,9 +57,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Default ring capacity: the recorder keeps at most this many closed spans
-/// (and, independently, this many decision records), dropping the oldest
-/// once full.  A warm 1e6 decompose emits well under a hundred spans, so the
+/// Default ring capacity: the recorder keeps at most this many closed spans,
+/// dropping the oldest once full.  A warm 1e6 decompose emits well under a hundred spans, so the
 /// default comfortably holds hundreds of traced runs.
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
@@ -100,26 +91,6 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, u64)>,
 }
 
-/// One engine-decision record: an `Auto`-scatter resolution with the inputs
-/// that drove it (see `Ctx::scatter_engine_for`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecisionRecord {
-    /// Id of the span open when the decision was taken, if any.
-    pub span: Option<u32>,
-    /// Static name of the dispatch site (`"scatter_into"`, …).
-    pub site: &'static str,
-    /// Destination footprint of the pass in bytes.
-    pub dest_bytes: u64,
-    /// The probed last-level cache size consulted.
-    pub llc_bytes: u64,
-    /// The probed core count consulted.
-    pub cores: u64,
-    /// The resolved engine (`"Direct"` or `"Combining"`).
-    pub resolved: &'static str,
-    /// Decision time in nanoseconds since the trace was enabled.
-    pub at_ns: u64,
-}
-
 /// Everything the recorder needs under one lock.
 #[derive(Debug)]
 struct TraceState {
@@ -127,7 +98,6 @@ struct TraceState {
     /// offsets from it.
     base: Option<Instant>,
     spans: VecDeque<SpanRecord>,
-    decisions: VecDeque<DecisionRecord>,
     /// Ids of currently open spans, innermost last.
     stack: Vec<u32>,
     next_id: u32,
@@ -139,11 +109,10 @@ struct TraceState {
 }
 
 /// The per-[`Ctx`](crate::Ctx) trace recorder: an enable flag plus a ring of
-/// closed [`SpanRecord`]s and [`DecisionRecord`]s.
+/// closed [`SpanRecord`]s.
 #[derive(Debug)]
 pub struct Trace {
-    /// Fast-path gate: `Ctx::span` / `Ctx::resolve_scatter` return after one
-    /// relaxed load while tracing is disabled, so hot paths never take the
+    /// Fast-path gate: `Ctx::span` returns after one relaxed load while tracing is disabled, so hot paths never take the
     /// state lock.
     active: AtomicBool,
     state: Mutex<TraceState>,
@@ -164,7 +133,6 @@ impl Trace {
             state: Mutex::new(TraceState {
                 base: None,
                 spans: VecDeque::new(),
-                decisions: VecDeque::new(),
                 stack: Vec::new(),
                 next_id: 0,
                 epoch: 0,
@@ -175,7 +143,7 @@ impl Trace {
         }
     }
 
-    /// Whether spans and decisions are being recorded.
+    /// Whether spans are being recorded.
     #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -201,8 +169,7 @@ impl Trace {
         self.invalidate_open();
     }
 
-    /// Replace the ring capacity (both rings), dropping oldest records as
-    /// needed to fit.
+    /// Replace the ring capacity, dropping oldest records as needed to fit.
     pub fn set_capacity(&self, capacity: usize) {
         let capacity = capacity.max(1);
         let mut st = self.state.lock();
@@ -211,17 +178,13 @@ impl Trace {
             st.spans.pop_front();
             st.dropped_spans += 1;
         }
-        while st.decisions.len() > capacity {
-            st.decisions.pop_front();
-        }
     }
 
-    /// Discard all recorded spans and decisions (open spans are invalidated
+    /// Discard all recorded spans (open spans are invalidated
     /// too; the enable flag is untouched).
     pub fn clear(&self) {
         let mut st = self.state.lock();
         st.spans.clear();
-        st.decisions.clear();
         st.stack.clear();
         st.epoch += 1;
         st.dropped_spans = 0;
@@ -279,36 +242,6 @@ impl Trace {
         }
     }
 
-    /// Record an engine decision against the innermost open span (if any).
-    /// Internal: reached through `Ctx::resolve_scatter` after its fast-path
-    /// check.
-    pub(crate) fn decision(
-        &self,
-        site: &'static str,
-        dest_bytes: u64,
-        llc_bytes: u64,
-        cores: u64,
-        resolved: &'static str,
-    ) {
-        let now = Instant::now();
-        let mut st = self.state.lock();
-        let base = *st.base.get_or_insert(now);
-        let span = st.stack.last().copied();
-        let rec = DecisionRecord {
-            span,
-            site,
-            dest_bytes,
-            llc_bytes,
-            cores,
-            resolved,
-            at_ns: ns_since(base, now),
-        };
-        if st.decisions.len() == st.capacity {
-            st.decisions.pop_front();
-        }
-        st.decisions.push_back(rec);
-    }
-
     /// Close a span (guard drop).
     fn close(&self, open: &OpenSpan<'_>) {
         let wall_ns = u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -354,7 +287,6 @@ impl Trace {
         let st = self.state.lock();
         TraceSnapshot {
             spans: st.spans.iter().cloned().collect(),
-            decisions: st.decisions.iter().cloned().collect(),
             dropped_spans: st.dropped_spans,
             open_discarded: st.open_discarded,
         }
@@ -436,8 +368,6 @@ impl std::fmt::Debug for Span<'_> {
 pub struct TraceSnapshot {
     /// Closed spans, oldest first (the ring may have dropped earlier ones).
     pub spans: Vec<SpanRecord>,
-    /// Engine-decision records, oldest first.
-    pub decisions: Vec<DecisionRecord>,
     /// Spans the ring evicted to stay within capacity.
     pub dropped_spans: u64,
     /// Open spans invalidated by recovery/disable and discarded at close.
@@ -508,17 +438,6 @@ impl TraceSnapshot {
                 }
             }
         }
-        if !self.decisions.is_empty() {
-            out.push_str(
-                "\nscatter decisions (site: dest_bytes vs llc_bytes @ cores -> engine):\n",
-            );
-            for d in &self.decisions {
-                out.push_str(&format!(
-                    "  {}: {} vs {} @ {} -> {}\n",
-                    d.site, d.dest_bytes, d.llc_bytes, d.cores, d.resolved
-                ));
-            }
-        }
         if self.dropped_spans > 0 || self.open_discarded > 0 {
             out.push_str(&format!(
                 "\n({} span(s) evicted by the ring, {} open span(s) discarded by recovery)\n",
@@ -530,17 +449,14 @@ impl TraceSnapshot {
 
     /// Export as Chrome trace-event JSON (the format `chrome://tracing` and
     /// `ui.perfetto.dev` load).  Spans are complete (`"ph":"X"`) events with
-    /// microsecond timestamps; engine decisions are instant (`"ph":"i"`)
-    /// events carrying their inputs in `args`.
+    /// microsecond timestamps.
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for s in &self.spans {
-            if !first {
+        for (i, s) in self.spans.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             out.push_str(&format!(
                 "\n{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\
                  \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"work\":{},\"rounds\":{},\
@@ -558,23 +474,6 @@ impl TraceSnapshot {
                 out.push_str(&format!(",{}:{v}", json_str(k)));
             }
             out.push_str("}}");
-        }
-        for d in &self.decisions {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n{{\"name\":\"scatter_decision\",\"cat\":\"decision\",\"ph\":\"i\",\"s\":\"t\",\
-                 \"pid\":0,\"tid\":0,\"ts\":{:.3},\"args\":{{\"site\":{},\"dest_bytes\":{},\
-                 \"llc_bytes\":{},\"cores\":{},\"resolved\":{}}}}}",
-                d.at_ns as f64 / 1e3,
-                json_str(d.site),
-                d.dest_bytes,
-                d.llc_bytes,
-                d.cores,
-                json_str(d.resolved),
-            ));
         }
         out.push_str("\n]}");
         out
@@ -619,21 +518,7 @@ impl TraceSnapshot {
                 }),
             }
         }
-        let mut decisions: Vec<DecisionSummaryRow> = Vec::new();
-        for d in &self.decisions {
-            match decisions
-                .iter_mut()
-                .find(|r| r.site == d.site && r.resolved == d.resolved)
-            {
-                Some(r) => r.count += 1,
-                None => decisions.push(DecisionSummaryRow {
-                    site: d.site,
-                    resolved: d.resolved,
-                    count: 1,
-                }),
-            }
-        }
-        TraceSummary { rows, decisions }
+        TraceSummary { rows }
     }
 }
 
@@ -656,31 +541,17 @@ pub struct SummaryRow {
     pub checkouts: u64,
 }
 
-/// Per-(site, resolution) aggregate of engine decisions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecisionSummaryRow {
-    /// Dispatch-site name.
-    pub site: &'static str,
-    /// Resolved engine name.
-    pub resolved: &'static str,
-    /// Number of decisions with this (site, resolution).
-    pub count: u64,
-}
-
 /// The machine-readable trace aggregation ([`TraceSnapshot::summary`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Per-name span aggregates, in first-seen order.
     pub rows: Vec<SummaryRow>,
-    /// Per-(site, resolution) decision aggregates, in first-seen order.
-    pub decisions: Vec<DecisionSummaryRow>,
 }
 
 impl TraceSummary {
     /// Serialize as one compact JSON object:
     /// `{"spans":[{"name":…,"count":…,"wall_ns":…,"self_ns":…,"work":…,
-    /// "rounds":…,"checkouts":…},…],"decisions":[{"site":…,"resolved":…,
-    /// "count":…},…]}`.
+    /// "rounds":…,"checkouts":…},…]}`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"spans\":[");
@@ -698,18 +569,6 @@ impl TraceSummary {
                 r.work,
                 r.rounds,
                 r.checkouts
-            ));
-        }
-        out.push_str("],\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"site\":{},\"resolved\":{},\"count\":{}}}",
-                json_str(d.site),
-                json_str(d.resolved),
-                d.count
             ));
         }
         out.push_str("]}");
@@ -824,47 +683,25 @@ mod tests {
     }
 
     #[test]
-    fn decisions_record_inputs_and_attach_to_open_span() {
-        let (trace, tracker, ws) = fixture();
-        trace.enable();
-        let span = trace.open("pass", &tracker, &ws);
-        trace.decision("scatter_into", 1 << 20, 1 << 17, 4, "Combining");
-        drop(span);
-        let snap = trace.snapshot();
-        assert_eq!(snap.decisions.len(), 1);
-        let d = &snap.decisions[0];
-        assert_eq!(d.site, "scatter_into");
-        assert_eq!(d.resolved, "Combining");
-        assert_eq!(d.span, Some(snap.spans[0].id));
-        assert_eq!(d.dest_bytes, 1 << 20);
-        assert_eq!(d.llc_bytes, 1 << 17);
-        assert_eq!(d.cores, 4);
-    }
-
-    #[test]
     fn sinks_render_without_panicking_and_contain_names() {
         let (trace, tracker, ws) = fixture();
         trace.enable();
         {
             let _outer = trace.open("decompose", &tracker, &ws);
             let _inner = trace.open("list_rank", &tracker, &ws);
-            trace.decision("scatter_into", 8, 16, 1, "Direct");
         }
         let snap = trace.snapshot();
         let tree = snap.render_tree();
         assert!(tree.contains("decompose"));
         assert!(tree.contains("  list_rank"));
-        assert!(tree.contains("scatter_into"));
         let json = snap.to_chrome_json();
         assert!(json.contains("\"name\":\"decompose\""));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
         let summary = snap.summary();
         assert_eq!(summary.rows.len(), 2);
-        assert_eq!(summary.decisions.len(), 1);
         let sj = summary.to_json();
         assert!(sj.starts_with("{\"spans\":["));
-        assert!(sj.contains("\"site\":\"scatter_into\""));
+        assert!(sj.ends_with("]}"));
     }
 
     #[test]

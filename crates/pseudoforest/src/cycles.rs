@@ -18,8 +18,7 @@
 use crate::graph::FunctionalGraph;
 use sfcp_parprim::jump::permutation_cycle_min_flagged_into;
 use sfcp_parprim::listrank::{is_sampled_ruler, RULER_FLAG};
-use sfcp_parprim::scatter::{combining_tasks, ScatterTiles};
-use sfcp_pram::{Ctx, ScatterEngine};
+use sfcp_pram::Ctx;
 
 /// Which cycle-node detection algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,7 +162,7 @@ pub fn cycle_nodes_euler(ctx: &Ctx, g: &FunctionalGraph) -> Vec<bool> {
     //
     // The ruler flags of the cycle-min contraction ride along in bit 31 of
     // every word as it is written (fixed points and the deterministic hash
-    // sample — the `has_pred` fold of DESIGN.md "Bucketed scatters"), so
+    // sample — the `has_pred` fold of DESIGN.md §7), so
     // `permutation_cycle_min_flagged_into` skips its validation and
     // sampling pre-passes entirely, charging them without executing.  Arc
     // ids at or above 2^31 cannot carry the flag bit — graphs that large
@@ -176,86 +175,41 @@ pub fn cycle_nodes_euler(ctx: &Ctx, g: &FunctionalGraph) -> Vec<bool> {
     for (a, s) in succ.iter_mut().enumerate() {
         *s = a as u32 | id_flag; // identity = fixed point = ruler
     }
-    {
-        // Per-vertex emission of the incoming-arc → outgoing-arc pairs; the
-        // random stores go through the scatter engine on the context.
-        fn emit_vertex<W: FnMut(usize, u32)>(
-            start: &[u32],
-            incident: &[u32],
-            num_arcs: usize,
-            flagging: bool,
-            v: usize,
-            write: &mut W,
-        ) {
-            let s = start[v] as usize;
-            let e = start[v + 1] as usize;
-            if e == s {
-                return;
-            }
-            for idx in s..e {
-                let endpoint = incident[idx];
-                let edge = endpoint >> 1;
-                let is_tail = endpoint & 1 == 1;
-                // Incoming arc at this endpoint: the arc pointing *to* v along
-                // `edge`.  If v is the tail (v == x) the incoming arc is the
-                // buddy 2e+1 (f(x) → x); if v is the head it is 2e (x → f(x)).
-                let in_arc = if is_tail { 2 * edge + 1 } else { 2 * edge };
-                // Next endpoint in v's rotation.
-                let next_idx = if idx + 1 == e { s } else { idx + 1 };
-                let next_endpoint = incident[next_idx];
-                let next_edge = next_endpoint >> 1;
-                let next_is_tail = next_endpoint & 1 == 1;
-                // Outgoing arc of the next endpoint: the arc leaving v.
-                let out_arc = if next_is_tail {
-                    2 * next_edge
-                } else {
-                    2 * next_edge + 1
-                };
-                let flag = u32::from(flagging && is_sampled_ruler(in_arc as usize, num_arcs));
-                write(in_arc as usize, out_arc | (flag << 31));
+    // Per-vertex emission of the incoming-arc → outgoing-arc pairs.
+    let succ_ptr = SendPtr(succ.as_mut_ptr());
+    let (start, incident) = (&start, &incident);
+    ctx.par_for_idx(n, |v| {
+        let p = succ_ptr;
+        let s = start[v] as usize;
+        let e = start[v + 1] as usize;
+        for idx in s..e {
+            let endpoint = incident[idx];
+            let edge = endpoint >> 1;
+            let is_tail = endpoint & 1 == 1;
+            // Incoming arc at this endpoint: the arc pointing *to* v along
+            // `edge`.  If v is the tail (v == x) the incoming arc is the
+            // buddy 2e+1 (f(x) → x); if v is the head it is 2e (x → f(x)).
+            let in_arc = if is_tail { 2 * edge + 1 } else { 2 * edge };
+            // Next endpoint in v's rotation.
+            let next_idx = if idx + 1 == e { s } else { idx + 1 };
+            let next_endpoint = incident[next_idx];
+            let next_edge = next_endpoint >> 1;
+            let next_is_tail = next_endpoint & 1 == 1;
+            // Outgoing arc of the next endpoint: the arc leaving v.
+            let out_arc = if next_is_tail {
+                2 * next_edge
+            } else {
+                2 * next_edge + 1
+            };
+            let flag = u32::from(flagging && is_sampled_ruler(in_arc as usize, num_arcs));
+            // SAFETY: each incoming arc is written exactly once (it has a
+            // unique endpoint position).
+            unsafe {
+                *p.0.add(in_arc as usize) = out_arc | (flag << 31);
             }
         }
-        let succ_ptr = SendPtr(succ.as_mut_ptr());
-        match ctx.resolve_scatter("cycle_succ_scatter", num_arcs * std::mem::size_of::<u32>()) {
-            ScatterEngine::Direct => {
-                let (start, incident) = (&start, &incident);
-                ctx.par_for_idx(n, |v| {
-                    let p = succ_ptr;
-                    emit_vertex(
-                        start,
-                        incident,
-                        num_arcs,
-                        flagging,
-                        v,
-                        // SAFETY: each incoming arc is written exactly once
-                        // (it has a unique endpoint position).
-                        &mut |slot, val| unsafe {
-                            *p.0.add(slot) = val;
-                        },
-                    );
-                });
-            }
-            ScatterEngine::Combining => {
-                ctx.charge_step(n as u64);
-                let num_tasks = combining_tasks(n);
-                let block = n.div_ceil(num_tasks);
-                let tiles = ScatterTiles::new(ctx, num_arcs, num_tasks);
-                let (start, incident) = (&start, &incident);
-                sfcp_parprim::for_each_block(ctx, num_tasks, |t| {
-                    let p = succ_ptr;
-                    let mut sink = tiles.sink(t, p.0);
-                    for v in t * block..((t + 1) * block).min(n) {
-                        emit_vertex(start, incident, num_arcs, flagging, v, &mut |slot, val| {
-                            sink.push(slot, val);
-                        });
-                    }
-                    sink.flush();
-                });
-            }
-            ScatterEngine::Auto => unreachable!("Auto resolves to an explicit engine"),
-        }
-        ctx.charge_work(2 * n as u64);
-    }
+    });
+    ctx.charge_work(2 * n as u64);
 
     // Faces = cycles of the successor permutation (a genuine permutation by
     // construction — the trusted flagged entry point charges the validation

@@ -171,7 +171,7 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     // the ranking engines are ORed into each word as it is written — heads
     // are known analytically (the down arc of every root; the leader of
     // every chain), so the engines' `has_pred` sampling passes disappear
-    // (the `has_pred` fold; see DESIGN.md "Bucketed scatters").
+    // (the `has_pred` fold; see DESIGN.md §7).
     let num_arcs = 2 * n;
     let domain = num_arcs + m;
     let span_phase = ctx.span("fused_successors");

@@ -21,18 +21,18 @@
 //! {"id":7,"kind":"probe"}
 //! ```
 //!
-//! Common options on compute requests: `"engines":{"sort":…,"rank":…,
-//! "scatter":…}` (defaults to the context defaults), `"digest":true`
-//! (respond with a fingerprint instead of the label array), `"cache":false`
-//! (bypass the snapshot cache), `"trace":true` (attach the span/decision
-//! summary of the serving run).
+//! Common options on compute requests: `"engines":{"sort":…,"rank":…}`
+//! (defaults to the context defaults; unknown keys such as a leftover
+//! `"scatter"` are ignored), `"digest":true` (respond with a fingerprint
+//! instead of the label array), `"cache":false` (bypass the snapshot
+//! cache), `"trace":true` (attach the span summary of the serving run).
 //!
 //! `u64` fingerprints ride as `"0x…"` hex strings: JSON numbers are f64 and
 //! lose integer precision past 2^53.
 
 use crate::error::{ErrorCode, ErrorReply};
 use crate::json::{self, Value};
-use sfcp_pram::{RankEngine, ScatterEngine, SortEngine};
+use sfcp_pram::{RankEngine, SortEngine};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -162,8 +162,6 @@ pub struct Engines {
     pub sort: SortEngine,
     /// List-ranking/contraction engine.
     pub rank: RankEngine,
-    /// Scatter-write engine.
-    pub scatter: ScatterEngine,
 }
 
 impl Default for Engines {
@@ -171,7 +169,6 @@ impl Default for Engines {
         Engines {
             sort: SortEngine::Packed,
             rank: RankEngine::CacheBucket,
-            scatter: ScatterEngine::Auto,
         }
     }
 }
@@ -181,7 +178,7 @@ impl Engines {
     /// rank engine changes documented charges, so cached charges must be
     /// keyed on it).
     #[must_use]
-    pub fn names(&self) -> (&'static str, &'static str, &'static str) {
+    pub fn names(&self) -> (&'static str, &'static str) {
         let sort = match self.sort {
             SortEngine::Packed => "packed",
             SortEngine::Permutation => "permutation",
@@ -191,12 +188,7 @@ impl Engines {
             RankEngine::RulingSet => "ruling_set",
             RankEngine::CacheBucket => "cache_bucket",
         };
-        let scatter = match self.scatter {
-            ScatterEngine::Direct => "direct",
-            ScatterEngine::Combining => "combining",
-            ScatterEngine::Auto => "auto",
-        };
-        (sort, rank, scatter)
+        (sort, rank)
     }
 }
 
@@ -237,7 +229,7 @@ pub struct ComputeRequest {
     pub digest_only: bool,
     /// Consult/fill the snapshot cache.
     pub use_cache: bool,
-    /// Attach the span/decision trace summary of the serving run.
+    /// Attach the span trace summary of the serving run.
     pub trace: bool,
 }
 
@@ -533,14 +525,6 @@ fn decode_engines(value: &Value) -> Result<Engines, ErrorReply> {
             _ => return Err(ErrorReply::bad_request("unknown rank engine".into())),
         };
     }
-    if let Some(s) = e.get("scatter") {
-        engines.scatter = match s.as_str() {
-            Some("direct") => ScatterEngine::Direct,
-            Some("combining") => ScatterEngine::Combining,
-            Some("auto") => ScatterEngine::Auto,
-            _ => return Err(ErrorReply::bad_request("unknown scatter engine".into())),
-        };
-    }
     Ok(engines)
 }
 
@@ -575,13 +559,12 @@ fn encode_compute(req: &ComputeRequest, members: &mut Vec<(String, Value)>) {
         }
     }
     if req.engines != Engines::default() {
-        let (sort, rank, scatter) = req.engines.names();
+        let (sort, rank) = req.engines.names();
         members.push((
             "engines".into(),
             Value::Object(vec![
                 ("sort".to_string(), Value::Str(sort.into())),
                 ("rank".to_string(), Value::Str(rank.into())),
-                ("scatter".to_string(), Value::Str(scatter.into())),
             ]),
         ));
     }
@@ -949,7 +932,6 @@ mod tests {
                         .with_engines(Engines {
                             sort: SortEngine::Permutation,
                             rank: RankEngine::PointerJump,
-                            scatter: ScatterEngine::Combining,
                         })
                         .digest_only()
                         .no_cache()
@@ -990,7 +972,7 @@ mod tests {
                     rounds: 7,
                     cached: true,
                     fused: 3,
-                    trace_json: Some("{\"spans\":[],\"decisions\":[]}".into()),
+                    trace_json: Some("{\"spans\":[]}".into()),
                 }),
             },
             Response {
@@ -1023,6 +1005,27 @@ mod tests {
             let decoded = Response::decode(&resp.encode()).unwrap();
             assert_eq!(decoded, resp);
         }
+    }
+
+    /// Clients of the retired scatter-engine option may still send its key;
+    /// it is ignored like any unknown key.
+    #[test]
+    fn leftover_scatter_engine_key_is_ignored() {
+        let req = Request::decode(
+            br#"{"id":1,"kind":"partition","f":[1,0],"blocks":[0,0],
+                "engines":{"sort":"permutation","scatter":"combining"}}"#,
+        )
+        .unwrap();
+        let RequestBody::Compute(compute) = req.body else {
+            panic!("expected a compute request, got {:?}", req.body);
+        };
+        assert_eq!(
+            compute.engines,
+            Engines {
+                sort: SortEngine::Permutation,
+                ..Engines::default()
+            }
+        );
     }
 
     #[test]

@@ -502,7 +502,6 @@ impl Worker {
         }
         self.ctx.set_sort_engine(engines.sort);
         self.ctx.set_rank_engine(engines.rank);
-        self.ctx.set_scatter_engine(engines.scatter);
     }
 
     /// Run a closure under fresh stats (and, when asked, a fresh trace),
@@ -618,10 +617,9 @@ impl Worker {
 fn partition_key(instance: &Instance, engines: &Engines) -> u64 {
     let mut h = sfcp_pram::fxhash::FxHasher::default();
     h.write_u8(1);
-    let (sort, rank, scatter) = engines.names();
+    let (sort, rank) = engines.names();
     h.write(sort.as_bytes());
     h.write(rank.as_bytes());
-    h.write(scatter.as_bytes());
     h.write_u64(instance.digest());
     h.finish()
 }
@@ -630,10 +628,9 @@ fn partition_key(instance: &Instance, engines: &Engines) -> u64 {
 fn input_key(tag: u8, engines: &Engines, values: &[u32]) -> u64 {
     let mut h = sfcp_pram::fxhash::FxHasher::default();
     h.write_u8(tag);
-    let (sort, rank, scatter) = engines.names();
+    let (sort, rank) = engines.names();
     h.write(sort.as_bytes());
     h.write(rank.as_bytes());
-    h.write(scatter.as_bytes());
     h.write_u64(values.len() as u64);
     for &v in values {
         h.write_u32(v);

@@ -1,20 +1,18 @@
 //! `bench-engines` — schema check over the committed `BENCH_parprim*.json`
 //! engine labels.
 //!
-//! PR 7 fixed a mislabeled scatter row whose `engines` header claimed the
-//! sort-engine pair; this rule makes that class unrepresentable at commit
-//! time.  For every row of every `BENCH_parprim*.json` in the repo root:
+//! A mislabeled row — one whose `engines` header did not name what its
+//! timing columns measured — once reached a committed bench file; this rule
+//! keeps that class unrepresentable at commit time.  For every row of every
+//! `BENCH_parprim*.json` in the repo root:
 //!
-//! * an `"engines": [a, b]` field must be one of the known engine-set
-//!   names (kept in lockstep with `SORT_RANK_LABELS` / `SCATTER_LABELS` in
+//! * an `"engines": [a, b]` field must be the sort/rank engine-set pair
+//!   (kept in lockstep with `SORT_RANK_LABELS` in
 //!   `crates/bench/src/bin/bench_json.rs`);
-//! * `scatter` rows must carry the scatter pair and non-scatter rows the
-//!   sort/rank pair — the exact confusion the mislabel was;
-//! * a big-n `"engine": x` field must name a single known `ScatterEngine`;
 //! * in a schema-2 file (header line `"schema": 2`), every result row must
-//!   embed the `"trace"` span/decision summary with both its `"spans"` and
-//!   `"decisions"` lists — the observability field the schema bump added.
-//!   (Pre-bump files carry no `"schema"` header and are exempt.)
+//!   embed the `"trace"` span summary with its `"spans"` list — the
+//!   observability field the schema bump added.  (Pre-bump files carry no
+//!   `"schema"` header and are exempt.)
 //!
 //! The files are line-structured (one row object per line, written by
 //! `bench_json`), so a comment/string-blind line scan is exact here.
@@ -24,11 +22,9 @@ use crate::scan::Finding;
 /// Rule identifier.
 pub const RULE: &str = "bench-engines";
 
-/// Known engine-set labels (mirrors `bench_json.rs`; the self-test in
-/// `crates/xtask/tests` cross-checks the committed files).
-const KNOWN_PAIRS: &[[&str; 2]] = &[["packed", "permutation"], ["direct", "combining"]];
-/// Known single-engine labels of the big-n tier (`ScatterEngine` variants).
-const KNOWN_SINGLES: &[&str] = &["direct", "combining", "auto"];
+/// The engine-set labels every row carries (mirrors `bench_json.rs`; the
+/// self-test in `crates/xtask/tests` cross-checks the committed files).
+const KNOWN_PAIR: [&str; 2] = ["packed", "permutation"];
 
 fn extract_quoted(list: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -58,6 +54,14 @@ pub fn check(rel_path: &str, contents: &str) -> Vec<Finding> {
     let mut schema: u64 = 1;
     for (idx, line) in contents.lines().enumerate() {
         let line_no = idx + 1;
+        let mut finding = |message: String| {
+            out.push(Finding {
+                file: rel_path.to_string(),
+                line: line_no,
+                rule: RULE,
+                message,
+            });
+        };
         if let Some(rest) = field_value(line, "\"schema\":") {
             schema = rest
                 .split([',', '}'])
@@ -68,84 +72,30 @@ pub fn check(rel_path: &str, contents: &str) -> Vec<Finding> {
         let name = field_value(line, "\"name\":")
             .map(|v| extract_quoted(v).into_iter().next().unwrap_or_default());
 
-        // Schema 2 rows must carry the span/decision summary.  Only rows
-        // (lines with a name) are checked; header lines are exempt.
-        if schema >= 2 && name.is_some() {
+        // Schema 2 rows must carry the span summary.  Only rows (lines with
+        // a name) are checked; header lines are exempt.
+        if let Some(name) = name.filter(|_| schema >= 2) {
             let trace = field_value(line, "\"trace\":");
-            let complete =
-                trace.is_some_and(|t| t.contains("\"spans\":[") && t.contains("\"decisions\":["));
-            if !complete {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_no,
-                    rule: RULE,
-                    message: format!(
-                        "schema-2 row `{}` is missing the \"trace\" summary \
-                         (with \"spans\" and \"decisions\" lists) — regenerate \
-                         with bench_json, or drop the \"schema\": 2 header",
-                        name.clone().unwrap_or_default()
-                    ),
-                });
+            if !trace.is_some_and(|t| t.contains("\"spans\":[")) {
+                finding(format!(
+                    "schema-2 row `{name}` is missing the \"trace\" summary \
+                     (with its \"spans\" list) — regenerate with bench_json, \
+                     or drop the \"schema\": 2 header"
+                ));
             }
         }
 
         if let Some(rest) = field_value(line, "\"engines\":") {
             let Some(close) = rest.find(']') else {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_no,
-                    rule: RULE,
-                    message: "unterminated engines list".to_string(),
-                });
+                finding("unterminated engines list".to_string());
                 continue;
             };
             let labels = extract_quoted(&rest[..close]);
-            let known = KNOWN_PAIRS
-                .iter()
-                .any(|p| labels.len() == 2 && p[0] == labels[0] && p[1] == labels[1]);
-            if !known {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_no,
-                    rule: RULE,
-                    message: format!(
-                        "engines {labels:?} is not a known engine-set \
-                         (expected one of {KNOWN_PAIRS:?})"
-                    ),
-                });
-                continue;
-            }
-            // Scatter rows measure ScatterEngine columns; everything else
-            // measures the sort/rank pair.  (Header lines carry no name.)
-            if let Some(name) = name {
-                let want_scatter = name == "scatter";
-                let is_scatter_pair = labels[0] == "direct";
-                if want_scatter != is_scatter_pair {
-                    out.push(Finding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: RULE,
-                        message: format!(
-                            "row `{name}` labelled {labels:?} — scatter rows \
-                             measure [\"direct\", \"combining\"], other rows \
-                             [\"packed\", \"permutation\"] (the PR 7 mislabel \
-                             class)"
-                        ),
-                    });
-                }
-            }
-        } else if let Some(rest) = field_value(line, "\"engine\":") {
-            let label = extract_quoted(rest).into_iter().next().unwrap_or_default();
-            if !KNOWN_SINGLES.contains(&label.as_str()) {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_no,
-                    rule: RULE,
-                    message: format!(
-                        "engine {label:?} is not a known ScatterEngine label \
-                         (expected one of {KNOWN_SINGLES:?})"
-                    ),
-                });
+            if labels != KNOWN_PAIR {
+                finding(format!(
+                    "engines {labels:?} is not the measured engine set \
+                     (expected {KNOWN_PAIR:?})"
+                ));
             }
         }
     }

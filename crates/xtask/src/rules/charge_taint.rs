@@ -24,9 +24,9 @@ pub const RULE: &str = "charge-taint";
 /// (file-path suffix, function name) pairs; `"*"` allows a whole file.
 ///
 /// Every entry must be charge-neutral.  The cross-check is
-/// `tests/charge_determinism.rs`, which mocks the topology (tiny-LLC /
-/// huge-LLC / many-core) across the full engine grid and asserts
-/// bit-identical charges — none of the functions below may feed the tracker.
+/// `tests/charge_determinism.rs`, which runs decompose under the probed
+/// topology and under tiny-LLC / huge-LLC mocks and asserts bit-identical
+/// charges — none of the functions below may feed the tracker.
 const ALLOWLIST: &[(&str, &str)] = &[
     // The probe layer itself.
     ("crates/pram/src/topology.rs", "*"),
@@ -36,14 +36,9 @@ const ALLOWLIST: &[(&str, &str)] = &[
     ("crates/pram/src/ctx.rs", "untracked"),
     ("crates/pram/src/ctx.rs", "topology"),
     ("crates/pram/src/ctx.rs", "with_topology"),
-    // Auto-scatter resolution: footprint vs probed LLC (DESIGN.md §7,
-    // "Footprint-adaptive selection") — both arms charge identically.
-    ("crates/pram/src/ctx.rs", "scatter_engine_for"),
     // Radix block plan: the physical clamp on the *model* plan; charges
     // always use `model_block_plan` (DESIGN.md §3).
     ("crates/parprim/src/intsort.rs", "block_plan"),
-    // Scatter tile sizing from the probed cache line (DESIGN.md §7).
-    ("crates/parprim/src/scatter.rs", "new"),
     // CSR build-regime selection and write-combined counting threshold;
     // the charge is a fixed documented model in both regimes (DESIGN.md §5).
     ("crates/parprim/src/csr.rs", "direct_build_max_keys"),
@@ -58,9 +53,6 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "crates/parprim/src/listrank/bucket.rs",
         "cycle_walk_bucketed",
     ),
-    // The big-n bench tier prints the probed LLC alongside its rows — a
-    // reporting read in an untracked harness.
-    ("crates/bench/src/bin/bench_json.rs", "run_bign"),
 ];
 
 fn allowlisted(rel_path: &str, func: &str) -> bool {

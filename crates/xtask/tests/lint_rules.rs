@@ -208,11 +208,11 @@ fn bench_engines_flags_mislabeled_rows() {
         "BENCH_parprim.json",
         include_str!("fixtures/bench_engines_bad.json"),
     );
-    // scatter row with the sort pair, unknown pair, unknown big-n single,
-    // and a schema-2 row missing the trace summary.
-    assert_eq!(findings.len(), 4, "{findings:?}");
-    assert!(findings.iter().any(|f| f.message.contains("mislabel")));
-    assert!(findings.iter().any(|f| f.message.contains("\"turbo\"")));
+    // The retired direct/combining pair, an unknown pair, and a schema-2
+    // row missing the trace summary.
+    assert_eq!(findings.len(), 3, "{findings:?}");
+    assert!(findings.iter().any(|f| f.message.contains("\"direct\"")));
+    assert!(findings.iter().any(|f| f.message.contains("\"fast\"")));
     assert!(findings
         .iter()
         .any(|f| f.message.contains("missing the \"trace\" summary")));

@@ -1,8 +1,8 @@
 //! Phase-tree profile of the decomposition pipeline, built on the
 //! `sfcp_pram::trace` span recorder: every engine pass and pipeline phase
 //! opens a span, so one traced run yields the full tree — wall/self time,
-//! work/depth charges, workspace checkouts, and the resolved engine of
-//! every scatter dispatch — with no hand-rolled timing in the harness.
+//! work/depth charges and workspace checkouts — with no hand-rolled timing
+//! in the harness.
 //!
 //! Run: `cargo run --release --example profile_decompose [-- --trace out.json]`
 //!

@@ -1,15 +1,11 @@
 //! Out-of-cache correctness tier: the decomposition invariants at
-//! `n = 10^8`, where every working array is several times the probed LLC
-//! and the footprint-adaptive selector (`ScatterEngine::Auto`, the
-//! default) resolves to the write-combining engine on every scatter
-//! dispatch.
+//! `n = 10^8`, where every working array is several times the probed LLC.
 //!
-//! The always-on suites stop at sizes where direct stores still win; this
-//! tier is the only functional coverage of the *selected-combining* regime
-//! at genuine out-of-cache scale, and of the chunked big-`n` workload
-//! generator the bench tier uses.  It needs ~10 GB of RAM and minutes of
-//! wall-clock, so it is `#[ignore]`-gated and run by the scheduled big-`n`
-//! CI job (`.github/workflows/bign.yml`) alongside the bench tier:
+//! The always-on suites stop at cache-resident sizes; this tier is the only
+//! functional coverage of the pipeline at genuine out-of-cache scale, and of
+//! the chunked big-`n` workload generator.  It needs ~10 GB of RAM and
+//! minutes of wall-clock, so it is `#[ignore]`-gated and run by the
+//! scheduled big-`n` CI job (`.github/workflows/bign.yml`):
 //!
 //! ```sh
 //! cargo test --release --test bign -- --ignored
@@ -25,18 +21,11 @@ const STRIDE: usize = 99_991;
 
 #[test]
 #[ignore = "needs ~10 GB and minutes of wall-clock; run via the scheduled bign CI job"]
-fn decompose_invariants_hold_at_1e8_under_auto_selection() {
+fn decompose_invariants_hold_at_1e8() {
     const N: usize = 100_000_000;
     let g = sfcp_bench::workloads::bign_function(N);
     let f = g.table();
-    // Default engines — scatter selection is `Auto`, which resolves to
-    // `Combining` for every destination past the probed LLC.
     let ctx = Ctx::untracked(Mode::Parallel);
-    assert_eq!(
-        ctx.scatter_engine(),
-        sfcp_pram::ScatterEngine::Auto,
-        "the default scatter engine must be the footprint-adaptive selector"
-    );
     let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
 
     // Global shape: the cycle CSR is well-formed and consistent with the

@@ -15,7 +15,7 @@
 
 use sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_forest::cycles::CycleMethod;
-use sfcp_pram::{Ctx, Mode, RankEngine, ScatterEngine, SortEngine, Stats, Topology};
+use sfcp_pram::{Ctx, Mode, RankEngine, SortEngine, Stats, Topology};
 
 /// Run `f` under a virtual rayon pool of `threads` workers and return the
 /// charges it reports.
@@ -66,52 +66,47 @@ fn coarsest_parallel_charges_are_thread_count_independent() {
     }
 }
 
-/// Every `ScatterEngine` × `RankEngine` × `SortEngine` combination must
-/// charge bit-identically across thread counts on the full algorithm — the
-/// acceptance gate of the engine subsystems (the scatter dimension guards
-/// the write-combining tiles' task plans, which are physically blocked but
-/// must stay charge-invisible).
+/// Every `RankEngine` × `SortEngine` combination must charge
+/// bit-identically across thread counts on the full algorithm — the
+/// acceptance gate of the engine subsystems.
 #[test]
 fn coarsest_parallel_engine_grid_is_thread_count_independent() {
     let inst = Instance::random(20_000, 4, 11);
-    for scatter in ScatterEngine::ALL {
-        for rank in rank_engines() {
-            for sort in [SortEngine::Packed, SortEngine::Permutation] {
-                let mut baseline: Option<Stats> = None;
-                for threads in thread_counts() {
-                    let stats = charges_with_threads(threads, || {
-                        let ctx = Ctx::new(Mode::Parallel)
-                            .with_rank_engine(rank)
-                            .with_sort_engine(sort)
-                            .with_scatter_engine(scatter);
-                        let q = coarsest_partition(&ctx, &inst, Algorithm::Parallel);
-                        std::hint::black_box(q.num_blocks());
-                        ctx.stats()
-                    });
-                    match &baseline {
-                        None => baseline = Some(stats),
-                        Some(b) => assert_eq!(
-                            *b, stats,
-                            "charges diverged at {threads} threads ({scatter:?}, {rank:?}, {sort:?})"
-                        ),
-                    }
+    for rank in rank_engines() {
+        for sort in [SortEngine::Packed, SortEngine::Permutation] {
+            let mut baseline: Option<Stats> = None;
+            for threads in thread_counts() {
+                let stats = charges_with_threads(threads, || {
+                    let ctx = Ctx::new(Mode::Parallel)
+                        .with_rank_engine(rank)
+                        .with_sort_engine(sort);
+                    let q = coarsest_partition(&ctx, &inst, Algorithm::Parallel);
+                    std::hint::black_box(q.num_blocks());
+                    ctx.stats()
+                });
+                match &baseline {
+                    None => baseline = Some(stats),
+                    Some(b) => assert_eq!(
+                        *b, stats,
+                        "charges diverged at {threads} threads ({rank:?}, {sort:?})"
+                    ),
                 }
             }
         }
     }
 }
 
-/// Footprint-adaptive selection must be charge-invisible: `Auto` reads the
-/// probed topology to pick a physical engine, but the pick — and the
-/// topology itself — may never reach a charged quantity.  Pins the
-/// decomposition charges bit-identical across `Auto` and both explicit
-/// engines at every size, *and* across mocked topologies that force `Auto`
-/// to resolve each way (a 1-byte LLC makes every destination "past the
-/// LLC" → `Combining` everywhere; a 2^40-byte LLC makes everything fit →
-/// `Direct` everywhere; the mocks also swing the physical radix-counter
-/// and CSR budgets, exercising the model-vs-physical block-plan split).
+/// The topology probe must be charge-invisible: the radix block plan, the
+/// CSR regime choice and its write-combined counting pass, and the
+/// wavefront lane count all read the probed topology, but none of it may
+/// reach a charged quantity.  Pins the decomposition charges bit-identical
+/// between the probed topology and mocked topologies at both extremes (a
+/// 1-byte LLC shrinks the physical radix-counter and CSR budgets to their
+/// floors; a 2^40-byte LLC lifts them past every cap), exercising the
+/// model-vs-physical block-plan split.  This is the cross-check the
+/// `charge-taint` lint's allowlist leans on.
 #[test]
-fn auto_engine_selection_is_charge_invisible() {
+fn topology_probe_is_charge_invisible() {
     for n in [3_000, 60_000] {
         let g = sfcp_forest::generators::random_function(n, 41);
         let run = |ctx: Ctx| {
@@ -119,63 +114,51 @@ fn auto_engine_selection_is_charge_invisible() {
             std::hint::black_box(d.num_cycles());
             ctx.stats()
         };
-        let baseline = run(Ctx::new(Mode::Parallel).with_scatter_engine(ScatterEngine::Direct));
-        for scatter in ScatterEngine::ALL {
-            let probed = run(Ctx::new(Mode::Parallel).with_scatter_engine(scatter));
+        let probed = run(Ctx::new(Mode::Parallel));
+        for (label, topo) in [
+            ("tiny-LLC", Topology::fallback().with_llc_bytes(1)),
+            ("huge-LLC", Topology::fallback().with_llc_bytes(1 << 40)),
+        ] {
+            let mocked = run(Ctx::new(Mode::Parallel).with_topology(topo));
             assert_eq!(
-                baseline, probed,
-                "charges diverged under {scatter:?} on the probed topology (n={n})"
+                probed, mocked,
+                "charges diverged on the {label} mock (n={n})"
             );
-            for (label, topo) in [
-                ("tiny-LLC", Topology::fallback().with_llc_bytes(1)),
-                ("huge-LLC", Topology::fallback().with_llc_bytes(1 << 40)),
-            ] {
-                let mocked = run(Ctx::new(Mode::Parallel)
-                    .with_scatter_engine(scatter)
-                    .with_topology(topo));
-                assert_eq!(
-                    baseline, mocked,
-                    "charges diverged under {scatter:?} on the {label} mock (n={n})"
-                );
-            }
         }
     }
 }
 
-/// Tracing must be charge-invisible: the span guards and engine-decision
-/// records read the tracker and the clock but never feed them, so a traced
-/// decompose must charge bit-identically to an untraced one — across the
-/// full `ScatterEngine` × `RankEngine` × `SortEngine` grid (the spans sit
-/// inside every engine pass, so each engine's pass structure is exercised).
-/// This is the contract that lets `bench_json` harvest its per-row span
-/// summaries from the same tracked pass that labels the charge columns.
+/// Tracing must be charge-invisible: the span guards read the tracker and
+/// the clock but never feed them, so a traced decompose must charge
+/// bit-identically to an untraced one — across the full `RankEngine` ×
+/// `SortEngine` grid (the spans sit inside every engine pass, so each
+/// engine's pass structure is exercised).  This is the contract that lets
+/// `bench_json` harvest its per-row span summaries from the same tracked
+/// pass that labels the charge columns.
 #[test]
 fn tracing_is_charge_invisible_across_engine_grid() {
     let g = sfcp_forest::generators::random_function(20_000, 17);
-    for scatter in ScatterEngine::ALL {
-        for rank in rank_engines() {
-            for sort in [SortEngine::Packed, SortEngine::Permutation] {
-                let run = |traced: bool| {
-                    let mut ctx = Ctx::new(Mode::Parallel)
-                        .with_rank_engine(rank)
-                        .with_sort_engine(sort)
-                        .with_scatter_engine(scatter);
-                    if traced {
-                        ctx = ctx.with_tracing();
-                    }
-                    let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
-                    std::hint::black_box(d.num_cycles());
-                    (ctx.stats(), ctx.trace().snapshot().spans.len())
-                };
-                let (untraced, no_spans) = run(false);
-                let (traced, spans) = run(true);
-                assert_eq!(
-                    untraced, traced,
-                    "tracing changed charges ({scatter:?}, {rank:?}, {sort:?})"
-                );
-                assert_eq!(no_spans, 0, "untraced run must record nothing");
-                assert!(spans > 0, "traced run must record the phase spans");
-            }
+    for rank in rank_engines() {
+        for sort in [SortEngine::Packed, SortEngine::Permutation] {
+            let run = |traced: bool| {
+                let mut ctx = Ctx::new(Mode::Parallel)
+                    .with_rank_engine(rank)
+                    .with_sort_engine(sort);
+                if traced {
+                    ctx = ctx.with_tracing();
+                }
+                let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
+                std::hint::black_box(d.num_cycles());
+                (ctx.stats(), ctx.trace().snapshot().spans.len())
+            };
+            let (untraced, no_spans) = run(false);
+            let (traced, spans) = run(true);
+            assert_eq!(
+                untraced, traced,
+                "tracing changed charges ({rank:?}, {sort:?})"
+            );
+            assert_eq!(no_spans, 0, "untraced run must record nothing");
+            assert!(spans > 0, "traced run must record the phase spans");
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_forest::{cycles::CycleMethod, decompose};
-use sfcp_pram::{Ctx, Mode, RankEngine, ScatterEngine, SortEngine};
+use sfcp_pram::{Ctx, Mode, RankEngine, SortEngine};
 
 fn rank_engines() -> [RankEngine; 3] {
     RankEngine::ALL
@@ -173,41 +173,6 @@ fn parallel_algorithm_is_rank_engine_independent() {
             RankEngine::PointerJump => {}
         }
     }
-}
-
-/// The scatter engines are two physical layouts of the same disjoint
-/// stores: identical decompositions and partitions, byte-identical
-/// charges, under every rank engine and both modes.
-#[test]
-fn scatter_engines_are_observably_identical() {
-    let g = sfcp_forest::generators::random_function(40_000, 23);
-    for rank in rank_engines() {
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let direct = Ctx::new(mode).with_rank_engine(rank);
-            let combining = Ctx::new(mode)
-                .with_rank_engine(rank)
-                .with_scatter_engine(ScatterEngine::Combining);
-            let a = decompose(&direct, &g, CycleMethod::Euler);
-            let b = decompose(&combining, &g, CycleMethod::Euler);
-            assert_eq!(a, b, "scatter engines disagree ({rank:?}, {mode:?})");
-            assert_eq!(
-                direct.stats(),
-                combining.stats(),
-                "scatter-engine charges diverged ({rank:?}, {mode:?})"
-            );
-        }
-    }
-    let inst = Instance::random(20_000, 4, 31);
-    let direct = Ctx::parallel();
-    let combining = Ctx::parallel().with_scatter_engine(ScatterEngine::Combining);
-    let a = coarsest_partition(&direct, &inst, Algorithm::Parallel);
-    let b = coarsest_partition(&combining, &inst, Algorithm::Parallel);
-    assert!(a.same_partition(&b), "scatter engines disagree end to end");
-    assert_eq!(
-        direct.stats(),
-        combining.stats(),
-        "scatter-engine charges diverged end to end"
-    );
 }
 
 /// The tentpole acceptance property: after one warm-up run, repeated runs of

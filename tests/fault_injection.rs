@@ -17,7 +17,7 @@ use sfcp_repro::sfcp::{try_coarsest_partition, Algorithm, DecomposeError, Instan
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{decompose, generators, try_decompose};
 use sfcp_repro::sfcp_pram::faults::{self, FaultKind, FaultSite};
-use sfcp_repro::sfcp_pram::{Ctx, Error, RankEngine, ScatterEngine, SortEngine};
+use sfcp_repro::sfcp_pram::{Ctx, Error, RankEngine, SortEngine};
 
 static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -59,86 +59,83 @@ fn sweep_every_injection_point_across_the_engine_grid() {
     with_quiet_panics(|| {
         for sort in [SortEngine::Packed, SortEngine::Permutation] {
             for rank in RankEngine::ALL {
-                for scatter in ScatterEngine::ALL {
-                    let ctx = Ctx::parallel()
-                        .with_sort_engine(sort)
-                        .with_rank_engine(rank)
-                        .with_scatter_engine(scatter);
+                let ctx = Ctx::parallel()
+                    .with_sort_engine(sort)
+                    .with_rank_engine(rank);
 
-                    // Warm the pools so the baseline run is allocation-free
-                    // and the pooled-byte level is at its fixpoint.
-                    for _ in 0..3 {
-                        let _ = decompose(&ctx, &g, CycleMethod::Euler);
+                // Warm the pools so the baseline run is allocation-free
+                // and the pooled-byte level is at its fixpoint.
+                for _ in 0..3 {
+                    let _ = decompose(&ctx, &g, CycleMethod::Euler);
+                }
+
+                ctx.reset_stats();
+                let baseline = decompose(&ctx, &g, CycleMethod::Euler);
+                let baseline_stats = ctx.stats();
+                let baseline_pooled = ctx.workspace().pooled_bytes();
+                assert_eq!(ctx.workspace().stats().outstanding(), 0);
+
+                // Learn how many injection points one warm run has.
+                faults::start_counting();
+                let _ = decompose(&ctx, &g, CycleMethod::Euler);
+                let (checkouts, passes) = faults::counts();
+                faults::reset();
+                assert!(
+                    checkouts > 0 && passes > 0,
+                    "the hooks must see a warm decompose \
+                     ({sort:?}/{rank:?})"
+                );
+
+                let points = (0..checkouts)
+                    .map(|k| (FaultSite::Checkout, k))
+                    .chain((0..passes).map(|k| (FaultSite::EnginePass, k)));
+                for (site, k) in points {
+                    // Exercise both simulated failure kinds across the
+                    // sweep; they share the unwind-recovery path.
+                    let kind = if k % 2 == 0 {
+                        FaultKind::Panic
+                    } else {
+                        FaultKind::AllocFail
+                    };
+                    faults::arm(site, k, kind);
+                    let err = try_decompose(&ctx, &g, CycleMethod::Euler)
+                        .expect_err("an armed fault must fail the run");
+                    faults::reset();
+                    match err {
+                        Error::Injected(fault) => {
+                            assert_eq!(fault.site, site);
+                            assert_eq!(fault.index, k);
+                            assert_eq!(fault.kind, kind);
+                        }
+                        other => {
+                            panic!("expected the injected fault at {site:?} #{k}, got {other}")
+                        }
                     }
 
-                    ctx.reset_stats();
-                    let baseline = decompose(&ctx, &g, CycleMethod::Euler);
-                    let baseline_stats = ctx.stats();
-                    let baseline_pooled = ctx.workspace().pooled_bytes();
-                    assert_eq!(ctx.workspace().stats().outstanding(), 0);
-
-                    // Learn how many injection points one warm run has.
-                    faults::start_counting();
-                    let _ = decompose(&ctx, &g, CycleMethod::Euler);
-                    let (checkouts, passes) = faults::counts();
-                    faults::reset();
-                    assert!(
-                        checkouts > 0 && passes > 0,
-                        "the hooks must see a warm decompose \
-                         ({sort:?}/{rank:?}/{scatter:?})"
+                    // Recovery (already run by try_decompose): pools
+                    // reconciled and at their warm byte level.
+                    let ws = ctx.workspace().stats();
+                    assert_eq!(ws.outstanding(), 0, "{site:?} #{k} leaked");
+                    assert_eq!(
+                        ctx.workspace().pooled_bytes(),
+                        baseline_pooled,
+                        "{site:?} #{k} changed the pooled-byte level"
                     );
 
-                    let points = (0..checkouts)
-                        .map(|k| (FaultSite::Checkout, k))
-                        .chain((0..passes).map(|k| (FaultSite::EnginePass, k)));
-                    for (site, k) in points {
-                        // Exercise both simulated failure kinds across the
-                        // sweep; they share the unwind-recovery path.
-                        let kind = if k % 2 == 0 {
-                            FaultKind::Panic
-                        } else {
-                            FaultKind::AllocFail
-                        };
-                        faults::arm(site, k, kind);
-                        let err = try_decompose(&ctx, &g, CycleMethod::Euler)
-                            .expect_err("an armed fault must fail the run");
-                        faults::reset();
-                        match err {
-                            Error::Injected(fault) => {
-                                assert_eq!(fault.site, site);
-                                assert_eq!(fault.index, k);
-                                assert_eq!(fault.kind, kind);
-                            }
-                            other => {
-                                panic!("expected the injected fault at {site:?} #{k}, got {other}")
-                            }
-                        }
-
-                        // Recovery (already run by try_decompose): pools
-                        // reconciled and at their warm byte level.
-                        let ws = ctx.workspace().stats();
-                        assert_eq!(ws.outstanding(), 0, "{site:?} #{k} leaked");
-                        assert_eq!(
-                            ctx.workspace().pooled_bytes(),
-                            baseline_pooled,
-                            "{site:?} #{k} changed the pooled-byte level"
-                        );
-
-                        // The recovered context must reproduce the baseline
-                        // bit-identically: same result, same charges.
-                        ctx.reset_stats();
-                        let rerun = decompose(&ctx, &g, CycleMethod::Euler);
-                        assert_eq!(
-                            ctx.stats(),
-                            baseline_stats,
-                            "post-recovery charges diverged after {site:?} #{k} \
-                             ({sort:?}/{rank:?}/{scatter:?})"
-                        );
-                        assert_eq!(
-                            rerun, baseline,
-                            "post-recovery result diverged after {site:?} #{k}"
-                        );
-                    }
+                    // The recovered context must reproduce the baseline
+                    // bit-identically: same result, same charges.
+                    ctx.reset_stats();
+                    let rerun = decompose(&ctx, &g, CycleMethod::Euler);
+                    assert_eq!(
+                        ctx.stats(),
+                        baseline_stats,
+                        "post-recovery charges diverged after {site:?} #{k} \
+                         ({sort:?}/{rank:?})"
+                    );
+                    assert_eq!(
+                        rerun, baseline,
+                        "post-recovery result diverged after {site:?} #{k}"
+                    );
                 }
             }
         }

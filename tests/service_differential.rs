@@ -5,7 +5,7 @@
 //! what makes this comparison meaningful: a warm service worker and a cold
 //! harness context must report identical `(work, rounds)`.
 //!
-//! Coverage: the full `SortEngine` × `RankEngine` × `ScatterEngine` grid,
+//! Coverage: the full `SortEngine` × `RankEngine` grid,
 //! batch sizes 1 / 7 / 64 (solo path, fused cohorts), and the same batch
 //! replayed after an injected mid-batch fault (recovery must not poison the
 //! differential property).
@@ -14,7 +14,7 @@
 //! serializes on one lock.
 
 use sfcp_pram::faults::{self, FaultKind, FaultSite};
-use sfcp_pram::{Ctx, RankEngine, ScatterEngine, SortEngine, Stats};
+use sfcp_pram::{Ctx, RankEngine, SortEngine, Stats};
 use sfcp_repro::sfcp::{try_coarsest_partition, Algorithm, Instance};
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{generators, try_decompose};
@@ -46,13 +46,7 @@ fn engine_grid() -> Vec<Engines> {
     let mut grid = Vec::new();
     for sort in [SortEngine::Packed, SortEngine::Permutation] {
         for rank in RankEngine::ALL {
-            for scatter in ScatterEngine::ALL {
-                grid.push(Engines {
-                    sort,
-                    rank,
-                    scatter,
-                });
-            }
+            grid.push(Engines { sort, rank });
         }
     }
     grid
@@ -63,7 +57,6 @@ fn direct_ctx(engines: &Engines) -> Ctx {
     Ctx::parallel()
         .with_sort_engine(engines.sort)
         .with_rank_engine(engines.rank)
-        .with_scatter_engine(engines.scatter)
 }
 
 /// Run a direct library call under fresh stats, mirroring the worker's

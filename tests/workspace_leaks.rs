@@ -13,7 +13,7 @@
 use sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_parprim::euler::RootedForest;
-use sfcp_pram::{Ctx, RankEngine, ScatterEngine};
+use sfcp_pram::{Ctx, RankEngine};
 
 /// `RootedForest::from_parents` used to allocate its `counts` and `children`
 /// arrays fresh on every call.  With the CSR builder underneath, every
@@ -164,60 +164,6 @@ fn fused_euler_ranking_returns_every_checkout() {
             "warm fused runs must serve every checkout from the pools ({engine:?})"
         );
     }
-}
-
-/// The write-combining staging tiles are workspace checkouts with a
-/// deterministic task plan: under `ScatterEngine::Combining` every staging
-/// buffer is returned, and once warm the pool population and pooled bytes
-/// are exactly stable across runs — for the decomposition and end to end.
-#[test]
-fn combining_scatter_staging_returns_every_checkout() {
-    let g = sfcp_forest::generators::random_function(30_000, 47);
-    let ctx = Ctx::parallel().with_scatter_engine(ScatterEngine::Combining);
-    for _ in 0..3 {
-        let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
-        std::hint::black_box(d.num_cycles());
-        assert_eq!(
-            ctx.workspace().stats().outstanding(),
-            0,
-            "outstanding checkouts after combining decompose"
-        );
-    }
-    let warm_pool = ctx.workspace().pooled_buffers();
-    let warm_bytes = ctx.workspace().pooled_bytes();
-    let warm_misses = ctx.workspace().stats().misses;
-    for round in 0..3 {
-        let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
-        std::hint::black_box(d.num_cycles());
-        assert_eq!(ctx.workspace().stats().outstanding(), 0);
-        assert_eq!(
-            ctx.workspace().pooled_buffers(),
-            warm_pool,
-            "staging pool population drifted on warm combining run {round}"
-        );
-        assert_eq!(
-            ctx.workspace().pooled_bytes(),
-            warm_bytes,
-            "staging pooled bytes drifted on warm combining run {round}"
-        );
-    }
-    assert_eq!(
-        ctx.workspace().stats().misses,
-        warm_misses,
-        "warm combining runs must serve every staging checkout from the pools"
-    );
-
-    let inst = Instance::random(30_000, 4, 23);
-    let ctx = Ctx::parallel().with_scatter_engine(ScatterEngine::Combining);
-    let _ = coarsest_partition(&ctx, &inst, Algorithm::Parallel); // warm up
-    assert_eq!(ctx.workspace().stats().outstanding(), 0);
-    let warm_misses = ctx.workspace().stats().misses;
-    for _ in 0..3 {
-        let q = coarsest_partition(&ctx, &inst, Algorithm::Parallel);
-        std::hint::black_box(q.num_blocks());
-        assert_eq!(ctx.workspace().stats().outstanding(), 0);
-    }
-    assert_eq!(ctx.workspace().stats().misses, warm_misses);
 }
 
 #[test]
