@@ -32,16 +32,12 @@ fn bench(c: &mut Criterion) {
         });
         let mut next: Vec<u32> = (1..=n as u32).collect();
         next[n - 1] = (n - 1) as u32;
-        group.bench_with_input(
-            BenchmarkId::new("list_rank_ruling_set", n),
-            &next,
-            |b, v| {
-                b.iter(|| {
-                    let ctx = Ctx::untracked(Mode::Parallel);
-                    sfcp_parprim::listrank::list_rank_ruling_set(&ctx, v)
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("list_rank", n), &next, |b, v| {
+            b.iter(|| {
+                let ctx = Ctx::untracked(Mode::Parallel);
+                sfcp_parprim::listrank::list_rank(&ctx, v)
+            })
+        });
         group.bench_with_input(BenchmarkId::new("list_rank_wyllie", n), &next, |b, v| {
             b.iter(|| {
                 let ctx = Ctx::untracked(Mode::Parallel);

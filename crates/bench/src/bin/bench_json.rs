@@ -1,25 +1,22 @@
-//! Machine-readable perf trajectory for the engine subsystems: times the
-//! default engine set — `SortEngine::Packed` + `RankEngine::CacheBucket`
-//! (the zero-allocation cache-aware engines) — against the baseline set —
-//! `SortEngine::Permutation` + `RankEngine::RulingSet` — on the same inputs
-//! in the same run, and writes `BENCH_parprim.json`.  (The JSON field names
-//! keep the historical `packed_ms` / `permutation_ms` spelling.)
+//! Machine-readable perf trajectory of the parallel primitives, the
+//! decomposition pipeline and the serving layer: times each routine
+//! best-of-k on fixed seeded inputs and writes `BENCH_parprim.json`.
 //!
 //! Benchmarked routines, at n ∈ {1e5, 1e6}:
 //!
 //! * `dense_ranks_by_sort` — the doubling loops' hot primitive,
 //! * `radix_sort_pairs`   — the pair-contraction sort,
 //! * `csr_build`          — the parallel CSR builder on the buddy-edge
-//!   incidence stream vs the sequential counting build,
-//! * `list_rank`          — the list-ranking engine on a multi-list
-//!   successor array (wavefront walks vs sequential walks),
+//!   incidence stream,
+//! * `list_rank`          — the ruling-set list ranking on a multi-list
+//!   successor array,
 //! * `euler_build`        — the Euler-tour construction over a random
 //!   forest (tour successors + 2n-arc ranking + positions),
 //! * `decompose`          — the decomposition pipeline (cold pools: fresh
 //!   context per repetition),
 //! * `decompose_warm`     — the roots-threaded decomposition on warm
-//!   workspace pools (one persistent context per engine set) — the number
-//!   the ROADMAP's decompose trajectory quotes,
+//!   workspace pools (one persistent context) — the number the ROADMAP's
+//!   decompose trajectory quotes,
 //! * `decompose_checked`  — the validated `try_decompose` path (size
 //!   envelope check + `catch_unwind`) on the same warm pools; a gate
 //!   asserts it stays within noise of `decompose_warm`,
@@ -42,62 +39,49 @@
 //!   out-throughputs the unbatched drain.
 //!
 //! Service rows carry `"batch"`, `"p50_ms"`, `"p99_ms"` and `"rps"`
-//! columns instead of the two engine columns (the server picks engines per
-//! request; these rows measure the serving path, not an engine pair), and
-//! their `"trace"` is the span summary of one traced request's serving
-//! run, reported by the server itself over the wire.
+//! columns instead of `"ms"` (they measure the serving path), and their
+//! `"trace"` is the span summary of one traced request's serving run,
+//! reported by the server itself over the wire.
 //!
-//! Each row records the best-of-k wall-clock per engine set plus the
-//! tracked work/depth of both (asserted equal: the engine choices differ
-//! only in wall-clock and allocations, never in charges).
+//! Each library row records the best-of-k wall-clock (`"ms"`) plus the
+//! tracked work/depth of the routine.
 //!
 //! Run with: `cargo run -p sfcp-bench --bin bench_json --release [out.json]`
 //!
-//! Schema 2: every row also embeds a `"trace"` object — the span summary
-//! of one instrumented run under the default engines (per-phase wall/self
-//! time, charges and workspace checkouts).  `--trace <path>` additionally
-//! exports a Chrome/Perfetto `trace.json` of one warm traced decompose at
-//! the largest measured size.
+//! Every row also embeds a `"trace"` object — the span summary of one
+//! instrumented run (per-phase wall/self time, charges and workspace
+//! checkouts).  `--trace <path>` additionally exports a Chrome/Perfetto
+//! `trace.json` of one warm traced decompose at the largest measured size.
+//!
+//! Schema 3 (this layout): one `"ms"` column per library row.  Schema 2
+//! files timed two engine sets per row (`"packed_ms"`, `"permutation_ms"`,
+//! `"speedup"`, `"engines"`).  sfcp-lint's `bench-schema` rule checks the
+//! committed file's rows for their `"trace"` summaries.
 //!
 //! `--smoke` runs only n = 1e5 and additionally compares the fresh
 //! `decompose`, `decompose_warm`, `decompose_checked`, `csr_build`,
 //! `list_rank` and `euler_build` rows against the committed
 //! `BENCH_parprim.json` (or the file given with `--committed <path>`),
-//! failing on a >10% machine-normalized wall-clock regression — the CI
-//! gate for the decomposition pipeline, the CSR subsystem and the
-//! list-ranking engines.  The comparison only runs when the committed
-//! file's `"threads"` matches this host's available parallelism; otherwise
-//! the two files are not comparable and only the in-run gates apply.
+//! failing on a >10% machine-normalized wall-clock regression of `"ms"` —
+//! the CI gate for the decomposition pipeline, the CSR subsystem and the
+//! list ranking.  The committed file is parsed as JSON and its rows are
+//! looked up by `"name"` and `"n"`.  The comparison only runs when the
+//! committed file's `"threads"` matches this host's available parallelism;
+//! otherwise the two files are not comparable and only the in-run gates
+//! apply.
 
 use rand::prelude::*;
 use sfcp::{coarsest_partition, Algorithm, Instance};
-use sfcp_pram::{Ctx, Mode, RankEngine, SortEngine, Stats};
+use sfcp_pram::{Ctx, Mode, Stats};
+use sfcp_service::json::{self, Value};
 use sfcp_service::{Client, ComputeRequest, Kind, Reply, Server, ServerConfig};
 use std::time::Instant;
 
-/// The two measured engine sets: the defaults vs the baselines.
-#[derive(Clone, Copy)]
-struct EngineSet {
-    sort: SortEngine,
-    rank: RankEngine,
-}
-
-const DEFAULT_ENGINES: EngineSet = EngineSet {
-    sort: SortEngine::Packed,
-    rank: RankEngine::CacheBucket,
-};
-const BASELINE_ENGINES: EngineSet = EngineSet {
-    sort: SortEngine::Permutation,
-    rank: RankEngine::RulingSet,
-};
-
 /// Best-of-k wall-clock milliseconds of `f` with a fresh context per run.
-fn best_ms<F: FnMut(&Ctx)>(engines: EngineSet, reps: usize, mut f: F) -> f64 {
+fn best_ms<F: FnMut(&Ctx)>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let ctx = Ctx::untracked(Mode::Parallel)
-            .with_sort_engine(engines.sort)
-            .with_rank_engine(engines.rank);
+        let ctx = Ctx::untracked(Mode::Parallel);
         let t = Instant::now();
         f(&ctx);
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
@@ -105,15 +89,12 @@ fn best_ms<F: FnMut(&Ctx)>(engines: EngineSet, reps: usize, mut f: F) -> f64 {
     best
 }
 
-/// Tracked work/depth of `f` under `engines`, plus the span summary of the
-/// same (traced) run.  Tracing is charge-neutral by
-/// construction — `tests/charge_determinism.rs` pins that the charges here
-/// are bit-identical to an untraced run — so one tracked pass yields both.
-fn charges<F: FnMut(&Ctx)>(engines: EngineSet, mut f: F) -> (Stats, String) {
-    let ctx = Ctx::parallel()
-        .with_sort_engine(engines.sort)
-        .with_rank_engine(engines.rank)
-        .with_tracing();
+/// Tracked work/depth of `f`, plus the span summary of the same (traced)
+/// run.  Tracing is charge-neutral by construction —
+/// `tests/charge_determinism.rs` pins that the charges here are
+/// bit-identical to an untraced run — so one tracked pass yields both.
+fn charges<F: FnMut(&Ctx)>(mut f: F) -> (Stats, String) {
+    let ctx = Ctx::parallel().with_tracing();
     f(&ctx);
     (ctx.stats(), ctx.trace().snapshot().summary().to_json())
 }
@@ -121,73 +102,51 @@ fn charges<F: FnMut(&Ctx)>(engines: EngineSet, mut f: F) -> (Stats, String) {
 struct Row {
     name: &'static str,
     n: usize,
-    packed_ms: f64,
-    permutation_ms: f64,
+    /// Best-of-k wall-clock milliseconds.
+    ms: f64,
     work: u64,
     rounds: u64,
-    /// Span summary of one tracked+traced run under the default engines
+    /// Span summary of one tracked+traced run
     /// ([`sfcp_pram::TraceSummary::to_json`]): per-phase wall/self time,
-    /// charges and checkouts.  Wall times in here come from that single instrumented pass, not the
-    /// best-of-k timing columns — they describe *shape* (where a row's time
-    /// goes), not the trajectory numbers.  Schema 2 field.
+    /// charges and checkouts.  Wall times in here come from that single
+    /// instrumented pass, not the best-of-k `ms` column — they describe
+    /// *shape* (where a row's time goes), not the trajectory numbers.
     trace: String,
 }
 
 impl Row {
+    fn new(name: &'static str, n: usize, ms: f64, c: Stats, trace: String) -> Row {
+        println!("{name:>22} n={n:>8}: {ms:9.3} ms");
+        Row {
+            name,
+            n,
+            ms,
+            work: c.work,
+            rounds: c.rounds,
+            trace,
+        }
+    }
+
     fn json(&self) -> String {
         format!(
             concat!(
-                "    {{\"name\": \"{}\", \"n\": {}, ",
-                "\"engines\": [\"{}\", \"{}\"], ",
-                "\"packed_ms\": {:.3}, \"permutation_ms\": {:.3}, ",
-                "\"speedup\": {:.3}, \"work\": {}, \"rounds\": {}, ",
-                "\"trace\": {}}}"
+                "    {{\"name\": \"{}\", \"n\": {}, \"ms\": {:.3}, ",
+                "\"work\": {}, \"rounds\": {}, \"trace\": {}}}"
             ),
-            self.name,
-            self.n,
-            SORT_RANK_LABELS[0],
-            SORT_RANK_LABELS[1],
-            self.packed_ms,
-            self.permutation_ms,
-            self.permutation_ms / self.packed_ms,
-            self.work,
-            self.rounds,
-            self.trace,
+            self.name, self.n, self.ms, self.work, self.rounds, self.trace,
         )
     }
 }
 
-/// Row engine labels: the columns are the default vs the baseline
-/// sort/rank engine set.  The field names keep the historical `packed_ms` /
-/// `permutation_ms` spelling so committed trajectories stay comparable;
-/// sfcp-lint's `bench-engines` rule validates the labels in the committed
-/// JSON (`crates/xtask/src/rules/bench_engines.rs`).
-const SORT_RANK_LABELS: [&str; 2] = ["packed", "permutation"];
-
 fn measure<F: FnMut(&Ctx) + Clone>(name: &'static str, n: usize, reps: usize, f: F) -> Row {
-    let packed_ms = best_ms(DEFAULT_ENGINES, reps, f.clone());
-    let permutation_ms = best_ms(BASELINE_ENGINES, reps, f.clone());
-    let (cp, trace) = charges(DEFAULT_ENGINES, f.clone());
-    let (cb, _) = charges(BASELINE_ENGINES, f);
-    assert_eq!(cp, cb, "{name}: engines must charge identical work/depth");
-    println!(
-        "{name:>22} n={n:>8}: packed {packed_ms:9.3} ms  permutation {permutation_ms:9.3} ms  ({:.2}x)",
-        permutation_ms / packed_ms
-    );
-    Row {
-        name,
-        n,
-        packed_ms,
-        permutation_ms,
-        work: cp.work,
-        rounds: cp.rounds,
-        trace,
-    }
+    let ms = best_ms(reps, f.clone());
+    let (c, trace) = charges(f);
+    Row::new(name, n, ms, c, trace)
 }
 
 /// Two warm rows measured **interleaved** on one shared **persistent,
-/// pre-warmed** context per engine set (one warm-up call per set, then
-/// every repetition reuses the same workspace pools — this is the "warm"
+/// pre-warmed** context (one warm-up call, then every repetition reuses
+/// the same workspace pools — this is the "warm"
 /// number the decompose trajectory in ROADMAP.md quotes; the plain
 /// `measure` rows pay the cold-pool allocations every repetition).
 /// Each repetition times both closures back-to-back, so both best-of-k
@@ -208,7 +167,7 @@ fn measure<F: FnMut(&Ctx) + Clone>(name: &'static str, n: usize, reps: usize, f:
 /// cancels out of both the best-of-k columns and the per-rep ratios.
 ///
 /// Returns the two rows plus the **median paired ratio** `g/f` over the
-/// default-engine reps — the statistic the overhead gate checks.  The
+/// reps — the statistic the overhead gate checks.  The
 /// median of per-rep ratios is robust against a single noisy rep in a way
 /// the ratio-of-minima is not (the two minima can come from different reps
 /// and different run orders).
@@ -224,10 +183,9 @@ where
     F: FnMut(&Ctx) + Clone,
     G: FnMut(&Ctx) + Clone,
 {
-    let pair_best = |engines: EngineSet, mut f: F, mut g: G| {
-        let ctx = Ctx::untracked(Mode::Parallel)
-            .with_sort_engine(engines.sort)
-            .with_rank_engine(engines.rank);
+    let (best_a, best_b, paired_ratio) = {
+        let (mut f, mut g) = (f.clone(), g.clone());
+        let ctx = Ctx::untracked(Mode::Parallel);
         f(&ctx); // warm the pools (shared by both closures)
         g(&ctx);
         let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
@@ -254,38 +212,11 @@ where
         ratios.sort_by(f64::total_cmp);
         (best_a, best_b, ratios[ratios.len() / 2])
     };
-    let (packed_a, packed_b, paired_ratio) = pair_best(DEFAULT_ENGINES, f.clone(), g.clone());
-    let (perm_a, perm_b, _) = pair_best(BASELINE_ENGINES, f.clone(), g.clone());
-    let (ca, trace_a) = charges(DEFAULT_ENGINES, f.clone());
-    assert_eq!(
-        ca,
-        charges(BASELINE_ENGINES, f).0,
-        "{name_a}: engines must charge identical work/depth"
-    );
-    let (cb, trace_b) = charges(DEFAULT_ENGINES, g.clone());
-    assert_eq!(
-        cb,
-        charges(BASELINE_ENGINES, g).0,
-        "{name_b}: engines must charge identical work/depth"
-    );
-    let row = |name, packed_ms: f64, permutation_ms: f64, c: Stats, trace: String| {
-        println!(
-            "{name:>22} n={n:>8}: packed {packed_ms:9.3} ms  permutation {permutation_ms:9.3} ms  ({:.2}x)",
-            permutation_ms / packed_ms
-        );
-        Row {
-            name,
-            n,
-            packed_ms,
-            permutation_ms,
-            work: c.work,
-            rounds: c.rounds,
-            trace,
-        }
-    };
+    let (ca, trace_a) = charges(f);
+    let (cb, trace_b) = charges(g);
     (
-        row(name_a, packed_a, perm_a, ca, trace_a),
-        row(name_b, packed_b, perm_b, cb, trace_b),
+        Row::new(name_a, n, best_a, ca, trace_a),
+        Row::new(name_b, n, best_b, cb, trace_b),
         paired_ratio,
     )
 }
@@ -407,7 +338,7 @@ fn measure_service_latency(name: &'static str, n: usize, reqs: usize, cold: bool
 /// One throughput row: `total` partition workload requests at domain size
 /// `n`, pushed through frames of `batch` members (plain round trips when
 /// `batch == 1`, explicit batch frames otherwise — the worker fuses each
-/// frame's members into one engine invocation).  Work/rounds accumulate
+/// frame's members into one solver invocation).  Work/rounds accumulate
 /// over every member reply, so the column records the charge cost of the
 /// fused plan actually served.
 fn measure_service_batch(n: usize, batch: usize, total: usize) -> ServiceRow {
@@ -477,24 +408,19 @@ fn measure_service_batch(n: usize, batch: usize, total: usize) -> ServiceRow {
     }
 }
 
-/// Extract `field` from the row of `json` whose name/n match, e.g.
-/// `{"name": "decompose", "n": 100000, ..., "packed_ms": 12.3, ...}`.
-/// The file is this binary's own output format, so a string scan suffices.
-fn committed_field(json: &str, name: &str, n: usize, field: &str) -> Option<f64> {
-    let row_key = format!("\"name\": \"{name}\", \"n\": {n},");
-    let row = json.lines().find(|l| l.contains(&row_key))?;
-    let tail = row.split(&format!("\"{field}\": ")).nth(1)?;
-    tail.split([',', '}']).next()?.trim().parse().ok()
-}
-
-/// Extract the header field `field` of `json` (a `  "threads": 2,` line).
-fn committed_header(json: &str, field: &str) -> Option<usize> {
-    let key = format!("\"{field}\": ");
-    let line = json
-        .lines()
-        .map(str::trim_start)
-        .find(|l| l.starts_with(&key))?;
-    line[key.len()..].trim_end_matches(',').trim().parse().ok()
+/// The numeric `field` of the `results` row of a parsed bench file whose
+/// `name` and `n` match.
+fn committed_value(bench: &Value, name: &str, n: usize, field: &str) -> Option<f64> {
+    bench
+        .get("results")?
+        .as_array()?
+        .iter()
+        .find(|row| {
+            row.get("name").and_then(Value::as_str) == Some(name)
+                && row.get("n").and_then(Value::as_usize) == Some(n)
+        })?
+        .get(field)?
+        .as_f64()
 }
 
 fn main() {
@@ -563,8 +489,7 @@ fn main() {
         }));
         let g = sfcp_forest::generators::random_function(n, 0xDECADE);
         // The buddy-edge incidence CSR of `g` — the exact build that gates
-        // `cycle_nodes_euler` — through the parallel CSR subsystem (packed)
-        // vs the sequential count/prefix/scatter baseline (permutation).
+        // `cycle_nodes_euler` — through the parallel CSR subsystem.
         let f = g.table();
         // `build_csr_into` with retained output buffers — the pooled hot
         // path the call sites use — and extra reps: the row is cheap enough
@@ -593,7 +518,7 @@ fn main() {
             );
             std::hint::black_box(offsets.len() + items.len());
         }));
-        // The list-ranking engine on a multi-list successor array shaped
+        // The list ranking on a multi-list successor array shaped
         // like the fused Euler domain: one shuffled permutation split into
         // a handful of independent chains.
         let next: Vec<u32> = {
@@ -691,15 +616,12 @@ fn main() {
     }
 
     let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"sfcp_parprim_sort_rank_engine\",\n");
-    // Schema 2: every result row carries a "trace" span summary
-    // (see `Row::trace`).  Bumped from the unversioned (implicitly 1)
-    // schema; `bench-engines` lint enforces the field's presence at this
-    // version.
-    json.push_str("  \"schema\": 2,\n");
+    json.push_str("  \"bench\": \"sfcp_parprim\",\n");
+    // Schema 3: one `ms` column per library row (schema 2 timed two engine
+    // sets); every row carries a "trace" span summary, which the
+    // `bench-schema` lint enforces.
+    json.push_str("  \"schema\": 3,\n");
     json.push_str(&format!("  \"threads\": {threads},\n"));
-    // Historical header kept for old tooling; every row repeats the labels.
-    json.push_str("  \"engines\": [\"packed\", \"permutation\"],\n");
     json.push_str("  \"results\": [\n");
     let body: Vec<String> = rows
         .iter()
@@ -712,15 +634,13 @@ fn main() {
     println!("wrote {out_path}");
 
     // `--trace <path>`: one warm traced decompose at the largest measured
-    // size under the default engines, exported as a Chrome/Perfetto trace
+    // size, exported as a Chrome/Perfetto trace
     // (load it at ui.perfetto.dev or chrome://tracing).  Runs outside the
     // timed windows above, so it cannot perturb the trajectory numbers.
     if let Some(path) = &trace_path {
         let n = *sizes.last().expect("at least one size");
         let g = sfcp_forest::generators::random_function(n, 0xDECADE);
-        let ctx = Ctx::untracked(Mode::Parallel)
-            .with_sort_engine(DEFAULT_ENGINES.sort)
-            .with_rank_engine(DEFAULT_ENGINES.rank);
+        let ctx = Ctx::untracked(Mode::Parallel);
         let d = sfcp_forest::decompose(&ctx, &g, sfcp_forest::cycles::CycleMethod::Euler);
         std::hint::black_box(d.num_cycles()); // warm the pools, untraced
         ctx.trace().enable();
@@ -730,26 +650,6 @@ fn main() {
             .expect("failed to write trace json");
         println!("wrote {path} (chrome://tracing / ui.perfetto.dev)");
     }
-
-    // The acceptance gate for the packed engine: end-to-end coarsest_parallel
-    // at the largest size must not be slower than the permutation baseline.
-    // Enforced (with slack for noisy shared runners): a genuine regression
-    // fails this binary and therefore the CI bench-smoke step.
-    let end_to_end = rows
-        .iter()
-        .filter(|r| r.name == "coarsest_parallel")
-        .max_by_key(|r| r.n)
-        .expect("end-to-end row present");
-    let speedup = end_to_end.permutation_ms / end_to_end.packed_ms;
-    println!(
-        "end-to-end n={}: packed is {speedup:.2}x the baseline",
-        end_to_end.n
-    );
-    assert!(
-        speedup > 0.9,
-        "perf regression: packed engine is {speedup:.2}x the permutation baseline \
-         end-to-end (must stay >= ~1.0; 0.9 allows for runner noise)"
-    );
 
     // The validated entry point must be free: at the largest size, the
     // `try_decompose` row (size check + catch_unwind around the identical
@@ -773,10 +673,10 @@ fn main() {
     println!(
         "checked-path overhead n={largest}: median paired {overhead:.3}x \
          (best-of-k {:.3} ms vs {:.3} ms)",
-        checked.packed_ms, warm.packed_ms
+        checked.ms, warm.ms
     );
     assert!(
-        overhead < 1.10 || checked.packed_ms - warm.packed_ms < 0.5,
+        overhead < 1.10 || checked.ms - warm.ms < 0.5,
         "the validated decompose path costs {overhead:.2}x the unchecked warm path \
          (median paired ratio; must stay within noise — the try_ surface is a size \
          check + catch_unwind)"
@@ -829,14 +729,16 @@ fn main() {
     // trajectory (same n as measured in this run).  The raw wall-clock
     // ratio is normalized by the radix_sort_pairs ratio of the same two
     // files: that row touches neither the decomposition code, the CSR
-    // builder, nor the list-ranking engines, so a uniformly slower or
+    // builder, nor the list ranking, so a uniformly slower or
     // faster machine cancels out and the gate tracks genuine regressions
     // rather than runner hardware.  Files recorded at a different thread
     // count are not comparable at all, so the comparison is skipped then.
     if smoke {
-        let committed = std::fs::read_to_string(&committed_path)
+        let committed = std::fs::read(&committed_path)
             .unwrap_or_else(|e| panic!("cannot read committed bench {committed_path}: {e}"));
-        let committed_threads = committed_header(&committed, "threads");
+        let committed = json::parse(&committed)
+            .unwrap_or_else(|e| panic!("committed bench {committed_path} is not JSON: {e}"));
+        let committed_threads = committed.get("threads").and_then(Value::as_usize);
         if committed_threads != Some(threads) {
             println!(
                 "smoke: {committed_path} was recorded at {} threads and this host has \
@@ -850,16 +752,14 @@ fn main() {
             .iter()
             .find(|r| r.name == "radix_sort_pairs")
             .expect("calibration row present");
-        let committed_calib_ms =
-            committed_field(&committed, "radix_sort_pairs", calib.n, "packed_ms").unwrap_or_else(
-                || {
-                    panic!(
-                        "no radix_sort_pairs n={} entry in {committed_path}",
-                        calib.n
-                    )
-                },
-            );
-        let machine = calib.packed_ms / committed_calib_ms;
+        let committed_calib_ms = committed_value(&committed, "radix_sort_pairs", calib.n, "ms")
+            .unwrap_or_else(|| {
+                panic!(
+                    "no radix_sort_pairs n={} entry in {committed_path}",
+                    calib.n
+                )
+            });
+        let machine = calib.ms / committed_calib_ms;
         for gated in [
             "decompose",
             "decompose_warm",
@@ -872,27 +772,27 @@ fn main() {
                 .iter()
                 .find(|r| r.name == gated)
                 .unwrap_or_else(|| panic!("{gated} row present"));
-            let committed_ms = committed_field(&committed, gated, fresh.n, "packed_ms")
+            let committed_ms = committed_value(&committed, gated, fresh.n, "ms")
                 .unwrap_or_else(|| panic!("no {gated} n={} entry in {committed_path}", fresh.n));
-            let raw = fresh.packed_ms / committed_ms;
+            let raw = fresh.ms / committed_ms;
             let ratio = raw / machine;
             println!(
                 "smoke: {gated} n={} is {:.3} ms vs committed {:.3} ms \
                  (raw {raw:.2}x, machine-normalized {ratio:.2}x)",
-                fresh.n, fresh.packed_ms, committed_ms
+                fresh.n, fresh.ms, committed_ms
             );
             // Relative gate with a small absolute floor covering timer and
             // scheduler granularity on the ~1 ms csr_build row (a quarter
             // millisecond of excess is never treated as a regression; real
             // regressions of the ~20 ms decompose row clear it by an order
             // of magnitude).
-            let excess_ms = fresh.packed_ms - committed_ms * machine;
+            let excess_ms = fresh.ms - committed_ms * machine;
             assert!(
                 ratio < 1.10 || excess_ms < 0.25,
                 "{gated} regressed {ratio:.2}x machine-normalized (> 1.10, +{excess_ms:.3} ms) \
                  against the committed {committed_path} entry ({:.3} ms vs {committed_ms:.3} ms, \
                  calibration {machine:.2}x)",
-                fresh.packed_ms
+                fresh.ms
             );
         }
         // The serving path is gated the same way on its warm p50: a
@@ -905,7 +805,7 @@ fn main() {
             .iter()
             .find(|r| r.name == "service_warm")
             .expect("service_warm row present");
-        let committed_ms = committed_field(&committed, "service_warm", fresh.n, "p50_ms")
+        let committed_ms = committed_value(&committed, "service_warm", fresh.n, "p50_ms")
             .unwrap_or_else(|| panic!("no service_warm n={} entry in {committed_path}", fresh.n));
         let raw = fresh.p50_ms / committed_ms;
         let ratio = raw / machine;

@@ -262,7 +262,7 @@ fn table_primitives(sizes: &[usize]) {
             let mut next: Vec<u32> = (1..=n as u32).collect();
             next[n - 1] = (n - 1) as u32;
             let ctx = Ctx::parallel();
-            let _ = sfcp_parprim::listrank::list_rank_ruling_set(&ctx, &next);
+            let _ = sfcp_parprim::listrank::list_rank(&ctx, &next);
             let s = ctx.stats();
             rows.push(vec![
                 n.to_string(),

@@ -57,7 +57,7 @@ impl Instance {
     ///
     /// Two instances with equal digests are (with fingerprint confidence)
     /// the same problem; the serving layer keys its snapshot cache on this
-    /// value combined with the engine selection.
+    /// value.
     #[must_use]
     pub fn digest(&self) -> u64 {
         use std::hash::Hasher;

@@ -42,31 +42,22 @@
 //! Every intermediate is a [`sfcp_pram::Workspace`] checkout: once the pools
 //! are warm, a build allocates nothing beyond the caller's output buffers.
 //!
-//! ## Engines
-//!
-//! Like the sort/rank engine, the builder dispatches on
-//! [`sfcp_pram::SortEngine`]: `Packed` picks one of the blocked regimes
-//! above, `Permutation` runs the sequential count/prefix/scatter baseline.
-//! Both
-//! produce byte-identical `offsets`/`items` and charge identical work/depth,
-//! so `bench_json` can measure them against each other in the same run (the
-//! `csr_build` rows of `BENCH_parprim.json`).
-//!
 //! ## Charge model
 //!
-//! The documented cost of a CSR build is the sequential baseline's: one
-//! counting round of `m` operations, one prefix round of `num_keys`
-//! operations, one scatter round of `m` operations.  Both engines charge
-//! exactly that; the packed engine's physical passes (word packing, the
-//! per-digit counting passes, the fused finish) are uncharged implementation
-//! glue, the same discipline as the packed sort engine's fill/extract passes
-//! (DESIGN.md, "CSR construction").
+//! The documented cost of a CSR build is the §8 model of the sequential
+//! count/prefix/scatter build: one counting round of `m` operations, one
+//! prefix round of `num_keys` operations, one scatter round of `m`
+//! operations — `2m + num_keys` work in 3 rounds in every regime.  The
+//! blocked regimes' physical passes (word packing, the per-digit counting
+//! passes, the fused finish) are uncharged implementation glue, the same
+//! discipline as the sort's fill/extract passes (DESIGN.md, "CSR
+//! construction").
 
 use crate::intsort::{
     counting_pass_items_uncharged, fill_items_uncharged, for_each_block, plan_digits, sig_bits,
     transpose_scan_offsets,
 };
-use sfcp_pram::{Ctx, SortEngine};
+use sfcp_pram::Ctx;
 
 /// Key bits used to bucket the write-combined counting pass: `2^6 = 64`
 /// staging buckets.  Few enough that the per-block fill state lives in
@@ -77,8 +68,8 @@ const BUCKET_BITS: u32 = 6;
 /// Staging buckets per block of the write-combined counting pass.
 const NUM_BUCKETS: usize = 1 << BUCKET_BITS;
 
-/// Below this stream length the blocked machinery is pure overhead; both
-/// engines run the sequential baseline.
+/// Below this stream length the blocked machinery is pure overhead; the
+/// builder runs the sequential count/prefix/scatter build.
 pub const SEQUENTIAL_BUILD_MAX: usize = 1024;
 
 /// Hard cap on the key space the direct (single counting pass at radix
@@ -158,14 +149,14 @@ pub fn build_csr_into<F>(
         num_slots <= u32::MAX as usize,
         "num_slots {num_slots} too large for the u32 offset space"
     );
-    // The documented model cost (identical in both engines and to the
-    // sequential baseline that `RootedForest::from_parents` used to inline):
-    // count the stream, prefix the counts, scatter the stream.
+    // The documented model cost (identical in every regime, and that of the
+    // sequential build `RootedForest::from_parents` used to inline): count
+    // the stream, prefix the counts, scatter the stream.
     ctx.charge_step(num_slots as u64);
     ctx.charge_step(num_keys as u64);
     ctx.charge_step(num_slots as u64);
 
-    if num_slots <= SEQUENTIAL_BUILD_MAX || ctx.sort_engine() == SortEngine::Permutation {
+    if num_slots <= SEQUENTIAL_BUILD_MAX {
         build_csr_sequential(ctx, num_keys, num_slots, &edge, offsets, items);
     } else if num_keys <= direct_build_max_keys(ctx) {
         build_csr_direct(ctx, num_keys, num_slots, &edge, offsets, items);
@@ -174,8 +165,8 @@ pub fn build_csr_into<F>(
     }
 }
 
-/// The baseline: count (random increments), prefix, cursor scatter (random
-/// reads and writes).  Uncharged — the model charge is applied by the
+/// The sequential build: count (random increments), prefix, cursor scatter
+/// (random reads and writes).  Uncharged — the model charge is applied by the
 /// dispatching wrapper.
 fn build_csr_sequential<F>(
     ctx: &Ctx,
@@ -531,47 +522,65 @@ mod tests {
             .collect()
     }
 
-    fn engines() -> [SortEngine; 2] {
-        [SortEngine::Packed, SortEngine::Permutation]
+    /// The sequential count/prefix/scatter build on the same stream — the
+    /// baseline every blocked regime must reproduce byte for byte.
+    fn sequential_baseline(num_keys: usize, stream: &[Option<(u32, u32)>]) -> (Vec<u32>, Vec<u32>) {
+        let ctx = Ctx::untracked(Mode::Sequential);
+        let (mut offsets, mut items) = (Vec::new(), Vec::new());
+        build_csr_sequential(
+            &ctx,
+            num_keys,
+            stream.len(),
+            &|s| stream[s],
+            &mut offsets,
+            &mut items,
+        );
+        (offsets, items)
+    }
+
+    /// The §8 closed form of a build's charges: `2·num_slots + num_keys`
+    /// work in 3 rounds, in every regime.
+    fn model_charges(num_keys: usize, num_slots: usize) -> sfcp_pram::Stats {
+        sfcp_pram::Stats {
+            work: (2 * num_slots + num_keys) as u64,
+            rounds: 3,
+        }
     }
 
     #[test]
     fn empty_and_degenerate() {
-        for engine in engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let (offsets, items) = build_csr(&ctx, 0, 0, |_| None);
-            assert_eq!(offsets, vec![0]);
-            assert!(items.is_empty());
-            let (offsets, items) = build_csr(&ctx, 4, 0, |_| None);
-            assert_eq!(offsets, vec![0; 5]);
-            assert!(items.is_empty());
-            let (offsets, items) = build_csr(&ctx, 3, 5, |_| None);
-            assert_eq!(offsets, vec![0; 4]);
-            assert!(items.is_empty());
-        }
+        let ctx = Ctx::parallel();
+        let (offsets, items) = build_csr(&ctx, 0, 0, |_| None);
+        assert_eq!(offsets, vec![0]);
+        assert!(items.is_empty());
+        let (offsets, items) = build_csr(&ctx, 4, 0, |_| None);
+        assert_eq!(offsets, vec![0; 5]);
+        assert!(items.is_empty());
+        let (offsets, items) = build_csr(&ctx, 3, 5, |_| None);
+        assert_eq!(offsets, vec![0; 4]);
+        assert!(items.is_empty());
     }
 
     #[test]
     fn small_grouping_is_stable() {
-        for engine in engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let stream = [
-                Some((2u32, 10u32)),
-                Some((0, 11)),
-                None,
-                Some((2, 12)),
-                Some((0, 13)),
-                Some((3, 14)),
-            ];
-            let (offsets, items) = build_csr(&ctx, 5, stream.len(), |s| stream[s]);
-            assert_eq!(offsets, vec![0, 2, 2, 4, 5, 5]);
-            assert_eq!(items, vec![11, 13, 10, 12, 14]);
-        }
+        let ctx = Ctx::parallel();
+        let stream = [
+            Some((2u32, 10u32)),
+            Some((0, 11)),
+            None,
+            Some((2, 12)),
+            Some((0, 13)),
+            Some((3, 14)),
+        ];
+        let (offsets, items) = build_csr(&ctx, 5, stream.len(), |s| stream[s]);
+        assert_eq!(offsets, vec![0, 2, 2, 4, 5, 5]);
+        assert_eq!(items, vec![11, 13, 10, 12, 14]);
+        assert_eq!(ctx.stats(), model_charges(5, stream.len()));
     }
 
-    /// The bucketed path (above the sequential threshold) must match the
-    /// naive reference and the sequential engine exactly, and both engines
-    /// must charge identical work/depth.
+    /// The blocked direct path (above the sequential threshold) must match
+    /// the naive reference and the sequential baseline exactly, and charge
+    /// the closed-form model in both modes.
     #[test]
     fn large_streams_match_reference_and_baseline() {
         for (num_keys, num_slots, seed) in [
@@ -581,28 +590,19 @@ mod tests {
         ] {
             let stream = random_stream(num_keys, num_slots, seed);
             let expected = naive_csr(num_keys, &stream);
-            let mut stats = Vec::new();
+            assert_eq!(sequential_baseline(num_keys, &stream), expected);
             for mode in [Mode::Sequential, Mode::Parallel] {
-                for engine in engines() {
-                    let ctx = Ctx::new(mode).with_sort_engine(engine);
-                    let got = build_csr(&ctx, num_keys, num_slots, |s| stream[s]);
-                    assert_eq!(
-                        got, expected,
-                        "csr mismatch ({engine:?}, {mode:?}, keys={num_keys})"
-                    );
-                    stats.push(ctx.stats());
-                }
+                let ctx = Ctx::new(mode);
+                let got = build_csr(&ctx, num_keys, num_slots, |s| stream[s]);
+                assert_eq!(got, expected, "csr mismatch ({mode:?}, keys={num_keys})");
+                assert_eq!(ctx.stats(), model_charges(num_keys, num_slots), "{mode:?}");
             }
-            assert!(
-                stats.windows(2).all(|w| w[0] == w[1]),
-                "engines/modes must charge identically, got {stats:?}"
-            );
         }
     }
 
     /// Key spaces past the direct-build budget take the packed-word radix
-    /// fallback; it must agree (output and charges) with the sequential
-    /// baseline engine.
+    /// fallback; it must agree with the sequential baseline and charge the
+    /// same closed-form model.
     #[test]
     fn bucketed_fallback_matches_baseline_on_huge_key_spaces() {
         let num_keys = DIRECT_BUILD_MAX_KEYS + 3;
@@ -617,12 +617,14 @@ mod tests {
                 }
             })
             .collect();
-        let packed = Ctx::parallel();
-        let baseline = Ctx::parallel().with_sort_engine(SortEngine::Permutation);
-        let a = build_csr(&packed, num_keys, num_slots, |s| stream[s]);
-        let b = build_csr(&baseline, num_keys, num_slots, |s| stream[s]);
-        assert_eq!(a, b, "bucketed fallback diverged from the baseline");
-        assert_eq!(packed.stats(), baseline.stats());
+        let ctx = Ctx::parallel();
+        let a = build_csr(&ctx, num_keys, num_slots, |s| stream[s]);
+        assert_eq!(
+            a,
+            sequential_baseline(num_keys, &stream),
+            "bucketed fallback diverged from the baseline"
+        );
+        assert_eq!(ctx.stats(), model_charges(num_keys, num_slots));
         // Spot-check the grouping really happened.
         assert_eq!(a.0.len(), num_keys + 1);
         assert_eq!(
@@ -666,11 +668,12 @@ mod tests {
         assert_eq!(after.outstanding(), 0);
     }
 
+    /// The sequential build (streams up to `SEQUENTIAL_BUILD_MAX` slots).
     #[test]
     #[should_panic(expected = "out of range")]
     fn sequential_engine_rejects_out_of_range_keys() {
-        let ctx = Ctx::parallel().with_sort_engine(SortEngine::Permutation);
-        let _ = build_csr(&ctx, 10, 50_000, |s| Some((10, s as u32)));
+        let ctx = Ctx::parallel();
+        let _ = build_csr(&ctx, 10, SEQUENTIAL_BUILD_MAX, |s| Some((10, s as u32)));
     }
 
     #[test]
@@ -689,11 +692,8 @@ mod tests {
         let topo = Topology::fallback()
             .with_llc_bytes(1 << 19)
             .with_l2_bytes(1 << 12);
-        let small_ctx = |engine| Ctx::parallel().with_topology(topo).with_sort_engine(engine);
-        assert_eq!(
-            direct_build_max_keys(&small_ctx(SortEngine::Packed)),
-            1 << 16
-        );
+        let small_ctx = || Ctx::parallel().with_topology(topo);
+        assert_eq!(direct_build_max_keys(&small_ctx()), 1 << 16);
         assert!(direct_build_max_keys(&Ctx::parallel()) >= 1 << 16);
 
         // 70_000 keys: direct build on the real host, bucketed fallback
@@ -702,36 +702,29 @@ mod tests {
         let num_keys = 70_000;
         let stream = random_stream(num_keys, 90_000, 17);
         let expected = naive_csr(num_keys, &stream);
-        let mut stats = Vec::new();
-        for engine in engines() {
-            let ctx = small_ctx(engine);
+        for ctx in [small_ctx(), Ctx::parallel()] {
             let got = build_csr(&ctx, num_keys, stream.len(), |s| stream[s]);
-            assert_eq!(got, expected, "mocked-topology csr mismatch ({engine:?})");
-            stats.push(ctx.stats());
+            assert_eq!(got, expected, "csr mismatch under {:?}", ctx.topology());
+            assert_eq!(
+                ctx.stats(),
+                model_charges(num_keys, stream.len()),
+                "regime switches must be charge-invisible"
+            );
         }
-        let real = Ctx::parallel();
-        let got = build_csr(&real, num_keys, stream.len(), |s| stream[s]);
-        assert_eq!(got, expected);
-        stats.push(real.stats());
-        assert!(
-            stats.windows(2).all(|w| w[0] == w[1]),
-            "regime switches must be charge-invisible: {stats:?}"
-        );
 
         // 5_000 keys: still the direct regime under the mock, but the 20 KB
         // row exceeds the 4 KB L2, so the counting pass runs write-combined.
         let num_keys = 5_000;
         let stream = random_stream(num_keys, 60_000, 18);
         let expected = naive_csr(num_keys, &stream);
-        let ctx = small_ctx(SortEngine::Packed);
+        let ctx = small_ctx();
         let wc = build_csr(&ctx, num_keys, stream.len(), |s| stream[s]);
         assert_eq!(wc, expected, "write-combined counting pass diverged");
     }
 
     proptest! {
         /// Offsets, grouping, and within-group (stream) order all match the
-        /// naive build, for both engines, across the sequential/bucketed
-        /// threshold.
+        /// naive build, across the sequential/blocked threshold.
         #[test]
         fn matches_naive_build(
             num_keys in 1usize..400,
@@ -740,16 +733,14 @@ mod tests {
         ) {
             let stream = random_stream(num_keys, num_slots, seed);
             let expected = naive_csr(num_keys, &stream);
-            for engine in [SortEngine::Packed, SortEngine::Permutation] {
-                let ctx = Ctx::parallel().with_grain(64).with_sort_engine(engine);
-                let got = build_csr(&ctx, num_keys, num_slots, |s| stream[s]);
-                prop_assert_eq!(&got, &expected, "engine {:?}", engine);
-                // Ascending-value streams yield ascending groups (the
-                // property `RootedForest` children lists rely on).
-                for k in 0..num_keys {
-                    let group = &got.1[got.0[k] as usize..got.0[k + 1] as usize];
-                    prop_assert!(group.windows(2).all(|w| w[0] < w[1]));
-                }
+            let ctx = Ctx::parallel().with_grain(64);
+            let got = build_csr(&ctx, num_keys, num_slots, |s| stream[s]);
+            prop_assert_eq!(&got, &expected);
+            // Ascending-value streams yield ascending groups (the property
+            // `RootedForest` children lists rely on).
+            for k in 0..num_keys {
+                let group = &got.1[got.0[k] as usize..got.0[k + 1] as usize];
+                prop_assert!(group.windows(2).all(|w| w[0] < w[1]));
             }
         }
     }

@@ -319,7 +319,7 @@ impl EulerTour {
     /// [`crate::listrank::list_rank_into`] over the `2n` arcs +
     /// [`EulerTour::from_arc_ranks`]; `decompose` uses the split entry
     /// points to rank the tour and the broken-cycle chains in one fused
-    /// engine invocation (see DESIGN.md, "List ranking engines").
+    /// ranking invocation (see DESIGN.md, "List ranking").
     #[must_use]
     pub fn build(ctx: &Ctx, forest: &RootedForest) -> Self {
         sfcp_pram::faults::on_engine_pass();
@@ -353,7 +353,7 @@ impl EulerTour {
     ///
     /// Taking the output slice lets `decompose` lay the tour arcs and the
     /// broken-cycle chains out in one buffer and rank both with a single
-    /// engine invocation.
+    /// ranking invocation.
     ///
     /// # Panics
     /// Panics if `succ.len() != 2 * forest.len()`.
@@ -362,7 +362,7 @@ impl EulerTour {
     }
 
     /// [`EulerTour::arc_successors_into`] with the ruler flags of the
-    /// list-ranking engines ORed into each word as it is written — the
+    /// list ranking ORed into each word as it is written — the
     /// Euler half of the `has_pred` fold (see
     /// [`crate::listrank::list_rank_flagged_into`] for the flag contract).
     /// The heads of the tour lists are known analytically — the down arc of
@@ -491,8 +491,8 @@ impl EulerTour {
 
         // One fused pass computes both position arrays: the root lookup, tour
         // length and tree offset gathers are shared, and a node's down/up
-        // arc ranks are adjacent in `dist`.  The baseline computes entry and
-        // exit as two separate parallel maps; the fused pass charges both.
+        // arc ranks are adjacent in `dist`.  The model computes entry and
+        // exit as two parallel maps; the fused pass charges both.
         let mut entry = vec![0u32; n];
         let mut exit = vec![0u32; n];
         {
@@ -868,8 +868,8 @@ mod tests {
 
     /// The split entry points must reproduce `build` exactly, including when
     /// the arc ranking comes from a longer *fused* buffer (tour arcs first,
-    /// unrelated chains after) — the layout `decompose` ranks in one engine
-    /// invocation.
+    /// unrelated chains after) — the layout `decompose` ranks in one
+    /// ranking invocation.
     #[test]
     fn split_entry_points_match_build_with_fused_slice() {
         let ctx = Ctx::parallel();

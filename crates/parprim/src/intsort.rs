@@ -13,33 +13,29 @@
 //! * **stable**, which the pair-contraction steps of *efficient m.s.p.* and
 //!   *sorting strings* rely on.
 //!
-//! Two engines implement the same contract (selected via
-//! [`Ctx::sort_engine`]):
+//! The engine is cache-aware: `(u64 key, u32 payload)` records ([`Rec`]) —
+//! or, when key and index fit together, single packed `u64` words — are
+//! physically moved between ping-pong buffers checked out from the [`Ctx`]
+//! workspace.  Every counting pass reads and writes the record stream
+//! sequentially; no pass gathers through an index permutation, and no pass
+//! allocates (histogram matrices and ping-pong buffers come from the
+//! workspace pool).
 //!
-//! * [`SortEngine::Packed`] — the cache-aware engine: `(u64 key, u32
-//!   payload)` records ([`Rec`]) are physically moved between ping-pong
-//!   buffers checked out from the [`Ctx`] workspace.  Every counting pass
-//!   reads and writes the record stream sequentially; no pass gathers
-//!   through an index permutation, and no pass allocates (histogram
-//!   matrices and ping-pong buffers come from the workspace pool).
-//! * [`SortEngine::Permutation`] — the baseline: passes reorder an index
-//!   permutation and gather `keys[order[i]]` through it, allocating fresh
-//!   histogram vectors per pass.  Kept so benches and tests can measure the
-//!   packed engine against it in the same run.
-//!
-//! Both engines charge **identical** work/depth to the tracker (a
-//! regression-tested invariant — see `DESIGN.md`, "Charge discipline"), so
-//! the complexity tables are engine-independent.
+//! The tracked charges are the §8 model of an LSD radix sort over an index
+//! permutation — an identity-order setup round, a max-scan round, and per
+//! counting pass a histogram round, a transpose-scan over the offset matrix
+//! and a scatter round — whatever physical representation runs (see
+//! `DESIGN.md`, "Charge discipline"), so the complexity tables do not depend
+//! on the record layout.
 //!
 //! The classic entry points ([`radix_sort_u64`], [`radix_sort_pairs`],
 //! [`counting_sort_by_key`]) return a *permutation* (`Vec<u32>` of indices in
-//! sorted order); with the packed engine they are thin wrappers that sort
-//! records carrying the index as payload and read the payload column back
-//! out.  Callers that can consume sorted records directly (the dense-rank
+//! sorted order); they are thin wrappers that sort records carrying the
+//! index as payload and read the payload column back out.  Callers that can consume sorted records directly (the dense-rank
 //! pipeline in [`crate::rank`]) skip the read-back entirely.
 
 use rayon::prelude::*;
-use sfcp_pram::{Ctx, Rec, SortEngine};
+use sfcp_pram::{Ctx, Rec};
 
 /// Default small-key bound for single-pass counting sorts.
 const RADIX: usize = 1 << 8;
@@ -66,7 +62,7 @@ pub(crate) fn sig_bits(x: u64) -> u32 {
     (64 - x.leading_zeros()).max(1)
 }
 
-/// The block decomposition both engines **charge** for: enough blocks to
+/// The block decomposition the sort **charges** for: enough blocks to
 /// parallelise, few enough that the histogram matrix (blocks × radix) stays
 /// cheap (≤ ~4M counters).  A pure function of `(mode, n, radix)` — never of
 /// the host — because its output enters tracked charges, which must be
@@ -81,7 +77,7 @@ fn model_block_plan(ctx: &Ctx, n: usize, radix: usize) -> (usize, usize) {
     (num_blocks, n.div_ceil(num_blocks))
 }
 
-/// The block decomposition the engines **execute**: the model plan, further
+/// The block decomposition the sort **executes**: the model plan, further
 /// clamped so the histogram matrix fits the probed cache budget
 /// ([`sfcp_pram::Topology::radix_counter_budget`]).  Physical only — every
 /// charge uses [`model_block_plan`], so shrinking the matrix on a
@@ -96,8 +92,8 @@ fn block_plan(ctx: &Ctx, n: usize, radix: usize) -> (usize, usize) {
 }
 
 /// Run `f(block_index)` for each block, in parallel when the context is
-/// parallel.  Charges nothing: callers account for the pass explicitly so
-/// that both engines charge identically.  Public because the blocked
+/// parallel.  Charges nothing: callers account for the pass explicitly at
+/// its model cost.  Public because the blocked
 /// scatter passes outside this crate (the buddy-edge incidence emission in
 /// `sfcp-forest`) share it.
 pub fn for_each_block<F>(ctx: &Ctx, num_blocks: usize, f: F)
@@ -315,7 +311,7 @@ pub(crate) fn transpose_scan_offsets(
 }
 
 // ---------------------------------------------------------------------------
-// Packed record engine.
+// Packed record sort.
 // ---------------------------------------------------------------------------
 
 /// Bits needed to store an index in `0..n` (at least 1).
@@ -367,8 +363,8 @@ pub fn radix_sort_recs(ctx: &Ctx, recs: &mut Vec<Rec>, scratch: &mut Vec<Rec>) {
 }
 
 /// [`radix_sort_recs`] for callers that already know a bound on the
-/// significant key bits (skips the max scan and its charge, mirroring the
-/// permutation engine's second pass of the wide pair sort).
+/// significant key bits (skips the max scan and its charge; callers charge
+/// the model's max-scan round themselves where it applies).
 pub fn radix_sort_recs_prebounded(
     ctx: &Ctx,
     recs: &mut Vec<Rec>,
@@ -399,7 +395,7 @@ pub fn radix_sort_recs_prebounded(
 /// `key_bits + idx_bits <= 64`.
 ///
 /// The number of passes depends only on `key_bits`, so the charge profile is
-/// identical to sorting the bare keys with either engine.
+/// identical to sorting the bare keys as records.
 pub(crate) fn radix_sort_words(
     ctx: &Ctx,
     words: &mut Vec<u64>,
@@ -426,8 +422,8 @@ pub(crate) fn radix_sort_words(
 }
 
 /// One stable counting pass: reorder `src` into `dst` by the
-/// `digit_bits`-wide digit at `shift`.  Charges exactly what the permutation
-/// engine's pass charges.
+/// `digit_bits`-wide digit at `shift`.  Charges the model cost of one
+/// counting pass.
 pub(crate) fn counting_pass_items<T: RadixItem>(
     ctx: &Ctx,
     src: &[T],
@@ -441,10 +437,10 @@ pub(crate) fn counting_pass_items<T: RadixItem>(
     let radix = 1usize << digit_bits;
     let (model_blocks, _) = model_block_plan(ctx, n, radix);
     counting_pass_items_uncharged(ctx, src, dst, shift, digit_bits);
-    // Same charges as the permutation engine's pass: histogram round, the
-    // sequential transpose-scan over the offset matrix, and the scatter
-    // round over the whole input.  Charged at the model plan so the physical
-    // (topology-clamped) block count stays charge-invisible.
+    // The model cost of one counting pass: a histogram round over the
+    // blocks, the sequential transpose-scan over the offset matrix, and a
+    // scatter round over the whole input.  Charged at the model plan so the
+    // physical (topology-clamped) block count stays charge-invisible.
     ctx.charge_step(model_blocks as u64);
     ctx.charge_step((radix * model_blocks) as u64);
     ctx.charge_step(model_blocks as u64);
@@ -519,8 +515,8 @@ pub(crate) fn counting_pass_items_uncharged<T: RadixItem>(
 }
 
 /// Copy the payload column out of a sorted record buffer (the permutation).
-/// Uncharged: the permutation engine returns its order array without an
-/// extra pass, and the charge parity between engines is regression-tested.
+/// Uncharged: in the model the sorted index permutation *is* the output, so
+/// reading it back is representation glue, not a step.
 fn extract_payload(ctx: &Ctx, recs: &[Rec]) -> Vec<u32> {
     if ctx.is_parallel() {
         recs.par_iter()
@@ -547,9 +543,10 @@ fn extract_payload_words(ctx: &Ctx, words: &[u64], idx_bits: u32) -> Vec<u32> {
     }
 }
 
-/// Fill `items[i] = make(i)` without charging (used where the permutation
-/// engine's identity-order setup is also uncharged, and by the CSR builder's
-/// word-packing pass, which is glue under its documented model charge).
+/// Fill `items[i] = make(i)` without charging (used for the counting sort's
+/// record packing, whose model charges only the key map, and by the CSR
+/// builder's word-packing pass, which is glue under its documented model
+/// charge).
 pub(crate) fn fill_items_uncharged<T, F>(ctx: &Ctx, items: &mut [T], make: F)
 where
     T: Send,
@@ -578,138 +575,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Permutation engine (the measured baseline).
-// ---------------------------------------------------------------------------
-
-/// Baseline implementation: sort an index permutation, gathering
-/// `keys[order[i]]` through it in every pass.
-fn radix_sort_u64_permutation(ctx: &Ctx, keys: &[u64]) -> Vec<u32> {
-    let n = keys.len();
-    let mut order: Vec<u32> = ctx.par_map_idx(n, |i| i as u32);
-    if n <= 1 {
-        return order;
-    }
-    let max_key = *keys.iter().max().unwrap();
-    ctx.charge_step(n as u64);
-    let significant_bits = 64 - max_key.leading_zeros();
-    let (digit_bits, passes) = plan_digits(significant_bits);
-
-    let mut scratch: Vec<u32> = vec![0; n];
-    for pass in 0..passes {
-        let shift = pass * digit_bits;
-        counting_pass(ctx, keys, &order, &mut scratch, shift, digit_bits);
-        std::mem::swap(&mut order, &mut scratch);
-    }
-    order
-}
-
-/// One stable counting pass of the permutation engine: reorder `order` into
-/// `out` by the `digit_bits`-wide digit of `keys[·]` at `shift`.  Note the
-/// `keys[idx]` gather in both the histogram and the scatter loop — the
-/// cache-hostile access pattern the packed engine exists to avoid.
-fn counting_pass(
-    ctx: &Ctx,
-    keys: &[u64],
-    order: &[u32],
-    out: &mut [u32],
-    shift: u32,
-    digit_bits: u32,
-) {
-    let n = order.len();
-    let radix = 1usize << digit_bits;
-    let digit = |idx: u32| ((keys[idx as usize] >> shift) as usize) & (radix - 1);
-    let (num_blocks, block_size) = block_plan(ctx, n, radix);
-    let (model_blocks, _) = model_block_plan(ctx, n, radix);
-
-    // Per-block digit histograms over the physical blocks; all charges below
-    // use the model plan, so the topology-clamped physical block count stays
-    // charge-invisible (matching `counting_pass_items`).
-    let mut histograms: Vec<Vec<u32>> = (0..num_blocks).map(|_| Vec::new()).collect();
-    {
-        let hist_ptr = SendPtr(histograms.as_mut_ptr());
-        for_each_block(ctx, num_blocks, |b| {
-            let start = b * block_size;
-            let end = (start + block_size).min(n);
-            let mut h = vec![0u32; radix];
-            for &idx in &order[start..end] {
-                h[digit(idx)] += 1;
-            }
-            let hp = hist_ptr;
-            // SAFETY: one writer per block slot (the pre-filled empty Vec is
-            // dropped by the assignment; an empty Vec owns no heap).
-            unsafe {
-                *hp.0.add(b) = h;
-            }
-        });
-    }
-    ctx.charge_step(model_blocks as u64);
-
-    // Global stable offsets: for digit d, block b, items go after all smaller
-    // digits and after the same digit in earlier blocks.
-    let mut running = 0u32;
-    for d in 0..radix {
-        for h in histograms.iter_mut() {
-            let c = h[d];
-            h[d] = running;
-            running += c;
-        }
-    }
-    ctx.charge_step((radix * model_blocks) as u64);
-
-    // Scatter.
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    for_each_block(ctx, num_blocks, |b| {
-        let start = b * block_size;
-        let end = (start + block_size).min(n);
-        let mut offsets = histograms[b].clone();
-        let ptr = out_ptr;
-        for &idx in &order[start..end] {
-            let d = digit(idx);
-            // SAFETY: the offsets of different (block, digit) pairs are
-            // disjoint ranges, so each output slot is written exactly once.
-            unsafe {
-                *ptr.0.add(offsets[d] as usize) = idx;
-            }
-            offsets[d] += 1;
-        }
-    });
-    ctx.charge_step(model_blocks as u64);
-    ctx.charge_work(n as u64);
-}
-
-/// Stable sort of the already-ordered index list `order` by `keys[·]`
-/// (used for the second pass of the permutation engine's two-pass pair sort).
-fn stable_reorder_sort(ctx: &Ctx, keys: &[u64], order: &[u32]) -> Vec<u32> {
-    let n = order.len();
-    if n <= 1 {
-        // lint:allow(alloc-hot-path): trivial-input early return of the
-        // permutation baseline, which materialises its order by design.
-        return order.to_vec();
-    }
-    let max_key = order.iter().map(|&i| keys[i as usize]).max().unwrap();
-    let significant_bits = 64 - max_key.leading_zeros();
-    let (digit_bits, passes) = plan_digits(significant_bits);
-    // lint:allow(alloc-hot-path): the permutation baseline engine
-    // materialises the order by design; the packed engine is the
-    // zero-allocation path.
-    let mut current = order.to_vec();
-    let mut scratch = vec![0u32; n];
-    for pass in 0..passes {
-        counting_pass(
-            ctx,
-            keys,
-            &current,
-            &mut scratch,
-            pass * digit_bits,
-            digit_bits,
-        );
-        std::mem::swap(&mut current, &mut scratch);
-    }
-    current
-}
-
-// ---------------------------------------------------------------------------
-// Public permutation-returning API (engine-dispatching).
+// Public permutation-returning API.
 // ---------------------------------------------------------------------------
 
 /// Stable sort of `0..keys.len()` by `keys[i]`, returning the index
@@ -721,35 +587,31 @@ pub fn radix_sort_u64(ctx: &Ctx, keys: &[u64]) -> Vec<u32> {
     sfcp_pram::faults::on_engine_pass();
     let mut span = ctx.span("radix_sort_u64");
     span.attr("n", keys.len() as u64);
-    match ctx.sort_engine() {
-        SortEngine::Permutation => radix_sort_u64_permutation(ctx, keys),
-        SortEngine::Packed => {
-            let n = keys.len();
-            if n <= 1 {
-                // Matches the baseline's identity-order setup charge.
-                ctx.charge_step(n as u64);
-                return (0..n as u32).collect();
-            }
-            let max_key = *keys.iter().max().unwrap();
-            ctx.charge_step(n as u64); // max scan, charged as in the baseline
-            let key_bits = sig_bits(max_key);
-            let idx_bits = idx_bits_for(n);
-            let ws = ctx.workspace();
-            if key_bits + idx_bits <= 64 {
-                let mut words = ws.take_u64(n);
-                let mut scratch = ws.take_u64(n);
-                // Charged like the baseline's identity-order setup.
-                ctx.par_update(&mut words, |i, w| *w = (keys[i] << idx_bits) | i as u64);
-                radix_sort_words(ctx, &mut words, &mut scratch, key_bits, idx_bits);
-                extract_payload_words(ctx, &words, idx_bits)
-            } else {
-                let mut recs = ws.take_recs(n);
-                let mut scratch = ws.take_recs(n);
-                ctx.par_update(&mut recs, |i, r| *r = Rec::new(keys[i], i as u32));
-                radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, key_bits);
-                extract_payload(ctx, &recs)
-            }
-        }
+    let n = keys.len();
+    if n <= 1 {
+        // The model's identity-order setup round (its max scan and passes
+        // are skipped on trivial input).
+        ctx.charge_step(n as u64);
+        return (0..n as u32).collect();
+    }
+    let max_key = *keys.iter().max().unwrap();
+    ctx.charge_step(n as u64); // max scan
+    let key_bits = sig_bits(max_key);
+    let idx_bits = idx_bits_for(n);
+    let ws = ctx.workspace();
+    if key_bits + idx_bits <= 64 {
+        let mut words = ws.take_u64(n);
+        let mut scratch = ws.take_u64(n);
+        // The packing pass is the model's identity-order setup round.
+        ctx.par_update(&mut words, |i, w| *w = (keys[i] << idx_bits) | i as u64);
+        radix_sort_words(ctx, &mut words, &mut scratch, key_bits, idx_bits);
+        extract_payload_words(ctx, &words, idx_bits)
+    } else {
+        let mut recs = ws.take_recs(n);
+        let mut scratch = ws.take_recs(n);
+        ctx.par_update(&mut recs, |i, r| *r = Rec::new(keys[i], i as u32));
+        radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, key_bits);
+        extract_payload(ctx, &recs)
     }
 }
 
@@ -775,69 +637,51 @@ pub fn radix_sort_pairs(ctx: &Ctx, pairs: &[(u64, u64)]) -> Vec<u32> {
     // two stable passes (sort by b, then stably by a).
     let b_bits = sig_bits(max_b);
     let a_bits = sig_bits(max_a);
-    match ctx.sort_engine() {
-        SortEngine::Permutation => {
-            if a_bits + b_bits <= 64 {
-                let keys: Vec<u64> = ctx.par_map_slice(pairs, |&(a, b)| (a << b_bits) | b);
-                radix_sort_u64(ctx, &keys)
-            } else {
-                let keys_b: Vec<u64> = ctx.par_map_slice(pairs, |&(_, b)| b);
-                let by_b = radix_sort_u64(ctx, &keys_b);
-                // Stable second pass over the order produced by the first.
-                let keys_a: Vec<u64> = ctx.par_map_slice(pairs, |&(a, _)| a);
-                stable_reorder_sort(ctx, &keys_a, &by_b)
-            }
-        }
-        SortEngine::Packed => {
-            let ws = ctx.workspace();
-            let idx_bits = idx_bits_for(n);
-            if a_bits + b_bits + idx_bits <= 64 {
-                // Tightest path: key and index in one u64 word.
-                let mut words = ws.take_u64(n);
-                let mut scratch = ws.take_u64(n);
-                // One pass packs key and index (charged like the baseline's
-                // key-packing map)…
-                ctx.par_update(&mut words, |i, w| {
-                    let (a, b) = pairs[i];
-                    *w = (((a << b_bits) | b) << idx_bits) | i as u64;
-                });
-                // …plus the baseline's identity-order setup and max-scan
-                // charges (the key width is already known here).
-                ctx.charge_step(n as u64);
-                ctx.charge_step(n as u64);
-                radix_sort_words(ctx, &mut words, &mut scratch, a_bits + b_bits, idx_bits);
-                extract_payload_words(ctx, &words, idx_bits)
-            } else if a_bits + b_bits <= 64 {
-                let mut recs = ws.take_recs(n);
-                let mut scratch = ws.take_recs(n);
-                // Packed records (charged like the baseline's key-packing
-                // map, plus its identity-order setup and max scan — the key
-                // width is already exact: the pair containing max_a pins
-                // sig_bits(max packed key) to a_bits + b_bits).
-                ctx.par_update(&mut recs, |i, r| {
-                    let (a, b) = pairs[i];
-                    *r = Rec::new((a << b_bits) | b, i as u32);
-                });
-                ctx.charge_step(n as u64);
-                ctx.charge_step(n as u64);
-                radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, a_bits + b_bits);
-                extract_payload(ctx, &recs)
-            } else {
-                // Wide pairs: two stable record passes (by b, then by a).
-                // Both key widths are already known, so neither sort
-                // re-scans for the max (the baseline's max scan of pass one
-                // is charged explicitly).
-                let mut recs = ws.take_recs(n);
-                let mut scratch = ws.take_recs(n);
-                ctx.par_update(&mut recs, |i, r| *r = Rec::new(pairs[i].1, i as u32));
-                ctx.charge_step(n as u64); // baseline identity-order setup
-                ctx.charge_step(n as u64); // baseline max scan of pass one
-                radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, b_bits);
-                ctx.par_update(&mut recs, |_, r| r.key = pairs[r.pay as usize].0);
-                radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, a_bits);
-                extract_payload(ctx, &recs)
-            }
-        }
+    let ws = ctx.workspace();
+    let idx_bits = idx_bits_for(n);
+    if a_bits + b_bits + idx_bits <= 64 {
+        // Tightest path: key and index in one u64 word.
+        let mut words = ws.take_u64(n);
+        let mut scratch = ws.take_u64(n);
+        // One pass packs key and index (the model's key-packing map)…
+        ctx.par_update(&mut words, |i, w| {
+            let (a, b) = pairs[i];
+            *w = (((a << b_bits) | b) << idx_bits) | i as u64;
+        });
+        // …plus the model's identity-order setup and max-scan rounds (the
+        // key width is already known here).
+        ctx.charge_step(n as u64);
+        ctx.charge_step(n as u64);
+        radix_sort_words(ctx, &mut words, &mut scratch, a_bits + b_bits, idx_bits);
+        extract_payload_words(ctx, &words, idx_bits)
+    } else if a_bits + b_bits <= 64 {
+        let mut recs = ws.take_recs(n);
+        let mut scratch = ws.take_recs(n);
+        // Packed records (the model's key-packing map, plus its
+        // identity-order setup and max scan — the key width is already
+        // exact: the pair containing max_a pins sig_bits(max packed key) to
+        // a_bits + b_bits).
+        ctx.par_update(&mut recs, |i, r| {
+            let (a, b) = pairs[i];
+            *r = Rec::new((a << b_bits) | b, i as u32);
+        });
+        ctx.charge_step(n as u64);
+        ctx.charge_step(n as u64);
+        radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, a_bits + b_bits);
+        extract_payload(ctx, &recs)
+    } else {
+        // Wide pairs: two stable record passes (by b, then by a).  Both key
+        // widths are already known, so neither sort re-scans for the max
+        // (the model's max scan of pass one is charged explicitly).
+        let mut recs = ws.take_recs(n);
+        let mut scratch = ws.take_recs(n);
+        ctx.par_update(&mut recs, |i, r| *r = Rec::new(pairs[i].1, i as u32));
+        ctx.charge_step(n as u64); // identity-order setup
+        ctx.charge_step(n as u64); // max scan of pass one
+        radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, b_bits);
+        ctx.par_update(&mut recs, |_, r| r.key = pairs[r.pay as usize].0);
+        radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, a_bits);
+        extract_payload(ctx, &recs)
     }
 }
 
@@ -868,40 +712,23 @@ where
         });
         return radix_sort_u64(ctx, &keys);
     }
-    match ctx.sort_engine() {
-        SortEngine::Permutation => {
-            let keys: Vec<u64> = ctx.par_map_idx(n, |i| {
-                let k = key(i);
-                debug_assert!(k < bound, "key {k} out of bound {bound}");
-                k as u64
-            });
-            let order: Vec<u32> = (0..n as u32).collect();
-            let mut out = vec![0u32; n];
-            ctx.charge_step(bound as u64);
-            counting_pass(ctx, &keys, &order, &mut out, 0, 8);
-            out
-        }
-        SortEngine::Packed => {
-            let ws = ctx.workspace();
-            // Indices are u32 everywhere in this file, so an 8-bit key plus
-            // the index always fits in one word.
-            let idx_bits = idx_bits_for(n);
-            debug_assert!(8 + idx_bits <= 64);
-            // Charged like the baseline's key map; the identity-order setup
-            // is uncharged in both engines.
-            ctx.charge_step(n as u64);
-            let mut words = ws.take_u64(n);
-            let mut scratch = ws.take_u64(n);
-            fill_items_uncharged(ctx, &mut words, |i| {
-                let k = key(i);
-                debug_assert!(k < bound, "key {k} out of bound {bound}");
-                ((k as u64) << idx_bits) | i as u64
-            });
-            ctx.charge_step(bound as u64);
-            counting_pass_items(ctx, &words, &mut scratch, idx_bits, 8);
-            extract_payload_words(ctx, &scratch, idx_bits)
-        }
-    }
+    let ws = ctx.workspace();
+    // Indices are u32 everywhere in this file, so an 8-bit key plus the
+    // index always fits in one word.
+    let idx_bits = idx_bits_for(n);
+    debug_assert!(8 + idx_bits <= 64);
+    // The model's key-map round; its identity-order setup is uncharged.
+    ctx.charge_step(n as u64);
+    let mut words = ws.take_u64(n);
+    let mut scratch = ws.take_u64(n);
+    fill_items_uncharged(ctx, &mut words, |i| {
+        let k = key(i);
+        debug_assert!(k < bound, "key {k} out of bound {bound}");
+        ((k as u64) << idx_bits) | i as u64
+    });
+    ctx.charge_step(bound as u64);
+    counting_pass_items(ctx, &words, &mut scratch, idx_bits, 8);
+    extract_payload_words(ctx, &scratch, idx_bits)
 }
 
 struct SendPtr<T>(*mut T);
@@ -928,10 +755,6 @@ mod tests {
     use rand::prelude::*;
     use sfcp_pram::Mode;
 
-    fn both_engines() -> [SortEngine; 2] {
-        [SortEngine::Packed, SortEngine::Permutation]
-    }
-
     fn check_is_stable_sort(keys: &[u64], order: &[u32]) {
         assert_eq!(order.len(), keys.len());
         // Sorted.
@@ -950,24 +773,28 @@ mod tests {
         }
     }
 
+    /// The stable index order of `pairs` by `std`'s stable sort — the
+    /// reference the pair sort must reproduce exactly.
+    fn std_pair_order(pairs: &[(u64, u64)]) -> Vec<u32> {
+        let mut expected: Vec<u32> = (0..pairs.len() as u32).collect();
+        expected.sort_by_key(|&i| pairs[i as usize]);
+        expected
+    }
+
     #[test]
     fn empty_and_single() {
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            assert!(radix_sort_u64(&ctx, &[]).is_empty());
-            assert_eq!(radix_sort_u64(&ctx, &[42]), vec![0]);
-        }
+        let ctx = Ctx::parallel();
+        assert!(radix_sort_u64(&ctx, &[]).is_empty());
+        assert_eq!(radix_sort_u64(&ctx, &[42]), vec![0]);
     }
 
     #[test]
     fn small_with_duplicates() {
-        for engine in both_engines() {
-            let ctx = Ctx::sequential().with_sort_engine(engine);
-            let keys = [5u64, 3, 5, 1, 3, 3, 0];
-            let order = radix_sort_u64(&ctx, &keys);
-            check_is_stable_sort(&keys, &order);
-            assert_eq!(order, vec![6, 3, 1, 4, 5, 0, 2]);
-        }
+        let ctx = Ctx::sequential();
+        let keys = [5u64, 3, 5, 1, 3, 3, 0];
+        let order = radix_sort_u64(&ctx, &keys);
+        check_is_stable_sort(&keys, &order);
+        assert_eq!(order, vec![6, 3, 1, 4, 5, 0, 2]);
     }
 
     #[test]
@@ -975,64 +802,56 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let keys: Vec<u64> = (0..100_000).map(|_| rng.gen_range(0..1_000_000)).collect();
         for mode in [Mode::Sequential, Mode::Parallel] {
-            for engine in both_engines() {
-                let ctx = Ctx::new(mode).with_sort_engine(engine);
-                let order = radix_sort_u64(&ctx, &keys);
-                check_is_stable_sort(&keys, &order);
-            }
-        }
-    }
-
-    #[test]
-    fn large_keys_use_more_passes() {
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let keys = [u64::from(u32::MAX) + 17, 3, 1 << 40, 12, 1 << 40];
+            let ctx = Ctx::new(mode);
             let order = radix_sort_u64(&ctx, &keys);
             check_is_stable_sort(&keys, &order);
         }
     }
 
     #[test]
+    fn large_keys_use_more_passes() {
+        let ctx = Ctx::parallel();
+        let keys = [u64::from(u32::MAX) + 17, 3, 1 << 40, 12, 1 << 40];
+        let order = radix_sort_u64(&ctx, &keys);
+        check_is_stable_sort(&keys, &order);
+    }
+
+    #[test]
     fn pair_sort_lexicographic() {
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let pairs = [
-                (1u64, 3u64),
-                (2, 3),
-                (4, 3),
-                (1, 2),
-                (3, 4),
-                (2, 0),
-                (1, 1),
-                (1, 3),
-                (2, 2),
-                (3, 2),
-            ];
-            let order = radix_sort_pairs(&ctx, &pairs);
-            let sorted: Vec<(u64, u64)> = order.iter().map(|&i| pairs[i as usize]).collect();
-            let mut expected = pairs.to_vec();
-            expected.sort();
-            assert_eq!(sorted, expected);
-            // Stability on the duplicate (1,3).
-            let pos_first = order.iter().position(|&i| i == 0).unwrap();
-            let pos_second = order.iter().position(|&i| i == 7).unwrap();
-            assert!(pos_first < pos_second);
-        }
+        let ctx = Ctx::parallel();
+        let pairs = [
+            (1u64, 3u64),
+            (2, 3),
+            (4, 3),
+            (1, 2),
+            (3, 4),
+            (2, 0),
+            (1, 1),
+            (1, 3),
+            (2, 2),
+            (3, 2),
+        ];
+        let order = radix_sort_pairs(&ctx, &pairs);
+        let sorted: Vec<(u64, u64)> = order.iter().map(|&i| pairs[i as usize]).collect();
+        let mut expected = pairs.to_vec();
+        expected.sort();
+        assert_eq!(sorted, expected);
+        // Stability on the duplicate (1,3).
+        let pos_first = order.iter().position(|&i| i == 0).unwrap();
+        let pos_second = order.iter().position(|&i| i == 7).unwrap();
+        assert!(pos_first < pos_second);
     }
 
     #[test]
     fn pair_sort_wide_values() {
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let big = 1u64 << 40;
-            let pairs = [(big, 1u64), (1, big), (big, 0), (0, big), (big, big)];
-            let order = radix_sort_pairs(&ctx, &pairs);
-            let sorted: Vec<(u64, u64)> = order.iter().map(|&i| pairs[i as usize]).collect();
-            let mut expected = pairs.to_vec();
-            expected.sort();
-            assert_eq!(sorted, expected);
-        }
+        let ctx = Ctx::parallel();
+        let big = 1u64 << 40;
+        let pairs = [(big, 1u64), (1, big), (big, 0), (0, big), (big, big)];
+        let order = radix_sort_pairs(&ctx, &pairs);
+        let sorted: Vec<(u64, u64)> = order.iter().map(|&i| pairs[i as usize]).collect();
+        let mut expected = pairs.to_vec();
+        expected.sort();
+        assert_eq!(sorted, expected);
     }
 
     #[test]
@@ -1040,39 +859,33 @@ mod tests {
         // Wide pairs with duplicates exercise the two-pass path's stability.
         let big = 1u64 << 50;
         let pairs: Vec<(u64, u64)> = (0..2000u64).map(|i| (big + i % 7, (i % 5) << 40)).collect();
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let order = radix_sort_pairs(&ctx, &pairs);
-            for w in order.windows(2) {
-                let (x, y) = (pairs[w[0] as usize], pairs[w[1] as usize]);
-                assert!(x <= y);
-                if x == y {
-                    assert!(w[0] < w[1], "two-pass pair sort must be stable");
-                }
+        let ctx = Ctx::parallel();
+        let order = radix_sort_pairs(&ctx, &pairs);
+        for w in order.windows(2) {
+            let (x, y) = (pairs[w[0] as usize], pairs[w[1] as usize]);
+            assert!(x <= y);
+            if x == y {
+                assert!(w[0] < w[1], "two-pass pair sort must be stable");
             }
         }
     }
 
     #[test]
     fn counting_sort_small_bound() {
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let data = [3usize, 1, 2, 1, 0, 3, 2];
-            let order = counting_sort_by_key(&ctx, data.len(), 4, |i| data[i]);
-            let keys: Vec<u64> = data.iter().map(|&x| x as u64).collect();
-            check_is_stable_sort(&keys, &order);
-        }
+        let ctx = Ctx::parallel();
+        let data = [3usize, 1, 2, 1, 0, 3, 2];
+        let order = counting_sort_by_key(&ctx, data.len(), 4, |i| data[i]);
+        let keys: Vec<u64> = data.iter().map(|&x| x as u64).collect();
+        check_is_stable_sort(&keys, &order);
     }
 
     #[test]
     fn counting_sort_large_bound_falls_back() {
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let data: Vec<usize> = (0..5000).map(|i| (i * 37) % 4999).collect();
-            let order = counting_sort_by_key(&ctx, data.len(), 4999, |i| data[i]);
-            let keys: Vec<u64> = data.iter().map(|&x| x as u64).collect();
-            check_is_stable_sort(&keys, &order);
-        }
+        let ctx = Ctx::parallel();
+        let data: Vec<usize> = (0..5000).map(|i| (i * 37) % 4999).collect();
+        let order = counting_sort_by_key(&ctx, data.len(), 4999, |i| data[i]);
+        let keys: Vec<u64> = data.iter().map(|&x| x as u64).collect();
+        check_is_stable_sort(&keys, &order);
     }
 
     #[test]
@@ -1090,8 +903,12 @@ mod tests {
         );
     }
 
-    /// The charge-discipline invariant: both engines charge byte-identical
-    /// work/depth for every entry point, in both execution modes.
+    /// The charge-discipline pins: every entry point — `radix_sort_u64`,
+    /// all three `radix_sort_pairs` packing branches (key + index in one
+    /// word, key-only records, two-pass wide records) and
+    /// `counting_sort_by_key` — charges the exact (work, rounds) of the §8
+    /// radix-sort model on fixed seeded inputs, in both execution modes
+    /// (the model block plan differs between modes, so the pins do too).
     #[test]
     fn engines_charge_identically() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -1118,26 +935,52 @@ mod tests {
             })
             .collect();
         let small: Vec<usize> = (0..10_000).map(|i| (i * 13) % 256).collect();
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let packed = Ctx::new(mode).with_sort_engine(SortEngine::Packed);
-            let baseline = Ctx::new(mode).with_sort_engine(SortEngine::Permutation);
-            for ctx in [&packed, &baseline] {
-                let _ = radix_sort_u64(ctx, &keys);
-                let _ = radix_sort_pairs(ctx, &narrow);
-                let _ = radix_sort_pairs(ctx, &mid);
-                let _ = radix_sort_pairs(ctx, &wide);
-                let _ = counting_sort_by_key(ctx, small.len(), 256, |i| small[i]);
-            }
-            assert_eq!(
-                packed.stats(),
-                baseline.stats(),
-                "engines diverged in {mode:?} mode"
-            );
+        // (mode, [u64, narrow, mid, wide, counting]) as (work, rounds).
+        let pins = [
+            (
+                Mode::Sequential,
+                [
+                    (200_774, 11),
+                    (246_150, 13),
+                    (336_156, 22),
+                    (384_600, 41),
+                    (20_514, 5),
+                ],
+            ),
+            (
+                Mode::Parallel,
+                [
+                    (203_096, 11),
+                    (258_450, 13),
+                    (348_468, 22),
+                    (409_200, 41),
+                    (20_514, 5),
+                ],
+            ),
+        ];
+        for (mode, expected) in pins {
+            let charged = |run: &dyn Fn(&Ctx)| {
+                let ctx = Ctx::new(mode);
+                run(&ctx);
+                (ctx.stats().work, ctx.stats().rounds)
+            };
+            let got = [
+                charged(&|ctx| {
+                    check_is_stable_sort(&keys, &radix_sort_u64(ctx, &keys));
+                }),
+                charged(&|ctx| assert_eq!(radix_sort_pairs(ctx, &narrow), std_pair_order(&narrow))),
+                charged(&|ctx| assert_eq!(radix_sort_pairs(ctx, &mid), std_pair_order(&mid))),
+                charged(&|ctx| assert_eq!(radix_sort_pairs(ctx, &wide), std_pair_order(&wide))),
+                charged(&|ctx| {
+                    let _ = counting_sort_by_key(ctx, small.len(), 256, |i| small[i]);
+                }),
+            ];
+            assert_eq!(got, expected, "sort charges moved in {mode:?} mode");
         }
     }
 
-    /// After a warm-up call, the packed engine's sorts stop allocating:
-    /// every buffer checkout is served from the workspace pool.
+    /// After a warm-up call, the sorts stop allocating: every buffer
+    /// checkout is served from the workspace pool.
     #[test]
     fn packed_engine_reuses_workspace_buffers() {
         let keys: Vec<u64> = (0..50_000u64).rev().collect();
@@ -1158,41 +1001,31 @@ mod tests {
     proptest! {
         #[test]
         fn matches_stable_std_sort(keys in proptest::collection::vec(0u64..10_000, 0..3000)) {
-            for engine in [SortEngine::Packed, SortEngine::Permutation] {
-                let ctx = Ctx::parallel().with_grain(64).with_sort_engine(engine);
-                let order = radix_sort_u64(&ctx, &keys);
-                check_is_stable_sort(&keys, &order);
-                // Oracle: indices sorted stably by key.
-                let mut expected: Vec<u32> = (0..keys.len() as u32).collect();
-                expected.sort_by_key(|&i| keys[i as usize]);
-                prop_assert_eq!(order, expected);
-            }
+            let ctx = Ctx::parallel().with_grain(64);
+            let order = radix_sort_u64(&ctx, &keys);
+            check_is_stable_sort(&keys, &order);
+            // Oracle: indices sorted stably by key.
+            let mut expected: Vec<u32> = (0..keys.len() as u32).collect();
+            expected.sort_by_key(|&i| keys[i as usize]);
+            prop_assert_eq!(order, expected);
         }
 
+        /// The pair sort reproduces `std`'s stable index order exactly.
         #[test]
         fn engines_agree_on_pairs(pairs in proptest::collection::vec((0u64..500, 0u64..500), 0..2000)) {
-            let packed = Ctx::parallel().with_grain(64);
-            let baseline = Ctx::parallel().with_grain(64).with_sort_engine(SortEngine::Permutation);
-            let a = radix_sort_pairs(&packed, &pairs);
-            let b = radix_sort_pairs(&baseline, &pairs);
-            prop_assert_eq!(&a, &b, "engines must produce the identical permutation");
-            let sorted: Vec<(u64, u64)> = a.iter().map(|&i| pairs[i as usize]).collect();
-            let mut expected = pairs.clone();
-            expected.sort();
-            prop_assert_eq!(sorted, expected);
+            let ctx = Ctx::parallel().with_grain(64);
+            prop_assert_eq!(radix_sort_pairs(&ctx, &pairs), std_pair_order(&pairs));
         }
     }
 
     /// Miri target: the counting-pass / packed-scatter raw-pointer writes,
-    /// at a size that crosses the block plan on both engines.
+    /// at a size that crosses the block plan.
     #[test]
-    fn miri_radix_sort_scatter_paths_both_engines() {
+    fn miri_radix_sort_scatter_paths() {
         let keys: Vec<u64> = (0..3000u64)
             .map(|i| i.wrapping_mul(2_654_435_761) % 977)
             .collect();
-        for engine in both_engines() {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            check_is_stable_sort(&keys, &radix_sort_u64(&ctx, &keys));
-        }
+        let ctx = Ctx::parallel();
+        check_is_stable_sort(&keys, &radix_sort_u64(&ctx, &keys));
     }
 }

@@ -17,23 +17,8 @@
 //! needs the work-optimal variant it combines pointer jumping with the
 //! list-ranking / Euler-tour machinery; the experiments quantify the gap.
 
-use sfcp_pram::{Ctx, Error, RankEngine};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Monotone count of [`find_roots_into`] invocations in this process — a
-/// regression hook for the root-threading contract: `decompose` computes
-/// the root array **once** per run and threads it through the tour finish,
-/// the `cycle_of` propagation, and tree labelling (`tests/root_threading.rs`
-/// pins the count).  One relaxed atomic increment per call; not part of the
-/// cost model.
-static FIND_ROOTS_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of [`find_roots_into`] calls made so far by this process (testing
-/// hook; see `FIND_ROOTS_CALLS`'s doc).
-#[must_use]
-pub fn find_roots_invocations() -> u64 {
-    FIND_ROOTS_CALLS.load(Ordering::Relaxed)
-}
+use sfcp_pram::{Ctx, Error};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// For every node of a rooted forest, the root of its tree.
 /// Roots are the fixed points of `parent`.
@@ -52,7 +37,6 @@ pub fn find_roots(ctx: &Ctx, parent: &[u32]) -> Vec<u32> {
 /// arrays ping-pong between `out` and one workspace checkout, so the
 /// `O(log n)` rounds allocate nothing once the pool is warm.
 pub fn find_roots_into(ctx: &Ctx, parent: &[u32], out: &mut Vec<u32>) {
-    FIND_ROOTS_CALLS.fetch_add(1, Ordering::Relaxed);
     sfcp_pram::faults::on_engine_pass();
     let _span = ctx.span("find_roots");
     let n = parent.len();
@@ -229,15 +213,13 @@ pub fn try_permutation_cycle_min_into(
     }
     ctx.charge_step(n as u64);
 
-    if n > CYCLE_MIN_CONTRACTION_THRESHOLD && ctx.rank_engine() != RankEngine::PointerJump {
+    if n > CYCLE_MIN_CONTRACTION_THRESHOLD {
         // The contraction executes on the shared ruling-set machinery of the
-        // list-ranking subsystem; the engine picks the segment-walk layout
-        // (sequential for `RulingSet`, wavefront batches for `CacheBucket`).
-        // Both are topped up to the pinned pointer-jumping model below, so
-        // the engine choice never shows in tracked charges.  Domains at or
-        // above 2^31 cannot carry the machinery's flag bit; they were
-        // rejected by the width check above.
-        crate::listrank::cycle_min_contraction_into(ctx, succ, out, ctx.rank_engine());
+        // list-ranking subsystem and is topped up to the pinned
+        // pointer-jumping model, so the path choice never shows in tracked
+        // charges.  Domains at or above 2^31 cannot carry the machinery's
+        // flag bit; they were rejected by the width check above.
+        crate::listrank::cycle_min_contraction_into(ctx, succ, out);
         return Ok(());
     }
 
@@ -271,16 +253,10 @@ pub fn permutation_cycle_min_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut 
     // The validation pass of the untrusted entry point, charged without
     // being executed.
     ctx.charge_step(n as u64);
-    if n > CYCLE_MIN_CONTRACTION_THRESHOLD && ctx.rank_engine() != RankEngine::PointerJump {
+    if n > CYCLE_MIN_CONTRACTION_THRESHOLD {
         // No flag-construction pass was charged inside the pinned budget
         // (the caller's flags ride along in its own charged passes).
-        crate::listrank::cycle_min_contraction_flagged_core(
-            ctx,
-            flagged,
-            out,
-            ctx.rank_engine(),
-            0,
-        );
+        crate::listrank::cycle_min_contraction_flagged_core(ctx, flagged, out, 0);
         return;
     }
     // Strip the flags (uncharged glue, parallel like the other packing
@@ -298,7 +274,7 @@ pub fn permutation_cycle_min_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut 
 /// `jump[jump[i]]`, i.e. the *same* random index in two arrays; packing
 /// both halves into one u64 word makes that a single gather per element
 /// per round instead of two (plus the sequential read), at 8 bytes of
-/// traffic.  Charges are pinned to the two-pass baseline.
+/// traffic.  Charges are the model's two passes per round.
 fn cycle_min_doubling(ctx: &Ctx, succ: &[u32], out: &mut Vec<u32>) {
     let n = succ.len();
     let ws = ctx.workspace();
@@ -319,13 +295,13 @@ fn cycle_min_doubling(ctx: &Ctx, succ: &[u32], out: &mut Vec<u32>) {
                 *s = (best << 32) | (via & 0xFFFF_FFFF);
             });
         }
-        // The baseline advances `best` and `jump` as two separate parallel
-        // passes; the fused packed pass above charged one of them.
+        // The model advances `best` and `jump` as two parallel passes; the
+        // fused packed pass above charged one of them.
         ctx.charge_step(n as u64);
         std::mem::swap(&mut *state, &mut *next_state);
     }
     // Unpack the cycle minima (uncharged glue, like the payload extraction
-    // of the packed sort engine).
+    // of the packed sort).
     out.resize(n, 0);
     for (o, &s) in out.iter_mut().zip(state.iter()) {
         *o = (s >> 32) as u32;
@@ -336,10 +312,9 @@ fn cycle_min_doubling(ctx: &Ctx, succ: &[u32], out: &mut Vec<u32>) {
 /// contraction instead of whole-array pointer jumping: `log n` rounds of
 /// random gathers over the full array lose badly to one segment walk plus
 /// jumping over a `k`-times-smaller, cache-resident contracted list.  The
-/// contraction lives in the list-ranking engine subsystem
-/// (`crate::listrank`), which also picks the physical walk layout; under
-/// [`RankEngine::PointerJump`] the doubling loop below runs at every size,
-/// as the documented model baseline.  All paths charge identically.
+/// contraction lives in the list-ranking subsystem (`crate::listrank`); at
+/// or below this size the doubling loop runs.  Both paths charge the same
+/// pinned pointer-jumping model.
 const CYCLE_MIN_CONTRACTION_THRESHOLD: usize = 4096;
 
 #[cfg(test)]
@@ -457,8 +432,7 @@ mod tests {
     }
 
     /// The contraction path (n > threshold) must agree with the reference on
-    /// large shuffled permutations, in both modes, under every engine (the
-    /// `PointerJump` engine runs the doubling loop at every size).
+    /// large shuffled permutations, in both modes.
     #[test]
     fn contraction_path_matches_reference_large() {
         use sfcp_pram::Mode;
@@ -469,45 +443,42 @@ mod tests {
             succ.shuffle(&mut rng);
             let expected = reference_cycle_min(&succ);
             for mode in [Mode::Sequential, Mode::Parallel] {
-                for engine in RankEngine::ALL {
-                    let ctx = Ctx::new(mode).with_rank_engine(engine);
-                    assert_eq!(
-                        permutation_cycle_min(&ctx, &succ),
-                        expected,
-                        "seed {seed}, {mode:?}, {engine:?}"
-                    );
-                }
+                let ctx = Ctx::new(mode);
+                assert_eq!(
+                    permutation_cycle_min(&ctx, &succ),
+                    expected,
+                    "seed {seed}, {mode:?}"
+                );
             }
         }
     }
 
-    /// Every engine charges the identical pinned pointer-jumping model for
-    /// cycle minima — the contraction paths count their own passes and top
-    /// the difference up.
+    /// The doubling path (at or below the threshold) and the contraction
+    /// path (above it) both charge the pinned pointer-jumping model —
+    /// validation + init + two steps of n per round — in both modes.
     #[test]
     fn cycle_min_engines_charge_identically() {
-        let n = 30_000;
+        use sfcp_pram::Mode;
         let mut rng = StdRng::seed_from_u64(31);
-        let mut succ: Vec<u32> = (0..n as u32).collect();
-        succ.shuffle(&mut rng);
-        let mut stats = Vec::new();
-        for engine in RankEngine::ALL {
-            let ctx = Ctx::parallel().with_rank_engine(engine);
-            let _ = permutation_cycle_min(&ctx, &succ);
-            stats.push((engine, ctx.stats()));
-        }
-        for w in stats.windows(2) {
-            assert_eq!(
-                w[0].1, w[1].1,
-                "{:?} and {:?} diverged in cycle-min charges",
-                w[0].0, w[1].0
-            );
+        for n in [CYCLE_MIN_CONTRACTION_THRESHOLD, 30_000] {
+            let mut succ: Vec<u32> = (0..n as u32).collect();
+            succ.shuffle(&mut rng);
+            let rounds = (sfcp_pram::ceil_log2(n) + 1) as u64;
+            for mode in [Mode::Sequential, Mode::Parallel] {
+                let ctx = Ctx::new(mode);
+                let _ = permutation_cycle_min(&ctx, &succ);
+                assert_eq!(
+                    (ctx.stats().work, ctx.stats().rounds),
+                    ((n as u64) * (2 + 2 * rounds), 2 + 2 * rounds),
+                    "n={n}, {mode:?}"
+                );
+            }
         }
     }
 
     /// The flagged cycle-min entry (flags built per its contract) must match
-    /// the untrusted entry's output and charges for every engine, across the
-    /// contraction threshold.
+    /// the untrusted entry's output and charges, across the contraction
+    /// threshold.
     #[test]
     fn flagged_cycle_min_matches_untrusted_entry() {
         use crate::listrank::is_sampled_ruler;
@@ -523,20 +494,18 @@ mod tests {
                     s | (u32::from(ruler) << 31)
                 })
                 .collect();
-            for engine in RankEngine::ALL {
-                let untrusted = Ctx::parallel().with_rank_engine(engine);
-                let trusted = Ctx::parallel().with_rank_engine(engine);
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                permutation_cycle_min_into(&untrusted, &succ, &mut a);
-                permutation_cycle_min_flagged_into(&trusted, &flagged, &mut b);
-                assert_eq!(a, b, "minima diverged (n={n}, {engine:?})");
-                assert_eq!(
-                    untrusted.stats(),
-                    trusted.stats(),
-                    "flagged cycle-min charges diverged (n={n}, {engine:?})"
-                );
-            }
+            let untrusted = Ctx::parallel();
+            let trusted = Ctx::parallel();
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            permutation_cycle_min_into(&untrusted, &succ, &mut a);
+            permutation_cycle_min_flagged_into(&trusted, &flagged, &mut b);
+            assert_eq!(a, b, "minima diverged (n={n})");
+            assert_eq!(
+                untrusted.stats(),
+                trusted.stats(),
+                "flagged cycle-min charges diverged (n={n})"
+            );
         }
     }
 
@@ -557,10 +526,8 @@ mod tests {
             }
         }
         let expected = reference_cycle_min(&succ);
-        for engine in [RankEngine::RulingSet, RankEngine::CacheBucket] {
-            let ctx = Ctx::parallel().with_rank_engine(engine);
-            assert_eq!(permutation_cycle_min(&ctx, &succ), expected, "{engine:?}");
-        }
+        let ctx = Ctx::parallel();
+        assert_eq!(permutation_cycle_min(&ctx, &succ), expected);
     }
 
     /// The contraction execution must charge exactly what the jumping path

@@ -16,7 +16,7 @@
 //! | [`intsort`] | stable counting sort and LSD radix sort (sequential + parallel) | the Bhatt-et-al. integer sorting the paper charges `O(n log log n)` work to |
 //! | [`rank`] | sorting-based renaming: map items to dense ranks | "replace each pair by its rank" steps of m.s.p. / string sorting |
 //! | [`scatter`] | disjoint scatter writes (one direct store per pair) | the EREW exclusive-write pass under every scatter |
-//! | [`listrank`] | engine-dispatched list ranking (pointer jumping, ruling set, cache-bucketed wavefront walks) | Step 1 of *cycle node labeling*, fused Euler-tour + cycle-chain ranking |
+//! | [`listrank`] | list ranking (sparse ruling set with wavefront walks; Wyllie pointer jumping for tiny lists) | Step 1 of *cycle node labeling*, fused Euler-tour + cycle-chain ranking |
 //! | [`jump`] | pointer jumping on rooted forests | tree-node labelling, cycle detection cross-check |
 //! | [`euler`] | Euler tours of rooted forests (levels, entry/exit, ancestor sums) | Section 4 tree labelling and Section 5 cycle finding |
 //! | [`merge`] | parallel merge and merge sort | the Cole-mergesort base case of string sorting |
@@ -51,9 +51,7 @@ pub use intsort::{
     radix_sort_recs_prebounded, radix_sort_u64,
 };
 pub use jump::{distance_to_root, find_roots};
-pub use listrank::{
-    list_rank, list_rank_cache_bucket, list_rank_into, list_rank_ruling_set, list_rank_wyllie,
-};
+pub use listrank::{list_rank, list_rank_into, list_rank_wyllie};
 pub use merge::{merge_sorted, parallel_merge_sort};
 pub use rank::{
     dense_ranks, dense_ranks_by_sort, dense_ranks_by_sort_into, dense_ranks_of_pairs,

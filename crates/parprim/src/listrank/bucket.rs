@@ -1,32 +1,28 @@
-//! The `CacheBucket` engine: ruling-set ranking with wavefront-batched
-//! segment walks.
+//! The list-ranking body: ruling-set ranking with wavefront-batched segment
+//! walks.
 //!
-//! The sequential walks of the `RulingSet` engine chase one pointer at a
-//! time: every hop is a dependent gather into an array far larger than
-//! cache, so each walk serialises on a full memory latency per hop.  The
-//! segments themselves are *independent*, though — so this engine advances a
-//! bucket of [`WAVE`] walks in lockstep.  Per sweep over the bucket, every
-//! live walk issues one gather; the loads of different lanes do not depend
-//! on each other, so the out-of-order core overlaps them and the traversal
-//! streams at memory *bandwidth* instead of memory *latency* (measured ~8×
-//! faster on the 2n-arc Euler rankings that dominate `decompose`).
+//! A plain segment walk chases one pointer at a time: every hop is a
+//! dependent gather into an array far larger than cache, so each walk
+//! serialises on a full memory latency per hop.  The segments themselves
+//! are *independent*, though — so this body advances a bucket of [`WAVE`]
+//! walks in lockstep.  Per sweep over the bucket, every live walk issues
+//! one gather; the loads of different lanes do not depend on each other, so
+//! the out-of-order core overlaps them and the traversal streams at memory
+//! *bandwidth* instead of memory *latency* (measured ~8× faster on the
+//! 2n-arc Euler rankings that dominate `decompose`).
 //!
-//! The bucket also changes what a walk records: instead of the two-pass
+//! The bucket also changes what a walk records: instead of a two-pass
 //! measure-then-scatter layout, one pass stores per interior node the packed
 //! word `(steps from segment start) << 32 | (start ruler)`, and the final
-//! rank falls out as `rank(start ruler) − steps` — the second walk is gone
-//! entirely.  Charges are **bit-identical** to the `RulingSet` engine
-//! (regression-tested): the walk pass charges the same round of `m` plus
-//! `n` work, and the packed contracted doubling charges the two steps per
-//! round of the unpacked loop.
+//! rank falls out as `rank(start ruler) − steps`.  The charges are the §8
+//! ruling-set model: the walk pass charges one round of `m` (the
+//! per-segment dispatch) plus `n` work (one operation per hop), and the
+//! packed contracted doubling charges the two weighted-Wyllie steps per
+//! round.
 
 use sfcp_pram::Ctx;
 
-use super::ruling::{
-    charge_sampling_model, contracted_rank_doubling, index_rulers, sample_chain_rulers,
-    segment_target, SendPtr, FLAGGED_LOW, TINY_LIST_MAX,
-};
-use super::wyllie::list_rank_wyllie_into;
+use super::ruling::{contracted_rank_doubling, index_rulers, SendPtr, FLAGGED_LOW};
 
 /// Upper bound on walks advanced in lockstep per bucket, and the
 /// compile-time size of the lane-state arrays.  The *runtime* lane count is
@@ -42,57 +38,22 @@ const WAVE: usize = 64;
 /// lane-state setup amortises, fine enough to load-balance across threads.
 const WALKS_PER_TASK: usize = 4096;
 
-/// Sparse-ruling-set list ranking with wavefront-batched walks — the
-/// `CacheBucket` engine's entry point.
-#[must_use]
-pub fn list_rank_cache_bucket(ctx: &Ctx, next: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    list_rank_cache_bucket_into(ctx, next, &mut out);
-    out
-}
-
-/// [`list_rank_cache_bucket`] writing into a reusable output buffer.
-pub fn list_rank_cache_bucket_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
-    let n = next.len();
-    out.clear();
-    if n == 0 {
-        return;
-    }
-    if n <= TINY_LIST_MAX {
-        // Tiny inputs: pointer jumping is already cheap (same fall-back —
-        // and therefore the same charges — as the RulingSet engine).
-        list_rank_wyllie_into(ctx, next, out);
-        return;
-    }
-    for (i, &s) in next.iter().enumerate() {
-        assert!((s as usize) < n, "next[{i}] = {s} out of range");
-    }
-    let flagged_next = sample_chain_rulers(ctx, next, segment_target(n));
-    cache_bucket_rank_core(ctx, &flagged_next, out);
-}
-
-/// [`list_rank_cache_bucket_into`] over a caller-built flagged successor
-/// array (see [`crate::listrank::list_rank_flagged_into`]); charges the
-/// skipped sampling passes so the two entry points stay charge-identical.
-pub(crate) fn list_rank_cache_bucket_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
-    charge_sampling_model(ctx, flagged.len());
-    cache_bucket_rank_core(ctx, flagged, out);
-}
-
-/// The `CacheBucket` ranking body over a flagged successor array.
-fn cache_bucket_rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
+/// The ranking body over a flagged successor array of more than
+/// `TINY_LIST_MAX` elements (the entry points in `mod.rs` sample or trust
+/// the flags and charge the sampling passes).
+pub(crate) fn rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
     let n = flagged_next.len();
     let ws = ctx.workspace();
     let (ruler_ids, ruler_index) = {
         let flagged_next = &flagged_next;
-        index_rulers(ctx, n, |i| flagged_next[i] >> 31 == 1, false)
+        index_rulers(ctx, n, |i| flagged_next[i] >> 31 == 1)
     };
     let m = ruler_ids.len();
 
     // One wavefront pass over all segments.  No fill of `interior`: every
     // non-ruler node is interior to exactly one segment and therefore
-    // written, and only non-ruler slots are read back.  Charged exactly like
-    // the RulingSet walk: one round of `m` (the per-segment dispatch) plus
+    // written, and only non-ruler slots are read back.  Charged at the
+    // model's walk cost: one round of `m` (the per-segment dispatch) plus
     // `n` work (one operation per hop).
     let mut interior = ws.take_u64(n);
     let mut state = ws.take_u64(m);
@@ -133,7 +94,7 @@ fn cache_bucket_rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
 /// terminal), writing `(steps << 32) | j` at every interior node and the
 /// packed `(segment length << 32) | end ruler` contracted state at `j`.
 /// Uncharged — callers charge the documented walk cost explicitly.
-pub(crate) fn chain_walk_bucketed(
+fn chain_walk_bucketed(
     ctx: &Ctx,
     flagged_next: &[u32],
     ruler_ids: &[u32],

@@ -1,29 +1,22 @@
-//! List ranking — the engine-dispatched ranking/contraction subsystem.
+//! List ranking — one work-efficient engine plus the Wyllie tiny-list path.
 //!
 //! Step 1 of *Algorithm cycle node labeling* rearranges each cycle into
 //! consecutive memory locations; the paper does this with the optimal
 //! list-ranking algorithm of Anderson and Miller (`O(log n)` time, `O(n)`
-//! work, EREW).  Like the integer-sort layer, the practical stand-in is a
-//! pluggable engine selected on the [`Ctx`] ([`sfcp_pram::RankEngine`],
-//! mirroring [`sfcp_pram::SortEngine`]):
+//! work, EREW).  The practical stand-in is a sparse ruling set
+//! ([`list_rank`]): deterministically sample ~`n / k` *rulers*, walk the
+//! short segments between rulers (in parallel over segments), rank the
+//! contracted list of rulers with weighted Wyllie, and expand.  Expected
+//! `O(n)` work, `O(k + log n)` depth with `k ≈ log n`.  The segment walks
+//! run as lockstep *wavefronts* (`bucket.rs`): the dependent pointer-chase
+//! of one walk overlaps the memory latency of its bucket neighbours, so the
+//! hot traversal runs at bandwidth instead of latency.
 //!
-//! * [`RankEngine::PointerJump`] — Wyllie's pointer jumping
-//!   ([`list_rank_wyllie`]): simple, `O(log n)` depth but `O(n log n)` work.
-//!   The documented model baseline, charged at its own (larger) cost.
-//! * [`RankEngine::RulingSet`] — the work-efficient scheme
-//!   ([`list_rank_ruling_set`]): deterministically sample ~`n / k` *rulers*,
-//!   walk the short segments between rulers sequentially (in parallel over
-//!   segments), rank the contracted list of rulers with weighted Wyllie, and
-//!   expand.  Expected `O(n)` work, `O(k + log n)` depth with `k ≈ log n` —
-//!   the practical stand-in for Anderson–Miller.
-//! * [`RankEngine::CacheBucket`] (default) — the same ruling-set scheme with
-//!   the segment walks batched into lockstep *wavefronts*
-//!   ([`list_rank_cache_bucket`]): the dependent pointer-chase of one walk
-//!   overlaps the memory latency of its bucket neighbours, so the hot
-//!   traversal runs at bandwidth instead of latency.  Produces identical
-//!   ranks and charges **bit-identical** work/depth to `RulingSet`
-//!   (regression-tested) — the engine choice is charge-invisible, exactly
-//!   like the packed/permutation sort engines.
+//! At or below `TINY_LIST_MAX` (1,024) elements the ruling-set machinery is
+//! pure overhead and [`list_rank`] runs Wyllie's pointer jumping
+//! ([`list_rank_wyllie`]) instead: `O(log n)` depth but `O(n log n)` work,
+//! charged at its own model cost.  `list_rank_wyllie` is also public as the
+//! §8 Wyllie row of the complexity table.
 //!
 //! The same machinery executes the cycle-min contraction behind
 //! [`crate::jump::permutation_cycle_min`] (`ruling.rs` /
@@ -34,21 +27,21 @@
 //! terminal elements satisfy `next[i] == i`.  Several independent lists may
 //! share one array — the property the **fused Euler ranking** exploits:
 //! `decompose` lays the `2n` Euler-tour arcs and the `m` broken-cycle chain
-//! elements out in one successor array and ranks both with a single engine
-//! invocation (see DESIGN.md, "List ranking engines").  The output rank of
-//! an element is its distance (number of hops) to its terminal.
+//! elements out in one successor array and ranks both with a single
+//! invocation (see DESIGN.md, "List ranking").  The output rank of an
+//! element is its distance (number of hops) to its terminal.
 
 mod bucket;
 mod ruling;
 mod wyllie;
 
-pub use bucket::{list_rank_cache_bucket, list_rank_cache_bucket_into};
-pub use ruling::{is_sampled_ruler, list_rank_ruling_set, list_rank_ruling_set_into};
+pub use ruling::is_sampled_ruler;
 pub use wyllie::{list_rank_wyllie, list_rank_wyllie_into};
 
 pub(crate) use ruling::{cycle_min_contraction_flagged_core, cycle_min_contraction_into};
 
-use sfcp_pram::{Ctx, RankEngine};
+use ruling::{charge_sampling_model, sample_chain_rulers, segment_target, TINY_LIST_MAX};
+use sfcp_pram::Ctx;
 
 /// The ruler-flag bit of a *flagged* successor word: bit 31 of
 /// `flagged[i] = next[i] | RULER_FLAG·(i is a ruler)`.  Successor arrays
@@ -56,8 +49,9 @@ use sfcp_pram::{Ctx, RankEngine};
 /// [`list_rank_flagged_into`] for the construction contract.
 pub const RULER_FLAG: u32 = 1 << 31;
 
-/// Distance of every element to the terminal of its list, via the engine
-/// selected on the context ([`Ctx::rank_engine`]).
+/// Distance of every element to the terminal of its list: sparse-ruling-set
+/// ranking with wavefront walks, or Wyllie pointer jumping at or below
+/// 1,024 elements.
 ///
 /// # Panics
 /// Panics if `next` contains an out-of-range index.
@@ -75,17 +69,26 @@ pub fn list_rank_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
     sfcp_pram::faults::on_engine_pass();
     let mut span = ctx.span("list_rank");
     span.attr("n", next.len() as u64);
-    match ctx.rank_engine() {
-        RankEngine::PointerJump => list_rank_wyllie_into(ctx, next, out),
-        RankEngine::RulingSet => list_rank_ruling_set_into(ctx, next, out),
-        RankEngine::CacheBucket => list_rank_cache_bucket_into(ctx, next, out),
+    let n = next.len();
+    out.clear();
+    if n == 0 {
+        return;
     }
+    if n <= TINY_LIST_MAX {
+        list_rank_wyllie_into(ctx, next, out);
+        return;
+    }
+    for (i, &s) in next.iter().enumerate() {
+        assert!((s as usize) < n, "next[{i}] = {s} out of range");
+    }
+    let flagged_next = sample_chain_rulers(ctx, next, segment_target(n));
+    bucket::rank_core(ctx, &flagged_next, out);
 }
 
 /// [`list_rank_into`] over a **flagged** successor array the caller built —
 /// the entry point of the `has_pred` fold: callers that lay their successor
 /// lists out anyway (the fused Euler ranking of `decompose`) OR the ruler
-/// flag into each word as they write it, and the engines skip their
+/// flag into each word as they write it, and the ranking skips its
 /// `has_pred` sampling passes entirely (charging them without executing, so
 /// the flagged and sampling entry points are charge-identical — see
 /// DESIGN.md, "Charge discipline").
@@ -106,8 +109,8 @@ pub fn list_rank_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
 /// on a bounds-checked gather instead of being reported up front), which is
 /// what deletes the sampling pre-passes from the hot path.
 ///
-/// Under [`RankEngine::PointerJump`] (and for tiny inputs) the flags are
-/// stripped into a scratch copy and Wyllie runs as usual.
+/// For tiny inputs the flags are stripped into a scratch copy and Wyllie
+/// runs as usual.
 pub fn list_rank_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
     sfcp_pram::faults::on_engine_pass();
     let mut span = ctx.span("list_rank_flagged");
@@ -117,8 +120,7 @@ pub fn list_rank_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
     if n == 0 {
         return;
     }
-    let engine = ctx.rank_engine();
-    if n <= ruling::TINY_LIST_MAX || engine == RankEngine::PointerJump {
+    if n <= TINY_LIST_MAX {
         // Strip the flag bits (uncharged glue, parallel like the other
         // packing passes) and run the Wyllie path the sampling entries
         // would also take.
@@ -128,11 +130,9 @@ pub fn list_rank_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
         list_rank_wyllie_into(ctx, &plain, out);
         return;
     }
-    match engine {
-        RankEngine::PointerJump => unreachable!("handled above"),
-        RankEngine::RulingSet => ruling::list_rank_ruling_set_flagged_into(ctx, flagged, out),
-        RankEngine::CacheBucket => bucket::list_rank_cache_bucket_flagged_into(ctx, flagged, out),
-    }
+    // The sampling entry's two passes, charged without being executed.
+    charge_sampling_model(ctx, n);
+    bucket::rank_core(ctx, flagged, out);
 }
 
 #[cfg(test)]
@@ -141,10 +141,6 @@ mod tests {
     use proptest::prelude::*;
     use rand::prelude::*;
     use sfcp_pram::Mode;
-
-    fn all_engines() -> [RankEngine; 3] {
-        RankEngine::ALL
-    }
 
     /// Reference ranking by walking each list.
     #[allow(clippy::needless_range_loop)]
@@ -186,11 +182,8 @@ mod tests {
         let ctx = Ctx::parallel();
         assert!(list_rank_wyllie(&ctx, &[]).is_empty());
         assert_eq!(list_rank_wyllie(&ctx, &[0]), vec![0]);
-        for engine in all_engines() {
-            let ctx = Ctx::parallel().with_rank_engine(engine);
-            assert!(list_rank(&ctx, &[]).is_empty());
-            assert_eq!(list_rank(&ctx, &[0]), vec![0]);
-        }
+        assert!(list_rank(&ctx, &[]).is_empty());
+        assert_eq!(list_rank(&ctx, &[0]), vec![0]);
     }
 
     #[test]
@@ -200,8 +193,7 @@ mod tests {
         for mode in [Mode::Sequential, Mode::Parallel] {
             let ctx = Ctx::new(mode);
             assert_eq!(list_rank_wyllie(&ctx, &next), vec![3, 2, 1, 0]);
-            assert_eq!(list_rank_ruling_set(&ctx, &next), vec![3, 2, 1, 0]);
-            assert_eq!(list_rank_cache_bucket(&ctx, &next), vec![3, 2, 1, 0]);
+            assert_eq!(list_rank(&ctx, &next), vec![3, 2, 1, 0]);
         }
     }
 
@@ -213,15 +205,16 @@ mod tests {
         assert_eq!(list_rank_wyllie(&ctx, &next), vec![0, 0, 1, 1, 2]);
     }
 
+    /// Ranking on large inputs matches the reference in both modes, and so
+    /// does the Wyllie path run at the same size.
     #[test]
     fn large_random_lists_all_engines() {
         let next = random_lists(20_000, 7, 42);
         let expected = reference_ranks(&next);
         for mode in [Mode::Sequential, Mode::Parallel] {
-            for engine in all_engines() {
-                let ctx = Ctx::new(mode).with_rank_engine(engine);
-                assert_eq!(list_rank(&ctx, &next), expected, "{engine:?} {mode:?}");
-            }
+            let ctx = Ctx::new(mode);
+            assert_eq!(list_rank(&ctx, &next), expected, "{mode:?}");
+            assert_eq!(list_rank_wyllie(&ctx, &next), expected, "{mode:?}");
         }
     }
 
@@ -232,13 +225,8 @@ mod tests {
         let mut next: Vec<u32> = (1..=n as u32).collect();
         next[n - 1] = (n - 1) as u32;
         let ctx = Ctx::parallel();
-        for ranks in [
-            list_rank_ruling_set(&ctx, &next),
-            list_rank_cache_bucket(&ctx, &next),
-        ] {
-            for (i, &r) in ranks.iter().enumerate() {
-                assert_eq!(r as usize, n - 1 - i);
-            }
+        for (i, &r) in list_rank(&ctx, &next).iter().enumerate() {
+            assert_eq!(r as usize, n - 1 - i);
         }
     }
 
@@ -248,7 +236,7 @@ mod tests {
         let ctx_w = Ctx::parallel();
         let _ = list_rank_wyllie(&ctx_w, &next);
         let ctx_r = Ctx::parallel();
-        let _ = list_rank_ruling_set(&ctx_r, &next);
+        let _ = list_rank(&ctx_r, &next);
         assert!(
             ctx_r.stats().work < ctx_w.stats().work,
             "ruling set ({}) should charge less work than Wyllie ({})",
@@ -257,79 +245,71 @@ mod tests {
         );
     }
 
-    /// The CacheBucket engine is a physical relayout of the RulingSet
-    /// engine: identical ranks, bit-identical work/depth charges, in both
-    /// execution modes, across the tiny/contraction threshold.
+    /// The ruling-set charges are pinned to exact (work, rounds) values in
+    /// both execution modes, across the tiny/contraction threshold: up to
+    /// 1,024 elements the Wyllie model, above it the ruling-set model.
     #[test]
     fn cache_bucket_charges_match_ruling_set() {
-        for (n, lists, seed) in [
-            (12usize, 2usize, 3u64), // tiny path (Wyllie fall-back)
-            (1024, 1, 4),            // threshold boundary
-            (1025, 1, 5),
-            (30_000, 5, 6),
-            (60_000, 1, 7),
+        // (n, lists, seed, sequential pin, parallel pin) as (work, rounds).
+        for (n, lists, seed, seq, par) in [
+            (12usize, 2usize, 3u64, (132, 11), (132, 11)), // tiny path (Wyllie)
+            (1024, 1, 4, (23_552, 23), (23_552, 23)),      // threshold boundary
+            (1025, 1, 5, (7_991, 22), (7_991, 22)),
+            (30_000, 5, 6, (236_702, 35), (266_726, 36)),
+            (60_000, 1, 7, (469_114, 36), (529_159, 37)),
         ] {
             let next = random_lists(n, lists, seed);
-            for mode in [Mode::Sequential, Mode::Parallel] {
-                let ruling = Ctx::new(mode).with_rank_engine(RankEngine::RulingSet);
-                let bucket = Ctx::new(mode).with_rank_engine(RankEngine::CacheBucket);
-                let a = list_rank(&ruling, &next);
-                let b = list_rank(&bucket, &next);
-                assert_eq!(a, b, "ranks diverged at n={n}, mode={mode:?}");
+            let expected = reference_ranks(&next);
+            for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
+                let ctx = Ctx::new(mode);
+                assert_eq!(list_rank(&ctx, &next), expected, "n={n}, mode={mode:?}");
                 assert_eq!(
-                    ruling.stats(),
-                    bucket.stats(),
-                    "charges diverged at n={n}, mode={mode:?}"
+                    (ctx.stats().work, ctx.stats().rounds),
+                    pin,
+                    "charges moved at n={n}, mode={mode:?}"
                 );
             }
         }
     }
 
-    /// `list_rank` must route through the engine selected on the context.
+    /// `list_rank` dispatches on size alone: at or below the tiny threshold
+    /// it charges exactly what `list_rank_wyllie` charges, above it the
+    /// (smaller) ruling-set model.
     #[test]
     fn dispatch_respects_ctx_engine() {
-        let next = random_lists(40_000, 4, 17);
-        for engine in all_engines() {
-            let dispatched = Ctx::parallel().with_rank_engine(engine);
+        for (n, tiny) in [(TINY_LIST_MAX, true), (40_000, false)] {
+            let next = random_lists(n, 4, 17);
+            let dispatched = Ctx::parallel();
             let _ = list_rank(&dispatched, &next);
-            let direct = Ctx::parallel();
-            match engine {
-                RankEngine::PointerJump => {
-                    let _ = list_rank_wyllie(&direct, &next);
-                }
-                RankEngine::RulingSet => {
-                    let _ = list_rank_ruling_set(&direct, &next);
-                }
-                RankEngine::CacheBucket => {
-                    let _ = list_rank_cache_bucket(&direct, &next);
-                }
+            let wyllie = Ctx::parallel();
+            let _ = list_rank_wyllie(&wyllie, &next);
+            if tiny {
+                assert_eq!(dispatched.stats(), wyllie.stats(), "n={n}");
+            } else {
+                assert!(dispatched.stats().work < wyllie.stats().work, "n={n}");
             }
-            assert_eq!(
-                dispatched.stats(),
-                direct.stats(),
-                "dispatch charge mismatch for {engine:?}"
-            );
         }
     }
 
-    /// Warm rankings serve every checkout from the workspace pools, for all
-    /// three engines.
+    /// Warm rankings serve every checkout from the workspace pools, on the
+    /// ruling-set path and on the Wyllie path.
     #[test]
     fn warm_rankings_allocate_nothing() {
         let next = random_lists(30_000, 3, 23);
-        for engine in all_engines() {
-            let ctx = Ctx::parallel().with_rank_engine(engine);
+        type Ranker = fn(&Ctx, &[u32], &mut Vec<u32>);
+        for rank in [list_rank_into as Ranker, list_rank_wyllie_into] {
+            let ctx = Ctx::parallel();
             let mut out = Vec::new();
-            list_rank_into(&ctx, &next, &mut out); // warm up
+            rank(&ctx, &next, &mut out); // warm up
             let before = ctx.workspace().stats();
             for _ in 0..4 {
-                list_rank_into(&ctx, &next, &mut out);
+                rank(&ctx, &next, &mut out);
             }
             let after = ctx.workspace().stats();
             assert!(after.checkouts > before.checkouts);
             assert_eq!(
                 after.misses, before.misses,
-                "warm {engine:?} rankings must not allocate fresh buffers"
+                "warm rankings must not allocate fresh buffers"
             );
             assert_eq!(after.outstanding(), 0);
         }
@@ -354,8 +334,8 @@ mod tests {
     }
 
     /// The flagged entry point must produce the identical ranks and the
-    /// identical charges as the sampling entry point, for every engine and
-    /// both modes, across the tiny-list threshold.
+    /// identical charges as the sampling entry point, in both modes, across
+    /// the tiny-list threshold.
     #[test]
     fn flagged_entry_matches_sampling_entry() {
         for (n, lists, seed) in [
@@ -367,20 +347,18 @@ mod tests {
             let next = random_lists(n, lists, seed);
             let flagged = flag_successors(&next);
             for mode in [Mode::Sequential, Mode::Parallel] {
-                for engine in all_engines() {
-                    let sampled = Ctx::new(mode).with_rank_engine(engine);
-                    let direct = Ctx::new(mode).with_rank_engine(engine);
-                    let mut a = Vec::new();
-                    let mut b = Vec::new();
-                    list_rank_into(&sampled, &next, &mut a);
-                    list_rank_flagged_into(&direct, &flagged, &mut b);
-                    assert_eq!(a, b, "ranks diverged (n={n}, {engine:?}, {mode:?})");
-                    assert_eq!(
-                        sampled.stats(),
-                        direct.stats(),
-                        "flagged charges diverged (n={n}, {engine:?}, {mode:?})"
-                    );
-                }
+                let sampled = Ctx::new(mode);
+                let direct = Ctx::new(mode);
+                let mut a = Vec::new();
+                let mut b = Vec::new();
+                list_rank_into(&sampled, &next, &mut a);
+                list_rank_flagged_into(&direct, &flagged, &mut b);
+                assert_eq!(a, b, "ranks diverged (n={n}, {mode:?})");
+                assert_eq!(
+                    sampled.stats(),
+                    direct.stats(),
+                    "flagged charges diverged (n={n}, {mode:?})"
+                );
             }
         }
     }
@@ -389,38 +367,31 @@ mod tests {
         #[test]
         fn all_engines_match_reference(n in 1usize..400, lists in 1usize..8, seed in 0u64..100) {
             let next = random_lists(n, lists, seed);
-            let expected = reference_ranks(&next);
-            for engine in RankEngine::ALL {
-                let ctx = Ctx::parallel().with_grain(32).with_rank_engine(engine);
-                prop_assert_eq!(list_rank(&ctx, &next), expected.clone());
-            }
+            let ctx = Ctx::parallel().with_grain(32);
+            prop_assert_eq!(list_rank(&ctx, &next), reference_ranks(&next));
         }
 
         /// Past the tiny threshold with a forced wavefront refill (many short
-        /// segments), the bucketed walk must agree with the sequential one.
+        /// segments), the bucketed walk must agree with the reference.
         #[test]
         fn bucketed_walk_matches_on_many_short_lists(seed in 0u64..30) {
             let next = random_lists(5000, 600, seed);
             let expected = reference_ranks(&next);
-            let ctx = Ctx::parallel().with_rank_engine(RankEngine::CacheBucket);
+            let ctx = Ctx::parallel();
             prop_assert_eq!(list_rank(&ctx, &next), expected);
         }
     }
 
-    /// Miri target: the ruling-set and cache-bucket engine internals (the
-    /// segment walks and expansion scatters), above the tiny-list Wyllie
-    /// fallback threshold.
+    /// Miri target: the wavefront ranking internals (the segment walks and
+    /// expansion scatters), above the tiny-list Wyllie fallback threshold.
     #[test]
-    fn miri_ruling_and_bucket_engines_above_tiny_threshold() {
+    fn miri_wavefront_ranking_above_tiny_threshold() {
         let n = 1300usize;
         let mut next: Vec<u32> = (1..=n as u32).collect();
         next[n - 1] = (n - 1) as u32;
-        for engine in [RankEngine::RulingSet, RankEngine::CacheBucket] {
-            let ctx = Ctx::parallel().with_rank_engine(engine);
-            let ranks = list_rank(&ctx, &next);
-            for (i, &r) in ranks.iter().enumerate() {
-                assert_eq!(r as usize, n - 1 - i);
-            }
+        let ctx = Ctx::parallel();
+        for (i, &r) in list_rank(&ctx, &next).iter().enumerate() {
+            assert_eq!(r as usize, n - 1 - i);
         }
     }
 }

@@ -1,12 +1,13 @@
-//! The `RulingSet` engine and the shared sparse-ruling-set machinery.
+//! The sparse-ruling-set machinery shared by list ranking and cycle minima.
 //!
 //! Deterministically sample ~`n / k` *rulers*, walk the short segments
-//! between rulers sequentially (in parallel over segments), solve the
-//! contracted problem over the rulers with packed-word doubling, and expand.
-//! Two problems run on this machinery:
+//! between rulers (in parallel over segments), solve the contracted problem
+//! over the rulers with packed-word doubling, and expand.  Two problems run
+//! on this machinery:
 //!
-//! * **list ranking** ([`list_rank_ruling_set_into`]): the contracted list is
-//!   ranked with weighted Wyllie (weight of a ruler = its segment length);
+//! * **list ranking** (`bucket.rs`, behind [`crate::listrank::list_rank`]):
+//!   the contracted list is ranked with weighted Wyllie (weight of a ruler =
+//!   its segment length);
 //! * **cycle minima** ([`cycle_min_contraction_into`], the execution path of
 //!   `jump::permutation_cycle_min` for large permutations): the contracted
 //!   cycle is min-jumped over packed `(best, jump)` words.
@@ -21,19 +22,15 @@
 //! charge-identical to the sampling ones (see DESIGN.md, "Charge
 //! discipline").
 //!
-//! The sampling, ruler indexing, and packed contracted-doubling kernels are
-//! shared with the `CacheBucket` engine (`bucket.rs`), which replaces only
-//! the physical segment-walk layout; the two engines charge bit-identical
-//! work/depth (regression-tested).
+//! The segment walks themselves run as wavefront batches (`bucket.rs`).
 
 use sfcp_pram::fxhash::hash_u64;
-use sfcp_pram::{Ctx, RankEngine, Scratch};
+use sfcp_pram::{Ctx, Scratch};
 
 use super::bucket;
-use super::wyllie::list_rank_wyllie_into;
 
 /// Below this size pointer jumping beats the ruling-set machinery outright;
-/// both work-efficient engines fall back to it (charging the Wyllie model).
+/// list ranking falls back to it (charging the Wyllie model).
 pub(crate) const TINY_LIST_MAX: usize = 1024;
 
 /// Low 31 bits of a packed successor-plus-ruler-flag word.
@@ -46,7 +43,7 @@ pub(crate) fn segment_target(n: usize) -> usize {
 }
 
 /// Whether slot `i` of a `domain_len`-element successor array is in the
-/// deterministic `1/k` hash sample the ruling-set engines use (`k` is the
+/// deterministic `1/k` hash sample the ruling-set machinery uses (`k` is the
 /// `segment_target` of the domain — about `2·log2 n`).  Heads and terminals are rulers
 /// unconditionally, *in addition* to this sample.
 ///
@@ -67,8 +64,8 @@ pub(crate) fn sample_threshold(k: usize) -> u64 {
     u64::MAX / k as u64
 }
 
-/// Deterministic chain-ruler sampling shared by the `RulingSet` and
-/// `CacheBucket` engines: element `i` is a ruler iff its hash falls in a
+/// Deterministic chain-ruler sampling for list ranking: element `i` is a
+/// ruler iff its hash falls in a
 /// `1/k` slice, or it is a head (no predecessor — the prefix of a list
 /// before the first sampled ruler would never be walked otherwise), or it is
 /// a terminal.  The second pass packs the successor and the ruler flag into
@@ -117,13 +114,11 @@ pub(crate) fn charge_sampling_model(ctx: &Ctx, n: usize) {
 /// Compact the rulers of a flagged successor array and invert the
 /// numbering: returns `(ruler_ids, ruler_index)` with
 /// `ruler_index[ruler_ids[j]] == j`.  Only ruler slots of `ruler_index` are
-/// written (and only those are read back), unless `fill_unset` asks for a
-/// `u32::MAX` fill of the rest.
+/// written (and only those are read back).
 pub(crate) fn index_rulers<'c, F>(
     ctx: &'c Ctx,
     n: usize,
     is_ruler: F,
-    fill_unset: bool,
 ) -> (Scratch<'c, u32>, Scratch<'c, u32>)
 where
     F: Fn(usize) -> bool + Sync + Send,
@@ -133,9 +128,6 @@ where
     crate::compact::compact_indices_into(ctx, n, is_ruler, &mut ruler_ids);
     let m = ruler_ids.len();
     let mut ruler_index = ws.take_u32(n);
-    if fill_unset {
-        ruler_index.fill(u32::MAX);
-    }
     for (j, &r) in ruler_ids.iter().enumerate() {
         ruler_index[r as usize] = j as u32;
     }
@@ -147,9 +139,8 @@ where
 /// `(rank << 32) | successor` words — the rank twin of the cycle-min
 /// `(best, jump)` representation: one gather per element per round instead
 /// of two.  Converged rounds are charged without being executed.  Charges
-/// two steps of `m` per round (the two passes of the unpacked baseline), so
-/// the packed layout is charge-identical to the two-array loop of
-/// [`list_rank_ruling_set_into`].
+/// two steps of `m` per round — the weighted-Wyllie model's rank pass and
+/// successor pass, which the packed word advances together.
 pub(crate) fn contracted_rank_doubling(ctx: &Ctx, state: &mut [u64]) {
     let m = state.len();
     let ws = ctx.workspace();
@@ -164,8 +155,8 @@ pub(crate) fn contracted_rank_doubling(ctx: &Ctx, state: &mut [u64]) {
                 *s = (((cur >> 32) + (via >> 32)) << 32) | (via & u64::from(u32::MAX));
             });
         }
-        // The unpacked baseline advances rank and successor as two separate
-        // parallel passes; the fused packed pass above charged one of them.
+        // The model advances rank and successor as two parallel passes; the
+        // fused packed pass above charged one of them.
         ctx.charge_step(m as u64);
         state.swap_with_slice(&mut next_state);
         if *state == **next_state {
@@ -177,175 +168,6 @@ pub(crate) fn contracted_rank_doubling(ctx: &Ctx, state: &mut [u64]) {
             ctx.charge_rounds(2 * skipped);
             break;
         }
-    }
-}
-
-/// Sparse-ruling-set list ranking (work-efficient) — the `RulingSet`
-/// engine's entry point.
-#[must_use]
-pub fn list_rank_ruling_set(ctx: &Ctx, next: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    list_rank_ruling_set_into(ctx, next, &mut out);
-    out
-}
-
-/// [`list_rank_ruling_set`] writing into a reusable output buffer.  All
-/// intermediates — the flagged successor words, per-node segment data, the
-/// contracted list — are workspace checkouts, and segments are walked twice
-/// with O(1) memory (measure, then re-walk and scatter) instead of
-/// collecting a per-segment path vector.
-pub fn list_rank_ruling_set_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
-    let n = next.len();
-    out.clear();
-    if n == 0 {
-        return;
-    }
-    if n <= TINY_LIST_MAX {
-        // Tiny inputs: pointer jumping is already cheap.
-        list_rank_wyllie_into(ctx, next, out);
-        return;
-    }
-    for (i, &s) in next.iter().enumerate() {
-        assert!((s as usize) < n, "next[{i}] = {s} out of range");
-    }
-    let flagged_next = sample_chain_rulers(ctx, next, segment_target(n));
-    ruling_set_rank_core(ctx, &flagged_next, out);
-}
-
-/// [`list_rank_ruling_set_into`] over a caller-built flagged successor
-/// array (see [`crate::listrank::list_rank_flagged_into`] for the
-/// contract); charges the skipped sampling passes so the two entry points
-/// stay charge-identical.
-pub(crate) fn list_rank_ruling_set_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
-    charge_sampling_model(ctx, flagged.len());
-    ruling_set_rank_core(ctx, flagged, out);
-}
-
-/// The `RulingSet` ranking body over a flagged successor array.
-fn ruling_set_rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
-    let n = flagged_next.len();
-    let ws = ctx.workspace();
-    let (ruler_ids, ruler_index) = {
-        let flagged_next = &flagged_next;
-        index_rulers(ctx, n, |i| flagged_next[i] >> 31 == 1, true)
-    };
-    let m = ruler_ids.len();
-
-    // One parallel pass over segments: starting from every ruler, walk until
-    // the next ruler (or a terminal, which is itself a ruler).  Each segment
-    // is walked twice with O(1) memory: a first walk measures the hop count
-    // and finds the end ruler, a second walk scatters, for every node before
-    // the end, (a) its hop distance to the segment end and (b) which ruler
-    // that end is.  Writes are disjoint because each node lies in exactly one
-    // segment.  No fill is needed: every non-ruler node is interior to
-    // exactly one segment and therefore written, and only non-ruler slots
-    // are read back.
-    let mut local_dist = ws.take_u32(n);
-    let mut end_ruler = ws.take_u32(n);
-    let mut seg_next = ws.take_u32(m);
-    let mut seg_len = ws.take_u32(m);
-    {
-        let dist_ptr = SendPtr(local_dist.as_mut_ptr());
-        let end_ptr = SendPtr(end_ruler.as_mut_ptr());
-        let next_ptr = SendPtr(seg_next.as_mut_ptr());
-        let len_ptr = SendPtr(seg_len.as_mut_ptr());
-        let (ruler_ids, ruler_index) = (&ruler_ids, &ruler_index);
-        let flagged_next = &flagged_next;
-        ctx.par_for_idx(m, |j| {
-            let start = ruler_ids[j] as usize;
-            // Walk 1: measure the segment (hops from start to its end ruler).
-            // Each hop is one gather of the packed successor-plus-flag word.
-            let mut len = 0u32;
-            let mut cur = start;
-            let mut word = flagged_next[cur];
-            loop {
-                let nxt = (word & FLAGGED_LOW) as usize;
-                if nxt == cur {
-                    break; // terminal: segment ends here
-                }
-                len += 1;
-                cur = nxt;
-                word = flagged_next[cur];
-                if word >> 31 == 1 {
-                    break;
-                }
-            }
-            let end = ruler_index[cur];
-            // Walk 2: scatter distances for the nodes strictly before the
-            // segment end (including the starting ruler itself); revisits the
-            // nodes walk 1 just pulled into cache.
-            let (dp, ep, np, lp) = (dist_ptr, end_ptr, next_ptr, len_ptr);
-            let mut cur = start;
-            for steps_from_start in 0..len {
-                // SAFETY: disjoint segments → each node written at most once.
-                unsafe {
-                    *dp.0.add(cur) = len - steps_from_start;
-                    *ep.0.add(cur) = end;
-                }
-                cur = (flagged_next[cur] & FLAGGED_LOW) as usize;
-            }
-            // SAFETY: one writer per ruler j.
-            unsafe {
-                *np.0.add(j) = end;
-                *lp.0.add(j) = len;
-            }
-        });
-    }
-    ctx.charge_work(n as u64);
-
-    // Contracted list over rulers; rank it with weighted Wyllie
-    // (m ≈ n / k elements, weight of ruler j = its segment length in hops;
-    // ranks are bounded by the list length, so u32 words suffice).  The
-    // round-local arrays ping-pong through the workspace; the measured
-    // segment successors double as the initial contracted list.
-    let mut succ = seg_next;
-    let mut rank = ws.take_u32(m);
-    for j in 0..m {
-        rank[j] = if succ[j] as usize == j { 0 } else { seg_len[j] };
-    }
-    {
-        let mut next_rank = ws.take_u32(m);
-        let mut next_succ = ws.take_u32(m);
-        let rounds = sfcp_pram::ceil_log2(m.max(2)) + 1;
-        for r in 0..rounds {
-            {
-                let rank_ref = &rank;
-                let succ_ref = &succ;
-                ctx.par_update(&mut next_rank, |j, r| {
-                    *r = rank_ref[j] + rank_ref[succ_ref[j] as usize];
-                });
-                let succ_ref = &succ;
-                ctx.par_update(&mut next_succ, |j, s| *s = succ_ref[succ_ref[j] as usize]);
-            }
-            std::mem::swap(&mut *rank, &mut *next_rank);
-            std::mem::swap(&mut *succ, &mut *next_succ);
-            if *next_succ == *succ {
-                // Converged (terminal weights are 0): charge the skipped
-                // rounds without executing them.
-                let skipped = (rounds - 1 - r) as u64;
-                ctx.charge_work(2 * skipped * m as u64);
-                ctx.charge_rounds(2 * skipped);
-                break;
-            }
-        }
-    }
-    let contracted_rank_in_hops = rank;
-
-    // Final rank: a ruler takes its contracted rank; an interior node adds
-    // its local distance to the rank of its segment's end ruler.  Ruler-ness
-    // is read off the flag bit — no separate flag array exists.
-    out.resize(n, 0);
-    {
-        let (flagged_next, ruler_index) = (&flagged_next, &ruler_index);
-        let (local_dist, end_ruler) = (&local_dist, &end_ruler);
-        let contracted_rank_in_hops = &contracted_rank_in_hops;
-        ctx.par_update(out, |i, r| {
-            *r = if flagged_next[i] >> 31 == 1 {
-                contracted_rank_in_hops[ruler_index[i] as usize]
-            } else {
-                local_dist[i] + contracted_rank_in_hops[end_ruler[i] as usize]
-            };
-        });
     }
 }
 
@@ -361,9 +183,7 @@ fn ruling_set_rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
 /// min-jump the packed `(best, jump)` contracted list, and expand.  Cycles
 /// that received no sampled ruler are swept sequentially at the end (w.h.p.
 /// a vanishing fraction; the sweep is linear in the number of uncovered
-/// elements).  `engine` selects the physical segment-walk layout: sequential
-/// per-segment walks (`RulingSet`) or wavefront batches (`CacheBucket`);
-/// `PointerJump` never reaches this function.
+/// elements).  The segment walks run as wavefront batches.
 ///
 /// Charge discipline: the model cost of this routine is pinned to the
 /// documented pointer-jumping substitution — init plus two steps of `n`
@@ -371,14 +191,8 @@ fn ruling_set_rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
 /// jumping path of `permutation_cycle_min_into` charges after validation.
 /// The contraction's own (smaller) pass charges are counted and the
 /// remainder is topped up, so tracked work/depth is independent of which
-/// execution path (and which engine) ran — see DESIGN.md "Charge
-/// discipline".
-pub(crate) fn cycle_min_contraction_into(
-    ctx: &Ctx,
-    succ: &[u32],
-    out: &mut Vec<u32>,
-    engine: RankEngine,
-) {
+/// execution path ran — see DESIGN.md "Charge discipline".
+pub(crate) fn cycle_min_contraction_into(ctx: &Ctx, succ: &[u32], out: &mut Vec<u32>) {
     let n = succ.len();
     assert!(
         n < (1 << 31),
@@ -396,7 +210,7 @@ pub(crate) fn cycle_min_contraction_into(
         let ruler = succ[i] as usize == i || hash_u64(i as u64) < threshold;
         *w = succ[i] | (u32::from(ruler) << 31);
     });
-    cycle_min_contraction_flagged_core(ctx, &flagged, out, engine, 1);
+    cycle_min_contraction_flagged_core(ctx, &flagged, out, 1);
 }
 
 /// The contraction body over a caller-built flagged successor permutation
@@ -407,7 +221,6 @@ pub(crate) fn cycle_min_contraction_flagged_core(
     ctx: &Ctx,
     flagged: &[u32],
     out: &mut Vec<u32>,
-    engine: RankEngine,
     charged_flag_passes: u64,
 ) {
     let n = flagged.len();
@@ -424,7 +237,7 @@ pub(crate) fn cycle_min_contraction_flagged_core(
 
     let (ruler_ids, ruler_index) = {
         let flagged = &flagged;
-        index_rulers(ctx, n, |i| flagged[i] >> 31 == 1, false)
+        index_rulers(ctx, n, |i| flagged[i] >> 31 == 1)
     };
     let m = ruler_ids.len();
 
@@ -435,46 +248,15 @@ pub(crate) fn cycle_min_contraction_flagged_core(
     let mut end_ruler = ws.take_u32(n);
     end_ruler.fill(u32::MAX);
     let mut state = ws.take_u64(m);
-    if engine == RankEngine::CacheBucket {
-        bucket::cycle_walk_bucketed(
-            ctx,
-            flagged,
-            &ruler_ids,
-            &ruler_index,
-            &mut end_ruler,
-            &mut state,
-        );
-        ctx.charge_step(m as u64);
-    } else {
-        let end_ptr = SendPtr(end_ruler.as_mut_ptr());
-        let state_ptr = SendPtr(state.as_mut_ptr());
-        let (ruler_ids, ruler_index, flagged) = (&ruler_ids, &ruler_index, &flagged);
-        ctx.par_for_idx(m, |j| {
-            let start = ruler_ids[j] as usize;
-            let mut min = start as u32;
-            let mut cur = (flagged[start] & FLAGGED_LOW) as usize;
-            let (ep, sp) = (end_ptr, state_ptr);
-            while cur != start && flagged[cur] >> 31 == 0 {
-                // SAFETY: each element is interior to exactly one segment.
-                unsafe {
-                    *ep.0.add(cur) = j as u32;
-                }
-                min = min.min(cur as u32);
-                cur = (flagged[cur] & FLAGGED_LOW) as usize;
-            }
-            // Wrapped all the way around: this cycle's only ruler is j.
-            let next_ruler = if cur == start {
-                j as u32
-            } else {
-                ruler_index[cur]
-            };
-            // SAFETY: one writer per ruler.
-            unsafe {
-                *ep.0.add(start) = j as u32;
-                *sp.0.add(j) = (u64::from(min) << 32) | u64::from(next_ruler);
-            }
-        });
-    }
+    bucket::cycle_walk_bucketed(
+        ctx,
+        flagged,
+        &ruler_ids,
+        &ruler_index,
+        &mut end_ruler,
+        &mut state,
+    );
+    ctx.charge_step(m as u64);
 
     // Packed min-jumping over the contracted list (m ≈ n / k elements, so
     // the state stays cache-resident); stops as soon as the minima

@@ -1,8 +1,8 @@
-//! The `PointerJump` engine: Wyllie's pointer jumping.
+//! Wyllie's pointer jumping.
 //!
-//! `O(n log n)` work, `O(log n)` depth — the documented model baseline the
-//! work-efficient engines are measured against.  Also the execution path for
-//! tiny inputs, where the ruling-set machinery is pure overhead.
+//! `O(n log n)` work, `O(log n)` depth — the §8 Wyllie row the work-efficient
+//! ruling-set ranking is measured against, and the execution path for tiny
+//! inputs, where the ruling-set machinery is pure overhead.
 
 use sfcp_pram::Ctx;
 

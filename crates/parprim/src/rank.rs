@@ -13,28 +13,24 @@
 //!   expected work with a hash map (the practical stand-in for the arbitrary
 //!   CRCW `BB` table).
 //!
-//! With the default [`SortEngine::Packed`] engine the whole pipeline is
-//! fused and allocation-free: the keys are packed into `(key, index)`
-//! records, radix-sorted by streaming passes, and then a **single blocked
-//! pass** over the sorted records detects group boundaries, prefix-sums the
-//! per-block boundary counts, and scatters the ranks — replacing the
-//! baseline's three separate passes (boundary map, scan, scatter) and their
-//! three intermediate full-length vectors.  The fused pass charges exactly
-//! what the unfused pipeline charges (see `DESIGN.md`, "Charge discipline"),
-//! so work/depth tables are engine-independent; the invariant is
-//! regression-tested below.
+//! The order-preserving pipeline is fused and allocation-free: the keys are
+//! packed into `(key, index)` records, radix-sorted by streaming passes, and
+//! then a **single blocked pass** over the sorted records detects group
+//! boundaries, prefix-sums the per-block boundary counts, and scatters the
+//! ranks.  That pass charges the three §8 model steps it stands for — a
+//! boundary-flag round, the group-id scan, and the rank-scatter round (see
+//! `DESIGN.md`, "Charge discipline") — and the charges are pinned by the
+//! tests below.
 //!
 //! The `_into` variants write the ranks into a caller-provided buffer so
 //! that doubling loops can reuse one rank buffer across all `O(log n)`
 //! rounds.
 
-use crate::intsort::{
-    idx_bits_for, radix_sort_recs_prebounded, radix_sort_u64, radix_sort_words, sig_bits,
-};
-use crate::scan::{charge_scan_cost, inclusive_scan, SCAN_BLOCK};
+use crate::intsort::{idx_bits_for, radix_sort_recs_prebounded, radix_sort_words, sig_bits};
+use crate::scan::{charge_scan_cost, SCAN_BLOCK};
 use rayon::prelude::*;
 use sfcp_pram::fxhash::FxHashMap;
-use sfcp_pram::{Ctx, Rec, SortEngine};
+use sfcp_pram::{Ctx, Rec};
 
 /// Order-preserving dense ranks of `keys`: returns `(ranks, distinct)`, where
 /// `ranks[i] < distinct`, `ranks[i] == ranks[j]` iff `keys[i] == keys[j]`, and
@@ -58,77 +54,44 @@ pub fn dense_ranks_by_sort_into(ctx: &Ctx, keys: &[u64], ranks: &mut Vec<u32>) -
         ranks.clear();
         return 0;
     }
-    match ctx.sort_engine() {
-        SortEngine::Packed => {
-            if n == 1 {
-                // Mirror the baseline's charges for the trivial case (its
-                // radix sort returns before the max scan).
-                ctx.charge_step(1); // identity-order setup
-                ranks.resize(1, 0);
-                ranks[0] = 0;
-                ctx.charge_step(1); // boundary flags
-                charge_scan_cost(ctx, 1);
-                ctx.charge_step(1); // rank scatter
-                return 1;
-            }
-            let max_key = *keys.iter().max().unwrap();
-            ctx.charge_step(n as u64); // max scan, charged as in the baseline
-            let key_bits = sig_bits(max_key);
-            let idx_bits = idx_bits_for(n);
-            let ws = ctx.workspace();
-            ranks.resize(n, 0);
-            if key_bits + idx_bits <= 64 {
-                let mut words = ws.take_u64(n);
-                let mut scratch = ws.take_u64(n);
-                // Charged like the baseline's identity-order setup inside
-                // the permutation radix sort.
-                ctx.par_update(&mut words, |i, w| *w = (keys[i] << idx_bits) | i as u64);
-                radix_sort_words(ctx, &mut words, &mut scratch, key_bits, idx_bits);
-                let mask = (1u64 << idx_bits) - 1;
-                fused_rank_finish(
-                    ctx,
-                    &words,
-                    |&w| w >> idx_bits,
-                    |&w| (w & mask) as u32,
-                    ranks,
-                )
-            } else {
-                let mut recs = ws.take_recs(n);
-                let mut scratch = ws.take_recs(n);
-                ctx.par_update(&mut recs, |i, r| *r = Rec::new(keys[i], i as u32));
-                radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, key_bits);
-                fused_rank_finish(ctx, &recs, |r: &Rec| r.key, |r: &Rec| r.pay, ranks)
-            }
-        }
-        SortEngine::Permutation => dense_ranks_unfused(ctx, keys, ranks),
+    if n == 1 {
+        // The model's charges for the trivial case (its radix sort returns
+        // before the max scan).
+        ctx.charge_step(1); // identity-order setup
+        ranks.resize(1, 0);
+        ranks[0] = 0;
+        ctx.charge_step(1); // boundary flags
+        charge_scan_cost(ctx, 1);
+        ctx.charge_step(1); // rank scatter
+        return 1;
     }
-}
-
-/// The baseline pipeline: permutation sort, boundary map, scan, scatter —
-/// three extra full passes with three intermediate vectors.
-fn dense_ranks_unfused(ctx: &Ctx, keys: &[u64], ranks: &mut Vec<u32>) -> usize {
-    let n = keys.len();
-    let order = radix_sort_u64(ctx, keys);
-    // boundary[i] = 1 if the i-th element in sorted order starts a new group.
-    let boundary: Vec<u64> = ctx.par_map_idx(n, |i| {
-        if i == 0 {
-            0
-        } else {
-            u64::from(keys[order[i] as usize] != keys[order[i - 1] as usize])
-        }
-    });
-    let group = inclusive_scan(ctx, &boundary);
-    let distinct = (*group.last().unwrap() + 1) as usize;
+    let max_key = *keys.iter().max().unwrap();
+    ctx.charge_step(n as u64); // max scan
+    let key_bits = sig_bits(max_key);
+    let idx_bits = idx_bits_for(n);
+    let ws = ctx.workspace();
     ranks.resize(n, 0);
-    let ranks_ptr = SendPtr(ranks.as_mut_ptr());
-    ctx.par_for_idx(n, |i| {
-        let ptr = ranks_ptr;
-        // SAFETY: order is a permutation, so each slot written exactly once.
-        unsafe {
-            *ptr.0.add(order[i] as usize) = group[i] as u32;
-        }
-    });
-    distinct
+    if key_bits + idx_bits <= 64 {
+        let mut words = ws.take_u64(n);
+        let mut scratch = ws.take_u64(n);
+        // The packing pass is the model's identity-order setup round.
+        ctx.par_update(&mut words, |i, w| *w = (keys[i] << idx_bits) | i as u64);
+        radix_sort_words(ctx, &mut words, &mut scratch, key_bits, idx_bits);
+        let mask = (1u64 << idx_bits) - 1;
+        fused_rank_finish(
+            ctx,
+            &words,
+            |&w| w >> idx_bits,
+            |&w| (w & mask) as u32,
+            ranks,
+        )
+    } else {
+        let mut recs = ws.take_recs(n);
+        let mut scratch = ws.take_recs(n);
+        ctx.par_update(&mut recs, |i, r| *r = Rec::new(keys[i], i as u32));
+        radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, key_bits);
+        fused_rank_finish(ctx, &recs, |r: &Rec| r.key, |r: &Rec| r.pay, ranks)
+    }
 }
 
 /// The fused finish: one blocked pass over the *sorted* items detects
@@ -137,8 +100,8 @@ fn dense_ranks_unfused(ctx: &Ctx, keys: &[u64], ranks: &mut Vec<u32>) -> usize {
 /// (a packed `u64` word or a wide [`Rec`]).  Returns the number of distinct
 /// keys.
 ///
-/// Model cost (charged up front): exactly the unfused boundary map + scan +
-/// scatter, so both engines stay charge-identical.
+/// Model cost (charged up front): the §8 boundary-flag round, group-id scan
+/// and rank-scatter round the fused pass stands for.
 fn fused_rank_finish<T, K, P>(ctx: &Ctx, items: &[T], key: K, pay: P, ranks: &mut [u32]) -> usize
 where
     T: Sync,
@@ -147,9 +110,9 @@ where
 {
     let n = items.len();
     debug_assert_eq!(ranks.len(), n);
-    ctx.charge_step(n as u64); // boundary flags (unfused par_map_idx)
-    charge_scan_cost(ctx, n); // group ids (unfused inclusive_scan)
-    ctx.charge_step(n as u64); // rank scatter (unfused par_for_idx)
+    ctx.charge_step(n as u64); // boundary flags
+    charge_scan_cost(ctx, n); // group ids (an inclusive scan)
+    ctx.charge_step(n as u64); // rank scatter
 
     if !ctx.is_parallel() || n <= SCAN_BLOCK {
         // Single sequential sweep.
@@ -192,7 +155,7 @@ where
     // Exclusive prefix over the per-block boundary counts — routed through
     // the tiled transpose-scan helper, which splits the scan across workers
     // once the block count outgrows a tile (uncharged either way: the fused
-    // finish charges the unfused scan model up front).
+    // finish charges the scan model up front).
     let running =
         crate::intsort::transpose_scan_offsets(ctx, &mut block_bounds, 1, num_blocks, None);
     let distinct = running as usize + 1;
@@ -248,51 +211,42 @@ pub fn dense_ranks_of_pairs_into(ctx: &Ctx, pairs: &[(u64, u64)], ranks: &mut Ve
     let b_bits = (64 - max_b.leading_zeros()).max(1);
     let a_bits = (64 - max_a.leading_zeros()).max(1);
     if a_bits + b_bits <= 64 {
-        match ctx.sort_engine() {
-            SortEngine::Packed => {
-                let ws = ctx.workspace();
-                let key_bits = a_bits + b_bits;
-                let idx_bits = idx_bits_for(n);
-                ranks.resize(n, 0);
-                // The packing pass is charged like the baseline's key-packing
-                // map; the extra charge_step(n) mirrors the baseline's
-                // identity-order setup, and (for n > 1) the second one its
-                // max scan — the key width is already known here.
-                ctx.charge_step(n as u64);
-                if n > 1 {
-                    ctx.charge_step(n as u64);
-                }
-                if key_bits + idx_bits <= 64 {
-                    let mut words = ws.take_u64(n);
-                    let mut scratch = ws.take_u64(n);
-                    ctx.par_update(&mut words, |i, w| {
-                        let (a, b) = pairs[i];
-                        *w = (((a << b_bits) | b) << idx_bits) | i as u64;
-                    });
-                    radix_sort_words(ctx, &mut words, &mut scratch, key_bits, idx_bits);
-                    let mask = (1u64 << idx_bits) - 1;
-                    fused_rank_finish(
-                        ctx,
-                        &words,
-                        |&w| w >> idx_bits,
-                        |&w| (w & mask) as u32,
-                        ranks,
-                    )
-                } else {
-                    let mut recs = ws.take_recs(n);
-                    let mut scratch = ws.take_recs(n);
-                    ctx.par_update(&mut recs, |i, r| {
-                        let (a, b) = pairs[i];
-                        *r = Rec::new((a << b_bits) | b, i as u32);
-                    });
-                    radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, key_bits);
-                    fused_rank_finish(ctx, &recs, |r: &Rec| r.key, |r: &Rec| r.pay, ranks)
-                }
-            }
-            SortEngine::Permutation => {
-                let packed: Vec<u64> = ctx.par_map_slice(pairs, |&(a, b)| (a << b_bits) | b);
-                dense_ranks_unfused(ctx, &packed, ranks)
-            }
+        let ws = ctx.workspace();
+        let key_bits = a_bits + b_bits;
+        let idx_bits = idx_bits_for(n);
+        ranks.resize(n, 0);
+        // The packing pass is the model's key-packing map; the extra
+        // charge_step(n) is its identity-order setup round, and (for n > 1)
+        // the second one its max scan — the key width is already known here.
+        ctx.charge_step(n as u64);
+        if n > 1 {
+            ctx.charge_step(n as u64);
+        }
+        if key_bits + idx_bits <= 64 {
+            let mut words = ws.take_u64(n);
+            let mut scratch = ws.take_u64(n);
+            ctx.par_update(&mut words, |i, w| {
+                let (a, b) = pairs[i];
+                *w = (((a << b_bits) | b) << idx_bits) | i as u64;
+            });
+            radix_sort_words(ctx, &mut words, &mut scratch, key_bits, idx_bits);
+            let mask = (1u64 << idx_bits) - 1;
+            fused_rank_finish(
+                ctx,
+                &words,
+                |&w| w >> idx_bits,
+                |&w| (w & mask) as u32,
+                ranks,
+            )
+        } else {
+            let mut recs = ws.take_recs(n);
+            let mut scratch = ws.take_recs(n);
+            ctx.par_update(&mut recs, |i, r| {
+                let (a, b) = pairs[i];
+                *r = Rec::new((a << b_bits) | b, i as u32);
+            });
+            radix_sort_recs_prebounded(ctx, &mut recs, &mut scratch, key_bits);
+            fused_rank_finish(ctx, &recs, |r: &Rec| r.key, |r: &Rec| r.pay, ranks)
         }
     } else {
         // Rare path: rank via a full comparison sort of the pairs.
@@ -369,16 +323,27 @@ mod tests {
         }
     }
 
+    /// Reference order-preserving ranks: the number of distinct smaller
+    /// keys, via a sorted, deduplicated copy.
+    fn reference_ranks<K: Ord + Copy>(keys: &[K]) -> (Vec<u32>, usize) {
+        let mut uniq = keys.to_vec();
+        uniq.sort_unstable();
+        uniq.dedup();
+        let ranks = keys
+            .iter()
+            .map(|k| uniq.binary_search(k).unwrap() as u32)
+            .collect();
+        (ranks, uniq.len())
+    }
+
     #[test]
     fn by_sort_small() {
-        for engine in [SortEngine::Packed, SortEngine::Permutation] {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let keys = [30u64, 10, 20, 10, 30, 30];
-            let (ranks, distinct) = dense_ranks_by_sort(&ctx, &keys);
-            assert_eq!(distinct, 3);
-            assert_eq!(ranks, vec![2, 0, 1, 0, 2, 2]);
-            check_consistent(&keys, &ranks, distinct, true);
-        }
+        let ctx = Ctx::parallel();
+        let keys = [30u64, 10, 20, 10, 30, 30];
+        let (ranks, distinct) = dense_ranks_by_sort(&ctx, &keys);
+        assert_eq!(distinct, 3);
+        assert_eq!(ranks, vec![2, 0, 1, 0, 2, 2]);
+        check_consistent(&keys, &ranks, distinct, true);
     }
 
     #[test]
@@ -446,37 +411,40 @@ mod tests {
         assert_eq!(ranks[3], 2);
     }
 
-    /// The fused finish must agree with the unfused pipeline — including at
-    /// block boundaries — and charge byte-identical work/depth.
+    /// The fused finish must match the reference ranks — including at the
+    /// block boundaries around `SCAN_BLOCK` — and charge the exact pinned
+    /// (work, rounds) of the §8 model (radix sort plus boundary, scan and
+    /// scatter rounds) in both modes.
     #[test]
     fn engines_agree_and_charge_identically() {
         let mut rng = StdRng::seed_from_u64(23);
-        for n in [
-            1usize,
-            2,
-            SCAN_BLOCK - 1,
-            SCAN_BLOCK,
-            SCAN_BLOCK + 1,
-            40_000,
+        // (n, sequential pin, parallel pin) as (work, rounds).
+        for (n, seq, par) in [
+            (1usize, (4, 4), (4, 4)),
+            (2, (30, 8), (30, 8)),
+            (SCAN_BLOCK - 1, (26_620, 8), (26_620, 8)),
+            (SCAN_BLOCK, (28_804, 11), (28_804, 11)),
+            (SCAN_BLOCK + 1, (28_811, 12), (32_914, 13)),
+            (40_000, (280_516, 15), (322_094, 16)),
         ] {
             let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1 + n as u64 / 2)).collect();
-            for mode in [Mode::Sequential, Mode::Parallel] {
-                let packed = Ctx::new(mode);
-                let baseline = Ctx::new(mode).with_sort_engine(SortEngine::Permutation);
-                let (ra, da) = dense_ranks_by_sort(&packed, &keys);
-                let (rb, db) = dense_ranks_by_sort(&baseline, &keys);
-                assert_eq!(ra, rb, "rank mismatch at n={n}, mode={mode:?}");
-                assert_eq!(da, db);
+            let expected = reference_ranks(&keys);
+            for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
+                let ctx = Ctx::new(mode);
+                let got = dense_ranks_by_sort(&ctx, &keys);
+                assert_eq!(got, expected, "rank mismatch at n={n}, mode={mode:?}");
                 assert_eq!(
-                    packed.stats(),
-                    baseline.stats(),
-                    "charge mismatch at n={n}, mode={mode:?}"
+                    (ctx.stats().work, ctx.stats().rounds),
+                    pin,
+                    "charges moved at n={n}, mode={mode:?}"
                 );
             }
         }
     }
 
-    /// Same engine-parity invariant for the pair path (packed and wide).
+    /// The same pins for the pair path: the word-packed branch, the
+    /// key-only record branch (30+30-bit keys), and the comparison-sort
+    /// fallback for pairs too wide to pack.
     #[test]
     fn pair_engines_agree_and_charge_identically() {
         let mut rng = StdRng::seed_from_u64(29);
@@ -501,15 +469,17 @@ mod tests {
                 )
             })
             .collect();
-        for pairs in [&narrow, &mid, &wide] {
-            for mode in [Mode::Sequential, Mode::Parallel] {
-                let packed = Ctx::new(mode);
-                let baseline = Ctx::new(mode).with_sort_engine(SortEngine::Permutation);
-                let (ra, da) = dense_ranks_of_pairs(&packed, pairs);
-                let (rb, db) = dense_ranks_of_pairs(&baseline, pairs);
-                assert_eq!(ra, rb);
-                assert_eq!(da, db);
-                assert_eq!(packed.stats(), baseline.stats(), "mode={mode:?}");
+        // (pairs, sequential pin, parallel pin) as (work, rounds).
+        for (pairs, seq, par) in [
+            (&narrow, (201_028, 16), (222_071, 17)),
+            (&mid, (286_156, 28), (312_327, 29)),
+            (&wide, (80_000, 15), (80_000, 15)),
+        ] {
+            let expected = reference_ranks(pairs);
+            for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
+                let ctx = Ctx::new(mode);
+                assert_eq!(dense_ranks_of_pairs(&ctx, pairs), expected, "mode={mode:?}");
+                assert_eq!((ctx.stats().work, ctx.stats().rounds), pin, "mode={mode:?}");
             }
         }
     }
@@ -536,19 +506,8 @@ mod tests {
     proptest! {
         #[test]
         fn sort_ranks_match_reference(keys in proptest::collection::vec(0u64..200, 0..1500)) {
-            for engine in [SortEngine::Packed, SortEngine::Permutation] {
-                let ctx = Ctx::parallel().with_grain(64).with_sort_engine(engine);
-                let (ranks, distinct) = dense_ranks_by_sort(&ctx, &keys);
-                // Reference: rank = number of distinct smaller keys.
-                let mut uniq: Vec<u64> = keys.clone();
-                uniq.sort_unstable();
-                uniq.dedup();
-                prop_assert_eq!(distinct, uniq.len());
-                for (i, &k) in keys.iter().enumerate() {
-                    let expected = uniq.binary_search(&k).unwrap() as u32;
-                    prop_assert_eq!(ranks[i], expected);
-                }
-            }
+            let ctx = Ctx::parallel().with_grain(64);
+            prop_assert_eq!(dense_ranks_by_sort(&ctx, &keys), reference_ranks(&keys));
         }
 
         #[test]
@@ -571,15 +530,13 @@ mod tests {
     /// dense ranks are known in closed form (`gcd(31, 53) = 1`, so every
     /// residue occurs and rank == key value).
     #[test]
-    fn miri_dense_ranks_by_sort_both_engines() {
+    fn miri_dense_ranks_by_sort() {
         let keys: Vec<u64> = (0..1500u64).map(|i| (i * 31) % 53).collect();
-        for engine in [SortEngine::Packed, SortEngine::Permutation] {
-            let ctx = Ctx::parallel().with_sort_engine(engine);
-            let (ranks, distinct) = dense_ranks_by_sort(&ctx, &keys);
-            assert_eq!(distinct, 53);
-            for (r, k) in ranks.iter().zip(&keys) {
-                assert_eq!(u64::from(*r), *k);
-            }
+        let ctx = Ctx::parallel();
+        let (ranks, distinct) = dense_ranks_by_sort(&ctx, &keys);
+        assert_eq!(distinct, 53);
+        for (r, k) in ranks.iter().zip(&keys) {
+            assert_eq!(u64::from(*r), *k);
         }
     }
 }

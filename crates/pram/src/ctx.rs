@@ -34,62 +34,6 @@ pub enum Mode {
 /// as the documented reference point.
 pub const DEFAULT_GRAIN: usize = 2048;
 
-/// Which integer-sort/rank engine `sfcp-parprim` routes through.
-///
-/// Both engines are **stable**, produce identical results, and charge
-/// identical work/depth (a regression-tested invariant), so the choice only
-/// affects wall-clock time and allocation behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SortEngine {
-    /// Packed key–payload records physically moved between ping-pong
-    /// workspace buffers each counting pass (sequential streaming reads and
-    /// writes), with the dense-rank finish fused into one blocked pass.
-    #[default]
-    Packed,
-    /// The permutation-returning engine: every counting pass gathers
-    /// `keys[order[i]]` through the index permutation and the dense-rank
-    /// pipeline runs boundary/scan/scatter as three separate passes with
-    /// fresh intermediate vectors.  Kept as the measured baseline.
-    Permutation,
-}
-
-/// Which list-ranking/contraction engine `sfcp-parprim` routes through.
-///
-/// `RulingSet` and `CacheBucket` are two physical layouts of the same
-/// documented sparse-ruling-set substitution: they produce identical ranks
-/// and charge **identical** work/depth (a regression-tested invariant), so
-/// switching between them only affects wall-clock time.  `PointerJump` is
-/// the `O(n log n)`-work Wyllie model baseline and charges its own
-/// (documented, larger) cost — the engine analogue of the
-/// `ListRankMethod` ablation the paper's experiments quantify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankEngine {
-    /// Wyllie pointer jumping over the full array: `O(n log n)` work,
-    /// `O(log n)` depth.  The documented model baseline.
-    PointerJump,
-    /// Sparse ruling set with sequential two-pass segment walks — the
-    /// measured contraction baseline (`O(n)` expected work).
-    RulingSet,
-    /// Sparse ruling set whose segment walks run as cache-bucketed
-    /// wavefront batches: a block of walks advances in lockstep, so the
-    /// dependent pointer-chase of one walk overlaps the memory latency of
-    /// its neighbours instead of serialising on it.  Charge-identical to
-    /// [`RankEngine::RulingSet`].
-    #[default]
-    CacheBucket,
-}
-
-impl RankEngine {
-    /// Every engine variant — the list the parity/determinism/leak suites
-    /// sweep.  Extend this alongside the enum so every gate picks a new
-    /// engine up automatically.
-    pub const ALL: [RankEngine; 3] = [
-        RankEngine::PointerJump,
-        RankEngine::RulingSet,
-        RankEngine::CacheBucket,
-    ];
-}
-
 /// Execution context shared by all algorithms: execution mode + cost tracker
 /// + scratch-buffer workspace.
 #[derive(Debug)]
@@ -97,8 +41,6 @@ pub struct Ctx {
     mode: Mode,
     tracker: Tracker,
     grain: usize,
-    engine: SortEngine,
-    rank_engine: RankEngine,
     topology: Topology,
     workspace: Workspace,
     trace: Trace,
@@ -119,8 +61,6 @@ impl Ctx {
             mode,
             tracker: Tracker::new(),
             grain: topology.default_grain(),
-            engine: SortEngine::default(),
-            rank_engine: RankEngine::default(),
             topology,
             workspace: Workspace::new(),
             trace: Trace::new(),
@@ -143,16 +83,9 @@ impl Ctx {
     /// for pure wall-clock benchmarking.
     #[must_use]
     pub fn untracked(mode: Mode) -> Self {
-        let topology = Topology::probe();
         Ctx {
-            mode,
             tracker: Tracker::disabled(),
-            grain: topology.default_grain(),
-            engine: SortEngine::default(),
-            rank_engine: RankEngine::default(),
-            topology,
-            workspace: Workspace::new(),
-            trace: Trace::new(),
+            ..Ctx::new(mode)
         }
     }
 
@@ -170,48 +103,6 @@ impl Ctx {
     pub fn with_grain(mut self, grain: usize) -> Self {
         self.grain = grain.max(1);
         self
-    }
-
-    /// Select the integer-sort/rank engine (default: [`SortEngine::Packed`]).
-    #[must_use]
-    pub fn with_sort_engine(mut self, engine: SortEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The selected integer-sort/rank engine.
-    #[inline]
-    #[must_use]
-    pub fn sort_engine(&self) -> SortEngine {
-        self.engine
-    }
-
-    /// Select the list-ranking/contraction engine
-    /// (default: [`RankEngine::CacheBucket`]).
-    #[must_use]
-    pub fn with_rank_engine(mut self, engine: RankEngine) -> Self {
-        self.rank_engine = engine;
-        self
-    }
-
-    /// The selected list-ranking/contraction engine.
-    #[inline]
-    #[must_use]
-    pub fn rank_engine(&self) -> RankEngine {
-        self.rank_engine
-    }
-
-    /// Mutating twin of [`Ctx::with_sort_engine`] for long-running owners
-    /// (e.g. a service worker that re-targets its persistent context per
-    /// request without rebuilding it — pools and probed topology stay warm).
-    pub fn set_sort_engine(&mut self, engine: SortEngine) {
-        self.engine = engine;
-    }
-
-    /// Mutating twin of [`Ctx::with_rank_engine`]; see
-    /// [`Ctx::set_sort_engine`].
-    pub fn set_rank_engine(&mut self, engine: RankEngine) {
-        self.rank_engine = engine;
     }
 
     /// Replace the probed host topology (tests: mock the cache sizes so the

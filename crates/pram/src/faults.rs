@@ -1,9 +1,10 @@
 //! Deterministic fault injection for the failure-model test harness.
 //!
-//! Modeled on the `find_roots_invocations` test hook of `sfcp-parprim`: a
-//! process-global layer that is **zero-cost when disabled** (a single relaxed
-//! atomic load per hook) and charges nothing to the cost model in any state,
-//! so arming it never perturbs tracked work/depth.
+//! A process-global layer that is **zero-cost when disabled** (a single
+//! relaxed atomic load per hook) and charges nothing to the cost model in any
+//! state, so arming it never perturbs tracked work/depth.  Being global, it
+//! is shared by every context in the process (unlike the per-context
+//! [`crate::trace`] recorder); see the serialization note below.
 //!
 //! Two hook families thread through the stack:
 //!

@@ -17,9 +17,7 @@
 //!   `BB[1..n, 1..n]` auxiliary array;
 //! * a scratch-buffer [`Workspace`] on every [`Ctx`] — checkout/return pools
 //!   of reusable vectors so the `O(log n)`-round doubling loops allocate
-//!   O(1) buffers per run, plus the [`SortEngine`] selector that routes the
-//!   integer-sort/rank layer between the packed cache-aware engine and the
-//!   permutation baseline;
+//!   O(1) buffers per run;
 //! * a failure model: typed [`Error`]s for the fallible (`try_`) surface of
 //!   the downstream crates, a poison/recover protocol on the workspace
 //!   ([`Workspace::recover`] / [`Ctx::recover`]) so a context survives a
@@ -67,7 +65,7 @@ pub mod workspace;
 
 pub use brent::{predicted_time, BrentModel};
 pub use crcw::{ArbitraryCell, CommonCell, CrcwTable};
-pub use ctx::{Ctx, Mode, RankEngine, SortEngine};
+pub use ctx::{Ctx, Mode};
 pub use error::{check_index_width, Error, MAX_DOMAIN};
 pub use topology::Topology;
 pub use trace::{Span, Trace, TraceSnapshot, TraceSummary};

@@ -62,10 +62,9 @@ pub struct Decomposition {
 ///
 /// The two rankings of the pipeline — the `2n` Euler-tour arcs and the `m`
 /// broken-cycle successor chains — are laid out back to back in **one**
-/// successor buffer and ranked with a **single** engine invocation (the
-/// fused Euler ranking; see DESIGN.md, "List ranking engines"), so the
-/// sampling, walk, and contraction passes of the selected
-/// [`sfcp_pram::RankEngine`] run once instead of twice.
+/// successor buffer and ranked with a **single** list-ranking invocation
+/// (the fused Euler ranking; see DESIGN.md, "List ranking"), so the
+/// sampling, walk, and contraction passes run once instead of twice.
 /// Fallible [`decompose`]: validates the size envelope up front, converts any
 /// mid-pipeline panic (including injected faults, see [`sfcp_pram::faults`])
 /// into a typed [`Error`], and runs the [`Ctx::recover`] protocol before
@@ -166,11 +165,11 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     // along each tree's tour) and the m broken-cycle chains (rank of every
     // cycle node forward from its leader).  Both are successor lists, so
     // they share one buffer — tour arcs in [..2n], chains (shifted by 2n)
-    // in [2n..] — and ONE engine invocation ranks them together: one
+    // in [2n..] — and ONE ranking invocation ranks them together: one
     // segment walk, one contracted doubling for both.  The ruler flags of
-    // the ranking engines are ORed into each word as it is written — heads
+    // the list ranking are ORed into each word as it is written — heads
     // are known analytically (the down arc of every root; the leader of
-    // every chain), so the engines' `has_pred` sampling passes disappear
+    // every chain), so the ranking's `has_pred` sampling passes disappear
     // (the `has_pred` fold; see DESIGN.md §7).
     let num_arcs = 2 * n;
     let domain = num_arcs + m;

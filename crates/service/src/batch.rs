@@ -1,4 +1,4 @@
-//! Request batching: fuse many small partition instances into one engine
+//! Request batching: fuse many small partition instances into one solver
 //! invocation, and the size/deadline admission policy that decides when.
 //!
 //! ## Why fusion is answer-preserving
@@ -13,8 +13,7 @@
 //! members.  The coarsest partition of the union restricted to member `i`
 //! is therefore exactly member `i`'s coarsest partition, and after
 //! first-occurrence canonicalization the label arrays are bit-identical to
-//! a solo solve (`tests/service_differential.rs` pins this across the
-//! engine grid).
+//! a solo solve (`tests/service_differential.rs` pins this).
 
 use sfcp::Instance;
 use sfcp_pram::fxhash::FxHashMap;

@@ -1,10 +1,11 @@
 //! Minimal RFC 8259 JSON tree: recursive-descent parser and serializer.
 //!
 //! The build environment has no registry access, so the wire format is
-//! hand-rolled, mirroring the recursive-descent validator the trace
-//! exporters are tested with (`tests/trace_observability.rs`) — except that
-//! this one builds a [`Value`] tree and returns typed errors instead of
-//! panicking: the decoder faces untrusted bytes off a socket.
+//! hand-rolled: a recursive-descent parser that builds a [`Value`] tree and
+//! returns typed errors instead of panicking, since the decoder faces
+//! untrusted bytes off a socket.  The same parser validates the trace
+//! exporters' output (`tests/trace_observability.rs`) and reads the
+//! committed `BENCH_parprim.json` back (`bench_json --smoke`).
 //!
 //! Deliberate limits (each is a typed error, never a panic):
 //!
@@ -67,6 +68,16 @@ impl Value {
     #[must_use]
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|v| usize::try_from(v).ok())
+    }
+
+    /// The value as an `f64`, when it is a number.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Int(v) => Some(*v as f64),
+            Value::Float(v) => Some(*v),
+            _ => None,
+        }
     }
 
     /// The value as a string slice.

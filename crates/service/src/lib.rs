@@ -6,15 +6,15 @@
 //! (`decompose` vs `decompose_warm` in `BENCH_parprim.json`).  This crate
 //! is the long-running front-end that amortizes that tax to zero: worker
 //! threads own persistent contexts, answers are cached as versioned
-//! checksummed [`Snapshot`]s, and small requests fuse into one engine
+//! checksummed [`Snapshot`]s, and small requests fuse into one solver
 //! invocation (DESIGN.md §13).
 //!
 //! The wire protocol is length-prefixed JSON over TCP ([`proto`]); the
 //! request surface covers coarsest partition, unary DFA minimization,
 //! circular-string canonization, and pseudoforest decomposition.  Answers
 //! and charges are **bit-identical** to direct library calls — the
-//! differential harness (`tests/service_differential.rs`) pins that across
-//! the whole engine grid, which is only possible because the charge
+//! differential harness (`tests/service_differential.rs`) pins that for
+//! every request kind, which is only possible because the charge
 //! discipline makes charges input-determined and therefore cacheable.
 //!
 //! ## Quickstart
@@ -66,7 +66,7 @@ pub mod worker;
 pub use batch::BatchPolicy;
 pub use client::{Client, ClientError};
 pub use error::{ErrorCode, ErrorReply};
-pub use proto::{ComputeRequest, Engines, Input, Kind, Reply, ReplyPayload, Request, Response};
+pub use proto::{ComputeRequest, Input, Kind, Reply, ReplyPayload, Request, Response};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotCache, SnapshotError, SnapshotPayload};
 pub use worker::Worker;

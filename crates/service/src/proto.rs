@@ -21,18 +21,17 @@
 //! {"id":7,"kind":"probe"}
 //! ```
 //!
-//! Common options on compute requests: `"engines":{"sort":…,"rank":…}`
-//! (defaults to the context defaults; unknown keys such as a leftover
-//! `"scatter"` are ignored), `"digest":true` (respond with a fingerprint
-//! instead of the label array), `"cache":false` (bypass the snapshot
-//! cache), `"trace":true` (attach the span summary of the serving run).
+//! Common options on compute requests: `"digest":true` (respond with a
+//! fingerprint instead of the label array), `"cache":false` (bypass the
+//! snapshot cache), `"trace":true` (attach the span summary of the serving
+//! run).  Unknown keys — such as a leftover `"engines"` object from older
+//! clients — are ignored.
 //!
 //! `u64` fingerprints ride as `"0x…"` hex strings: JSON numbers are f64 and
 //! lose integer precision past 2^53.
 
 use crate::error::{ErrorCode, ErrorReply};
 use crate::json::{self, Value};
-use sfcp_pram::{RankEngine, SortEngine};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -154,44 +153,6 @@ impl Kind {
     }
 }
 
-/// Engine selection riding on a compute request; the defaults match a fresh
-/// [`sfcp_pram::Ctx`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Engines {
-    /// Integer-sort/rank engine.
-    pub sort: SortEngine,
-    /// List-ranking/contraction engine.
-    pub rank: RankEngine,
-}
-
-impl Default for Engines {
-    fn default() -> Self {
-        Engines {
-            sort: SortEngine::Packed,
-            rank: RankEngine::CacheBucket,
-        }
-    }
-}
-
-impl Engines {
-    /// Canonical wire names, also hashed into snapshot-cache keys (the
-    /// rank engine changes documented charges, so cached charges must be
-    /// keyed on it).
-    #[must_use]
-    pub fn names(&self) -> (&'static str, &'static str) {
-        let sort = match self.sort {
-            SortEngine::Packed => "packed",
-            SortEngine::Permutation => "permutation",
-        };
-        let rank = match self.rank {
-            RankEngine::PointerJump => "pointer_jump",
-            RankEngine::RulingSet => "ruling_set",
-            RankEngine::CacheBucket => "cache_bucket",
-        };
-        (sort, rank)
-    }
-}
-
 /// The input payload of a compute request: inline arrays, or a server-side
 /// generated workload (keeps parse cost out of latency benchmarks and big
 /// inputs off the wire).
@@ -223,8 +184,6 @@ pub struct ComputeRequest {
     pub kind: Kind,
     /// The input payload.
     pub input: Input,
-    /// Engine selection for the serving run.
-    pub engines: Engines,
     /// Respond with an FxHash fingerprint instead of the result array.
     pub digest_only: bool,
     /// Consult/fill the snapshot cache.
@@ -238,7 +197,6 @@ impl ComputeRequest {
         ComputeRequest {
             kind,
             input,
-            engines: Engines::default(),
             digest_only: false,
             use_cache: true,
             trace: false,
@@ -291,13 +249,6 @@ impl ComputeRequest {
     #[must_use]
     pub fn workload(kind: Kind, n: usize, seed: u64, param: u32) -> Self {
         ComputeRequest::new(kind, Input::Workload { n, seed, param })
-    }
-
-    /// Select the engines for the serving run.
-    #[must_use]
-    pub fn with_engines(mut self, engines: Engines) -> Self {
-        self.engines = engines;
-        self
     }
 
     /// Respond with a fingerprint instead of the result array.
@@ -429,11 +380,9 @@ fn decode_body(value: &Value, allow_batch: bool) -> Result<RequestBody, ErrorRep
         }
     };
     let input = decode_input(kind, value)?;
-    let engines = decode_engines(value)?;
     Ok(RequestBody::Compute(ComputeRequest {
         kind,
         input,
-        engines,
         digest_only: flag(value, "digest", false)?,
         use_cache: flag(value, "cache", true)?,
         trace: flag(value, "trace", false)?,
@@ -505,29 +454,6 @@ fn decode_input(kind: Kind, value: &Value) -> Result<Input, ErrorReply> {
     Ok(Input::Inline { f, blocks })
 }
 
-fn decode_engines(value: &Value) -> Result<Engines, ErrorReply> {
-    let Some(e) = value.get("engines") else {
-        return Ok(Engines::default());
-    };
-    let mut engines = Engines::default();
-    if let Some(s) = e.get("sort") {
-        engines.sort = match s.as_str() {
-            Some("packed") => SortEngine::Packed,
-            Some("permutation") => SortEngine::Permutation,
-            _ => return Err(ErrorReply::bad_request("unknown sort engine".into())),
-        };
-    }
-    if let Some(s) = e.get("rank") {
-        engines.rank = match s.as_str() {
-            Some("pointer_jump") => RankEngine::PointerJump,
-            Some("ruling_set") => RankEngine::RulingSet,
-            Some("cache_bucket") => RankEngine::CacheBucket,
-            _ => return Err(ErrorReply::bad_request("unknown rank engine".into())),
-        };
-    }
-    Ok(engines)
-}
-
 fn encode_compute(req: &ComputeRequest, members: &mut Vec<(String, Value)>) {
     members.push(("kind".into(), Value::Str(req.kind.name().into())));
     match &req.input {
@@ -557,16 +483,6 @@ fn encode_compute(req: &ComputeRequest, members: &mut Vec<(String, Value)>) {
             }
             members.push(("workload".into(), Value::Object(w)));
         }
-    }
-    if req.engines != Engines::default() {
-        let (sort, rank) = req.engines.names();
-        members.push((
-            "engines".into(),
-            Value::Object(vec![
-                ("sort".to_string(), Value::Str(sort.into())),
-                ("rank".to_string(), Value::Str(rank.into())),
-            ]),
-        ));
     }
     if req.digest_only {
         members.push(("digest".into(), Value::Bool(true)));
@@ -929,10 +845,6 @@ mod tests {
                 id: 1,
                 body: RequestBody::Compute(
                     ComputeRequest::partition(vec![1, 2, 0], vec![0, 0, 1])
-                        .with_engines(Engines {
-                            sort: SortEngine::Permutation,
-                            rank: RankEngine::PointerJump,
-                        })
                         .digest_only()
                         .no_cache()
                         .traced(),
@@ -1007,25 +919,20 @@ mod tests {
         }
     }
 
-    /// Clients of the retired scatter-engine option may still send its key;
-    /// it is ignored like any unknown key.
+    /// Clients of the retired engine options may still send an `"engines"`
+    /// object (with `"sort"`, `"rank"` or `"scatter"` keys); it is ignored
+    /// like any unknown key.
     #[test]
     fn leftover_scatter_engine_key_is_ignored() {
         let req = Request::decode(
             br#"{"id":1,"kind":"partition","f":[1,0],"blocks":[0,0],
-                "engines":{"sort":"permutation","scatter":"combining"}}"#,
+                "engines":{"sort":"permutation","rank":"ruling_set","scatter":"combining"}}"#,
         )
         .unwrap();
         let RequestBody::Compute(compute) = req.body else {
             panic!("expected a compute request, got {:?}", req.body);
         };
-        assert_eq!(
-            compute.engines,
-            Engines {
-                sort: SortEngine::Permutation,
-                ..Engines::default()
-            }
-        );
+        assert_eq!(compute, ComputeRequest::partition(vec![1, 0], vec![0, 0]));
     }
 
     #[test]

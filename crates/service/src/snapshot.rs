@@ -292,7 +292,7 @@ struct Entry {
 }
 
 /// A bounded LRU over **encoded** snapshots, keyed by input digest
-/// (FxHash over kind, engines, and input content).
+/// (FxHash over kind and input content).
 ///
 /// Entries are stored encoded so every hit exercises the full
 /// decode-and-verify path — a corrupted entry can never leak a wrong

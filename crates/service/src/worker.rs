@@ -10,9 +10,7 @@
 
 use crate::batch::{canonical_labels, fuse_instances, split_canonical_labels, BatchPolicy};
 use crate::error::{ErrorCode, ErrorReply};
-use crate::proto::{
-    BatchResponse, ComputeRequest, Engines, Input, Kind, Reply, ReplyPayload, Response,
-};
+use crate::proto::{BatchResponse, ComputeRequest, Input, Kind, Reply, ReplyPayload, Response};
 use crate::snapshot::{
     decomposition_digest, labels_digest, Snapshot, SnapshotCache, SnapshotPayload,
 };
@@ -148,7 +146,7 @@ impl Worker {
                 }
                 Ok(Ok(instance)) => {
                     if req.use_cache {
-                        let key = partition_key(&instance, &req.engines);
+                        let key = partition_key(&instance);
                         if let Some(snap) = self.cache.get(key) {
                             responses[slot] = Some(cached_partition_response(*sub_id, req, &snap));
                             continue;
@@ -159,19 +157,17 @@ impl Worker {
             }
         }
 
-        // Pass 2: chunk the fusable members in request order, grouped by
-        // engine selection, under the size caps; singleton chunks fall back
+        // Pass 2: chunk the fusable members in request order under the size
+        // caps; singleton chunks fall back
         // to the solo path (identical semantics AND identical charges —
         // fusion canonicalizes initial blocks, which is only
         // charge-transparent when the whole cohort is compared against a
         // fused reference).
         let mut chunks: Vec<Vec<(usize, Rc<Instance>)>> = Vec::new();
         for (slot, instance) in fusable {
-            let engines = subs[slot].1.engines;
             let fits = chunks.last().is_some_and(|chunk| {
                 let chunk_n: usize = chunk.iter().map(|(_, i)| i.len()).sum();
-                subs[chunk[0].0].1.engines == engines
-                    && chunk.len() < self.policy.max_batch
+                chunk.len() < self.policy.max_batch
                     && chunk_n + instance.len() <= self.policy.max_fused_n
             });
             if fits {
@@ -211,18 +207,17 @@ impl Worker {
         BatchResponse { id, responses }
     }
 
-    /// One fused engine invocation for a same-engine chunk of ≥ 2 members.
+    /// One fused solver invocation for a chunk of ≥ 2 members.
     fn serve_fused_chunk(
         &mut self,
         subs: &[(u64, ComputeRequest)],
         chunk: &[(usize, Rc<Instance>)],
         responses: &mut [Option<Response>],
     ) {
-        let engines = subs[chunk[0].0].1.engines;
         let members: Vec<Instance> = chunk.iter().map(|(_, i)| (**i).clone()).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let fused = fuse_instances(&members);
-            self.apply_engines(&engines);
+            self.prepare_context();
             self.ctx.reset_stats();
             let result = try_coarsest_partition(&self.ctx, &fused.instance, Algorithm::Parallel);
             let stats = self.ctx.stats();
@@ -299,7 +294,7 @@ impl Worker {
     /// Coarsest partition of one instance, with snapshot caching.
     pub fn handle_partition(&mut self, req: &ComputeRequest) -> Result<Reply, ErrorReply> {
         let instance = self.resolve_instance(req)?;
-        let key = partition_key(&instance, &req.engines);
+        let key = partition_key(&instance);
         if req.use_cache {
             if let Some(snap) = self.cache.get(key) {
                 return match cached_partition_response(0, req, &snap).outcome {
@@ -311,7 +306,7 @@ impl Worker {
                 };
             }
         }
-        self.apply_engines(&req.engines);
+        self.prepare_context();
         let (result, stats, trace_json) = self.traced_run(req.trace, |ctx| {
             try_coarsest_partition(ctx, &instance, Algorithm::Parallel)
         });
@@ -351,7 +346,7 @@ impl Worker {
     /// Circular-string canonization: least rotation starting point.
     pub fn handle_canonize(&mut self, req: &ComputeRequest) -> Result<Reply, ErrorReply> {
         let text = self.resolve_text(req)?;
-        let key = input_key(3, &req.engines, &text);
+        let key = input_key(3, &text);
         if req.use_cache {
             if let Some(snap) = self.cache.get(key) {
                 if let SnapshotPayload::Msp(k) = snap.payload {
@@ -367,7 +362,7 @@ impl Worker {
                 }
             }
         }
-        self.apply_engines(&req.engines);
+        self.prepare_context();
         let (result, stats, trace_json) = self.traced_run(req.trace, |ctx| {
             sfcp_strings::try_minimal_starting_point(ctx, &text, sfcp_strings::MspMethod::Efficient)
         });
@@ -396,7 +391,7 @@ impl Worker {
     /// Pseudoforest decomposition summary.
     pub fn handle_decompose(&mut self, req: &ComputeRequest) -> Result<Reply, ErrorReply> {
         let graph = self.resolve_graph(req)?;
-        let key = input_key(4, &req.engines, graph.table());
+        let key = input_key(4, graph.table());
         if req.use_cache {
             if let Some(snap) = self.cache.get(key) {
                 if let SnapshotPayload::Decomposition {
@@ -421,7 +416,7 @@ impl Worker {
                 }
             }
         }
-        self.apply_engines(&req.engines);
+        self.prepare_context();
         let (result, stats, trace_json) = self.traced_run(req.trace, |ctx| {
             try_decompose(ctx, &graph, CycleMethod::Euler)
         });
@@ -492,16 +487,13 @@ impl Worker {
         self.policy
     }
 
-    /// Point the context at the request's engine selection.  In cold mode
-    /// the context (pools and all) is rebuilt from scratch — the
-    /// per-request cost every library entry point pays today, kept as the
-    /// benchmark baseline.
-    fn apply_engines(&mut self, engines: &Engines) {
+    /// Ready the context for a run.  In cold mode the context (pools and
+    /// all) is rebuilt from scratch — the per-request cost every library
+    /// entry point pays today, kept as the benchmark baseline.
+    fn prepare_context(&mut self) {
         if self.cold_ctx {
             self.ctx = Ctx::parallel();
         }
-        self.ctx.set_sort_engine(engines.sort);
-        self.ctx.set_rank_engine(engines.rank);
     }
 
     /// Run a closure under fresh stats (and, when asked, a fresh trace),
@@ -611,26 +603,18 @@ impl Worker {
     }
 }
 
-/// Cache key for partition-family requests: instance digest × engines.
-/// The engine names are hashed in because the rank engine changes the
-/// documented charges a snapshot replays.
-fn partition_key(instance: &Instance, engines: &Engines) -> u64 {
+/// Cache key for partition-family requests: the instance digest.
+fn partition_key(instance: &Instance) -> u64 {
     let mut h = sfcp_pram::fxhash::FxHasher::default();
     h.write_u8(1);
-    let (sort, rank) = engines.names();
-    h.write(sort.as_bytes());
-    h.write(rank.as_bytes());
     h.write_u64(instance.digest());
     h.finish()
 }
 
 /// Cache key for array-shaped inputs (canonize, decompose).
-fn input_key(tag: u8, engines: &Engines, values: &[u32]) -> u64 {
+fn input_key(tag: u8, values: &[u32]) -> u64 {
     let mut h = sfcp_pram::fxhash::FxHasher::default();
     h.write_u8(tag);
-    let (sort, rank) = engines.names();
-    h.write(sort.as_bytes());
-    h.write(rank.as_bytes());
     h.write_u64(values.len() as u64);
     for &v in values {
         h.write_u32(v);

@@ -13,7 +13,7 @@
 //! | `alloc-hot-path` | no allocation in `_into` hot paths; no accidental O(n) copies |
 //! | `facade-coverage` | panicking `pram`/`core` entry points have `try_` twins |
 //! | `trace-span` | every engine pass (`on_engine_pass`) opens a trace span |
-//! | `bench-engines` | committed bench rows carry known engine-set labels |
+//! | `bench-schema` | committed schema-2+ bench rows carry their trace summary |
 //! | `lint-allow` | every inline suppression carries a justification |
 //!
 //! Suppression: `// lint:allow(rule-id): justification` on (or directly
@@ -116,7 +116,7 @@ pub fn run_lint(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     let total = files.len() + bench_files.len();
     for path in bench_files {
         let contents = std::fs::read_to_string(&path)?;
-        findings.extend(rules::bench_engines::check(&rel(root, &path), &contents));
+        findings.extend(rules::bench_schema::check(&rel(root, &path), &contents));
     }
 
     findings.sort();

@@ -33,7 +33,6 @@ const ALLOWLIST: &[(&str, &str)] = &[
     // Ctx construction snapshots the probe and derives the physical task
     // grain; the accessors hand the snapshot out without charging.
     ("crates/pram/src/ctx.rs", "new"),
-    ("crates/pram/src/ctx.rs", "untracked"),
     ("crates/pram/src/ctx.rs", "topology"),
     ("crates/pram/src/ctx.rs", "with_topology"),
     // Radix block plan: the physical clamp on the *model* plan; charges
@@ -43,7 +42,7 @@ const ALLOWLIST: &[(&str, &str)] = &[
     // the charge is a fixed documented model in both regimes (DESIGN.md §5).
     ("crates/parprim/src/csr.rs", "direct_build_max_keys"),
     ("crates/parprim/src/csr.rs", "build_csr_direct"),
-    // Wavefront lane count for the cache-bucket walker, probed from L1d
+    // Wavefront lane count for the list-ranking walker, probed from L1d
     // (DESIGN.md §6); lane count only affects gather overlap, never charges.
     (
         "crates/parprim/src/listrank/bucket.rs",

@@ -2,7 +2,7 @@
 //! `RULE` constant; the escape hatch is `lint:allow(<rule>): justification`).
 
 pub mod alloc_hot_path;
-pub mod bench_engines;
+pub mod bench_schema;
 pub mod charge_taint;
 pub mod facade_coverage;
 pub mod trace_span;

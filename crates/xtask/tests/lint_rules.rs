@@ -5,7 +5,7 @@
 //! roots, facade crates) fire exactly as they would in the tree.
 
 use xtask::rules::{
-    alloc_hot_path, bench_engines, charge_taint, facade_coverage::FacadeState, trace_span,
+    alloc_hot_path, bench_schema, charge_taint, facade_coverage::FacadeState, trace_span,
     unsafe_hygiene, workspace_pairing,
 };
 use xtask::scan::FileScan;
@@ -203,26 +203,25 @@ fn trace_span_exempts_the_fault_layer() {
 }
 
 #[test]
-fn bench_engines_flags_mislabeled_rows() {
-    let findings = bench_engines::check(
+fn bench_schema_flags_rows_without_trace() {
+    let findings = bench_schema::check(
         "BENCH_parprim.json",
-        include_str!("fixtures/bench_engines_bad.json"),
+        include_str!("fixtures/bench_schema_bad.json"),
     );
-    // The retired direct/combining pair, an unknown pair, and a schema-2
-    // row missing the trace summary.
-    assert_eq!(findings.len(), 3, "{findings:?}");
-    assert!(findings.iter().any(|f| f.message.contains("\"direct\"")));
-    assert!(findings.iter().any(|f| f.message.contains("\"fast\"")));
+    // A row with no trace at all, and one whose trace has no spans list.
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings.iter().any(|f| f.message.contains("`untraced`")));
+    assert!(findings.iter().any(|f| f.message.contains("`spanless`")));
     assert!(findings
         .iter()
-        .any(|f| f.message.contains("missing the \"trace\" summary")));
+        .all(|f| f.message.contains("missing the \"trace\" summary")));
 }
 
 #[test]
-fn bench_engines_accepts_known_labels() {
-    let findings = bench_engines::check(
+fn bench_schema_accepts_traced_rows() {
+    let findings = bench_schema::check(
         "BENCH_parprim.json",
-        include_str!("fixtures/bench_engines_clean.json"),
+        include_str!("fixtures/bench_schema_clean.json"),
     );
     assert_eq!(findings, vec![]);
 }

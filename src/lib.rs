@@ -42,26 +42,6 @@
 //! assert!(q.same_partition(&expected));
 //! ```
 //!
-//! The engine selectors (sort and list ranking — see the top-level
-//! `README.md` and `DESIGN.md`) ride on the context and never change
-//! results or tracked charges (only the `PointerJump` rank baseline charges
-//! its own documented model):
-//!
-//! ```
-//! use sfcp_repro::sfcp::{coarsest_partition, Algorithm, Instance};
-//! use sfcp_repro::sfcp_pram::{Ctx, RankEngine, SortEngine};
-//!
-//! let instance = Instance::random(512, 3, 7);
-//! let default_engines = Ctx::parallel();
-//! let baselines = Ctx::parallel()
-//!     .with_sort_engine(SortEngine::Permutation)
-//!     .with_rank_engine(RankEngine::RulingSet);
-//! let a = coarsest_partition(&default_engines, &instance, Algorithm::Parallel);
-//! let b = coarsest_partition(&baselines, &instance, Algorithm::Parallel);
-//! assert!(a.same_partition(&b));
-//! assert_eq!(default_engines.stats(), baselines.stats());
-//! ```
-//!
 //! ## Error handling
 //!
 //! Every panicking entry point has a fallible `try_` twin returning a typed

@@ -198,7 +198,7 @@ mod protocol {
             b"{\"id\":1,\"kind\":\"no_such_kind\",\"f\":[0]}",
             b"{\"id\":2,\"kind\":\"partition\"}",
             b"{\"id\":3,\"kind\":\"partition\",\"f\":[0],\"blocks\":[true]}",
-            b"{\"id\":4,\"kind\":\"partition\",\"f\":[0],\"blocks\":[0],\"engines\":{\"rank\":\"bogus\"}}",
+            b"{\"id\":4,\"kind\":\"partition\",\"f\":[0],\"blocks\":[0],\"digest\":\"yes\"}",
             b"\xff\xfe invalid utf8 \xff",
         ] {
             let payload = client.call_raw(garbage).expect("error response expected");

@@ -5,16 +5,16 @@
 //! what makes this comparison meaningful: a warm service worker and a cold
 //! harness context must report identical `(work, rounds)`.
 //!
-//! Coverage: the full `SortEngine` × `RankEngine` grid,
-//! batch sizes 1 / 7 / 64 (solo path, fused cohorts), and the same batch
-//! replayed after an injected mid-batch fault (recovery must not poison the
-//! differential property).
+//! Coverage: every request kind on three seeded inputs, batch sizes
+//! 1 / 7 / 64 (solo path, fused cohorts), and the same batch replayed after
+//! an injected mid-batch fault (recovery must not poison the differential
+//! property).
 //!
 //! The fault layer is process-global, so every test in this binary
 //! serializes on one lock.
 
 use sfcp_pram::faults::{self, FaultKind, FaultSite};
-use sfcp_pram::{Ctx, RankEngine, SortEngine, Stats};
+use sfcp_pram::{Ctx, Stats};
 use sfcp_repro::sfcp::{try_coarsest_partition, Algorithm, Instance};
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{generators, try_decompose};
@@ -22,7 +22,7 @@ use sfcp_service::batch::{canonical_labels, fuse_instances, split_canonical_labe
 use sfcp_service::snapshot::{decomposition_digest, labels_digest};
 use sfcp_service::worker::workload_string;
 use sfcp_service::{
-    Client, ComputeRequest, Engines, ErrorCode, Kind, Reply, ReplyPayload, Server, ServerConfig,
+    Client, ComputeRequest, ErrorCode, Kind, Reply, ReplyPayload, Server, ServerConfig,
 };
 
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -39,24 +39,6 @@ fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     let result = f();
     std::panic::set_hook(prev);
     result
-}
-
-/// The full engine grid the service must be differentially identical on.
-fn engine_grid() -> Vec<Engines> {
-    let mut grid = Vec::new();
-    for sort in [SortEngine::Packed, SortEngine::Permutation] {
-        for rank in RankEngine::ALL {
-            grid.push(Engines { sort, rank });
-        }
-    }
-    grid
-}
-
-/// A harness context configured like the service worker configures its own.
-fn direct_ctx(engines: &Engines) -> Ctx {
-    Ctx::parallel()
-        .with_sort_engine(engines.sort)
-        .with_rank_engine(engines.rank)
 }
 
 /// Run a direct library call under fresh stats, mirroring the worker's
@@ -83,7 +65,7 @@ fn problem_size() -> usize {
     }
 }
 
-/// Every request kind, over the whole engine grid, against direct calls.
+/// Every request kind, on three seeded inputs, against direct calls.
 #[test]
 fn every_kind_matches_direct_calls_across_the_engine_grid() {
     let _g = lock();
@@ -91,16 +73,14 @@ fn every_kind_matches_direct_calls_across_the_engine_grid() {
     let server = Server::start(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let n = problem_size();
+    let ctx = Ctx::parallel();
 
-    for (i, engines) in engine_grid().into_iter().enumerate() {
+    for i in 0..3 {
         let seed = 0x5eed + i as u64;
-        let ctx = direct_ctx(&engines);
 
         // Partition: canonical labels and charges.
         let inst = Instance::random(n, 2 + i % 5, seed);
-        let req = ComputeRequest::partition(inst.f().to_vec(), inst.blocks().to_vec())
-            .with_engines(engines)
-            .no_cache();
+        let req = ComputeRequest::partition(inst.f().to_vec(), inst.blocks().to_vec()).no_cache();
         let reply = client.request(&req).expect("transport").expect("solve");
         let (q, stats) = charged(&ctx, |c| {
             try_coarsest_partition(c, &inst, Algorithm::Parallel)
@@ -116,7 +96,6 @@ fn every_kind_matches_direct_calls_across_the_engine_grid() {
         // MinimizeDfa is the same refinement; answers and charges match the
         // identical direct partition call.
         let req = ComputeRequest::minimize_dfa(inst.f().to_vec(), inst.blocks().to_vec())
-            .with_engines(engines)
             .no_cache()
             .digest_only();
         let reply = client.request(&req).expect("transport").expect("solve");
@@ -127,9 +106,7 @@ fn every_kind_matches_direct_calls_across_the_engine_grid() {
         assert_charges(&reply, stats, "minimize_dfa");
 
         // Canonize: workload input regenerated harness-side.
-        let req = ComputeRequest::workload(Kind::Canonize, n, seed, 4)
-            .with_engines(engines)
-            .no_cache();
+        let req = ComputeRequest::workload(Kind::Canonize, n, seed, 4).no_cache();
         let reply = client.request(&req).expect("transport").expect("canonize");
         let text = workload_string(n, seed, 4);
         let (msp, stats) = charged(&ctx, |c| {
@@ -143,9 +120,7 @@ fn every_kind_matches_direct_calls_across_the_engine_grid() {
 
         // Decompose: structure fingerprint plus charges.
         let graph = generators::random_function(n, seed);
-        let req = ComputeRequest::decompose(graph.table().to_vec())
-            .with_engines(engines)
-            .no_cache();
+        let req = ComputeRequest::decompose(graph.table().to_vec()).no_cache();
         let reply = client.request(&req).expect("transport").expect("decompose");
         let (d, stats) = charged(&ctx, |c| try_decompose(c, &graph, CycleMethod::Euler));
         let d = d.expect("direct decompose");
@@ -168,24 +143,18 @@ fn batch_members(count: usize, seed: u64) -> Vec<Instance> {
         .collect()
 }
 
-fn batch_requests(members: &[Instance], engines: Engines) -> Vec<ComputeRequest> {
+fn batch_requests(members: &[Instance]) -> Vec<ComputeRequest> {
     members
         .iter()
-        .map(|m| {
-            ComputeRequest::partition(m.f().to_vec(), m.blocks().to_vec())
-                .with_engines(engines)
-                .no_cache()
-        })
+        .map(|m| ComputeRequest::partition(m.f().to_vec(), m.blocks().to_vec()).no_cache())
         .collect()
 }
 
 /// Drive one batch and differentially verify every member: answers against
 /// solo direct solves, charges against the path the cohort actually took
 /// (solo charges for a batch of one, fused-reference charges otherwise).
-fn verify_batch(client: &mut Client, ctx: &Ctx, members: &[Instance], engines: Engines) {
-    let responses = client
-        .batch(&batch_requests(members, engines))
-        .expect("transport");
+fn verify_batch(client: &mut Client, ctx: &Ctx, members: &[Instance]) {
+    let responses = client.batch(&batch_requests(members)).expect("transport");
     assert_eq!(responses.len(), members.len());
 
     let (expect_labels, expect_stats): (Vec<Vec<u32>>, Stats) = if members.len() == 1 {
@@ -241,12 +210,11 @@ fn batch_sizes_round_trip_bit_for_bit() {
     faults::reset();
     let server = Server::start(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let engines = Engines::default();
-    let ctx = direct_ctx(&engines);
+    let ctx = Ctx::parallel();
 
     for (size, seed) in [(1usize, 71), (7, 72), (64, 73)] {
         let members = batch_members(size, seed);
-        verify_batch(&mut client, &ctx, &members, engines);
+        verify_batch(&mut client, &ctx, &members);
     }
     server.shutdown();
 }
@@ -260,15 +228,12 @@ fn mid_batch_fault_then_replay_matches_direct_calls() {
     faults::reset();
     let server = Server::start(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let engines = Engines::default();
-    let ctx = direct_ctx(&engines);
+    let ctx = Ctx::parallel();
     let members = batch_members(7, 99);
 
     with_quiet_panics(|| {
         faults::arm(FaultSite::EnginePass, 2, FaultKind::Panic);
-        let responses = client
-            .batch(&batch_requests(&members, engines))
-            .expect("transport");
+        let responses = client.batch(&batch_requests(&members)).expect("transport");
         faults::reset();
         assert_eq!(responses.len(), members.len());
         for response in &responses {
@@ -282,7 +247,7 @@ fn mid_batch_fault_then_replay_matches_direct_calls() {
     });
 
     // The worker recovered; the replay must still be bit-identical.
-    verify_batch(&mut client, &ctx, &members, engines);
+    verify_batch(&mut client, &ctx, &members);
     faults::reset();
     server.shutdown();
 }

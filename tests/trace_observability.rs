@@ -11,6 +11,7 @@ use sfcp_repro::sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{decompose, generators};
 use sfcp_repro::sfcp_pram::{faults, Ctx};
+use sfcp_repro::sfcp_service::json;
 
 fn warm_size() -> usize {
     // The issue-spec acceptance size runs under the optimized CI sweep;
@@ -138,7 +139,7 @@ fn chrome_export_and_summary_are_valid_json() {
     let snap = ctx.trace().snapshot();
 
     let chrome = snap.to_chrome_json();
-    assert_valid_json(&chrome);
+    json::parse(chrome.as_bytes()).expect("the Chrome export must be valid JSON");
     assert!(chrome.contains("\"traceEvents\""));
     assert!(chrome.contains("\"displayTimeUnit\""));
     // Complete events for the spans.
@@ -146,140 +147,6 @@ fn chrome_export_and_summary_are_valid_json() {
     assert!(chrome.contains("\"decompose\""));
 
     let summary = snap.summary().to_json();
-    assert_valid_json(&summary);
+    json::parse(summary.as_bytes()).expect("the trace summary must be valid JSON");
     assert!(summary.contains("\"spans\""));
-}
-
-/// Minimal recursive-descent JSON validator (no JSON dependency in-tree):
-/// accepts exactly the RFC 8259 grammar the exporters emit and panics on
-/// the first syntax error.
-fn assert_valid_json(s: &str) {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-        fn peek(&self) -> u8 {
-            assert!(self.i < self.b.len(), "unexpected end of JSON");
-            self.b[self.i]
-        }
-        fn eat(&mut self, c: u8) {
-            assert_eq!(
-                self.peek(),
-                c,
-                "expected {:?} at byte {}",
-                c as char,
-                self.i
-            );
-            self.i += 1;
-        }
-        fn value(&mut self) {
-            self.ws();
-            match self.peek() {
-                b'{' => {
-                    self.eat(b'{');
-                    self.ws();
-                    if self.peek() != b'}' {
-                        loop {
-                            self.ws();
-                            self.string();
-                            self.ws();
-                            self.eat(b':');
-                            self.value();
-                            self.ws();
-                            if self.peek() == b',' {
-                                self.eat(b',');
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.ws();
-                    self.eat(b'}');
-                }
-                b'[' => {
-                    self.eat(b'[');
-                    self.ws();
-                    if self.peek() != b']' {
-                        loop {
-                            self.value();
-                            self.ws();
-                            if self.peek() == b',' {
-                                self.eat(b',');
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.ws();
-                    self.eat(b']');
-                }
-                b'"' => self.string(),
-                b't' => self.lit("true"),
-                b'f' => self.lit("false"),
-                b'n' => self.lit("null"),
-                _ => self.number(),
-            }
-        }
-        fn lit(&mut self, lit: &str) {
-            assert!(
-                self.b[self.i..].starts_with(lit.as_bytes()),
-                "bad literal at byte {}",
-                self.i
-            );
-            self.i += lit.len();
-        }
-        fn string(&mut self) {
-            self.eat(b'"');
-            while self.peek() != b'"' {
-                if self.peek() == b'\\' {
-                    self.i += 1;
-                    match self.peek() {
-                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => self.i += 1,
-                        b'u' => {
-                            for _ in 0..5 {
-                                self.i += 1;
-                            }
-                        }
-                        c => panic!("bad escape {:?} at byte {}", c as char, self.i),
-                    }
-                } else {
-                    assert!(self.peek() >= 0x20, "raw control char at byte {}", self.i);
-                    self.i += 1;
-                }
-            }
-            self.eat(b'"');
-        }
-        fn number(&mut self) {
-            let start = self.i;
-            if self.peek() == b'-' {
-                self.i += 1;
-            }
-            while self.i < self.b.len()
-                && matches!(
-                    self.b[self.i],
-                    b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'
-                )
-            {
-                self.i += 1;
-            }
-            let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-            assert!(
-                text.parse::<f64>().is_ok(),
-                "bad number {text:?} at byte {start}"
-            );
-        }
-    }
-    let mut p = P {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.value();
-    p.ws();
-    assert_eq!(p.i, s.len(), "trailing bytes after JSON value");
 }

@@ -8,12 +8,14 @@
 //! * after any run returns, no checkout is outstanding
 //!   (`stats().outstanding() == 0`);
 //! * once warm, repeated identical runs leave the pool population exactly
-//!   stable (same number of pooled buffers before and after).
+//!   stable (same number of pooled buffers before and after), and the
+//!   `O(log n)`-round algorithms allocate O(1) buffers per *run*, not per
+//!   round.
 
 use sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_parprim::euler::RootedForest;
-use sfcp_pram::{Ctx, RankEngine};
+use sfcp_pram::Ctx;
 
 /// `RootedForest::from_parents` used to allocate its `counts` and `children`
 /// arrays fresh on every call.  With the CSR builder underneath, every
@@ -120,50 +122,92 @@ fn decompose_returns_every_checkout() {
 }
 
 /// The fused Euler ranking path — `decompose` assembling one `(2n + m)`
-/// successor buffer and ranking it with a single engine invocation — must
-/// return every checkout under every `RankEngine`, and once warm leave both
-/// the pool population and the pooled bytes (which capture
-/// growth-after-checkout of the fused buffers) exactly stable.
+/// successor buffer and ranking it with a single list-ranking invocation —
+/// must return every checkout, and once warm leave both the pool
+/// population and the pooled bytes (which capture growth-after-checkout of
+/// the fused buffers) exactly stable.
 #[test]
 fn fused_euler_ranking_returns_every_checkout() {
     let g = sfcp_forest::generators::random_function(30_000, 43);
-    for engine in RankEngine::ALL {
-        let ctx = Ctx::parallel().with_rank_engine(engine);
-        // Warm to the pool fixed point (early runs may grow smaller pooled
-        // buffers in place).
-        for _ in 0..3 {
-            let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
-            std::hint::black_box(d.num_cycles());
-            assert_eq!(
-                ctx.workspace().stats().outstanding(),
-                0,
-                "outstanding checkouts after fused decompose ({engine:?})"
-            );
-        }
-        let warm_pool = ctx.workspace().pooled_buffers();
-        let warm_bytes = ctx.workspace().pooled_bytes();
-        let warm_misses = ctx.workspace().stats().misses;
-        for round in 0..3 {
-            let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
-            std::hint::black_box(d.num_cycles());
-            assert_eq!(ctx.workspace().stats().outstanding(), 0);
-            assert_eq!(
-                ctx.workspace().pooled_buffers(),
-                warm_pool,
-                "pool population drifted on warm fused run {round} ({engine:?})"
-            );
-            assert_eq!(
-                ctx.workspace().pooled_bytes(),
-                warm_bytes,
-                "pooled bytes drifted on warm fused run {round} ({engine:?})"
-            );
-        }
+    let ctx = Ctx::parallel();
+    // Warm to the pool fixed point (early runs may grow smaller pooled
+    // buffers in place).
+    for _ in 0..3 {
+        let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
+        std::hint::black_box(d.num_cycles());
         assert_eq!(
-            ctx.workspace().stats().misses,
-            warm_misses,
-            "warm fused runs must serve every checkout from the pools ({engine:?})"
+            ctx.workspace().stats().outstanding(),
+            0,
+            "outstanding checkouts after fused decompose"
         );
     }
+    let warm_pool = ctx.workspace().pooled_buffers();
+    let warm_bytes = ctx.workspace().pooled_bytes();
+    let warm_misses = ctx.workspace().stats().misses;
+    for round in 0..3 {
+        let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
+        std::hint::black_box(d.num_cycles());
+        assert_eq!(ctx.workspace().stats().outstanding(), 0);
+        assert_eq!(
+            ctx.workspace().pooled_buffers(),
+            warm_pool,
+            "pool population drifted on warm fused run {round}"
+        );
+        assert_eq!(
+            ctx.workspace().pooled_bytes(),
+            warm_bytes,
+            "pooled bytes drifted on warm fused run {round}"
+        );
+    }
+    assert_eq!(
+        ctx.workspace().stats().misses,
+        warm_misses,
+        "warm fused runs must serve every checkout from the pools"
+    );
+}
+
+/// After one warm-up run, repeated runs of the doubling loop (O(log n)
+/// dense-rank rounds each) serve every scratch checkout from the workspace
+/// pool — zero fresh allocations per run.
+#[test]
+fn doubling_loop_allocates_o1_buffers_per_run() {
+    let inst = Instance::random(30_000, 4, 11);
+    let ctx = Ctx::parallel();
+    let _ = coarsest_partition(&ctx, &inst, Algorithm::Doubling); // warm up
+    let before = ctx.workspace().stats();
+    for _ in 0..3 {
+        let _ = coarsest_partition(&ctx, &inst, Algorithm::Doubling);
+    }
+    let after = ctx.workspace().stats();
+    assert!(
+        after.checkouts > before.checkouts,
+        "rounds must use the workspace"
+    );
+    assert_eq!(
+        after.misses, before.misses,
+        "warm doubling runs must not allocate fresh scratch buffers"
+    );
+}
+
+/// Same property for the full parallel algorithm (m.s.p. + tree labelling).
+#[test]
+fn parallel_algorithm_allocates_o1_buffers_per_run() {
+    let inst = Instance::random(30_000, 4, 13);
+    let ctx = Ctx::parallel();
+    let _ = coarsest_partition(&ctx, &inst, Algorithm::Parallel); // warm up
+    let before = ctx.workspace().stats();
+    for _ in 0..3 {
+        let _ = coarsest_partition(&ctx, &inst, Algorithm::Parallel);
+    }
+    let after = ctx.workspace().stats();
+    assert!(
+        after.checkouts > before.checkouts,
+        "runs must use the workspace"
+    );
+    assert_eq!(
+        after.misses, before.misses,
+        "warm parallel runs must not allocate fresh scratch buffers"
+    );
 }
 
 #[test]
