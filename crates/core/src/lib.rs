@@ -100,9 +100,10 @@ pub fn coarsest_partition(ctx: &Ctx, instance: &Instance, algorithm: Algorithm) 
 
 /// Fallible [`coarsest_partition`]: validates the instance envelope and
 /// converts any mid-run panic — internal invariant asserts, faults injected
-/// through [`sfcp_pram::faults`] — into a typed [`DecomposeError`].  On an
-/// execution failure the context has been through [`Ctx::recover`], so its
-/// warm buffer pools survive and retrying the identical call is sound.
+/// through the context's [`sfcp_pram::faults::Faults`] — into a typed
+/// [`DecomposeError`].  On an execution failure the context has been through
+/// [`Ctx::recover`], so its warm buffer pools survive and retrying the
+/// identical call is sound.
 ///
 /// # Errors
 /// [`DecomposeError::InvalidInput`] for oversized instances,

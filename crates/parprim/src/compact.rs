@@ -52,8 +52,7 @@ where
     F: Fn(usize) -> bool + Sync + Send,
     P: Fn(usize) -> T + Sync + Send,
 {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("compact");
+    let _span = ctx.pass("compact");
     out.clear();
     if n == 0 {
         return;

@@ -135,8 +135,7 @@ pub fn build_csr_into<F>(
 ) where
     F: Fn(usize) -> Option<(u32, u32)> + Sync + Send,
 {
-    sfcp_pram::faults::on_engine_pass();
-    let mut span = ctx.span("build_csr");
+    let mut span = ctx.pass("build_csr");
     span.attr("num_keys", num_keys as u64);
     span.attr("num_slots", num_slots as u64);
     assert!(

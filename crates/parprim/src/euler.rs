@@ -259,8 +259,7 @@ fn arc_successor_pass<T>(ctx: &Ctx, forest: &RootedForest, succ: &mut [u32], tra
 where
     T: Fn(u32, u32, bool) -> u32 + Sync + Send,
 {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("arc_successors");
+    let _span = ctx.pass("arc_successors");
     let n = forest.len();
     assert_eq!(succ.len(), 2 * n, "tour successor slice must hold 2n arcs");
     let succ_ptr = SendPtr(succ.as_mut_ptr());
@@ -322,8 +321,7 @@ impl EulerTour {
     /// ranking invocation (see DESIGN.md, "List ranking").
     #[must_use]
     pub fn build(ctx: &Ctx, forest: &RootedForest) -> Self {
-        sfcp_pram::faults::on_engine_pass();
-        let _span = ctx.span("euler_build");
+        let _span = ctx.pass("euler_build");
         let n = forest.len();
         if n == 0 {
             return EulerTour {
@@ -456,8 +454,7 @@ impl EulerTour {
         dist: &[u32],
         root_of: &[u32],
     ) -> Self {
-        sfcp_pram::faults::on_engine_pass();
-        let _span = ctx.span("euler_from_ranks");
+        let _span = ctx.pass("euler_from_ranks");
         let n = forest.len();
         if n == 0 {
             return EulerTour {
@@ -567,8 +564,7 @@ impl EulerTour {
     /// the delta and prefix intermediates are workspace checkouts, so the
     /// whole pass is allocation-free once the pools are warm.
     pub fn ancestor_sums_into(&self, ctx: &Ctx, values: &[u64], out: &mut Vec<u64>) {
-        sfcp_pram::faults::on_engine_pass();
-        let _span = ctx.span("ancestor_sums");
+        let _span = ctx.pass("ancestor_sums");
         let n = self.len();
         assert_eq!(values.len(), n);
         out.clear();
@@ -606,8 +602,7 @@ impl EulerTour {
     /// # Panics
     /// Debug-asserts every flag is 0 or 1.
     pub fn ancestor_counts_into(&self, ctx: &Ctx, flags: &[u64], out: &mut Vec<u64>) {
-        sfcp_pram::faults::on_engine_pass();
-        let _span = ctx.span("ancestor_counts");
+        let _span = ctx.pass("ancestor_counts");
         let n = self.len();
         assert_eq!(flags.len(), n);
         debug_assert!(flags.iter().all(|&v| v <= 1), "flags must be 0/1");
@@ -655,8 +650,7 @@ impl EulerTour {
     /// unspecialized pipeline charges — the skipped copy pass is charged
     /// without being executed (DESIGN.md, "Charge discipline").
     pub fn levels_into(&self, ctx: &Ctx, out: &mut Vec<u32>) {
-        sfcp_pram::faults::on_engine_pass();
-        let _span = ctx.span("levels");
+        let _span = ctx.pass("levels");
         let n = self.len();
         out.clear();
         if n == 0 {

@@ -371,8 +371,7 @@ pub fn radix_sort_recs_prebounded(
     scratch: &mut Vec<Rec>,
     significant_bits: u32,
 ) {
-    sfcp_pram::faults::on_engine_pass();
-    let mut span = ctx.span("radix_sort_recs");
+    let mut span = ctx.pass("radix_sort_recs");
     span.attr("n", recs.len() as u64);
     let n = recs.len();
     if n <= 1 {
@@ -584,8 +583,7 @@ where
 /// that dense (polynomial-range) keys need only a couple of counting passes.
 #[must_use]
 pub fn radix_sort_u64(ctx: &Ctx, keys: &[u64]) -> Vec<u32> {
-    sfcp_pram::faults::on_engine_pass();
-    let mut span = ctx.span("radix_sort_u64");
+    let mut span = ctx.pass("radix_sort_u64");
     span.attr("n", keys.len() as u64);
     let n = keys.len();
     if n <= 1 {
@@ -621,8 +619,7 @@ pub fn radix_sort_u64(ctx: &Ctx, keys: &[u64]) -> Vec<u32> {
 /// ordered pairs lexicographically").
 #[must_use]
 pub fn radix_sort_pairs(ctx: &Ctx, pairs: &[(u64, u64)]) -> Vec<u32> {
-    sfcp_pram::faults::on_engine_pass();
-    let mut span = ctx.span("radix_sort_pairs");
+    let mut span = ctx.pass("radix_sort_pairs");
     span.attr("n", pairs.len() as u64);
     let n = pairs.len();
     if n <= 1 {
@@ -696,8 +693,7 @@ pub fn counting_sort_by_key<F>(ctx: &Ctx, n: usize, bound: usize, key: F) -> Vec
 where
     F: Fn(usize) -> usize + Sync + Send,
 {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("counting_sort");
+    let _span = ctx.pass("counting_sort");
     if n == 0 {
         return Vec::new();
     }

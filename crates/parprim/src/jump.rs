@@ -37,8 +37,7 @@ pub fn find_roots(ctx: &Ctx, parent: &[u32]) -> Vec<u32> {
 /// arrays ping-pong between `out` and one workspace checkout, so the
 /// `O(log n)` rounds allocate nothing once the pool is warm.
 pub fn find_roots_into(ctx: &Ctx, parent: &[u32], out: &mut Vec<u32>) {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("find_roots");
+    let _span = ctx.pass("find_roots");
     let n = parent.len();
     out.clear();
     if n == 0 {
@@ -109,8 +108,7 @@ fn charge_skipped_rounds(ctx: &Ctx, skipped: u64, ops_per_round: u64) {
 /// root of its tree.
 #[must_use]
 pub fn distance_to_root(ctx: &Ctx, parent: &[u32]) -> Vec<u32> {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("distance_to_root");
+    let _span = ctx.pass("distance_to_root");
     let n = parent.len();
     if n == 0 {
         return Vec::new();
@@ -182,8 +180,7 @@ pub fn try_permutation_cycle_min_into(
     succ: &[u32],
     out: &mut Vec<u32>,
 ) -> Result<(), Error> {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("cycle_min");
+    let _span = ctx.pass("cycle_min");
     let n = succ.len();
     out.clear();
     if n == 0 {
@@ -243,8 +240,7 @@ pub fn try_permutation_cycle_min_into(
 /// it writes each successor, deleting the separate validation and sampling
 /// passes from the hot path.
 pub fn permutation_cycle_min_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("cycle_min_flagged");
+    let _span = ctx.pass("cycle_min_flagged");
     let n = flagged.len();
     out.clear();
     if n == 0 {

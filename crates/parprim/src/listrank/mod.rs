@@ -66,8 +66,7 @@ pub fn list_rank(ctx: &Ctx, next: &[u32]) -> Vec<u32> {
 /// (the fused Euler-tour + cycle-chain pass of a decomposition) allocate
 /// nothing once the caller's buffer and the workspace pools are warm.
 pub fn list_rank_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
-    sfcp_pram::faults::on_engine_pass();
-    let mut span = ctx.span("list_rank");
+    let mut span = ctx.pass("list_rank");
     span.attr("n", next.len() as u64);
     let n = next.len();
     out.clear();
@@ -112,8 +111,7 @@ pub fn list_rank_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
 /// For tiny inputs the flags are stripped into a scratch copy and Wyllie
 /// runs as usual.
 pub fn list_rank_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
-    sfcp_pram::faults::on_engine_pass();
-    let mut span = ctx.span("list_rank_flagged");
+    let mut span = ctx.pass("list_rank_flagged");
     span.attr("n", flagged.len() as u64);
     let n = flagged.len();
     out.clear();

@@ -47,8 +47,7 @@ pub fn dense_ranks_by_sort(ctx: &Ctx, keys: &[u64]) -> (Vec<u32>, usize) {
 /// [`dense_ranks_by_sort`] writing the ranks into a reusable buffer;
 /// returns the number of distinct keys.
 pub fn dense_ranks_by_sort_into(ctx: &Ctx, keys: &[u64], ranks: &mut Vec<u32>) -> usize {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("dense_ranks_by_sort");
+    let _span = ctx.pass("dense_ranks_by_sort");
     let n = keys.len();
     if n == 0 {
         ranks.clear();
@@ -195,8 +194,7 @@ pub fn dense_ranks_of_pairs(ctx: &Ctx, pairs: &[(u64, u64)]) -> (Vec<u32>, usize
 /// [`dense_ranks_of_pairs`] writing the ranks into a reusable buffer;
 /// returns the number of distinct pairs.
 pub fn dense_ranks_of_pairs_into(ctx: &Ctx, pairs: &[(u64, u64)], ranks: &mut Vec<u32>) -> usize {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("dense_ranks_of_pairs");
+    let _span = ctx.pass("dense_ranks_of_pairs");
     let n = pairs.len();
     if n == 0 {
         ranks.clear();
@@ -270,8 +268,7 @@ pub fn dense_ranks_of_pairs_into(ctx: &Ctx, pairs: &[(u64, u64)], ranks: &mut Ve
 /// unspecified (first occurrence wins).  `O(n)` expected work.
 #[must_use]
 pub fn dense_ranks(ctx: &Ctx, keys: &[u64]) -> (Vec<u32>, usize) {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("dense_ranks");
+    let _span = ctx.pass("dense_ranks");
     let n = keys.len();
     ctx.charge_step(n as u64);
     let mut map: FxHashMap<u64, u32> = FxHashMap::default();

@@ -93,8 +93,7 @@ pub fn scan_generic_into<T, F>(
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync + Send,
 {
-    sfcp_pram::faults::on_engine_pass();
-    let _span = ctx.span("scan");
+    let _span = ctx.pass("scan");
     let n = values.len();
     out.clear();
     if n == 0 {

@@ -29,8 +29,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(usize) -> Option<(usize, T)> + Sync + Send,
 {
-    sfcp_pram::faults::on_engine_pass();
-    let mut span = ctx.span("scatter");
+    let mut span = ctx.pass("scatter");
     span.attr("num_slots", num_slots as u64);
     let len = dest.len();
     let ptr = SendPtr(dest.as_mut_ptr());

@@ -179,6 +179,19 @@ impl Ctx {
         self.trace.open(name, &self.tracker, &self.workspace)
     }
 
+    /// Announce an engine pass named `name`: fire this context's engine-pass
+    /// fault hook ([`crate::faults`]), then open the pass's span
+    /// ([`Ctx::span`]).  Every `sfcp-parprim` engine primitive calls this at
+    /// its entry; the hook has no other public route, so every pass that an
+    /// injection can target also shows in the phase tree.  Disabled, it
+    /// costs two relaxed loads and charges nothing.
+    #[inline]
+    #[must_use]
+    pub fn pass(&self, name: &'static str) -> Span<'_> {
+        self.workspace.faults().on_engine_pass();
+        self.span(name)
+    }
+
     /// Accumulated costs so far.
     #[must_use]
     pub fn stats(&self) -> Stats {

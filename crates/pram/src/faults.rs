@@ -1,31 +1,33 @@
 //! Deterministic fault injection for the failure-model test harness.
 //!
-//! A process-global layer that is **zero-cost when disabled** (a single
-//! relaxed atomic load per hook) and charges nothing to the cost model in any
-//! state, so arming it never perturbs tracked work/depth.  Being global, it
-//! is shared by every context in the process (unlike the per-context
-//! [`crate::trace`] recorder); see the serialization note below.
+//! Each context's [`Workspace`](crate::Workspace) owns one [`Faults`]
+//! injector (reached through [`Workspace::faults`](crate::Workspace::faults)),
+//! so arming it affects that context alone and concurrent tests need no
+//! lock.  Like the per-context [`crate::trace`] recorder it is **zero-cost
+//! when disabled** (a single relaxed atomic load per hook, the lock taken
+//! only while the gate is on) and charges nothing to the cost model in any
+//! state, so arming it never perturbs tracked work/depth.
 //!
 //! Two hook families thread through the stack:
 //!
-//! * [`on_checkout`] — called by `Workspace::take` **before** any counter
+//! * the checkout hook — fired by `Workspace::take` **before** any counter
 //!   increments or pool pops, so an injected fault at a checkout leaves the
 //!   workspace counters reconciled (`outstanding()` unaffected);
-//! * [`on_engine_pass`] — called at the entry of every `sfcp-parprim` engine
-//!   primitive that checks out buffers (list ranking, pointer jumping, CSR
-//!   build, sorting, scans, compaction, scatters, Euler-tour passes).
+//! * the engine-pass hook — fired by [`Ctx::pass`](crate::Ctx::pass), which
+//!   every `sfcp-parprim` engine primitive calls at its entry to open its
+//!   trace span.  The hook is crate-private, so no pass can announce itself
+//!   without the span.
 //!
-//! A test *arms* an injection with [`arm`]: when the `k`-th event at the
-//! chosen [`FaultSite`] occurs, the hook panics with a typed
+//! A test *arms* an injection with [`Faults::arm`]: when the `k`-th event at
+//! the chosen [`FaultSite`] occurs, the hook unwinds with a typed
 //! [`InjectedFault`] payload, which the `try_` wrappers downcast into
-//! [`crate::Error::Injected`].  [`FaultKind::AllocFail`] simulates an
-//! allocation failure at that point (real Rust OOM aborts the process, so
-//! the simulation unwinds with the typed payload instead); both kinds
-//! exercise the identical unwind-recovery path.
-//!
-//! The state is process-global, so tests that use this module must
-//! serialize themselves (e.g. behind a `static Mutex`) — the fault-injection
-//! integration suite runs in its own test binary for exactly that reason.
+//! [`crate::Error::Injected`].  The unwind starts with
+//! [`std::panic::resume_unwind`], which skips the process-wide panic hook, so
+//! a sweep of thousands of injections prints nothing.
+//! [`FaultKind::AllocFail`] simulates an allocation failure at that point
+//! (real Rust OOM aborts the process, so the simulation unwinds with the
+//! typed payload instead); both kinds exercise the identical
+//! unwind-recovery path.
 
 use parking_lot::Mutex;
 use std::fmt;
@@ -78,106 +80,106 @@ impl fmt::Display for InjectedFault {
     }
 }
 
+#[derive(Debug, Default)]
 struct FaultState {
     checkouts: u64,
     passes: u64,
     armed: Option<(FaultSite, u64, FaultKind)>,
 }
 
-/// Fast-path gate: hooks return after one relaxed load while the layer is
-/// disabled, so production runs never take the state lock.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-static STATE: Mutex<FaultState> = Mutex::new(FaultState {
-    checkouts: 0,
-    passes: 0,
-    armed: None,
-});
-
-/// Disable the layer and zero the event counters.
-pub fn reset() {
-    ACTIVE.store(false, Ordering::SeqCst);
-    let mut st = STATE.lock();
-    st.checkouts = 0;
-    st.passes = 0;
-    st.armed = None;
+/// One context's fault injector: an enable gate plus the event counters and
+/// the armed injection.  The default injector is disabled.
+#[derive(Debug, Default)]
+pub struct Faults {
+    /// Fast-path gate: hooks return after one relaxed load while the
+    /// injector is disabled, so production runs never take the state lock.
+    /// The gate publishes no data: the state is only read under its lock.
+    active: AtomicBool,
+    state: Mutex<FaultState>,
 }
 
-/// Enable counting: hooks tally events without firing, so a test can learn
-/// how many injection points a workload has (read them with [`counts`]).
-pub fn start_counting() {
-    let mut st = STATE.lock();
-    st.checkouts = 0;
-    st.passes = 0;
-    st.armed = None;
-    drop(st);
-    ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Events observed since the last [`start_counting`] / [`arm`]:
-/// `(checkouts, engine_passes)`.
-#[must_use]
-pub fn counts() -> (u64, u64) {
-    let st = STATE.lock();
-    (st.checkouts, st.passes)
-}
-
-/// Arm an injection: the `index`-th (zero-based) event at `site` unwinds
-/// with an [`InjectedFault`] payload of the given `kind`.  Counters restart
-/// at zero.  The injection fires at most once; [`reset`] disarms.
-pub fn arm(site: FaultSite, index: u64, kind: FaultKind) {
-    let mut st = STATE.lock();
-    st.checkouts = 0;
-    st.passes = 0;
-    st.armed = Some((site, index, kind));
-    drop(st);
-    ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Hook: a workspace checkout is about to happen.  Called by
-/// `Workspace::take` before any counter increment or pool pop.
-#[inline]
-pub fn on_checkout() {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
+impl Faults {
+    /// Disable the injector and zero the event counters.
+    pub fn reset(&self) {
+        self.restart(None, false);
     }
-    hit(FaultSite::Checkout);
-}
 
-/// Hook: an engine primitive is entered.  Called at the top of every
-/// `sfcp-parprim` entry point that checks out buffers.
-#[inline]
-pub fn on_engine_pass() {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
+    /// Enable counting: hooks tally events without firing, so a test can
+    /// learn how many injection points a workload has (read them with
+    /// [`Faults::counts`]).
+    pub fn start_counting(&self) {
+        self.restart(None, true);
     }
-    hit(FaultSite::EnginePass);
-}
 
-#[cold]
-fn hit(site: FaultSite) {
-    let fired = {
-        let mut st = STATE.lock();
-        let counter = match site {
-            FaultSite::Checkout => &mut st.checkouts,
-            FaultSite::EnginePass => &mut st.passes,
+    /// Events observed since the last [`Faults::start_counting`] /
+    /// [`Faults::arm`]: `(checkouts, engine_passes)`.
+    #[must_use]
+    pub fn counts(&self) -> (u64, u64) {
+        let st = self.state.lock();
+        (st.checkouts, st.passes)
+    }
+
+    /// Arm an injection: the `index`-th (zero-based) event at `site` unwinds
+    /// with an [`InjectedFault`] payload of the given `kind`.  Counters
+    /// restart at zero.  The injection fires at most once; [`Faults::reset`]
+    /// disarms.
+    pub fn arm(&self, site: FaultSite, index: u64, kind: FaultKind) {
+        self.restart(Some((site, index, kind)), true);
+    }
+
+    fn restart(&self, armed: Option<(FaultSite, u64, FaultKind)>, active: bool) {
+        *self.state.lock() = FaultState {
+            checkouts: 0,
+            passes: 0,
+            armed,
         };
-        let index = *counter;
-        *counter += 1;
-        match st.armed {
-            Some((armed_site, armed_index, kind)) if armed_site == site && armed_index == index => {
-                // Fire at most once even if the same index recurs after a
-                // counter reset race.
-                st.armed = None;
-                Some(InjectedFault { site, index, kind })
-            }
-            _ => None,
+        self.active.store(active, Ordering::SeqCst);
+    }
+
+    /// Hook: a workspace checkout is about to happen.  Called by
+    /// `Workspace::take` before any counter increment or pool pop.
+    #[inline]
+    pub(crate) fn on_checkout(&self) {
+        if self.active.load(Ordering::Relaxed) {
+            self.hit(FaultSite::Checkout);
         }
-    };
-    // Panic outside the lock so the state mutex is never held across the
-    // unwind.
-    if let Some(fault) = fired {
-        std::panic::panic_any(fault);
+    }
+
+    /// Hook: an engine primitive is entered.  Called only by `Ctx::pass`,
+    /// which opens the pass's span right after.
+    #[inline]
+    pub(crate) fn on_engine_pass(&self) {
+        if self.active.load(Ordering::Relaxed) {
+            self.hit(FaultSite::EnginePass);
+        }
+    }
+
+    #[cold]
+    fn hit(&self, site: FaultSite) {
+        let fired = {
+            let mut st = self.state.lock();
+            let counter = match site {
+                FaultSite::Checkout => &mut st.checkouts,
+                FaultSite::EnginePass => &mut st.passes,
+            };
+            let index = *counter;
+            *counter += 1;
+            match st.armed {
+                Some((armed_site, armed_index, kind))
+                    if armed_site == site && armed_index == index =>
+                {
+                    st.armed = None;
+                    Some(InjectedFault { site, index, kind })
+                }
+                _ => None,
+            }
+        };
+        // Unwind outside the lock so the state mutex is never held across
+        // the unwind, and without the panic hook: an injected fault is an
+        // expected event, not a crash report.
+        if let Some(fault) = fired {
+            std::panic::resume_unwind(Box::new(fault));
+        }
     }
 }
 
@@ -185,40 +187,34 @@ fn hit(site: FaultSite) {
 mod tests {
     use super::*;
 
-    // The fault layer is process-global; these unit tests run in the same
-    // binary as the rest of the crate's tests, so they serialize on a local
-    // lock and always leave the layer reset.
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn disabled_hooks_count_nothing() {
-        let _g = GUARD.lock().unwrap();
-        reset();
-        on_checkout();
-        on_engine_pass();
-        assert_eq!(counts(), (0, 0));
+        let faults = Faults::default();
+        faults.on_checkout();
+        faults.on_engine_pass();
+        assert_eq!(faults.counts(), (0, 0));
     }
 
     #[test]
     fn counting_tallies_both_sites() {
-        let _g = GUARD.lock().unwrap();
-        start_counting();
-        on_checkout();
-        on_checkout();
-        on_engine_pass();
-        assert_eq!(counts(), (2, 1));
-        reset();
-        assert_eq!(counts(), (0, 0));
+        let faults = Faults::default();
+        faults.start_counting();
+        faults.on_checkout();
+        faults.on_checkout();
+        faults.on_engine_pass();
+        assert_eq!(faults.counts(), (2, 1));
+        faults.reset();
+        assert_eq!(faults.counts(), (0, 0));
     }
 
     #[test]
     fn armed_fault_fires_at_exact_index_with_typed_payload() {
-        let _g = GUARD.lock().unwrap();
-        arm(FaultSite::Checkout, 2, FaultKind::AllocFail);
-        on_checkout();
-        on_checkout();
-        on_engine_pass(); // different site: never fires
-        let caught = std::panic::catch_unwind(on_checkout).unwrap_err();
+        let faults = Faults::default();
+        faults.arm(FaultSite::Checkout, 2, FaultKind::AllocFail);
+        faults.on_checkout();
+        faults.on_checkout();
+        faults.on_engine_pass(); // different site: never fires
+        let caught = std::panic::catch_unwind(|| faults.on_checkout()).unwrap_err();
         let fault = caught
             .downcast::<InjectedFault>()
             .expect("payload must be the typed fault");
@@ -231,7 +227,6 @@ mod tests {
             }
         );
         // One-shot: the same index does not re-fire.
-        on_checkout();
-        reset();
+        faults.on_checkout();
     }
 }

@@ -21,12 +21,13 @@
 //! * a failure model: typed [`Error`]s for the fallible (`try_`) surface of
 //!   the downstream crates, a poison/recover protocol on the workspace
 //!   ([`Workspace::recover`] / [`Ctx::recover`]) so a context survives a
-//!   failed invocation with warm pools, and a deterministic fault-injection
-//!   layer ([`faults`]) that is zero-cost when disabled;
+//!   failed invocation with warm pools, and a deterministic fault injector
+//!   per workspace ([`faults`], [`Workspace::faults`]) that is zero-cost when
+//!   disabled;
 //! * an observability layer ([`trace`]): RAII spans ([`Ctx::span`]) opened
-//!   at every engine pass and pipeline phase, recording wall time, charge
-//!   deltas, and workspace churn into a per-context ring — also zero-cost
-//!   when disabled, and charge-neutral in every state;
+//!   at every engine pass ([`Ctx::pass`]) and pipeline phase, recording wall
+//!   time, charge deltas, and workspace churn into a per-context ring — also
+//!   zero-cost when disabled, and charge-neutral in every state;
 //! * [`brent::predicted_time`], Brent's scheduling principle
 //!   (`time ≈ work / p + depth`), used by the benchmark harness to convert
 //!   (work, depth) pairs into the per-processor running times that the

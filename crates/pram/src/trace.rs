@@ -9,12 +9,16 @@
 //!
 //! ## Disabled-cost contract
 //!
-//! Like the fault-injection layer ([`crate::faults`]), tracing is
+//! Like the per-context fault injector ([`crate::faults`]), tracing is
 //! dependency-free and **zero-cost when disabled**: [`Ctx::span`] performs a
-//! single relaxed atomic load and returns a no-op guard.  In *any* state the layer charges nothing to the cost model —
-//! span open/close only reads the tracker, workspace counters, and the
-//! monotonic clock — so tracked work/depth is bit-identical with tracing on
-//! or off (`tests/charge_determinism.rs` pins this across the engine grid).
+//! single relaxed atomic load and returns a no-op guard.  In *any* state the
+//! layer charges nothing to the cost model — span open/close only reads the
+//! tracker, workspace counters, and the monotonic clock — so tracked
+//! work/depth is bit-identical with tracing on or off
+//! (`tests/charge_determinism.rs` pins this in both modes).  Engine passes
+//! open their spans through [`Ctx::pass`], which fires the fault injector's
+//! engine-pass hook first, so every pass an injection can target is in the
+//! phase tree.
 //!
 //! ## Span model
 //!
@@ -46,6 +50,7 @@
 //!   row.
 //!
 //! [`Ctx::span`]: crate::Ctx::span
+//! [`Ctx::pass`]: crate::Ctx::pass
 //! [`Ctx::recover`]: crate::Ctx::recover
 //! [`Ctx::reset_stats`]: crate::Ctx::reset_stats
 //! [`Tracker::since`]: crate::Tracker::since

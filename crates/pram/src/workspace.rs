@@ -18,6 +18,7 @@
 //! The pools sit behind mutexes, but checkouts happen at *round* granularity
 //! (a handful per parallel step), so contention is negligible.
 
+use crate::faults::Faults;
 use parking_lot::Mutex;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,6 +78,7 @@ pub struct Workspace {
     returns: AtomicU64,
     pooled_bytes: AtomicU64,
     epoch: AtomicU64,
+    faults: Faults,
 }
 
 /// Element types the workspace pools.
@@ -133,11 +135,12 @@ impl Workspace {
     /// overwrite every element it reads.
     #[must_use]
     pub fn take<T: Poolable>(&self, len: usize) -> Scratch<'_, T> {
-        // The fault hook fires before any counter increment or pool pop, so
-        // an injected failure at this checkout leaves every counter and pool
-        // exactly as they were — the unwind releases live `Scratch` guards
-        // (returning their buffers) and `outstanding()` stays reconciled.
-        crate::faults::on_checkout();
+        // This workspace's checkout fault hook fires before any counter
+        // increment or pool pop, so an injected failure at this checkout
+        // leaves every counter and pool exactly as they were — the unwind
+        // releases live `Scratch` guards (returning their buffers) and
+        // `outstanding()` stays reconciled.
+        self.faults.on_checkout();
         self.checkouts.fetch_add(1, Ordering::Relaxed);
         let mut buf = match T::pool(self).lock().pop() {
             Some(buf) => {
@@ -228,6 +231,14 @@ impl Workspace {
     #[must_use]
     pub fn pooled_bytes(&self) -> u64 {
         self.pooled_bytes.load(Ordering::Relaxed)
+    }
+
+    /// This workspace's fault injector (see [`crate::faults`]).  Its
+    /// checkout hook fires inside [`Workspace::take`]; its engine-pass hook
+    /// fires inside [`Ctx::pass`](crate::Ctx::pass) on the owning context.
+    #[must_use]
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// Recovery epoch: incremented by every [`Workspace::recover`] call.

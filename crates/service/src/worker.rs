@@ -481,6 +481,15 @@ impl Worker {
         })
     }
 
+    /// This worker's persistent context (test support: arm its
+    /// [`Faults`](sfcp_pram::faults::Faults) injector to fail a later
+    /// serve).  A `cold_ctx` worker replaces it on every request.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn ctx(&self) -> &Ctx {
+        &self.ctx
+    }
+
     /// The admission policy this worker batches under.
     #[must_use]
     pub fn policy(&self) -> BatchPolicy {

@@ -12,12 +12,15 @@
 //! | `workspace-pairing` | workspace checkouts are bound or handed off; no `mem::forget` |
 //! | `alloc-hot-path` | no allocation in `_into` hot paths; no accidental O(n) copies |
 //! | `facade-coverage` | panicking `pram`/`core` entry points have `try_` twins |
-//! | `trace-span` | every engine pass (`on_engine_pass`) opens a trace span |
 //! | `bench-schema` | committed schema-2+ bench rows carry their trace summary |
 //! | `lint-allow` | every inline suppression carries a justification |
 //!
 //! Suppression: `// lint:allow(rule-id): justification` on (or directly
 //! above) the offending line.  The justification is mandatory.
+//!
+//! Span coverage of engine passes needs no rule: the engine-pass fault hook
+//! is crate-private to `sfcp-pram` and fires only through `Ctx::pass`,
+//! which opens the pass's span, so the compiler enforces the pairing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,7 +102,6 @@ pub fn run_lint(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
         findings.extend(rules::unsafe_hygiene::check_attr(&scan));
         findings.extend(rules::workspace_pairing::check(&scan));
         findings.extend(rules::alloc_hot_path::check(&scan));
-        findings.extend(rules::trace_span::check(&scan));
         facades.ingest(&scan);
     }
     findings.extend(facades.finish());

@@ -5,6 +5,5 @@ pub mod alloc_hot_path;
 pub mod bench_schema;
 pub mod charge_taint;
 pub mod facade_coverage;
-pub mod trace_span;
 pub mod unsafe_hygiene;
 pub mod workspace_pairing;

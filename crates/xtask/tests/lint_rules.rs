@@ -5,8 +5,8 @@
 //! roots, facade crates) fire exactly as they would in the tree.
 
 use xtask::rules::{
-    alloc_hot_path, bench_schema, charge_taint, facade_coverage::FacadeState, trace_span,
-    unsafe_hygiene, workspace_pairing,
+    alloc_hot_path, bench_schema, charge_taint, facade_coverage::FacadeState, unsafe_hygiene,
+    workspace_pairing,
 };
 use xtask::scan::FileScan;
 
@@ -165,41 +165,6 @@ fn facade_coverage_accepts_paired_twins_across_result_types() {
         include_str!("fixtures/facade_clean.rs"),
     ));
     assert_eq!(state.finish(), vec![]);
-}
-
-#[test]
-fn trace_span_flags_unspanned_engine_passes() {
-    let s = scan(
-        "crates/parprim/src/rank.rs",
-        include_str!("fixtures/trace_span_bad.rs"),
-    );
-    let findings = trace_span::check(&s);
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().all(|f| f.rule == trace_span::RULE));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("rank_pass_into")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("scatter_pass_into")));
-}
-
-#[test]
-fn trace_span_accepts_spanned_suppressed_and_test_passes() {
-    let s = scan(
-        "crates/parprim/src/rank.rs",
-        include_str!("fixtures/trace_span_clean.rs"),
-    );
-    assert_eq!(trace_span::check(&s), vec![]);
-}
-
-#[test]
-fn trace_span_exempts_the_fault_layer() {
-    let s = scan(
-        "crates/pram/src/faults.rs",
-        include_str!("fixtures/trace_span_bad.rs"),
-    );
-    assert_eq!(trace_span::check(&s), vec![]);
 }
 
 #[test]

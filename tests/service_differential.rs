@@ -8,38 +8,21 @@
 //! Coverage: every request kind on three seeded inputs, batch sizes
 //! 1 / 7 / 64 (solo path, fused cohorts), and the same batch replayed after
 //! an injected mid-batch fault (recovery must not poison the differential
-//! property).
-//!
-//! The fault layer is process-global, so every test in this binary
-//! serializes on one lock.
+//! property).  The fault test arms one `Worker`'s own context, so no test
+//! here needs a lock.
 
-use sfcp_pram::faults::{self, FaultKind, FaultSite};
+use sfcp_pram::faults::{FaultKind, FaultSite};
 use sfcp_pram::{Ctx, Stats};
 use sfcp_repro::sfcp::{try_coarsest_partition, Algorithm, Instance};
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{generators, try_decompose};
-use sfcp_service::batch::{canonical_labels, fuse_instances, split_canonical_labels};
+use sfcp_service::batch::{canonical_labels, fuse_instances, split_canonical_labels, BatchPolicy};
 use sfcp_service::snapshot::{decomposition_digest, labels_digest};
 use sfcp_service::worker::workload_string;
 use sfcp_service::{
-    Client, ComputeRequest, ErrorCode, Kind, Reply, ReplyPayload, Server, ServerConfig,
+    Client, ComputeRequest, ErrorCode, Kind, Reply, ReplyPayload, Response, Server, ServerConfig,
+    Worker,
 };
-
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = f();
-    std::panic::set_hook(prev);
-    result
-}
 
 /// Run a direct library call under fresh stats, mirroring the worker's
 /// `traced_run` charge accounting.
@@ -68,8 +51,6 @@ fn problem_size() -> usize {
 /// Every request kind, on three seeded inputs, against direct calls.
 #[test]
 fn every_kind_matches_direct_calls_across_the_engine_grid() {
-    let _g = lock();
-    faults::reset();
     let server = Server::start(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let n = problem_size();
@@ -150,11 +131,16 @@ fn batch_requests(members: &[Instance]) -> Vec<ComputeRequest> {
         .collect()
 }
 
-/// Drive one batch and differentially verify every member: answers against
-/// solo direct solves, charges against the path the cohort actually took
-/// (solo charges for a batch of one, fused-reference charges otherwise).
-fn verify_batch(client: &mut Client, ctx: &Ctx, members: &[Instance]) {
-    let responses = client.batch(&batch_requests(members)).expect("transport");
+/// Serve a batch frame of `members` on a worker directly (no transport).
+fn serve_on(worker: &mut Worker, members: &[Instance]) -> Vec<Response> {
+    let subs: Vec<(u64, ComputeRequest)> = (0..).zip(batch_requests(members)).collect();
+    worker.serve_batch(0, &subs).responses
+}
+
+/// Differentially verify every member of one batch's `responses`: answers
+/// against solo direct solves, charges against the path the cohort actually
+/// took (solo charges for a batch of one, fused-reference charges otherwise).
+fn verify_batch(responses: &[Response], ctx: &Ctx, members: &[Instance]) {
     assert_eq!(responses.len(), members.len());
 
     let (expect_labels, expect_stats): (Vec<Vec<u32>>, Stats) = if members.len() == 1 {
@@ -176,7 +162,7 @@ fn verify_batch(client: &mut Client, ctx: &Ctx, members: &[Instance]) {
         )
     };
 
-    for (j, (member, response)) in members.iter().zip(&responses).enumerate() {
+    for (j, (member, response)) in members.iter().zip(responses).enumerate() {
         let reply = response.outcome.as_ref().expect("member solve");
         assert_eq!(
             reply.fused as usize,
@@ -206,15 +192,14 @@ fn verify_batch(client: &mut Client, ctx: &Ctx, members: &[Instance]) {
 /// Batch sizes 1, 7, and 64 round-trip bit-for-bit, results and charges.
 #[test]
 fn batch_sizes_round_trip_bit_for_bit() {
-    let _g = lock();
-    faults::reset();
     let server = Server::start(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let ctx = Ctx::parallel();
 
     for (size, seed) in [(1usize, 71), (7, 72), (64, 73)] {
         let members = batch_members(size, seed);
-        verify_batch(&mut client, &ctx, &members);
+        let responses = client.batch(&batch_requests(&members)).expect("transport");
+        verify_batch(&responses, &ctx, &members);
     }
     server.shutdown();
 }
@@ -224,30 +209,27 @@ fn batch_sizes_round_trip_bit_for_bit() {
 /// differentially identical to direct calls.
 #[test]
 fn mid_batch_fault_then_replay_matches_direct_calls() {
-    let _g = lock();
-    faults::reset();
-    let server = Server::start(ServerConfig::default()).expect("bind");
-    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut worker = Worker::new(0, 1 << 20, BatchPolicy::default(), false);
     let ctx = Ctx::parallel();
     let members = batch_members(7, 99);
 
-    with_quiet_panics(|| {
-        faults::arm(FaultSite::EnginePass, 2, FaultKind::Panic);
-        let responses = client.batch(&batch_requests(&members)).expect("transport");
-        faults::reset();
-        assert_eq!(responses.len(), members.len());
-        for response in &responses {
-            let err = response
-                .outcome
-                .as_ref()
-                .expect_err("faulted cohort member");
-            assert_eq!(err.code, ErrorCode::Execution);
-            assert!(err.retryable, "an injected fault is retryable: {err}");
-        }
-    });
+    worker
+        .ctx()
+        .workspace()
+        .faults()
+        .arm(FaultSite::EnginePass, 2, FaultKind::Panic);
+    let responses = serve_on(&mut worker, &members);
+    assert_eq!(responses.len(), members.len());
+    for response in &responses {
+        let err = response
+            .outcome
+            .as_ref()
+            .expect_err("faulted cohort member");
+        assert_eq!(err.code, ErrorCode::Execution);
+        assert!(err.retryable, "an injected fault is retryable: {err}");
+    }
 
     // The worker recovered; the replay must still be bit-identical.
-    verify_batch(&mut client, &ctx, &members);
-    faults::reset();
-    server.shutdown();
+    let replay = serve_on(&mut worker, &members);
+    verify_batch(&replay, &ctx, &members);
 }

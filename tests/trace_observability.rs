@@ -3,14 +3,11 @@
 //! covers every engine pass and a valid Chrome/Perfetto `trace.json`; the
 //! end-to-end algorithm must additionally show its labelling phases and
 //! doubling rounds.
-//!
-//! The fault layer's pass counter is process-global, so the cross-check
-//! against it lives in this dedicated binary (like `fault_injection.rs`).
 
 use sfcp_repro::sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{decompose, generators};
-use sfcp_repro::sfcp_pram::{faults, Ctx};
+use sfcp_repro::sfcp_pram::Ctx;
 use sfcp_repro::sfcp_service::json;
 
 fn warm_size() -> usize {
@@ -41,14 +38,14 @@ fn traced_warm_decompose_covers_every_engine_pass() {
     let g = generators::random_function(n, 0xACE5);
     let ctx = warm_traced_ctx(&g);
 
-    // Count the injection points of one warm run: `on_engine_pass` fires
-    // once per engine pass, and the trace-span lint guarantees each firing
-    // function opens a span — so the recorded span count must dominate the
-    // pass count, or a pass executed outside the phase tree.
-    faults::start_counting();
+    // Count the engine passes of one warm run on this context's own fault
+    // injector: its pass hook fires only inside `Ctx::pass`, which opens
+    // the pass's span — so the recorded span count must dominate the pass
+    // count, or a pass executed outside the phase tree.
+    let faults = ctx.workspace().faults();
+    faults.start_counting();
     let d = decompose(&ctx, &g, CycleMethod::Euler);
-    let (_, passes) = faults::counts();
-    faults::reset();
+    let (_, passes) = faults.counts();
     std::hint::black_box(d.num_cycles());
 
     let snap = ctx.trace().snapshot();
@@ -139,12 +136,31 @@ fn chrome_export_and_summary_are_valid_json() {
     let snap = ctx.trace().snapshot();
 
     let chrome = snap.to_chrome_json();
-    json::parse(chrome.as_bytes()).expect("the Chrome export must be valid JSON");
-    assert!(chrome.contains("\"traceEvents\""));
-    assert!(chrome.contains("\"displayTimeUnit\""));
-    // Complete events for the spans.
-    assert!(chrome.contains("\"ph\":\"X\""));
-    assert!(chrome.contains("\"decompose\""));
+    let doc = json::parse(chrome.as_bytes()).expect("the Chrome export must be valid JSON");
+    assert!(doc.get("displayTimeUnit").is_some());
+    // Every top-level pipeline phase is a complete (`"ph":"X"`) event.
+    let events = doc
+        .get("traceEvents")
+        .and_then(json::Value::as_array)
+        .expect("a traceEvents array");
+    let complete: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
+        .filter_map(|e| e.get("name").and_then(json::Value::as_str))
+        .collect();
+    for phase in [
+        "decompose",
+        "cycle_nodes",
+        "tree_structure",
+        "list_rank_flagged",
+        "levels",
+        "build_csr",
+    ] {
+        assert!(
+            complete.contains(&phase),
+            "missing complete event `{phase}`: {complete:?}"
+        );
+    }
 
     let summary = snap.summary().to_json();
     json::parse(summary.as_bytes()).expect("the trace summary must be valid JSON");
