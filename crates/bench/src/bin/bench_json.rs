@@ -20,7 +20,10 @@
 //! * `decompose_checked`  — the validated `try_decompose` path (size
 //!   envelope check + `catch_unwind`) on the same warm pools; a gate
 //!   asserts it stays within noise of `decompose_warm`,
-//! * `coarsest_parallel`  — the end-to-end parallel algorithm.
+//! * `coarsest_parallel`  — the end-to-end parallel algorithm,
+//! * `sequential_linear`  — the linear-time sequential baseline on the same
+//!   instance with the same reps, so the file records the parallel-vs-
+//!   sequential ratio (ungated: it is a trajectory number).
 //!
 //! The **service tier** measures the `sfcp-service` front-end end to end
 //! over loopback TCP (in-process server, blocking client):
@@ -607,6 +610,15 @@ fn main() {
             service_reqs,
             true,
         ));
+        // The sequential baseline on the same instance, recorded next to
+        // `coarsest_parallel` but run after the service pair: run before it,
+        // freeing its large buffers raises glibc's dynamic mmap threshold,
+        // which makes the cold server's fresh allocations cheap and erases
+        // the warm-vs-cold margin gated below.
+        rows.push(measure("sequential_linear", n, reps, |ctx: &Ctx| {
+            let q = coarsest_partition(ctx, &inst, Algorithm::SequentialLinear);
+            std::hint::black_box(q.num_blocks());
+        }));
     }
 
     // The service throughput tier: fixed work (128 partition requests at

@@ -13,9 +13,11 @@
 //! by (cycle class, offset along the period).  Step 3 first inherits cycle
 //! labels along matching paths (Lemma 4.1, implemented with Euler-tour
 //! ancestor sums), then labels the remaining "unmarked" nodes by a doubling
-//! computation over their root paths (Lemma 4.2); a level-by-level
-//! work-optimal variant is provided as an ablation (the paper gets both
-//! bounds at once via Kedem–Palem scheduling — see DESIGN.md).
+//! computation over their root paths (Lemma 4.2) that stops at the first
+//! round splitting no class: `O(n log k)` work for `k` the longest path
+//! prefix two classes need to separate.  A level-by-level work-optimal
+//! variant is provided as an ablation (the paper gets both bounds at once
+//! via Kedem–Palem scheduling — see DESIGN.md).
 
 use crate::cycle_equivalence::{group_cycles, GroupingMethod};
 use crate::error::DecomposeError;
@@ -33,9 +35,11 @@ use sfcp_strings::rotation;
 /// How the residual (unmarked) tree nodes are labelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TreeLabelMethod {
-    /// Doubling over root paths: `O(log n)` rounds, `O(n log d)` work where
-    /// `d` is the residual forest depth (the paper reaches `O(n)` work with
-    /// Kedem–Palem scheduling; this is the documented substitution).
+    /// Doubling over root paths, stopped at the first round that splits no
+    /// class: `O(log k)` rounds and `O(n log k)` work, where `k ≤ d + 2` is
+    /// the longest path prefix two classes need to separate and `d` the
+    /// residual forest depth (the paper reaches `O(n)` work with Kedem–Palem
+    /// scheduling; this is the documented substitution).
     #[default]
     Doubling,
     /// Level-by-level labelling: `O(n)` work but depth proportional to the
@@ -144,7 +148,6 @@ pub fn coarsest_parallel_with(ctx: &Ctx, instance: &Instance, config: ParallelCo
 
     // ---- Step 3: tree node labelling ---------------------------------------
     if dec.levels.iter().any(|&l| l > 0) {
-        let _span_phase = ctx.span("label_tree_nodes");
         label_tree_nodes(ctx, instance, &dec, config, &mut labels, &mut next_label);
     }
 
@@ -232,15 +235,19 @@ fn label_tree_nodes(
     instance: &Instance,
     dec: &Decomposition,
     config: ParallelConfig,
-    labels: &mut Vec<u32>,
+    labels: &mut [u32],
     next_label: &mut u32,
 ) {
+    let mut span = ctx.span("label_tree_nodes");
     match config.tree_method {
         TreeLabelMethod::Levelwise => {
             label_tree_nodes_levelwise(ctx, instance, dec, labels, next_label);
         }
         TreeLabelMethod::Doubling => {
-            label_tree_nodes_doubling(ctx, instance, dec, labels, next_label);
+            let (unmarked, terminals) =
+                label_tree_nodes_doubling(ctx, instance, dec, labels, next_label);
+            span.attr("unmarked", unmarked as u64);
+            span.attr("terminals", terminals as u64);
         }
     }
 }
@@ -310,14 +317,15 @@ fn label_tree_nodes_levelwise(
 }
 
 /// The paper's route: Lemma 4.1 marking + Euler-tour descendant unmarking,
-/// then Lemma 4.2 doubling over the residual forest.
+/// then Lemma 4.2 doubling over the residual forest.  Returns the number of
+/// unmarked nodes and of terminals (distinct anchor labels).
 fn label_tree_nodes_doubling(
     ctx: &Ctx,
     instance: &Instance,
     dec: &Decomposition,
-    labels: &mut Vec<u32>,
+    labels: &mut [u32],
     next_label: &mut u32,
-) {
+) -> (usize, usize) {
     let n = instance.len();
     let f = instance.f();
     let b = instance.blocks();
@@ -365,13 +373,15 @@ fn label_tree_nodes_doubling(
     // cycle node.
     {
         let ptr = SendPtr(labels.as_mut_ptr());
-        let labels_snapshot: Vec<u32> = labels.clone();
         ctx.par_for_idx(n, |x| {
             if marked[x] && !dec.is_cycle[x] {
                 let p = ptr;
-                // SAFETY: each slot written by its own index only.
+                // SAFETY: each marked tree node writes its own slot only, and
+                // reads the slot of its corresponding node, which is a cycle
+                // node; cycle slots are never written here, so no slot is both
+                // read and written by the loop.
                 unsafe {
-                    *p.0.add(x) = labels_snapshot[corr[x] as usize];
+                    *p.0.add(x) = *p.0.add(corr[x] as usize);
                 }
             }
         });
@@ -384,13 +394,20 @@ fn label_tree_nodes_doubling(
     let unmarked_ids: Vec<u32> = sfcp_parprim::compact::compact_indices(ctx, n, |x| !marked[x]);
     let u = unmarked_ids.len();
     if u == 0 {
-        return;
+        return (0, 0);
     }
     let mut compact = vec![u32::MAX; n];
-    for (i, &x) in unmarked_ids.iter().enumerate() {
-        compact[x as usize] = i as u32;
+    {
+        let ptr = SendPtr(compact.as_mut_ptr());
+        let ids = &unmarked_ids;
+        ctx.par_for_idx(u, |i| {
+            let p = ptr;
+            // SAFETY: distinct unmarked nodes write distinct slots.
+            unsafe {
+                *p.0.add(ids[i] as usize) = i as u32;
+            }
+        });
     }
-    ctx.charge_step(u as u64);
 
     // Anchors: the labels of the (already labelled) parents of unmarked
     // roots.  Terminal virtual nodes, one per distinct anchor label.
@@ -456,31 +473,25 @@ fn label_tree_nodes_doubling(
     let mut lab = ws.take_u32(0);
     let mut distinct = dense_ranks_of_pairs_into(ctx, &pairs, &mut lab);
 
-    // Residual-forest depth bounds the number of doubling rounds.
-    let mut depth_flags = ws.take_u64(n);
-    {
-        let marked = &marked;
-        ctx.par_update(&mut depth_flags, |x, v| *v = u64::from(!marked[x]));
-    }
-    let mut unmarked_depth = ws.take_u64(0);
-    dec.tour
-        .ancestor_counts_into(ctx, &depth_flags, &mut unmarked_depth);
-    let max_depth = unmarked_ids
-        .iter()
-        .map(|&x| unmarked_depth[x as usize])
-        .max()
-        .unwrap_or(0);
-    ctx.charge_step(u as u64);
-    let rounds = sfcp_pram::ceil_log2(max_depth as usize + 2) + 1;
-
+    // Round r ranks (label, label of the 2^r-th successor), so afterwards a
+    // label encodes the first 2^(r+1) B-labels of the node's path, padded
+    // with its terminal.  Every pair leads with the previous label, so labels
+    // only refine, and an equal class count means an equal partition:
+    // P_2k = P_k.  Nodes with equal k-prefixes then have equal 2k-prefixes,
+    // hence successors with equal k-prefixes: P_k is stable under f, so
+    // P_(k+1) = P_k, the fixpoint, and no later round splits a class.  The
+    // loop therefore stops at the first round that splits nothing (or once
+    // every class is a singleton).  Once 2^(r+1) ≥ d + 2, for d the residual
+    // depth, every label includes its terminal, so round r + 1 splits
+    // nothing: the loop runs at most ⌈lg(d + 2)⌉ + 1 rounds.
     let mut next_lab = ws.take_u32(0);
     let mut next_jump = ws.take_u32(total);
-    for round in 0..rounds {
+    for round in 0u64.. {
         if distinct == total {
             break;
         }
         let mut span_round = ctx.span("doubling_round");
-        span_round.attr("round", round as u64);
+        span_round.attr("round", round);
         {
             let lab = &lab;
             let jump = &jump;
@@ -488,7 +499,12 @@ fn label_tree_nodes_doubling(
                 *p = (u64::from(lab[i]), u64::from(lab[jump[i] as usize]));
             });
         }
-        distinct = dense_ranks_of_pairs_into(ctx, &pairs, &mut next_lab);
+        let count = dense_ranks_of_pairs_into(ctx, &pairs, &mut next_lab);
+        span_round.attr("classes", count as u64);
+        if count == distinct {
+            break;
+        }
+        distinct = count;
         {
             let jump_ref = &jump;
             ctx.par_update(&mut next_jump, |i, j| *j = jump_ref[jump_ref[i] as usize]);
@@ -497,25 +513,31 @@ fn label_tree_nodes_doubling(
         std::mem::swap(&mut jump, &mut *next_jump);
     }
 
-    // Fresh labels for the unmarked nodes: offset their (dense) classes past
-    // the labels already handed out.  Unmarked nodes are never equivalent to
+    // Ranks are order-preserving, the terminals start as (1, t) above every
+    // (0, b), and every later pair leads with the previous label: the T
+    // terminal classes keep the top T labels, so the unmarked classes are
+    // exactly 0..distinct - T.  Unmarked nodes are never equivalent to
     // already-labelled nodes (a node equivalent to any cycle node is marked),
-    // so no merging is needed.
-    let unmarked_classes: Vec<u64> = (0..u).map(|i| u64::from(lab[i])).collect();
-    let (dense_classes, class_count) = dense_ranks_by_sort(ctx, &unmarked_classes);
+    // so they take these classes offset past the labels already handed out.
+    let classes = distinct - num_terminals;
+    debug_assert!(
+        (0..num_terminals).all(|t| lab[u + t] as usize == classes + t),
+        "terminals must hold the top labels"
+    );
     {
         let ptr = SendPtr(labels.as_mut_ptr());
         let base = *next_label;
-        let ids = &unmarked_ids;
+        let (ids, lab) = (&unmarked_ids, &lab);
         ctx.par_for_idx(u, |i| {
             let p = ptr;
             // SAFETY: distinct unmarked nodes write distinct slots.
             unsafe {
-                *p.0.add(ids[i] as usize) = base + dense_classes[i];
+                *p.0.add(ids[i] as usize) = base + lab[i];
             }
         });
     }
-    *next_label += class_count as u32;
+    *next_label += classes as u32;
+    (u, num_terminals)
 }
 
 #[derive(Clone, Copy)]
@@ -602,9 +624,26 @@ mod tests {
         }
     }
 
+    /// Twin chains: a 2-cycle with B = (1, 2) and three all-0 chains of
+    /// 1,000 nodes, two hanging off node 0 and one off node 1.  Chain nodes at
+    /// equal depth below node 0 are equivalent, all others are apart, and
+    /// separating the deepest ones takes their whole path: every doubling
+    /// round splits a class until the fixpoint round.
+    fn twin_chains() -> Instance {
+        let (mut f, mut b) = (vec![1u32, 0], vec![1u32, 2]);
+        for anchor in [0, 0, 1] {
+            let mut parent = anchor;
+            for _ in 0..1000 {
+                f.push(parent);
+                b.push(0);
+                parent = f.len() as u32 - 1;
+            }
+        }
+        Instance::new(f, b)
+    }
+
     #[test]
     fn structured_instances_match_naive_all_configs() {
-        let ctx = Ctx::parallel();
         let instances = [
             Instance::random(600, 2, 0),
             Instance::random(600, 5, 1),
@@ -612,19 +651,46 @@ mod tests {
             Instance::periodic_cycles(9, 24, 6, 3, 3),
             Instance::deep(500, 5, 2, 4),
             Instance::deep(500, 1, 2, 5),
+            twin_chains(),
         ];
-        for inst in &instances {
-            let expected = coarsest_naive(inst);
-            for config in configs() {
-                let q = coarsest_parallel_with(&ctx, inst, config);
-                assert!(
-                    q.same_partition(&expected),
-                    "config {config:?} mismatched on n = {}",
-                    inst.len()
-                );
+        for mode in [Mode::Sequential, Mode::Parallel] {
+            let ctx = Ctx::new(mode);
+            for inst in &instances {
+                let expected = coarsest_naive(inst);
+                for config in configs() {
+                    let q = coarsest_parallel_with(&ctx, inst, config);
+                    assert!(
+                        q.same_partition(&expected),
+                        "config {config:?} mismatched on n = {} ({mode:?})",
+                        inst.len()
+                    );
+                }
+                assert_valid(inst, &expected);
             }
-            assert_valid(inst, &expected);
         }
+    }
+
+    #[test]
+    fn twin_chains_split_a_class_in_every_doubling_round() {
+        let inst = twin_chains();
+        assert_eq!(
+            (inst.len(), coarsest_naive(&inst).num_blocks()),
+            (3002, 2002)
+        );
+        let ctx = Ctx::parallel().with_tracing();
+        let _ = coarsest_parallel(&ctx, &inst);
+        let snap = ctx.trace().snapshot();
+        let classes: Vec<u64> = snap
+            .spans_named("doubling_round")
+            .iter()
+            .map(|r| r.attrs.iter().find(|(k, _)| *k == "classes").unwrap().1)
+            .collect();
+        // The bound ⌈lg(d + 2)⌉ + 1 for the residual depth d = 999: every
+        // round before it splits a class, so the exit cannot fire early.
+        assert_eq!(classes.len(), 11, "{classes:?}");
+        let (last, grew) = classes.split_last().unwrap();
+        assert!(grew.windows(2).all(|w| w[0] < w[1]), "{classes:?}");
+        assert_eq!(Some(last), grew.last(), "{classes:?}");
     }
 
     #[test]
@@ -701,5 +767,20 @@ mod tests {
         let ctx = Ctx::parallel();
         let q = coarsest_parallel(&ctx, &inst);
         assert!(q.same_partition(&expected), "{:?}", q.labels());
+    }
+
+    /// Miri target: tree labelling, which the paper example (a permutation)
+    /// never reaches.  This instance has 14 cycle nodes, 9 marked tree nodes
+    /// and 25 unmarked ones, so step 4's inherited labels and the final
+    /// scatter of the doubling both run, across tasks at grain 4.
+    #[test]
+    fn miri_random_forest_parallel() {
+        let inst = Instance::random(48, 2, 0);
+        let ctx = Ctx::parallel().with_grain(4).with_tracing();
+        let q = coarsest_parallel(&ctx, &inst);
+        assert!(q.same_partition(&coarsest_naive(&inst)), "{:?}", q.labels());
+        let snap = ctx.trace().snapshot();
+        let tree = snap.spans_named("label_tree_nodes");
+        assert_eq!(tree[0].attrs, [("unmarked", 25), ("terminals", 6)]);
     }
 }

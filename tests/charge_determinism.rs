@@ -278,10 +278,10 @@ fn coarsest_parallel_charges_are_pinned() {
     // (sequential pin, parallel pin) per instance.
     let pins = [
         ((2_322, 102), (2_322, 102)),
-        ((784_042, 349), (808_100, 353)),
+        ((623_692, 277), (641_744, 280)),
         ((10_078, 150), (10_078, 150)),
         ((42_190, 132), (42_190, 132)),
-        ((427_453, 237), (427_453, 237)),
+        ((401_473, 224), (401_473, 224)),
     ];
     for ((inst, blocks), pin) in pinned_instances().into_iter().zip(pins) {
         assert_parallel_pinned(&inst, blocks, pin);
@@ -293,7 +293,7 @@ fn coarsest_parallel_charges_are_pinned() {
 #[test]
 fn coarsest_parallel_charges_are_pinned_on_large_input_paths() {
     let (inst, blocks) = large_pinned_instance();
-    assert_parallel_pinned(&inst, blocks, ((6_036_271, 476), (6_520_455, 495)));
+    assert_parallel_pinned(&inst, blocks, ((4_448_499, 347), (4_757_339, 359)));
 }
 
 /// The label-doubling baseline end to end: pinned charges per instance in

@@ -120,11 +120,40 @@ fn traced_coarsest_parallel_shows_labelling_phases_and_rounds() {
     assert!(!rounds.is_empty(), "no doubling rounds recorded");
     for (i, r) in rounds.iter().enumerate() {
         assert_eq!(
-            r.attrs.iter().find(|(k, _)| *k == "round").map(|&(_, v)| v),
-            Some(i as u64),
+            attr(r, "round"),
+            i as u64,
             "round attribute mismatch: {r:?}"
         );
     }
+
+    // The doubling stops at its fixpoint: on a random forest the class
+    // counts strictly increase until the last round, which splits nothing —
+    // six rounds, where a loop run to the residual-depth bound takes eight.
+    let random = Instance::random(1 << 12, 3, 1);
+    ctx.trace().clear();
+    let q = coarsest_partition(&ctx, &random, Algorithm::Parallel);
+    std::hint::black_box(q.num_blocks());
+    let snap = ctx.trace().snapshot();
+    let classes: Vec<u64> = snap
+        .spans_named("doubling_round")
+        .iter()
+        .map(|r| attr(r, "classes"))
+        .collect();
+    assert_eq!(classes.len(), 6, "{classes:?}");
+    let (last, grew) = classes.split_last().unwrap();
+    assert!(grew.windows(2).all(|w| w[0] < w[1]), "{classes:?}");
+    assert_eq!(Some(last), grew.last(), "{classes:?}");
+    let tree = &snap.spans_named("label_tree_nodes")[0];
+    assert!(attr(tree, "unmarked") > 0 && attr(tree, "terminals") > 0);
+}
+
+/// The value of the span attribute `key`.
+fn attr(span: &sfcp_repro::sfcp_pram::trace::SpanRecord, key: &str) -> u64 {
+    span.attrs
+        .iter()
+        .find(|(k, _)| *k == key)
+        .unwrap_or_else(|| panic!("no `{key}` attribute: {span:?}"))
+        .1
 }
 
 #[test]
