@@ -1,8 +1,6 @@
-//! Shared helpers for the benchmark harness (workload construction, table
-//! formatting).  The actual experiments live in `benches/` (criterion) and in
-//! the `complexity_table` / `speedup_table` binaries under `src/bin/`.
+//! The benchmark harness: the `bench_json` binary under `src/bin/`, plus
+//! the seeded [`workloads`] the integration tests share.
 
 #![forbid(unsafe_code)]
 
-pub mod tables;
 pub mod workloads;

@@ -1,56 +1,7 @@
-//! Workload generators shared by the criterion benches and the experiment
-//! binaries.  Everything is seeded so that every row of `EXPERIMENTS.md` can
-//! be regenerated exactly.
+//! Seeded workloads for the integration tests (`tests/bign.rs`, `tests/csr_workload.rs`).
 
 use rand::prelude::*;
-use sfcp::Instance;
 use sfcp_pram::Ctx;
-
-/// Random functional-graph instance (experiments E1, E2, E10).
-#[must_use]
-pub fn random_instance(n: usize) -> Instance {
-    Instance::random(n, 8, 0xC0FFEE)
-}
-
-/// Cycles-only instance: `k` cycles of equal length with periodic labels
-/// (experiments E3, E6).
-#[must_use]
-pub fn cycles_instance(n: usize) -> Instance {
-    let len = 256.min(n.max(4));
-    let k = (n / len).max(1);
-    Instance::periodic_cycles(k, len, 8.min(len), 4, 0xBEEF)
-}
-
-/// Deep instance: a single long path into a small cycle (experiment E7).
-#[must_use]
-pub fn deep_instance(n: usize) -> Instance {
-    Instance::deep(n, 8.min(n), 4, 0xDEAD)
-}
-
-/// Random circular string (experiment E4).
-#[must_use]
-pub fn random_string(n: usize, alphabet: u32) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(0x5EED ^ n as u64);
-    (0..n).map(|_| rng.gen_range(0..alphabet.max(1))).collect()
-}
-
-/// A list of strings with heavy shared prefixes, total length ~`n`
-/// (experiment E5).
-#[must_use]
-pub fn string_list(n: usize) -> Vec<Vec<u32>> {
-    let mut rng = StdRng::seed_from_u64(0xAB1E ^ n as u64);
-    let len = 32usize;
-    let m = (n / len).max(1);
-    let shared: Vec<u32> = (0..len - 2).map(|_| rng.gen_range(0..3)).collect();
-    (0..m)
-        .map(|_| {
-            let mut s = shared.clone();
-            s.push(rng.gen_range(0..5));
-            s.push(rng.gen_range(0..5));
-            s
-        })
-        .collect()
-}
 
 /// A sharded/contracted multigraph edge stream: the adjacency build a
 /// distributed partition pass performs after contracting supernodes, where
@@ -130,36 +81,9 @@ pub fn bign_function(n: usize) -> sfcp_forest::FunctionalGraph {
     sfcp_forest::generators::random_function_chunked(n, 0xB16_C0FFEE ^ n as u64)
 }
 
-/// Canonical cycle strings for the grouping benchmark (experiment E6):
-/// `k` strings of length `len` drawn from a small pool so that many are equal.
-#[must_use]
-pub fn canonical_cycle_strings(k: usize, len: usize) -> Vec<Vec<u32>> {
-    let mut rng = StdRng::seed_from_u64(0x7A57E ^ (k as u64) << 8 ^ len as u64);
-    let pool: Vec<Vec<u32>> = (0..(k / 4).max(1))
-        .map(|_| (0..len).map(|_| rng.gen_range(0..4)).collect())
-        .collect();
-    (0..k)
-        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generators_are_deterministic_and_sized() {
-        assert_eq!(random_instance(1000).len(), 1000);
-        assert_eq!(random_instance(1000), random_instance(1000));
-        assert!(cycles_instance(1000).len() >= 768);
-        assert_eq!(deep_instance(500).len(), 500);
-        assert_eq!(random_string(100, 4).len(), 100);
-        let list = string_list(3200);
-        assert_eq!(list.len(), 100);
-        let strings = canonical_cycle_strings(40, 16);
-        assert_eq!(strings.len(), 40);
-        assert!(strings.iter().all(|s| s.len() == 16));
-    }
 
     #[test]
     fn bign_function_is_deterministic() {

@@ -5,8 +5,7 @@
 //! equivalent iff those canonical strings are *equal*.  The paper solves this
 //! with *Algorithm partition*: a `log ℓ`-round doubling computation in which
 //! all starting positions of equal label sequences elect a common
-//! representative by writing into the arbitrary-CRCW table `BB`.  Two
-//! alternatives are provided for cross-checking and ablation:
+//! representative by writing into the arbitrary-CRCW table `BB`.
 //!
 //! * [`group_cycles_doubling`] — the paper's algorithm, with the `BB` table
 //!   realised by [`sfcp_pram::CrcwTable`] (insert-if-absent, arbitrary
@@ -14,14 +13,11 @@
 //!   never be equivalent once reduced to their periods) and padded to the
 //!   next power of two with a sentinel, as the paper assumes `ℓ = 2^h` "for
 //!   convenience".
-//! * [`group_cycles_by_sort`] — sort the canonical strings with the string
-//!   sorting algorithm of Lemma 3.8 and group equal neighbours.
-//! * [`group_cycles_by_hash`] — hash map from string to class (sequential
-//!   baseline).
+//! * [`group_cycles_by_hash`] — hash map from string to class, the
+//!   sequential oracle.
 
 use sfcp_pram::fxhash::FxHashMap;
 use sfcp_pram::{CrcwTable, Ctx};
-use sfcp_strings::string_sort::{sort_strings, StringSortMethod};
 
 /// Which grouping algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,9 +25,7 @@ pub enum GroupingMethod {
     /// The paper's *Algorithm partition* (CRCW doubling).
     #[default]
     Partition,
-    /// Sort the canonical strings (Lemma 3.8) and group equal neighbours.
-    StringSort,
-    /// Sequential hashing baseline.
+    /// Sequential hashing (the oracle).
     Hash,
 }
 
@@ -41,7 +35,6 @@ pub enum GroupingMethod {
 pub fn group_cycles(ctx: &Ctx, strings: &[Vec<u32>], method: GroupingMethod) -> Vec<u32> {
     match method {
         GroupingMethod::Partition => group_cycles_doubling(ctx, strings),
-        GroupingMethod::StringSort => group_cycles_by_sort(ctx, strings),
         GroupingMethod::Hash => group_cycles_by_hash(ctx, strings),
     }
 }
@@ -138,28 +131,7 @@ pub fn group_cycles_doubling(ctx: &Ctx, strings: &[Vec<u32>]) -> Vec<u32> {
     class
 }
 
-/// Group by sorting the canonical strings (Lemma 3.8) and comparing
-/// neighbours.
-#[must_use]
-pub fn group_cycles_by_sort(ctx: &Ctx, strings: &[Vec<u32>]) -> Vec<u32> {
-    let k = strings.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    let order = sort_strings(ctx, strings, StringSortMethod::Contraction);
-    let mut class = vec![0u32; k];
-    let mut current = 0u32;
-    for w in 0..k {
-        if w > 0 && strings[order[w] as usize] != strings[order[w - 1] as usize] {
-            current += 1;
-        }
-        class[order[w] as usize] = current;
-    }
-    ctx.charge_step(k as u64);
-    class
-}
-
-/// Sequential hashing baseline.
+/// Sequential hashing oracle.
 #[must_use]
 pub fn group_cycles_by_hash(ctx: &Ctx, strings: &[Vec<u32>]) -> Vec<u32> {
     let mut map: FxHashMap<&[u32], u32> = FxHashMap::default();
@@ -189,12 +161,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn all_methods() -> [GroupingMethod; 3] {
-        [
-            GroupingMethod::Partition,
-            GroupingMethod::StringSort,
-            GroupingMethod::Hash,
-        ]
+    fn all_methods() -> [GroupingMethod; 2] {
+        [GroupingMethod::Partition, GroupingMethod::Hash]
     }
 
     fn check_grouping(strings: &[Vec<u32>]) {
@@ -280,8 +248,8 @@ mod tests {
         }
     }
 
-    /// Miri target: the grouping paths (doubling ranks, sort, hash) and
-    /// their scatter writes.
+    /// Miri target: *Algorithm partition*'s scatter writes and CRCW rounds,
+    /// against the hash oracle.
     #[test]
     fn miri_group_cycles_small() {
         check_grouping(&[

@@ -35,6 +35,7 @@
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![warn(missing_docs)]
 
 pub mod cycle_equivalence;
 pub mod doubling;

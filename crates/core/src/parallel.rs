@@ -43,7 +43,7 @@ pub enum TreeLabelMethod {
     #[default]
     Doubling,
     /// Level-by-level labelling: `O(n)` work but depth proportional to the
-    /// tree height — the other side of the ablation of experiment E7.
+    /// tree height.
     Levelwise,
 }
 
@@ -563,12 +563,8 @@ mod tests {
     fn configs() -> Vec<ParallelConfig> {
         let mut out = Vec::new();
         for tree_method in [TreeLabelMethod::Doubling, TreeLabelMethod::Levelwise] {
-            for grouping in [
-                GroupingMethod::Partition,
-                GroupingMethod::StringSort,
-                GroupingMethod::Hash,
-            ] {
-                for cycle_method in [CycleMethod::Euler, CycleMethod::Jump] {
+            for grouping in [GroupingMethod::Partition, GroupingMethod::Hash] {
+                for cycle_method in [CycleMethod::Euler, CycleMethod::Sequential] {
                     out.push(ParallelConfig {
                         cycle_method,
                         msp_method: MspMethod::Efficient,
@@ -739,10 +735,10 @@ mod tests {
             prop_assert!(q.same_partition(&expected), "default config");
             let q2 = coarsest_parallel_with(&ctx, &inst, ParallelConfig {
                 tree_method: TreeLabelMethod::Levelwise,
-                grouping: GroupingMethod::StringSort,
+                grouping: GroupingMethod::Hash,
                 ..ParallelConfig::default()
             });
-            prop_assert!(q2.same_partition(&expected), "levelwise + string sort");
+            prop_assert!(q2.same_partition(&expected), "levelwise + hash grouping");
         }
 
         #[test]

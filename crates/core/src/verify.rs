@@ -21,15 +21,32 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyError {
     /// Lengths of instance and partition differ.
-    LengthMismatch { instance: usize, partition: usize },
+    LengthMismatch {
+        /// Number of elements of the instance.
+        instance: usize,
+        /// Number of labels of the partition.
+        partition: usize,
+    },
     /// Two elements share a Q-block but lie in different B-blocks.
-    NotARefinement { x: u32, y: u32 },
+    NotARefinement {
+        /// The first element of the offending pair.
+        x: u32,
+        /// The second element, in `x`'s Q-block but not its B-block.
+        y: u32,
+    },
     /// Two elements share a Q-block but their images do not.
-    NotStable { x: u32, y: u32 },
+    NotStable {
+        /// The first element of the offending pair.
+        x: u32,
+        /// The second element: `f(x)` and `f(y)` lie in different Q-blocks.
+        y: u32,
+    },
     /// The labelling is a stable refinement but has more blocks than the
     /// coarsest one.
     NotCoarsest {
+        /// Number of blocks of the checked labelling.
         blocks: usize,
+        /// Number of blocks of the coarsest stable refinement.
         coarsest_blocks: usize,
     },
 }

@@ -2,20 +2,20 @@
 //!
 //! Pointer jumping (a.k.a. path doubling) is the simplest way to aggregate
 //! information along directed paths in `O(log n)` rounds.  It is used here
-//! for three jobs:
+//! for two jobs:
 //!
-//! * [`find_roots`] / [`distance_to_root`] — locate, for each node of a
-//!   rooted forest (`parent[r] == r` for roots), the root of its tree and the
-//!   distance to it.  These back the tree-labelling step of Section 4 and
-//!   serve as a cross-check for the Euler-tour computations.
+//! * [`find_roots`] — locate, for each node of a rooted forest
+//!   (`parent[r] == r` for roots), the root of its tree.  This backs the
+//!   tree-labelling step of Section 4 and serves as a cross-check for the
+//!   Euler-tour computations.
 //! * [`permutation_cycle_min`] — for a permutation given as a successor
 //!   array, the minimum element of each cycle.  This labels the Euler cycles
 //!   produced by *Algorithm finding cycle nodes* (Section 5) and elects cycle
 //!   leaders for the cycle-labelling step.
 //!
-//! All three are `O(n log n)` work and `O(log n)` depth.  Where the paper
-//! needs the work-optimal variant it combines pointer jumping with the
-//! list-ranking / Euler-tour machinery; the experiments quantify the gap.
+//! Both are `O(n log n)` work and `O(log n)` depth.  Where the paper needs
+//! the work-optimal variant it combines pointer jumping with the
+//! list-ranking / Euler-tour machinery.
 
 use sfcp_pram::{Ctx, Error};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -102,46 +102,6 @@ pub fn find_roots_into(ctx: &Ctx, parent: &[u32], out: &mut Vec<u32>) {
 fn charge_skipped_rounds(ctx: &Ctx, skipped: u64, ops_per_round: u64) {
     ctx.charge_work(skipped * ops_per_round);
     ctx.charge_rounds(skipped);
-}
-
-/// For every node of a rooted forest, its distance (number of edges) to the
-/// root of its tree.
-#[must_use]
-pub fn distance_to_root(ctx: &Ctx, parent: &[u32]) -> Vec<u32> {
-    let _span = ctx.pass("distance_to_root");
-    let n = parent.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    for (i, &p) in parent.iter().enumerate() {
-        assert!((p as usize) < n, "parent[{i}] = {p} out of range");
-    }
-    let ws = ctx.workspace();
-    let mut up = ws.take_u32(n);
-    up.copy_from_slice(parent);
-    let mut dist: Vec<u32> = ctx.par_map_idx(n, |i| u32::from(parent[i] as usize != i));
-    let mut next_dist = ws.take_u32(n);
-    let mut next_up = ws.take_u32(n);
-    let rounds = sfcp_pram::ceil_log2(n) + 1;
-    for r in 0..rounds {
-        {
-            let (dist_ref, up_ref) = (&dist, &up);
-            ctx.par_update(&mut next_dist, |i, d| {
-                *d = dist_ref[i] + dist_ref[up_ref[i] as usize];
-            });
-            let up_ref = &up;
-            ctx.par_update(&mut next_up, |i, u| *u = up_ref[up_ref[i] as usize]);
-        }
-        std::mem::swap(&mut dist, &mut *next_dist);
-        std::mem::swap(&mut *up, &mut *next_up);
-        if *next_up == *up {
-            // All pointers at their roots (dist[root] = 0, so dist is stable
-            // too); charge the skipped rounds and stop.
-            charge_skipped_rounds(ctx, 2 * (rounds - 1 - r) as u64, n as u64);
-            break;
-        }
-    }
-    dist
 }
 
 /// For every element of a permutation (successor array `succ`), the minimum
@@ -339,22 +299,20 @@ mod tests {
         new_parent
     }
 
-    fn reference_root_and_dist(parent: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    fn reference_roots(parent: &[u32]) -> Vec<u32> {
         let n = parent.len();
-        let mut roots = vec![0u32; n];
-        let mut dist = vec![0u32; n];
-        for i in 0..n {
-            let mut cur = i;
-            let mut d = 0;
-            while parent[cur] as usize != cur {
-                cur = parent[cur] as usize;
-                d += 1;
-                assert!(d <= n as u32);
-            }
-            roots[i] = cur as u32;
-            dist[i] = d;
-        }
-        (roots, dist)
+        (0..n)
+            .map(|i| {
+                let mut cur = i;
+                let mut d = 0;
+                while parent[cur] as usize != cur {
+                    cur = parent[cur] as usize;
+                    d += 1;
+                    assert!(d <= n);
+                }
+                cur as u32
+            })
+            .collect()
     }
 
     #[test]
@@ -362,7 +320,6 @@ mod tests {
         let ctx = Ctx::parallel();
         assert!(find_roots(&ctx, &[]).is_empty());
         assert_eq!(find_roots(&ctx, &[0]), vec![0]);
-        assert_eq!(distance_to_root(&ctx, &[0]), vec![0]);
     }
 
     #[test]
@@ -371,7 +328,6 @@ mod tests {
         let parent = vec![0u32, 0, 1, 0, 4];
         let ctx = Ctx::parallel();
         assert_eq!(find_roots(&ctx, &parent), vec![0, 0, 0, 0, 4]);
-        assert_eq!(distance_to_root(&ctx, &parent), vec![0, 1, 2, 1, 0]);
     }
 
     #[test]
@@ -385,9 +341,6 @@ mod tests {
         let ctx = Ctx::parallel();
         let roots = find_roots(&ctx, &parent);
         assert!(roots.iter().all(|&r| r == 0));
-        let dist = distance_to_root(&ctx, &parent);
-        assert_eq!(dist[n - 1], (n - 1) as u32);
-        assert_eq!(dist[0], 0);
     }
 
     #[test]
@@ -547,10 +500,8 @@ mod tests {
         #[test]
         fn forest_matches_reference(n in 1usize..500, roots in 1usize..10, seed in 0u64..50) {
             let parent = random_forest(n, roots, seed);
-            let (exp_roots, exp_dist) = reference_root_and_dist(&parent);
             let ctx = Ctx::parallel().with_grain(32);
-            prop_assert_eq!(find_roots(&ctx, &parent), exp_roots);
-            prop_assert_eq!(distance_to_root(&ctx, &parent), exp_dist);
+            prop_assert_eq!(find_roots(&ctx, &parent), reference_roots(&parent));
         }
 
         #[test]

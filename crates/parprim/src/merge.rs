@@ -35,8 +35,8 @@ pub fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
 /// Stable parallel merge sort, in place.
 ///
 /// Charged as a comparison sort: `O(n log n)` work and `O(log² n)` depth —
-/// deliberately *more* work than the integer sort in [`crate::intsort`]; the
-/// difference is exactly what experiment E5 measures.
+/// deliberately *more* work than the integer sort in [`crate::intsort`].  The
+/// string sort of Lemma 3.8 uses it only on its final, contracted instance.
 pub fn parallel_merge_sort<T: Ord + Copy + Send + Sync>(ctx: &Ctx, data: &mut [T]) {
     let n = data.len();
     let log_n = sfcp_pram::ceil_log2(n).max(1) as u64;

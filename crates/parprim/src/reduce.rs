@@ -1,4 +1,4 @@
-//! Parallel reductions: sums, minima and maxima with positions.
+//! Parallel reductions: minima with positions.
 //!
 //! *Algorithm efficient m.s.p.* starts every round by finding the smallest
 //! symbol `m` of the circular string; leader election for cycles picks the
@@ -6,12 +6,6 @@
 //! depth `O(log n)`.
 
 use sfcp_pram::Ctx;
-
-/// Sum of a `u64` slice.
-#[must_use]
-pub fn sum_u64(ctx: &Ctx, values: &[u64]) -> u64 {
-    ctx.par_reduce_idx(values.len(), 0u64, |i| values[i], |a, b| a + b)
-}
 
 /// Minimum value of a non-empty slice.
 ///
@@ -48,42 +42,16 @@ pub fn min_index<T: Ord + Copy + Send + Sync>(ctx: &Ctx, values: &[T]) -> usize 
     best.1
 }
 
-/// Index of the maximum element; ties broken towards the smallest index.
-///
-/// # Panics
-/// Panics if `values` is empty.
-#[must_use]
-pub fn max_index<T: Ord + Copy + Send + Sync>(ctx: &Ctx, values: &[T]) -> usize {
-    assert!(!values.is_empty(), "max_index of an empty slice");
-    let best = ctx.par_reduce_idx(
-        values.len(),
-        (values[0], 0usize),
-        |i| (values[i], i),
-        |a, b| {
-            if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
-                b
-            } else {
-                a
-            }
-        },
-    );
-    best.1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sfcp_pram::Mode;
+    use std::cmp::Reverse;
 
-    #[test]
-    fn sums() {
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            let v: Vec<u64> = (0..10_001).collect();
-            assert_eq!(sum_u64(&ctx, &v), 10_000 * 10_001 / 2);
-            assert_eq!(sum_u64(&ctx, &[]), 0);
-        }
+    /// Keys whose minimum is the maximum of `v`, so [`min_index`] finds the
+    /// first maximum.
+    fn reversed(v: &[u32]) -> Vec<Reverse<u32>> {
+        v.iter().copied().map(Reverse).collect()
     }
 
     #[test]
@@ -92,10 +60,14 @@ mod tests {
         let v = vec![5u32, 3, 7, 3, 9, 1, 1, 8];
         assert_eq!(min_value(&ctx, &v), 1);
         assert_eq!(min_index(&ctx, &v), 5, "first occurrence of the minimum");
-        assert_eq!(max_index(&ctx, &v), 4);
+        assert_eq!(
+            min_index(&ctx, &reversed(&v)),
+            4,
+            "the maximum, via Reverse"
+        );
         let all_equal = vec![2u32; 100];
         assert_eq!(min_index(&ctx, &all_equal), 0);
-        assert_eq!(max_index(&ctx, &all_equal), 0);
+        assert_eq!(min_index(&ctx, &reversed(&all_equal)), 0);
     }
 
     #[test]
@@ -113,7 +85,7 @@ mod tests {
             prop_assert_eq!(min_value(&ctx, &v), expected_min);
             prop_assert_eq!(min_index(&ctx, &v), v.iter().position(|&x| x == expected_min).unwrap());
             let expected_max = *v.iter().max().unwrap();
-            prop_assert_eq!(max_index(&ctx, &v), v.iter().position(|&x| x == expected_max).unwrap());
+            prop_assert_eq!(min_index(&ctx, &reversed(&v)), v.iter().position(|&x| x == expected_max).unwrap());
         }
     }
 }

@@ -1,135 +1,17 @@
-//! Arbitrary-CRCW shared memory abstractions.
+//! The arbitrary-CRCW table of *Algorithm partition*.
 //!
 //! The paper's model allows many processors to write the same memory cell in
-//! one step; an *arbitrary* one of them succeeds.  Two idioms in the paper
-//! rely on this:
-//!
-//! * electing a representative among concurrent writers (e.g. choosing a
-//!   leader for each cycle, or the "first marked position" style steps) —
-//!   modelled by [`ArbitraryCell`];
-//! * *Algorithm partition* (Section 3.2) writes positions into a huge table
-//!   `BB[EQ[d1], EQ[d2]]` so that every distinct pair of labels ends up with
-//!   exactly one representative position — modelled by [`CrcwTable`], an
-//!   insert-if-absent concurrent map (the `O(n^2)` table of the paper, with
-//!   the memory reduced the same way the paper cites \[3\] for).
-//!
-//! The *common* CRCW variant (all concurrent writers must write the same
-//! value) is provided as [`CommonCell`] with a debug-mode check.
+//! one step; an *arbitrary* one of them succeeds.  *Algorithm partition*
+//! (Section 3.2) relies on this: it writes positions into a huge table
+//! `BB[EQ[d1], EQ[d2]]` so that every distinct pair of labels ends up with
+//! exactly one representative position — modelled by [`CrcwTable`], an
+//! insert-if-absent concurrent map (the `O(n^2)` table of the paper, with
+//! the memory reduced the same way the paper cites \[3\] for).
 
 use crate::fxhash::FxBuildHasher;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A shared cell with arbitrary-CRCW write semantics.
-///
-/// Within one "round" (between [`ArbitraryCell::clear`] calls), the first
-/// successful writer wins and later writes are ignored.  Which concurrent
-/// writer succeeds is unspecified — exactly the arbitrary CRCW contract.
-#[derive(Debug)]
-pub struct ArbitraryCell {
-    /// Encodes `Option<u64>`: `EMPTY` means no write has happened.
-    slot: AtomicU64,
-}
-
-const EMPTY: u64 = u64::MAX;
-
-impl Default for ArbitraryCell {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ArbitraryCell {
-    /// An empty cell.
-    #[must_use]
-    pub fn new() -> Self {
-        ArbitraryCell {
-            slot: AtomicU64::new(EMPTY),
-        }
-    }
-
-    /// Attempt to write `value` (must be `< u64::MAX`).  Returns the value
-    /// that ended up stored (the winner's value).
-    pub fn write(&self, value: u64) -> u64 {
-        debug_assert!(value != EMPTY, "u64::MAX is reserved as the empty marker");
-        match self
-            .slot
-            .compare_exchange(EMPTY, value, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => value,
-            Err(current) => current,
-        }
-    }
-
-    /// Read the cell, `None` if nobody has written since the last clear.
-    #[must_use]
-    pub fn read(&self) -> Option<u64> {
-        let v = self.slot.load(Ordering::Acquire);
-        if v == EMPTY {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    /// Reset the cell to empty (a new round).
-    pub fn clear(&self) {
-        self.slot.store(EMPTY, Ordering::Release);
-    }
-}
-
-/// A shared cell with *common*-CRCW write semantics: concurrent writers are
-/// required to write the same value.  Violations are caught in debug builds.
-#[derive(Debug)]
-pub struct CommonCell {
-    slot: AtomicU64,
-}
-
-impl Default for CommonCell {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CommonCell {
-    /// An empty cell.
-    #[must_use]
-    pub fn new() -> Self {
-        CommonCell {
-            slot: AtomicU64::new(EMPTY),
-        }
-    }
-
-    /// Write `value`; in debug builds, panics if a different value was
-    /// already written this round (which would violate the common-CRCW
-    /// contract the calling algorithm claims to obey).
-    pub fn write(&self, value: u64) {
-        debug_assert!(value != EMPTY, "u64::MAX is reserved as the empty marker");
-        let prev = self.slot.swap(value, Ordering::AcqRel);
-        debug_assert!(
-            prev == EMPTY || prev == value,
-            "common CRCW violation: {prev} overwritten by {value}"
-        );
-    }
-
-    /// Read the cell, `None` if nobody has written since the last clear.
-    #[must_use]
-    pub fn read(&self) -> Option<u64> {
-        let v = self.slot.load(Ordering::Acquire);
-        if v == EMPTY {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    /// Reset the cell to empty.
-    pub fn clear(&self) {
-        self.slot.store(EMPTY, Ordering::Release);
-    }
-}
 
 /// Number of shards used by [`CrcwTable`]; a power of two so the shard can be
 /// selected with a mask.
@@ -221,61 +103,6 @@ impl<K: Eq + Hash> CrcwTable<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn arbitrary_cell_first_writer_wins() {
-        let cell = ArbitraryCell::new();
-        assert_eq!(cell.read(), None);
-        assert_eq!(cell.write(7), 7);
-        assert_eq!(cell.write(9), 7);
-        assert_eq!(cell.read(), Some(7));
-        cell.clear();
-        assert_eq!(cell.read(), None);
-        assert_eq!(cell.write(9), 9);
-    }
-
-    #[test]
-    fn arbitrary_cell_concurrent_single_winner() {
-        let cell = ArbitraryCell::new();
-        let winners = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let cell = &cell;
-                let winners = &winners;
-                scope.spawn(move || {
-                    let stored = cell.write(t + 1);
-                    if stored == t + 1 {
-                        winners.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        // Exactly one thread observed its own value as the stored one at the
-        // moment of writing.  (Others may later read the winner's value.)
-        assert_eq!(winners.load(Ordering::Relaxed), 1);
-        assert!(cell.read().is_some());
-    }
-
-    #[test]
-    fn common_cell_roundtrip() {
-        let cell = CommonCell::new();
-        assert_eq!(cell.read(), None);
-        cell.write(42);
-        cell.write(42);
-        assert_eq!(cell.read(), Some(42));
-        cell.clear();
-        assert_eq!(cell.read(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "common CRCW violation")]
-    #[cfg(debug_assertions)]
-    fn common_cell_detects_violation() {
-        let cell = CommonCell::new();
-        cell.write(1);
-        cell.write(2);
-    }
 
     #[test]
     fn crcw_table_insert_if_absent() {

@@ -12,9 +12,8 @@
 //!   either sequentially or thread-parallel (via rayon) while charging the
 //!   identical work/depth costs, so that measured operation counts are
 //!   deterministic and independent of the thread count;
-//! * arbitrary-CRCW shared-memory cells ([`crcw::ArbitraryCell`]) and an
-//!   insert-if-absent table ([`crcw::CrcwTable`]) standing in for the paper's
-//!   `BB[1..n, 1..n]` auxiliary array;
+//! * an arbitrary-CRCW insert-if-absent table ([`crcw::CrcwTable`]) standing
+//!   in for the paper's `BB[1..n, 1..n]` auxiliary array;
 //! * a scratch-buffer [`Workspace`] on every [`Ctx`] — checkout/return pools
 //!   of reusable vectors so the `O(log n)`-round doubling loops allocate
 //!   O(1) buffers per run;
@@ -27,11 +26,7 @@
 //! * an observability layer ([`trace`]): RAII spans ([`Ctx::span`]) opened
 //!   at every engine pass ([`Ctx::pass`]) and pipeline phase, recording wall
 //!   time, charge deltas, and workspace churn into a per-context ring — also
-//!   zero-cost when disabled, and charge-neutral in every state;
-//! * [`brent::predicted_time`], Brent's scheduling principle
-//!   (`time ≈ work / p + depth`), used by the benchmark harness to convert
-//!   (work, depth) pairs into the per-processor running times that the
-//!   paper's comparison table is phrased in.
+//!   zero-cost when disabled, and charge-neutral in every state.
 //!
 //! ## Quick example
 //!
@@ -53,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 
-pub mod brent;
 pub mod crcw;
 pub mod ctx;
 pub mod error;
@@ -64,8 +58,7 @@ pub mod trace;
 pub mod tracker;
 pub mod workspace;
 
-pub use brent::{predicted_time, BrentModel};
-pub use crcw::{ArbitraryCell, CommonCell, CrcwTable};
+pub use crcw::CrcwTable;
 pub use ctx::{Ctx, Mode};
 pub use error::{check_index_width, Error, MAX_DOMAIN};
 pub use topology::Topology;

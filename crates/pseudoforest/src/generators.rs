@@ -1,8 +1,8 @@
 //! Deterministic functional-graph generators for tests, examples and the
 //! benchmark harness.
 //!
-//! Every generator takes an explicit seed (when randomised) so that every
-//! experiment in `EXPERIMENTS.md` is reproducible bit for bit.
+//! Every randomised generator takes an explicit seed, so every instance is
+//! reproducible bit for bit.
 
 use crate::graph::FunctionalGraph;
 use rand::prelude::*;

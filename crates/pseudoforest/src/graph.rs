@@ -88,13 +88,6 @@ impl FunctionalGraph {
         ctx.charge_step(n as u64);
         deg
     }
-
-    /// The function table of `f∘f` (pointer-jumping one step), used by the
-    /// doubling-based cycle detection.
-    #[must_use]
-    pub fn squared_table(&self, ctx: &Ctx) -> Vec<u32> {
-        ctx.par_map_idx(self.len(), |x| self.f[self.f[x] as usize])
-    }
 }
 
 impl From<Vec<u32>> for FunctionalGraph {
@@ -153,6 +146,7 @@ mod tests {
         let ctx = Ctx::parallel();
         let g = FunctionalGraph::new(vec![1, 2, 0, 0, 0]);
         assert_eq!(g.in_degrees(&ctx), vec![3, 1, 1, 0, 0]);
-        assert_eq!(g.squared_table(&ctx), vec![2, 0, 1, 1, 1]);
+        let squared: Vec<u32> = (0..5).map(|x| g.iterate(x, 2)).collect();
+        assert_eq!(squared, vec![2, 0, 1, 1, 1]);
     }
 }

@@ -11,15 +11,15 @@
 //! * [`generators`] — deterministic instance generators (uniformly random
 //!   functions, pure cycle collections with controlled lengths, long paths,
 //!   stars, the paper's 16-node example of Fig. 1);
-//! * [`cycles`] — three ways to mark the cycle nodes: a sequential
-//!   degree-peeling baseline, a pointer-jumping method (`O(n log n)` work),
-//!   and the paper's Euler-tour / buddy-edge method of Section 5 (near-linear
-//!   work);
+//! * [`cycles`] — marking the cycle nodes with the paper's Euler-tour /
+//!   buddy-edge method of Section 5 (near-linear work), checked against a
+//!   sequential degree-peeling oracle;
 //! * [`structure`] — the full decomposition used by the labelling steps:
 //!   cycles as node sequences with leaders and in-cycle positions, the rooted
 //!   forest of tree nodes (each tree rooted at a cycle node), and node levels.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![warn(missing_docs)]
 
 pub mod cycles;
 pub mod generators;

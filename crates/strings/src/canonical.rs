@@ -1,18 +1,15 @@
-//! Sequential least-rotation (minimal starting point) baselines.
+//! Sequential least-rotation (minimal starting point) oracles.
 //!
 //! The m.s.p. problem "is known to admit a sequential linear-time algorithm"
-//! (Booth; Shiloach) — these are the baselines the parallel algorithms are
-//! compared against in experiment E4, and the reference oracles for the
-//! property tests.
+//! (Booth; Shiloach).  The solver runs Booth's algorithm on short cycles, and
+//! the property tests use both functions here as oracles for the parallel
+//! algorithms.
 //!
 //! * [`booth_msp`] — Booth's failure-function algorithm, `O(n)` time.
-//! * [`duval_msp`] — the least-rotation variant of Duval's Lyndon
-//!   factorisation ("Zhou's algorithm"), also `O(n)`, included as an
-//!   independent second oracle.
 //! * [`naive_msp`] — the obvious `O(n²)` scan, used only in tests.
 //!
-//! All of them return the smallest index that starts a minimal rotation, so
-//! they agree even on repeating (periodic) inputs.
+//! Both return the smallest index that starts a minimal rotation, so they
+//! agree even on repeating (periodic) inputs.
 
 /// Booth's least-rotation algorithm: the smallest index starting a
 /// lexicographically minimal rotation of `s`.  `O(n)` time, `O(n)` space.
@@ -47,36 +44,6 @@ pub fn booth_msp(s: &[u32]) -> usize {
     k
 }
 
-/// Least rotation via a Duval-style two-pointer scan (`O(n)` time, `O(1)`
-/// extra space).  Returns the smallest starting index of a minimal rotation.
-#[must_use]
-pub fn duval_msp(s: &[u32]) -> usize {
-    let n = s.len();
-    if n == 0 {
-        return 0;
-    }
-    let at = |idx: usize| s[idx % n];
-    let (mut i, mut j, mut k) = (0usize, 1usize, 0usize);
-    while i < n && j < n && k < n {
-        let a = at(i + k);
-        let b = at(j + k);
-        if a == b {
-            k += 1;
-            continue;
-        }
-        if a > b {
-            i += k + 1;
-        } else {
-            j += k + 1;
-        }
-        if i == j {
-            j += 1;
-        }
-        k = 0;
-    }
-    i.min(j)
-}
-
 /// Naive `O(n²)` minimal starting point (smallest index on ties).
 #[must_use]
 pub fn naive_msp(s: &[u32]) -> usize {
@@ -101,10 +68,8 @@ mod tests {
     #[test]
     fn empty_and_single() {
         assert_eq!(booth_msp(&[]), 0);
-        assert_eq!(duval_msp(&[]), 0);
         assert_eq!(naive_msp(&[]), 0);
         assert_eq!(booth_msp(&[7]), 0);
-        assert_eq!(duval_msp(&[7]), 0);
     }
 
     #[test]
@@ -113,19 +78,16 @@ mod tests {
         let s = [2u32, 1, 3, 1];
         assert_eq!(naive_msp(&s), 3);
         assert_eq!(booth_msp(&s), 3);
-        assert_eq!(duval_msp(&s), 3);
 
         // Already minimal.
         let t = [1u32, 1, 2, 3];
         assert_eq!(naive_msp(&t), 0);
         assert_eq!(booth_msp(&t), 0);
-        assert_eq!(duval_msp(&t), 0);
 
         // All equal symbols: every rotation equal, smallest index is 0.
         let u = [4u32; 6];
         assert_eq!(naive_msp(&u), 0);
         assert_eq!(booth_msp(&u), 0);
-        assert_eq!(duval_msp(&u), 0);
     }
 
     #[test]
@@ -134,7 +96,6 @@ mod tests {
         let expected = naive_msp(&s);
         assert_eq!(expected, 13, "the minimal rotation starts at the 1,1,1 run");
         assert_eq!(booth_msp(&s), expected);
-        assert_eq!(duval_msp(&s), expected);
     }
 
     #[test]
@@ -142,7 +103,6 @@ mod tests {
         let s = [2u32, 1, 2, 1];
         assert_eq!(naive_msp(&s), 1);
         assert_eq!(booth_msp(&s), 1);
-        assert_eq!(duval_msp(&s), 1);
     }
 
     #[test]
@@ -153,7 +113,6 @@ mod tests {
         s.extend(vec![1u32; 30]);
         let expected = naive_msp(&s);
         assert_eq!(booth_msp(&s), expected);
-        assert_eq!(duval_msp(&s), expected);
     }
 
     proptest! {
@@ -163,15 +122,9 @@ mod tests {
         }
 
         #[test]
-        fn duval_matches_naive(s in proptest::collection::vec(0u32..4, 1..120)) {
-            prop_assert_eq!(duval_msp(&s), naive_msp(&s));
-        }
-
-        #[test]
         fn larger_alphabet(s in proptest::collection::vec(0u32..1000, 1..200)) {
             let expected = naive_msp(&s);
             prop_assert_eq!(booth_msp(&s), expected);
-            prop_assert_eq!(duval_msp(&s), expected);
         }
     }
 }

@@ -13,14 +13,15 @@
 //!    is `n` over a polynomial alphabet, again by pair contraction, in
 //!    `O(n log log n)` work and `O(log n)` depth.
 //!
-//! This crate implements all of them:
+//! This crate implements the paper's algorithms for both, with Booth's
+//! sequential m.s.p. as the oracle:
 //!
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`period`] | smallest repeating prefix (= smallest period dividing the length) of a circular string, sequential (failure function) and parallel (divisor checks) |
-//! | [`canonical`] | sequential m.s.p. baselines: Booth's algorithm, a Lyndon/Duval-based least rotation, and a naive quadratic reference |
-//! | [`msp`] | the parallel m.s.p. algorithms: the paper's *simple* tournament, the paper's *efficient* contraction, and a rank-doubling baseline; plus the [`msp::minimal_starting_point`] facade that handles repeating inputs |
-//! | [`string_sort`] | the paper's pair-contraction string sorting and a parallel comparison-sort baseline |
+//! | [`canonical`] | sequential m.s.p. oracles: Booth's algorithm and a naive quadratic reference |
+//! | [`msp`] | the paper's parallel m.s.p. algorithms: the *efficient* contraction and the *simple* tournament that finishes it; plus the [`msp::minimal_starting_point`] facade that handles repeating inputs |
+//! | [`string_sort`] | the paper's pair-contraction string sorting |
 //!
 //! Symbols are `u32`s (the alphabet of the coarsest-partition application is
 //! the set of initial block labels, which is at most `n`); the blank symbol
@@ -40,6 +41,7 @@
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![warn(missing_docs)]
 
 pub mod canonical;
 pub mod msp;
@@ -49,7 +51,7 @@ pub mod string_sort;
 pub use canonical::{booth_msp, naive_msp};
 pub use msp::{minimal_starting_point, try_minimal_starting_point, MspMethod};
 pub use period::{smallest_period, smallest_period_seq};
-pub use string_sort::{sort_strings, try_sort_strings, StringSortMethod};
+pub use string_sort::{sort_strings, try_sort_strings};
 
 /// Compare two rotations of the same circular string lexicographically.
 ///

@@ -1,15 +1,8 @@
-//! Parallel minimal starting point (m.s.p.) algorithms — Section 3.1 of the
-//! paper.
+//! Parallel minimal starting point (m.s.p.) — Section 3.1 of the paper.
 //!
-//! Three parallel algorithms are provided, all taking a circular string over
-//! `u32` symbols and returning the index of the minimal rotation start:
+//! Both parallel algorithms of the paper take a circular string over `u32`
+//! symbols and return the index of the minimal rotation start:
 //!
-//! * [`simple_msp`] — *Algorithm simple m.s.p.*: a block tournament.  Every
-//!   position starts as a candidate; in round `i`, each block of `2^i`
-//!   positions holds at most one surviving candidate, and the two candidates
-//!   of a merged block are compared over `2^i` symbols (ties eliminate the
-//!   later candidate, justified by Lemma 3.3).  `O(n log n)` work,
-//!   `O(log n)` rounds.
 //! * [`efficient_msp`] — *Algorithm efficient m.s.p.*: mark the positions
 //!   where a run of the minimum symbol starts, contract the string into
 //!   ordered pairs between marked positions, integer-sort the pairs and
@@ -17,15 +10,19 @@
 //!   once the string is short, finish with the tournament.  With the radix
 //!   sort standing in for Bhatt-et-al. integer sorting this is the
 //!   `O(n log log n)`-work, `O(log n)`-depth algorithm of Lemma 3.7.
-//! * [`doubling_msp`] — a rank-doubling (suffix-array style) baseline:
-//!   compute the rank of every rotation by `log n` rounds of pair ranking.
-//!   `O(n log n)` work, included as the "obvious" parallel competitor.
+//! * [`simple_msp`] — *Algorithm simple m.s.p.*, the tournament that
+//!   finishes *efficient m.s.p.*: every position starts as a candidate; in
+//!   round `i`, each block of `2^i` positions holds at most one surviving
+//!   candidate, and the two candidates of a merged block are compared over
+//!   `2^i` symbols (ties eliminate the later candidate, justified by
+//!   Lemma 3.3).  `O(n log n)` work, `O(log n)` rounds.
 //!
-//! The facade [`minimal_starting_point`] first reduces the input to its
-//! smallest repeating prefix (the algorithms require a nonrepeating input;
-//! the m.s.p. of the prefix is an m.s.p. of the original string) and
-//! normalises the answer to the smallest starting index so that all methods
-//! and the sequential baselines agree exactly.
+//! The facade [`minimal_starting_point`] runs *efficient m.s.p.* or Booth's
+//! sequential algorithm.  It first reduces the input to its smallest
+//! repeating prefix (the algorithms require a nonrepeating input; the m.s.p.
+//! of the prefix is an m.s.p. of the original string) and normalises the
+//! answer to the smallest starting index, so both methods and the sequential
+//! oracles agree exactly.
 
 use crate::canonical::booth_msp;
 use crate::period::smallest_period;
@@ -36,16 +33,12 @@ use sfcp_pram::Ctx;
 /// Which m.s.p. algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MspMethod {
-    /// Booth's sequential linear-time algorithm (baseline).
+    /// Booth's sequential linear-time algorithm (the oracle).
     Booth,
-    /// The paper's simple block tournament (`O(n log n)` work).
-    Simple,
     /// The paper's recursive pair-contraction algorithm
     /// (`O(n log log n)` work) — the headline result of Section 3.1.
     #[default]
     Efficient,
-    /// Rank doubling over rotations (`O(n log n)` work baseline).
-    Doubling,
 }
 
 /// Fallible [`minimal_starting_point`]: validates the size envelope and
@@ -89,16 +82,10 @@ pub fn minimal_starting_point(ctx: &Ctx, s: &[u32], method: MspMethod) -> usize 
     // Reduce to the smallest repeating prefix: its m.s.p. is an m.s.p. of the
     // original string, and the prefix is nonrepeating by construction.
     let p = smallest_period(ctx, s);
-    let reduced = &s[..p];
     if p == 1 {
         return 0;
     }
-    let msp = match method {
-        MspMethod::Booth => unreachable!(),
-        MspMethod::Simple => simple_msp(ctx, reduced),
-        MspMethod::Efficient => efficient_msp(ctx, reduced),
-        MspMethod::Doubling => doubling_msp(ctx, reduced),
-    };
+    let msp = efficient_msp(ctx, &s[..p]);
     debug_assert!(msp < p);
     // Every position msp + k·p of the original is a minimal start; the
     // canonical answer is the smallest one, which is msp itself.
@@ -297,45 +284,6 @@ pub fn efficient_msp(ctx: &Ctx, s: &[u32]) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rank-doubling baseline.
-// ---------------------------------------------------------------------------
-
-/// Rank-doubling m.s.p.: compute, in `⌈log n⌉` rounds, the rank of every
-/// rotation by repeatedly ranking pairs `(rank[i], rank[i + 2^k mod n])`.
-/// After the last round every rotation has a distinct rank (for nonrepeating
-/// inputs) and the position with rank 0 is the m.s.p.
-#[must_use]
-pub fn doubling_msp(ctx: &Ctx, s: &[u32]) -> usize {
-    let n = s.len();
-    if n <= 1 {
-        return 0;
-    }
-    let (mut rank, mut distinct) = sfcp_parprim::rank::dense_ranks_by_sort(
-        ctx,
-        &s.iter().map(|&c| u64::from(c)).collect::<Vec<_>>(),
-    );
-    // Per-round scratch is workspace-backed and ping-ponged across rounds.
-    let ws = ctx.workspace();
-    let mut pairs = ws.take_pairs(n);
-    let mut next_rank = ws.take_u32(0);
-    let mut width = 1usize;
-    while width < n && distinct < n {
-        {
-            let rank = &rank;
-            ctx.par_update(&mut pairs, |i, p| {
-                *p = (u64::from(rank[i]), u64::from(rank[(i + width) % n]));
-            });
-        }
-        distinct = dense_ranks_of_pairs_into(ctx, &pairs, &mut next_rank);
-        std::mem::swap(&mut rank, &mut *next_rank);
-        width *= 2;
-    }
-    // Position of the minimum rank (smallest index on ties, which only occur
-    // for repeating inputs).
-    sfcp_parprim::reduce::min_index(ctx, &rank)
-}
-
 #[derive(Clone, Copy)]
 struct SendPtr<T>(*mut T);
 // SAFETY: `SendPtr` only smuggles a raw base pointer into parallel tasks
@@ -355,13 +303,8 @@ mod tests {
     use proptest::prelude::*;
     use rand::prelude::*;
 
-    fn all_methods() -> [MspMethod; 4] {
-        [
-            MspMethod::Booth,
-            MspMethod::Simple,
-            MspMethod::Efficient,
-            MspMethod::Doubling,
-        ]
+    fn all_methods() -> [MspMethod; 2] {
+        [MspMethod::Booth, MspMethod::Efficient]
     }
 
     #[test]
@@ -417,7 +360,6 @@ mod tests {
             let expected = naive_msp(&s);
             assert_eq!(simple_msp(&ctx, &s), expected, "simple on {s:?}");
             assert_eq!(efficient_msp(&ctx, &s), expected, "efficient on {s:?}");
-            assert_eq!(doubling_msp(&ctx, &s), expected, "doubling on {s:?}");
         }
     }
 
@@ -467,20 +409,21 @@ mod tests {
     /// `Θ(n log n)` while *efficient m.s.p.* is `O(n log log n)`.  The
     /// observable consequence at test-sized inputs is that the per-symbol
     /// work of the simple algorithm grows with `log n` while the efficient
-    /// algorithm's stays (nearly) flat.  Experiment E4 reports the full curve.
+    /// algorithm's stays (nearly) flat.
     #[test]
     fn efficient_msp_work_grows_slower_than_simple() {
-        let work_of = |n: usize, method: MspMethod| -> f64 {
+        let work_of = |n: usize, msp: fn(&Ctx, &[u32]) -> usize| -> f64 {
             let mut rng = StdRng::seed_from_u64(5);
             let s: Vec<u32> = (0..n).map(|_| rng.gen_range(0..8)).collect();
             let ctx = Ctx::parallel();
-            let _ = minimal_starting_point(&ctx, &s, method);
+            // The period reduction of the facade, then the algorithm itself.
+            let p = smallest_period(&ctx, &s);
+            let _ = msp(&ctx, &s[..p]);
             ctx.stats().work as f64 / n as f64
         };
         let (n1, n2) = (1usize << 12, 1usize << 16);
-        let simple_growth = work_of(n2, MspMethod::Simple) / work_of(n1, MspMethod::Simple);
-        let efficient_growth =
-            work_of(n2, MspMethod::Efficient) / work_of(n1, MspMethod::Efficient);
+        let simple_growth = work_of(n2, simple_msp) / work_of(n1, simple_msp);
+        let efficient_growth = work_of(n2, efficient_msp) / work_of(n1, efficient_msp);
         assert!(
             efficient_growth < simple_growth,
             "per-symbol work growth: efficient {efficient_growth:.3} should be below simple {simple_growth:.3}"
@@ -514,13 +457,14 @@ mod tests {
         }
     }
 
-    /// Miri target: the rank/scatter passes inside all three MSP methods.
+    /// Miri target: the rank/scatter passes inside both parallel m.s.p.
+    /// algorithms, against Booth's oracle.
     #[test]
     fn miri_msp_methods_agree() {
         let s: Vec<u32> = (0..96u32).map(|i| i.wrapping_mul(13) % 5).collect();
         let ctx = Ctx::parallel();
-        let want = simple_msp(&ctx, &s);
+        let want = booth_msp(&s);
+        assert_eq!(simple_msp(&ctx, &s), want);
         assert_eq!(efficient_msp(&ctx, &s), want);
-        assert_eq!(doubling_msp(&ctx, &s), want);
     }
 }

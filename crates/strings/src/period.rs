@@ -99,13 +99,6 @@ pub fn smallest_period(ctx: &Ctx, s: &[u32]) -> usize {
     n
 }
 
-/// Convenience: the smallest repeating prefix itself.
-#[must_use]
-pub fn smallest_repeating_prefix(ctx: &Ctx, s: &[u32]) -> Vec<u32> {
-    let p = smallest_period(ctx, s);
-    s[..p].to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +146,6 @@ mod tests {
         let s = [1u32, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1, 3];
         assert_eq!(smallest_period_seq(&s), 4);
         assert_eq!(smallest_period(&ctx, &s), 4);
-        assert_eq!(smallest_repeating_prefix(&ctx, &s), vec![1, 2, 1, 3]);
         // Cycle D has B-label string (1,2,1,3): aperiodic.
         let d = [1u32, 2, 1, 3];
         assert_eq!(smallest_period_seq(&d), 4);

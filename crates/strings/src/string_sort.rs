@@ -20,17 +20,6 @@ use sfcp_parprim::merge::parallel_merge_sort;
 use sfcp_parprim::rank::dense_ranks_of_pairs_into;
 use sfcp_pram::Ctx;
 
-/// Which string sorting algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StringSortMethod {
-    /// The paper's pair-contraction algorithm (integer sorting per round).
-    #[default]
-    Contraction,
-    /// Direct parallel comparison sort on the string slices
-    /// (`O(n log m)`-ish work depending on shared prefixes) — the baseline.
-    Comparison,
-}
-
 /// Fallible [`sort_strings`]: validates the size envelope and converts any
 /// mid-run panic (internal assert or fault injected through
 /// [`sfcp_pram::faults`]) into a typed [`sfcp_pram::Error`], running
@@ -40,17 +29,11 @@ pub enum StringSortMethod {
 /// [`sfcp_pram::Error::TooLarge`] when the string count or total symbol
 /// count reaches `2^31`; [`sfcp_pram::Error::Injected`] /
 /// [`sfcp_pram::Error::Panicked`] when the run unwinds.
-pub fn try_sort_strings(
-    ctx: &Ctx,
-    strings: &[Vec<u32>],
-    method: StringSortMethod,
-) -> Result<Vec<u32>, sfcp_pram::Error> {
+pub fn try_sort_strings(ctx: &Ctx, strings: &[Vec<u32>]) -> Result<Vec<u32>, sfcp_pram::Error> {
     sfcp_pram::check_index_width(strings.len())?;
     let total: usize = strings.iter().map(Vec::len).sum();
     sfcp_pram::check_index_width(total)?;
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sort_strings(ctx, strings, method)
-    })) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sort_strings(ctx, strings))) {
         Ok(order) => Ok(order),
         Err(payload) => {
             let err = sfcp_pram::Error::from_panic(payload);
@@ -60,50 +43,12 @@ pub fn try_sort_strings(
     }
 }
 
-/// Sort `strings` lexicographically and return the permutation of indices in
-/// sorted order.  Equal strings keep their original relative order (the
-/// result is a stable order), which also makes the output deterministic.
+/// Sort `strings` lexicographically with the paper's pair contraction and
+/// return the permutation of indices in sorted order.  Equal strings keep
+/// their original relative order (the result is a stable order), which also
+/// makes the output deterministic.
 #[must_use]
-pub fn sort_strings(ctx: &Ctx, strings: &[Vec<u32>], method: StringSortMethod) -> Vec<u32> {
-    match method {
-        StringSortMethod::Contraction => sort_strings_contraction(ctx, strings),
-        StringSortMethod::Comparison => sort_strings_comparison(ctx, strings),
-    }
-}
-
-/// Baseline: comparison sort of the strings (ties broken by original index).
-#[must_use]
-pub fn sort_strings_comparison(ctx: &Ctx, strings: &[Vec<u32>]) -> Vec<u32> {
-    let m = strings.len();
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    // Charge the comparison-model cost: each of the O(m log m) comparisons
-    // can touch up to the length of the shorter string; charge the average
-    // string length per comparison.
-    let total: u64 = strings.iter().map(|s| s.len() as u64).sum();
-    let avg = if m == 0 { 0 } else { total / m as u64 + 1 };
-    let log_m = u64::from(sfcp_pram::ceil_log2(m.max(2)));
-    ctx.charge_work(m as u64 * log_m * avg);
-    ctx.charge_rounds(log_m);
-    if ctx.is_parallel() {
-        use rayon::prelude::*;
-        order.par_sort_by(|&a, &b| {
-            strings[a as usize]
-                .cmp(&strings[b as usize])
-                .then(a.cmp(&b))
-        });
-    } else {
-        order.sort_by(|&a, &b| {
-            strings[a as usize]
-                .cmp(&strings[b as usize])
-                .then(a.cmp(&b))
-        });
-    }
-    order
-}
-
-/// The paper's contraction-based string sorting.
-#[must_use]
-pub fn sort_strings_contraction(ctx: &Ctx, strings: &[Vec<u32>]) -> Vec<u32> {
+pub fn sort_strings(ctx: &Ctx, strings: &[Vec<u32>]) -> Vec<u32> {
     let m = strings.len();
     if m <= 1 {
         return (0..m as u32).collect();
@@ -244,16 +189,10 @@ mod tests {
 
     fn check(strings: &[Vec<u32>]) {
         let ctx = Ctx::parallel().with_grain(16);
-        let expected = reference_sort(strings);
         assert_eq!(
-            sort_strings(&ctx, strings, StringSortMethod::Contraction),
-            expected,
+            sort_strings(&ctx, strings),
+            reference_sort(strings),
             "contraction sort on {strings:?}"
-        );
-        assert_eq!(
-            sort_strings(&ctx, strings, StringSortMethod::Comparison),
-            expected,
-            "comparison sort on {strings:?}"
         );
     }
 
@@ -327,11 +266,11 @@ mod tests {
 
     /// Lemma 3.8's observable consequence at test sizes: the contraction
     /// sort's work per input symbol stays flat as the number of strings
-    /// grows, while a comparison sort's grows with `log m` (every comparison
-    /// re-reads the shared prefixes).  Experiment E5 reports the full curve.
+    /// grows 16×, on strings that share long prefixes (the instance on which
+    /// a comparison sort re-reads the shared prefix in every comparison).
     #[test]
-    fn contraction_work_grows_slower_than_comparison() {
-        let work_of = |m: usize, method: StringSortMethod| -> f64 {
+    fn contraction_work_per_symbol_stays_flat() {
+        let work_of = |m: usize| -> f64 {
             let mut rng = StdRng::seed_from_u64(3);
             let shared: Vec<u32> = (0..14).map(|_| rng.gen_range(0..3)).collect();
             let strings: Vec<Vec<u32>> = (0..m)
@@ -344,18 +283,10 @@ mod tests {
                 .collect();
             let total: usize = strings.iter().map(Vec::len).sum();
             let ctx = Ctx::parallel();
-            let _ = sort_strings(&ctx, &strings, method);
+            let _ = sort_strings(&ctx, &strings);
             ctx.stats().work as f64 / total as f64
         };
-        let (m1, m2) = (512usize, 8192usize);
-        let comparison_growth =
-            work_of(m2, StringSortMethod::Comparison) / work_of(m1, StringSortMethod::Comparison);
-        let contraction_growth =
-            work_of(m2, StringSortMethod::Contraction) / work_of(m1, StringSortMethod::Contraction);
-        assert!(
-            contraction_growth < comparison_growth,
-            "per-symbol work growth: contraction {contraction_growth:.3} should be below comparison {comparison_growth:.3}"
-        );
+        let contraction_growth = work_of(8192) / work_of(512);
         assert!(
             contraction_growth < 1.2,
             "contraction per-symbol work grew by {contraction_growth:.3}× over a 16× instance increase"

@@ -68,10 +68,10 @@ fn rel(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Whether a repo-relative path is test code wholesale (integration tests
-/// and bench targets: not part of the charged/hot production surface).
+/// Whether a repo-relative path is test code wholesale (integration tests:
+/// not part of the charged/hot production surface).
 fn is_test_path(rel_path: &str) -> bool {
-    rel_path.starts_with("tests/") || rel_path.contains("/tests/") || rel_path.contains("/benches/")
+    rel_path.starts_with("tests/") || rel_path.contains("/tests/")
 }
 
 /// Run every lint over the repo at `root`.  Returns sorted findings and the

@@ -12,7 +12,7 @@
 use rand::prelude::*;
 use sfcp_pram::Ctx;
 use sfcp_strings::msp::{minimal_starting_point, MspMethod};
-use sfcp_strings::string_sort::{sort_strings, StringSortMethod};
+use sfcp_strings::string_sort::sort_strings;
 use sfcp_strings::{booth_msp, rotation};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
 
     // Sort the canonical forms lexicographically and count distinct ones.
     let start = std::time::Instant::now();
-    let order = sort_strings(&ctx, &canonical, StringSortMethod::Contraction);
+    let order = sort_strings(&ctx, &canonical);
     let sort_time = start.elapsed();
     let mut distinct = if order.is_empty() { 0 } else { 1 };
     for w in order.windows(2) {

@@ -157,11 +157,7 @@ fn check_against_reference(g: &FunctionalGraph, d: &Decomposition) {
 fn paper_example_matches_reference() {
     let ctx = Ctx::parallel();
     let g = sfcp_forest::generators::paper_example_function();
-    for method in [
-        CycleMethod::Sequential,
-        CycleMethod::Jump,
-        CycleMethod::Euler,
-    ] {
+    for method in [CycleMethod::Sequential, CycleMethod::Euler] {
         let d = decompose(&ctx, &g, method);
         check_against_reference(&g, &d);
     }

@@ -3,6 +3,8 @@
 //! verifier.
 
 use sfcp::{coarsest_partition, Algorithm, Instance, Partition, ALL_ALGORITHMS};
+use sfcp_forest::cycles::CycleMethod;
+use sfcp_forest::generators;
 use sfcp_pram::{Ctx, Mode};
 
 fn check_all_algorithms_agree(instance: &Instance) -> Partition {
@@ -27,7 +29,7 @@ fn check_all_algorithms_agree(instance: &Instance) -> Partition {
 fn paper_worked_example_end_to_end() {
     let instance = Instance::paper_example();
     let q = check_all_algorithms_agree(&instance);
-    let expected = Partition::new(sfcp_forest::generators::paper_example_expected_q());
+    let expected = Partition::new(generators::paper_example_expected_q());
     assert!(q.same_partition(&expected));
     assert_eq!(q.num_blocks(), 4);
 }
@@ -130,47 +132,57 @@ fn output_refines_input_blocks() {
     }
 }
 
+/// The headline complexity shape of the paper, one row per solver input
+/// family: run at n = 2^12 and n = 2^16 in parallel mode, the work per
+/// element grows far slower than linearly (`O(n · polyloglog)`-style, not
+/// `O(n²)` or worse), and the rounds stay within a constant factor of
+/// `log n`.  The `decompose` rows cover step 1 (the Euler cycle finder of
+/// Section 5) on its own.
 #[test]
 fn work_depth_accounting_shapes() {
-    // The headline complexity shape of the paper (experiments E1/E2): the
-    // parallel algorithm's work per element grows far slower than linearly
-    // (it is `O(n · polyloglog)`-style, not `O(n²)` or worse), and its depth
-    // stays within a constant factor of `log n`.  The full comparative tables
-    // (who wins where, including the doubling baseline) are produced by the
-    // `complexity_table` binary and recorded in EXPERIMENTS.md.
-    let small = Instance::random(1 << 12, 4, 7);
-    let large = Instance::random(1 << 16, 4, 7);
-
-    let run = |inst: &Instance, alg: Algorithm| {
-        let ctx = Ctx::parallel();
-        let _ = coarsest_partition(&ctx, inst, alg);
-        ctx.stats()
-    };
-
-    let parallel_small = run(&small, Algorithm::Parallel);
-    let parallel_large = run(&large, Algorithm::Parallel);
-    let growth = (parallel_large.work as f64 / large.len() as f64)
-        / (parallel_small.work as f64 / small.len() as f64);
-    assert!(
-        growth < 1.6,
-        "parallel per-element work grew {growth:.3}× over a 16× size increase — not near-linear"
-    );
-
-    let rounds = parallel_large.rounds as f64;
-    let log_n = (large.len() as f64).log2();
-    assert!(
-        rounds < 60.0 * log_n,
-        "parallel depth {rounds} should stay within a constant factor of log n = {log_n:.1}"
-    );
-
-    // The naive oracle's work, by contrast, is super-linear per element on
-    // the same inputs (it re-labels the whole array once per refinement
-    // round); sanity-check the gap so the comparisons in EXPERIMENTS.md are
-    // grounded.
-    let parallel_work = parallel_large.work as f64;
-    let ctx = Ctx::parallel();
-    let naive_start = std::time::Instant::now();
-    let _ = coarsest_partition(&ctx, &large, Algorithm::Naive);
-    let _ = naive_start.elapsed();
-    assert!(parallel_work > 0.0);
+    fn solve(ctx: &Ctx, inst: &Instance) {
+        let _ = coarsest_partition(ctx, inst, Algorithm::Parallel);
+    }
+    fn decompose(ctx: &Ctx, g: &sfcp_forest::FunctionalGraph) {
+        let _ = sfcp_forest::decompose(ctx, g, CycleMethod::Euler);
+    }
+    type Row = (&'static str, fn(&Ctx, usize));
+    let rows: [Row; 5] = [
+        ("coarsest_parallel on random(n, 4, 7)", |ctx, n| {
+            solve(ctx, &Instance::random(n, 4, 7))
+        }),
+        ("coarsest_parallel on deep(n, 8, 4, 7)", |ctx, n| {
+            solve(ctx, &Instance::deep(n, 8, 4, 7))
+        }),
+        (
+            "coarsest_parallel on periodic_cycles(n / 256, 256, 16, 4, 7)",
+            |ctx, n| solve(ctx, &Instance::periodic_cycles(n / 256, 256, 16, 4, 7)),
+        ),
+        ("decompose on random_function(n, 7)", |ctx, n| {
+            decompose(ctx, &generators::random_function(n, 7))
+        }),
+        ("decompose on long_tail(n, 5, 7)", |ctx, n| {
+            decompose(ctx, &generators::long_tail(n, 5, 7))
+        }),
+    ];
+    let (small, large) = (1usize << 12, 1usize << 16);
+    let log_n = (large as f64).log2();
+    for (name, run) in rows {
+        let stats = |n: usize| {
+            let ctx = Ctx::parallel();
+            run(&ctx, n);
+            ctx.stats()
+        };
+        let (s, l) = (stats(small), stats(large));
+        let growth = (l.work as f64 / large as f64) / (s.work as f64 / small as f64);
+        assert!(
+            growth < 1.6,
+            "{name}: per-element work grew {growth:.3}× over a 16× size increase — not near-linear"
+        );
+        let rounds = l.rounds as f64;
+        assert!(
+            rounds < 60.0 * log_n,
+            "{name}: depth {rounds} should stay within a constant factor of log n = {log_n:.1}"
+        );
+    }
 }

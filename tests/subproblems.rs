@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use rand::prelude::*;
 use sfcp_pram::Ctx;
-use sfcp_strings::msp::{minimal_starting_point, MspMethod};
-use sfcp_strings::string_sort::{sort_strings, StringSortMethod};
+use sfcp_strings::msp::{efficient_msp, minimal_starting_point, simple_msp, MspMethod};
+use sfcp_strings::string_sort::sort_strings;
 use sfcp_strings::{booth_msp, rotation, smallest_period};
 
 #[test]
@@ -41,13 +41,15 @@ fn all_msp_methods_agree_on_large_structured_strings() {
         s.extend([3, 2, 3, 4, 2 + (block % 3) as u32]);
     }
     s.extend([1, 1, 2]);
-    for method in [MspMethod::Simple, MspMethod::Efficient, MspMethod::Doubling] {
-        assert_eq!(
-            minimal_starting_point(&ctx, &s, method),
-            booth_msp(&s),
-            "{method:?}"
-        );
-    }
+    let expected = booth_msp(&s);
+    assert_eq!(
+        minimal_starting_point(&ctx, &s, MspMethod::Efficient),
+        expected
+    );
+    // The string is nonrepeating, so both paper algorithms apply directly.
+    assert_eq!(smallest_period(&ctx, &s), s.len());
+    assert_eq!(simple_msp(&ctx, &s), expected);
+    assert_eq!(efficient_msp(&ctx, &s), expected);
 }
 
 #[test]
@@ -85,8 +87,10 @@ fn string_sorting_agrees_with_comparison_on_mixed_workload() {
     strings.push(shared.clone());
     strings.push(shared);
 
-    let a = sort_strings(&ctx, &strings, StringSortMethod::Contraction);
-    let b = sort_strings(&ctx, &strings, StringSortMethod::Comparison);
+    let a = sort_strings(&ctx, &strings);
+    // A stable comparison sort of the indices gives the same order.
+    let mut b: Vec<u32> = (0..strings.len() as u32).collect();
+    b.sort_by(|&x, &y| strings[x as usize].cmp(&strings[y as usize]));
     assert_eq!(a, b);
     // And the order really is sorted.
     for w in a.windows(2) {
@@ -100,10 +104,10 @@ proptest! {
     #[test]
     fn msp_methods_agree_end_to_end(s in proptest::collection::vec(0u32..4, 1..300)) {
         let ctx = Ctx::parallel();
-        let expected = booth_msp(&s);
-        for method in [MspMethod::Simple, MspMethod::Efficient, MspMethod::Doubling] {
-            prop_assert_eq!(minimal_starting_point(&ctx, &s, method), expected);
-        }
+        prop_assert_eq!(minimal_starting_point(&ctx, &s, MspMethod::Efficient), booth_msp(&s));
+        // The tournament alone, on the nonrepeating prefix it requires.
+        let p = smallest_period(&ctx, &s);
+        prop_assert_eq!(simple_msp(&ctx, &s[..p]), booth_msp(&s[..p]));
     }
 
     #[test]

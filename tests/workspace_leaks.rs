@@ -71,11 +71,7 @@ fn from_parents_returns_every_checkout() {
 fn decompose_returns_every_checkout() {
     let g = sfcp_forest::generators::random_function(30_000, 41);
     let ctx = Ctx::parallel();
-    for method in [
-        CycleMethod::Sequential,
-        CycleMethod::Jump,
-        CycleMethod::Euler,
-    ] {
+    for method in [CycleMethod::Sequential, CycleMethod::Euler] {
         let d = sfcp_forest::decompose(&ctx, &g, method);
         std::hint::black_box(d.num_cycles());
         assert_eq!(
@@ -85,7 +81,7 @@ fn decompose_returns_every_checkout() {
         );
     }
 
-    // The three-method warm-up leaves the pools populated, but the first
+    // The two-method warm-up leaves the pools populated, but the first
     // Euler-only runs may still pair requests with smaller pooled buffers
     // and grow them in place (pooled bytes are monotone and bounded, so a
     // couple of identical runs reach the fixed point).
