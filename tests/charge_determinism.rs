@@ -2,9 +2,9 @@
 //! across thread counts.
 //!
 //! DESIGN.md's "Charge discipline" demands that the complexity tables be a
-//! property of the algorithm, never of the machine: the same run on 1, 2, or
-//! all hardware threads must charge exactly the same work and depth (only
-//! wall-clock may differ).  This guards the invariant before any NUMA/grain
+//! property of the algorithm, never of the machine: the same run on 1, 2,
+//! all hardware threads, or twice that (more pool workers than cores) must
+//! charge exactly the same work and depth (only wall-clock may differ).  This guards the invariant before any NUMA/grain
 //! tuning lands — a charge that accidentally depends on
 //! `current_num_threads` (e.g. a per-thread block count leaking into a
 //! charged loop) breaks this test immediately: the wavefront chunking of
@@ -32,7 +32,8 @@ fn charges_with_threads<F: Fn() -> Stats>(threads: usize, f: F) -> Stats {
 
 fn thread_counts() -> Vec<usize> {
     let max = std::thread::available_parallelism().map_or(4, usize::from);
-    let mut counts = vec![1, 2, max];
+    let mut counts = vec![1, 2, max, 2 * max];
+    counts.sort_unstable();
     counts.dedup();
     counts
 }
