@@ -31,9 +31,10 @@
 //! * `service_warm` / `service_cold` — per-request p50/p99 latency and
 //!   throughput of decompose workload requests against a warm persistent
 //!   worker vs the cold rebuild-per-request baseline, at the same sizes as
-//!   the library rows.  An in-run gate asserts the warm p50 beats cold by
-//!   at least the workspace pool warm-up margin (the number the serving
-//!   layer exists to bank).
+//!   the library rows.  Both servers stay up and their requests are timed
+//!   in alternating blocks; an in-run gate asserts the median per-block
+//!   p50 ratio shows warm beating cold by at least the workspace pool
+//!   warm-up margin (the number the serving layer exists to bank).
 //! * `service_batch` — fixed work (128 partition requests at n = 2048)
 //!   pushed through explicit batch frames of 1, 8 and 64 members;
 //!   `p50_ms`/`p99_ms` are per-*frame* round trips and `rps` is requests
@@ -77,7 +78,7 @@ use rand::prelude::*;
 use sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_pram::{Ctx, Mode, Stats};
 use sfcp_service::json::{self, Value};
-use sfcp_service::{Client, ComputeRequest, Kind, Reply, Server, ServerConfig};
+use sfcp_service::{Client, ComputeRequest, Kind, Reply, Server, ServerConfig, ServerHandle};
 use std::time::Instant;
 
 /// Best-of-k wall-clock milliseconds of `f` with a fresh context per run.
@@ -282,48 +283,113 @@ fn expect_reply(
         .unwrap_or_else(|e| panic!("service answered a typed error: {e}"))
 }
 
-/// One latency row: `reqs` decompose workload requests (digest replies,
-/// cache bypassed) against an in-process single-worker server, timed per
-/// round trip.  `cold` rebuilds the worker's context per request — the
-/// baseline the warm-vs-cold gate compares against.  The request stream is
-/// identical on both servers (same workload key, so the worker's generator
-/// memo serves both equally); the only asymmetry left is workspace pool
-/// reuse, which is exactly the margin the serving layer exists to keep.
-fn measure_service_latency(name: &'static str, n: usize, reqs: usize, cold: bool) -> ServiceRow {
-    let server = Server::start(ServerConfig {
-        cold_ctx: cold,
-        ..ServerConfig::default()
-    })
-    .expect("bind an ephemeral loopback port");
-    let mut client = Client::connect(server.addr()).expect("connect to the in-process server");
+/// One server of the latency pair, with the timings of its requests.
+struct LatencyEndpoint {
+    server: ServerHandle,
+    client: Client,
+    lats: Vec<f64>,
+    busy_s: f64,
+    work: u64,
+    rounds: u64,
+}
+
+/// The warm/cold latency pair: decompose workload requests (digest
+/// replies, cache bypassed) against two in-process single-worker servers,
+/// the warm persistent one and the cold baseline that rebuilds its
+/// worker's context per request.  The request stream is identical on both
+/// servers (same workload key, so each worker's generator memo serves both
+/// equally); the only asymmetry left is workspace pool reuse, which is
+/// exactly the margin the serving layer exists to keep.
+///
+/// Both servers stay up, and their round trips are timed in `blocks`
+/// alternating blocks of `per_block` requests each, the server that goes
+/// first alternating too.  Returns the warm and cold rows (p50/p99 over all
+/// their requests) and the median of the per-block cold/warm p50 ratios:
+/// host noise that lands on one block hits both of its halves, where two
+/// servers timed one after the other each see noise of their own.
+fn measure_service_pair(
+    n: usize,
+    blocks: usize,
+    per_block: usize,
+) -> (ServiceRow, ServiceRow, f64) {
     let req = ComputeRequest::workload(Kind::Decompose, n, 0x5EED, 0)
         .digest_only()
         .no_cache();
-    // Untimed warm-up: pages in the code path on both servers and generates
-    // the workload into the worker's memo; only the warm server's workspace
-    // pools carry into the timed window.
-    for _ in 0..2 {
-        expect_reply(client.request(&req));
+    let mut sides = [false, true].map(|cold| {
+        let server = Server::start(ServerConfig {
+            cold_ctx: cold,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral loopback port");
+        let mut client = Client::connect(server.addr()).expect("connect to the in-process server");
+        // Untimed warm-up: pages in the code path on both servers and
+        // generates the workload into the worker's memo; only the warm
+        // server's workspace pools carry into the timed window.
+        for _ in 0..2 {
+            expect_reply(client.request(&req));
+        }
+        LatencyEndpoint {
+            server,
+            client,
+            lats: Vec::with_capacity(blocks * per_block),
+            busy_s: 0.0,
+            work: 0,
+            rounds: 0,
+        }
+    });
+    let mut ratios = Vec::with_capacity(blocks);
+    for block in 0..blocks {
+        let mut p50 = [0.0; 2];
+        let order = if block % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            let ep = &mut sides[side];
+            let mut lats = Vec::with_capacity(per_block);
+            let t0 = Instant::now();
+            for _ in 0..per_block {
+                let t = Instant::now();
+                let reply = expect_reply(ep.client.request(&req));
+                lats.push(t.elapsed().as_secs_f64() * 1e3);
+                (ep.work, ep.rounds) = (reply.work, reply.rounds);
+            }
+            ep.busy_s += t0.elapsed().as_secs_f64();
+            ep.lats.extend_from_slice(&lats);
+            lats.sort_by(f64::total_cmp);
+            p50[side] = percentile(&lats, 50);
+        }
+        ratios.push(p50[1] / p50[0]);
     }
-    let mut lats = Vec::with_capacity(reqs);
-    let (mut work, mut rounds) = (0u64, 0u64);
-    let t0 = Instant::now();
-    for _ in 0..reqs {
-        let t = Instant::now();
-        let reply = expect_reply(client.request(&req));
-        lats.push(t.elapsed().as_secs_f64() * 1e3);
-        (work, rounds) = (reply.work, reply.rounds);
-    }
-    let rps = reqs as f64 / t0.elapsed().as_secs_f64();
-    lats.sort_by(f64::total_cmp);
-    let (p50_ms, p99_ms) = (percentile(&lats, 50), percentile(&lats, 99));
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let margin = if ratios.len() % 2 == 0 {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    } else {
+        ratios[mid]
+    };
+    let [warm, cold] = sides;
+    (
+        finish_latency_row("service_warm", n, &req, warm),
+        finish_latency_row("service_cold", n, &req, cold),
+        margin,
+    )
+}
+
+/// The row of one server of the latency pair; shuts the server down.
+fn finish_latency_row(
+    name: &'static str,
+    n: usize,
+    req: &ComputeRequest,
+    mut ep: LatencyEndpoint,
+) -> ServiceRow {
+    ep.lats.sort_by(f64::total_cmp);
+    let (p50_ms, p99_ms) = (percentile(&ep.lats, 50), percentile(&ep.lats, 99));
+    let rps = ep.lats.len() as f64 / ep.busy_s;
     // The row's trace comes from the serving run itself: one traced request
     // outside the timed window, summarized by the worker and shipped back.
-    let traced = expect_reply(client.request(&req.clone().traced()));
+    let traced = expect_reply(ep.client.request(&req.clone().traced()));
     let trace = traced
         .trace_json
         .expect("a traced request must carry its summary");
-    server.shutdown();
+    ep.server.shutdown();
     println!("{name:>22} n={n:>8}: p50 {p50_ms:9.3} ms  p99 {p99_ms:9.3} ms  ({rps:8.1} req/s)");
     ServiceRow {
         name,
@@ -332,8 +398,8 @@ fn measure_service_latency(name: &'static str, n: usize, reqs: usize, cold: bool
         p50_ms,
         p99_ms,
         rps,
-        work,
-        rounds,
+        work: ep.work,
+        rounds: ep.rounds,
         trace,
     }
 }
@@ -473,6 +539,8 @@ fn main() {
     // Median paired checked/warm ratio at the largest size (overwritten per
     // tier; sizes ascend, so the last assignment is the largest n).
     let mut checked_paired_ratio = f64::NAN;
+    // Median per-block cold/warm service p50 ratio at the largest size.
+    let mut service_margin = f64::NAN;
 
     for &n in sizes {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ n as u64);
@@ -596,20 +664,13 @@ fn main() {
             std::hint::black_box(q.num_blocks());
         }));
         // The service latency pair at the same size: warm persistent worker
-        // vs the cold rebuild-per-request baseline, over loopback TCP.
-        let service_reqs = if n >= 1_000_000 { 12 } else { 40 };
-        service_rows.push(measure_service_latency(
-            "service_warm",
-            n,
-            service_reqs,
-            false,
-        ));
-        service_rows.push(measure_service_latency(
-            "service_cold",
-            n,
-            service_reqs,
-            true,
-        ));
+        // vs the cold rebuild-per-request baseline, over loopback TCP, in
+        // alternating blocks of requests.
+        let (blocks, per_block) = if n >= 1_000_000 { (4, 3) } else { (10, 4) };
+        let (warm, cold, margin) = measure_service_pair(n, blocks, per_block);
+        service_rows.push(warm);
+        service_rows.push(cold);
+        service_margin = margin;
         // The sequential baseline on the same instance, recorded next to
         // `coarsest_parallel` but run after the service pair: run before it,
         // freeing its large buffers raises glibc's dynamic mmap threshold,
@@ -696,9 +757,11 @@ fn main() {
 
     // The serving-layer gate: at the largest size, the warm worker's p50
     // must beat the cold rebuild-per-request baseline by at least the
-    // workspace pool warm-up margin.  The committed trajectory measures the
-    // margin at ~1.19x (n = 1e6) and ~1.33x (n = 1e5); 1.10 leaves noise
-    // headroom while still failing if warm serving ever stops paying.
+    // workspace pool warm-up margin.  The gated statistic is the median of
+    // the per-block p50 ratios of the interleaved pair, not the ratio of two
+    // p50s taken minutes apart: back-to-back runs of the two servers read
+    // 1.07x–1.15x on one host.  1.10 still fails if warm serving ever stops
+    // paying.
     let service_at = |name: &str, filt: &dyn Fn(&&ServiceRow) -> bool| {
         service_rows
             .iter()
@@ -707,16 +770,16 @@ fn main() {
     };
     let warm_p50 = service_at("service_warm", &|r| r.n == largest).p50_ms;
     let cold_p50 = service_at("service_cold", &|r| r.n == largest).p50_ms;
-    let margin = cold_p50 / warm_p50;
+    let margin = service_margin;
     println!(
-        "service warm-vs-cold n={largest}: warm p50 {warm_p50:.3} ms vs cold \
-         {cold_p50:.3} ms ({margin:.2}x)"
+        "service warm-vs-cold n={largest}: median per-block p50 ratio {margin:.2}x \
+         (warm p50 {warm_p50:.3} ms vs cold {cold_p50:.3} ms)"
     );
     assert!(
         margin >= 1.10,
         "warm service p50 is only {margin:.2}x faster than the cold rebuild-per-request \
-         baseline at n={largest} (must be >= 1.10 — the persistent-worker margin is the \
-         serving layer's reason to exist)"
+         baseline at n={largest} (median per-block ratio; must be >= 1.10 — the \
+         persistent-worker margin is the serving layer's reason to exist)"
     );
 
     // The batching gate: pushing the same 128 requests through 64-member

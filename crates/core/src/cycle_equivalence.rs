@@ -33,6 +33,8 @@ pub enum GroupingMethod {
 /// dense class id per input string (equal strings ⇔ equal ids).
 #[must_use]
 pub fn group_cycles(ctx: &Ctx, strings: &[Vec<u32>], method: GroupingMethod) -> Vec<u32> {
+    let mut span = ctx.span("group_cycles");
+    span.attr("cycles", strings.len() as u64);
     match method {
         GroupingMethod::Partition => group_cycles_doubling(ctx, strings),
         GroupingMethod::Hash => group_cycles_by_hash(ctx, strings),

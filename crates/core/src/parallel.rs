@@ -10,21 +10,23 @@
 //! Step 2 canonises each cycle's B-label string (smallest repeating prefix,
 //! then minimal starting point via *Algorithm efficient m.s.p.*), groups
 //! equivalent cycles with *Algorithm partition*, and labels every cycle node
-//! by (cycle class, offset along the period).  Step 3 first inherits cycle
-//! labels along matching paths (Lemma 4.1, implemented with Euler-tour
-//! ancestor sums), then labels the remaining "unmarked" nodes by a doubling
-//! computation over their root paths (Lemma 4.2) that stops at the first
-//! round splitting no class: `O(n log k)` work for `k` the longest path
-//! prefix two classes need to separate.  A level-by-level work-optimal
-//! variant is provided as an ablation (the paper gets both bounds at once
-//! via Kedem–Palem scheduling — see DESIGN.md).
+//! by (cycle class, offset along the period): the class's base, an
+//! exclusive scan of the class periods, plus the offset.  Step 3 first
+//! inherits cycle labels along matching paths (Lemma 4.1, implemented with
+//! Euler-tour ancestor sums), then labels the remaining "unmarked" nodes by
+//! a doubling computation over their root paths (Lemma 4.2) that stops at
+//! the first round splitting no class: `O(n log k)` work for `k` the longest
+//! path prefix two classes need to separate.  A level-by-level work-optimal
+//! labelling is Step 3's oracle (the paper gets both bounds at once via
+//! Kedem–Palem scheduling — see DESIGN.md).
 
 use crate::cycle_equivalence::{group_cycles, GroupingMethod};
 use crate::error::DecomposeError;
 use crate::problem::{Instance, Partition};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::{decompose, Decomposition};
-use sfcp_parprim::rank::{dense_ranks_by_sort, dense_ranks_of_pairs, dense_ranks_of_pairs_into};
+use sfcp_parprim::rank::{dense_ranks_by_sort, dense_ranks_of_pairs_into};
+use sfcp_parprim::scan::scan_generic;
 use sfcp_pram::fxhash::FxHashMap;
 use sfcp_pram::Ctx;
 use sfcp_strings::canonical::booth_msp;
@@ -42,8 +44,8 @@ pub enum TreeLabelMethod {
     /// scheduling; this is the documented substitution).
     #[default]
     Doubling,
-    /// Level-by-level labelling: `O(n)` work but depth proportional to the
-    /// tree height.
+    /// Level-by-level labelling, Step 3's oracle: `O(n)` work but depth
+    /// proportional to the tree height.
     Levelwise,
 }
 
@@ -108,7 +110,7 @@ pub fn try_coarsest_parallel_with(
     config: ParallelConfig,
 ) -> Result<Partition, DecomposeError> {
     // Same envelope as `sfcp_forest::try_decompose`: the fused Euler +
-    // broken-cycle ranking runs over 2n + m words flagged at bit 31.
+    // broken-cycle ranking runs over 2n words flagged at bit 31.
     if instance.len() >= sfcp_pram::MAX_DOMAIN / 2 {
         return Err(DecomposeError::InvalidInput(sfcp_pram::Error::TooLarge {
             n: instance.len(),
@@ -136,8 +138,6 @@ pub fn coarsest_parallel_with(ctx: &Ctx, instance: &Instance, config: ParallelCo
     if n == 0 {
         return Partition::new(Vec::new());
     }
-    let b = instance.blocks();
-
     // ---- Step 1: structure -------------------------------------------------
     let dec = decompose(ctx, instance.graph(), config.cycle_method);
 
@@ -152,7 +152,6 @@ pub fn coarsest_parallel_with(ctx: &Ctx, instance: &Instance, config: ParallelCo
     }
 
     debug_assert!(labels.iter().all(|&l| l != u32::MAX), "every node labelled");
-    let _ = b;
     Partition::new(labels)
 }
 
@@ -171,13 +170,8 @@ fn label_cycle_nodes(
     // Canonise every cycle: smallest repeating prefix, rotated to its m.s.p.
     // Short cycles use the sequential linear routines, long cycles the
     // parallel ones (Section 3.1); both paths are exercised by the tests.
-    struct Canon {
-        period: u32,
-        msp: u32,
-        canonical: Vec<u32>,
-    }
     let threshold = config.parallel_strings_threshold.max(2);
-    let canons: Vec<Canon> = ctx.par_map_idx(num_cycles, |c| {
+    let canons: Vec<((u32, u32), Vec<u32>)> = ctx.par_map_idx(num_cycles, |c| {
         let cycle = dec.cycle(c);
         let s: Vec<u32> = cycle.iter().map(|&x| b[x as usize]).collect();
         let (period, msp) = if s.len() >= threshold {
@@ -190,42 +184,47 @@ fn label_cycle_nodes(
             (p, r)
         };
         ctx.charge_work(s.len() as u64);
-        Canon {
-            period: period as u32,
-            msp: msp as u32,
-            canonical: rotation(&s[..period], msp),
-        }
+        ((period as u32, msp as u32), rotation(&s[..period], msp))
     });
 
-    // Group equivalent cycles (Section 3.2).
-    let canonical_strings: Vec<Vec<u32>> = canons.iter().map(|c| c.canonical.clone()).collect();
-    let cycle_class = group_cycles(ctx, &canonical_strings, config.grouping);
+    // Group equivalent cycles (Section 3.2).  The canonical strings move
+    // out of `canons`; every cycle keeps its (period, m.s.p.) pair.
+    let (shapes, canonical): (Vec<(u32, u32)>, Vec<Vec<u32>>) = canons.into_iter().unzip();
+    let cycle_class = group_cycles(ctx, &canonical, config.grouping);
+    drop(canonical);
 
     // A cycle node's class is (class of its cycle, offset of the node along
-    // the canonical period).  Dense-rank the pairs over the cycle nodes only.
-    let cycle_node_ids: Vec<u32> =
-        sfcp_parprim::compact::compact_indices(ctx, n, |x| dec.is_cycle[x]);
-    let keys: Vec<(u64, u64)> = ctx.par_map_slice(&cycle_node_ids, |&x| {
-        let c = dec.cycle_of[x as usize] as usize;
-        let p = canons[c].period;
-        let offset = (dec.cycle_pos[x as usize] + p - canons[c].msp) % p;
-        (u64::from(cycle_class[c]), u64::from(offset))
-    });
-    let (dense, num_classes) = dense_ranks_of_pairs(ctx, &keys);
+    // the canonical period).  The class ids are dense and the offsets of a
+    // class of period p cover 0..p, so the order-preserving rank of the pair
+    // is base[class] + offset, with base the exclusive scan of the class
+    // periods in class-id order.  Equivalent cycles share their period.
+    let num_classes = cycle_class.iter().max().map_or(0, |&k| k as usize + 1);
+    let mut class_period = vec![0u32; num_classes];
+    for (&k, &(period, _)) in cycle_class.iter().zip(&shapes) {
+        class_period[k as usize] = period;
+    }
+    ctx.charge_step(num_cycles as u64);
+    let base = scan_generic(ctx, &class_period, 0u32, |x, y| x + y, false);
+    let num_labels: u32 = class_period.iter().sum();
 
     let mut labels = vec![u32::MAX; n];
     {
         let ptr = SendPtr(labels.as_mut_ptr());
-        let ids = &cycle_node_ids;
-        ctx.par_for_idx(ids.len(), |i| {
+        let (base, shapes, cycle_class) = (&base, &shapes, &cycle_class);
+        ctx.par_for_idx(dec.cycle_nodes.len(), |i| {
+            let x = dec.cycle_nodes[i] as usize;
+            let c = dec.cycle_of[x] as usize;
+            let (period, msp) = shapes[c];
+            let offset = (i as u32 - dec.cycle_offsets[c] + period - msp) % period;
             let p = ptr;
-            // SAFETY: distinct cycle nodes write distinct slots.
+            // SAFETY: the cycle CSR lists every cycle node once, so distinct
+            // indices write distinct slots.
             unsafe {
-                *p.0.add(ids[i] as usize) = dense[i];
+                *p.0.add(x) = base[cycle_class[c] as usize] + offset;
             }
         });
     }
-    (labels, num_classes as u32)
+    (labels, num_labels)
 }
 
 /// Step 3: label the tree nodes, either by the paper's marked/doubling route
@@ -751,6 +750,81 @@ mod tests {
             let ctx = Ctx::parallel().with_grain(32);
             let q = coarsest_parallel(&ctx, &inst);
             prop_assert!(q.same_partition(&coarsest_naive(&inst)));
+        }
+    }
+
+    /// The sort-based cycle-node labelling that the scan of class periods
+    /// replaced, kept as its reference: canonise every cycle sequentially,
+    /// group the strings, then dense-rank the (class, offset) pairs of the
+    /// cycle nodes.
+    fn label_cycle_nodes_by_sort(
+        ctx: &Ctx,
+        inst: &Instance,
+        dec: &Decomposition,
+        grouping: GroupingMethod,
+    ) -> (Vec<u32>, u32) {
+        let (n, b) = (inst.len(), inst.blocks());
+        let mut shapes = Vec::new();
+        let mut strings = Vec::new();
+        for cycle in dec.cycles() {
+            let s: Vec<u32> = cycle.iter().map(|&x| b[x as usize]).collect();
+            let p = smallest_period_seq(&s);
+            let r = booth_msp(&s[..p]);
+            shapes.push((p as u32, r as u32));
+            strings.push(rotation(&s[..p], r));
+        }
+        let class = group_cycles(ctx, &strings, grouping);
+        let ids: Vec<u32> = (0..n as u32)
+            .filter(|&x| dec.is_cycle[x as usize])
+            .collect();
+        let keys: Vec<(u64, u64)> = ids
+            .iter()
+            .map(|&x| {
+                let c = dec.cycle_of[x as usize] as usize;
+                let (p, msp) = shapes[c];
+                let offset = (dec.cycle_pos[x as usize] + p - msp) % p;
+                (u64::from(class[c]), u64::from(offset))
+            })
+            .collect();
+        let (dense, count) = sfcp_parprim::rank::dense_ranks_of_pairs(ctx, &keys);
+        let mut labels = vec![u32::MAX; n];
+        for (&x, &l) in ids.iter().zip(&dense) {
+            labels[x as usize] = l;
+        }
+        (labels, count as u32)
+    }
+
+    #[test]
+    fn cycle_labels_match_the_sort_based_ranking() {
+        let instances = [
+            Instance::random_cycles(&[2, 3, 4, 6, 6, 12, 24, 40, 97, 128], 2, 2),
+            Instance::random_cycles(&[1, 1, 5, 5, 5, 9, 300], 3, 8),
+            Instance::periodic_cycles(9, 24, 6, 3, 3),
+            Instance::periodic_cycles(12, 64, 16, 2, 4),
+            Instance::random(3000, 1, 6),
+            Instance::random(3000, 3, 5),
+        ];
+        let ctx = Ctx::parallel().with_grain(16);
+        for inst in &instances {
+            let dec = decompose(&ctx, inst.graph(), CycleMethod::Euler);
+            // A small threshold sends the longer cycles down the parallel
+            // period and m.s.p. routines.
+            for (grouping, threshold) in [
+                (GroupingMethod::Partition, 32),
+                (GroupingMethod::Hash, 1 << 13),
+            ] {
+                let config = ParallelConfig {
+                    grouping,
+                    parallel_strings_threshold: threshold,
+                    ..ParallelConfig::default()
+                };
+                assert_eq!(
+                    label_cycle_nodes(&ctx, inst, &dec, config),
+                    label_cycle_nodes_by_sort(&ctx, inst, &dec, grouping),
+                    "n = {}, {grouping:?}",
+                    inst.len()
+                );
+            }
         }
     }
 

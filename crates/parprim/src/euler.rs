@@ -10,6 +10,9 @@
 //!   and one *up* arc per node (the root's arcs are virtual, so every tree
 //!   with `s` nodes contributes exactly `2s` arcs), a successor function, and
 //!   a list-ranking pass that turns the linked tour into array positions;
+//! * [`EulerTour::tree_arc_successors_flagged_into`] and
+//!   [`EulerTour::from_tree_arc_ranks`] — the same tour ranked over its tree
+//!   edges only, leaving the roots' arc slots to the caller;
 //! * [`EulerTour::levels`] — depth of every node below its root;
 //! * [`EulerTour::ancestor_sums`] — for every node, the sum of a per-node
 //!   value over its *proper ancestors*.  With 0/1 values this implements
@@ -19,7 +22,7 @@
 //!
 //! Work `O(n)` (plus the list-ranking cost), depth `O(log n)`.
 
-use crate::listrank::{is_sampled_ruler, list_rank_into};
+use crate::listrank::{list_rank_into, ruler_sample, RULER_FLAG};
 use crate::scan::scan_generic_into;
 use sfcp_pram::{Ctx, Error};
 
@@ -230,34 +233,43 @@ fn up(v: u32) -> u32 {
 
 /// Emit the successor of every arc node `v` settles — its own down arc and
 /// the up arcs of its children (consecutive children chain up→down, the
-/// last child bounces to `up(v)`, a root terminates its own up arc).  The
-/// third argument marks the one head slot of each tree: the down arc of a
-/// root, which no other arc points to.
+/// last child bounces to `up(v)`, a root terminates its own up arc).
+///
+/// Without `root_arcs` a root owns no arcs: its tour covers only its tree
+/// edges, from the down arc of its first child to the up arc of its last
+/// child, which terminates.
 #[inline]
-fn settle_node<W: FnMut(u32, u32, bool)>(forest: &RootedForest, v: u32, emit: &mut W) {
+fn settle_node<W: FnMut(u32, u32)>(forest: &RootedForest, v: u32, root_arcs: bool, emit: &mut W) {
     let kids = forest.children(v);
     let root = forest.is_root(v);
-    match kids.first() {
-        Some(&c) => emit(down(v), down(c), root),
-        None => emit(down(v), up(v), root),
+    let owns_arcs = root_arcs || !root;
+    if owns_arcs {
+        emit(down(v), kids.first().map_or(up(v), |&c| down(c)));
     }
     for w in kids.windows(2) {
-        emit(up(w[0]), down(w[1]), false);
+        emit(up(w[0]), down(w[1]));
     }
     if let Some(&last) = kids.last() {
-        emit(up(last), up(v), false);
+        emit(up(last), if owns_arcs { up(v) } else { up(last) });
     }
-    if root {
-        emit(up(v), up(v), false);
+    if root && root_arcs {
+        emit(up(v), up(v));
     }
 }
 
 /// The shared successor-construction pass: stream every node's CSR child
 /// list and write each arc's (optionally transformed) successor exactly
-/// once.  Charges one round of `2n` operations (one per arc).
-fn arc_successor_pass<T>(ctx: &Ctx, forest: &RootedForest, succ: &mut [u32], transform: T)
-where
-    T: Fn(u32, u32, bool) -> u32 + Sync + Send,
+/// once.  Charges one round of `n` for the per-node dispatch plus `extra`
+/// work.
+fn arc_successor_pass<T>(
+    ctx: &Ctx,
+    forest: &RootedForest,
+    succ: &mut [u32],
+    root_arcs: bool,
+    extra: u64,
+    transform: T,
+) where
+    T: Fn(u32, u32) -> u32 + Sync + Send,
 {
     let _span = ctx.pass("arc_successors");
     let n = forest.len();
@@ -265,17 +277,15 @@ where
     let succ_ptr = SendPtr(succ.as_mut_ptr());
     ctx.par_for_idx(n, |vi| {
         let sp = succ_ptr;
-        settle_node(forest, vi as u32, &mut |slot, val, head| {
+        settle_node(forest, vi as u32, root_arcs, &mut |slot, val| {
             // SAFETY: each arc slot has exactly one writer (see the covering
             // argument on `arc_successors_into`).
             unsafe {
-                *sp.0.add(slot as usize) = transform(slot, val, head);
+                *sp.0.add(slot as usize) = transform(slot, val);
             }
         });
     });
-    // One round of n was charged for the per-node dispatch; the pass
-    // settles 2n arcs, one operation each.
-    ctx.charge_work(n as u64);
+    ctx.charge_work(extra);
 }
 
 /// Scatter `±value` deltas at every node's entry/exit tour positions.
@@ -316,9 +326,11 @@ impl EulerTour {
     ///
     /// Equivalent to [`EulerTour::arc_successors_into`] + a
     /// [`crate::listrank::list_rank_into`] over the `2n` arcs +
-    /// [`EulerTour::from_arc_ranks`]; `decompose` uses the split entry
-    /// points to rank the tour and the broken-cycle chains in one fused
-    /// ranking invocation (see DESIGN.md, "List ranking").
+    /// [`EulerTour::from_arc_ranks`].  `decompose` builds the same tour
+    /// through the tree-edge entry points
+    /// ([`EulerTour::tree_arc_successors_flagged_into`] and
+    /// [`EulerTour::from_tree_arc_ranks`]), which leave the roots' arc
+    /// slots to its broken-cycle chains (see DESIGN.md, "List ranking").
     #[must_use]
     pub fn build(ctx: &Ctx, forest: &RootedForest) -> Self {
         let _span = ctx.pass("euler_build");
@@ -349,46 +361,84 @@ impl EulerTour {
     /// for its position among its siblings, so the pass is linear even on
     /// star-shaped trees (one round, `2n` operations: one per arc).
     ///
-    /// Taking the output slice lets `decompose` lay the tour arcs and the
-    /// broken-cycle chains out in one buffer and rank both with a single
-    /// ranking invocation.
-    ///
     /// # Panics
     /// Panics if `succ.len() != 2 * forest.len()`.
     pub fn arc_successors_into(ctx: &Ctx, forest: &RootedForest, succ: &mut [u32]) {
-        arc_successor_pass(ctx, forest, succ, |_, val, _| val);
+        // One round of n was charged for the per-node dispatch; the pass
+        // settles 2n arcs, one operation each.
+        arc_successor_pass(ctx, forest, succ, true, forest.len() as u64, |_, val| val);
     }
 
-    /// [`EulerTour::arc_successors_into`] with the ruler flags of the
-    /// list ranking ORed into each word as it is written — the
-    /// Euler half of the `has_pred` fold (see
-    /// [`crate::listrank::list_rank_flagged_into`] for the flag contract).
-    /// The heads of the tour lists are known analytically — the down arc of
-    /// every root, and nothing else, has no predecessor — so no sampling
-    /// pre-pass over the successor array is ever needed.  `domain_len` is
-    /// the length of the full successor array the ranking will run over
-    /// (`2n` for a standalone tour; `2n + m` when broken-cycle chains are
-    /// fused behind the arcs, as in `decompose`).
+    /// The successors of the **tree-edge tour**, flagged for
+    /// [`crate::listrank::list_rank_flagged_into`]: the tour
+    /// [`EulerTour::arc_successors_into`] builds, minus every root's two
+    /// virtual arcs.  A root's tour starts at the down arc of its first
+    /// child and ends at the up arc of its last child; a childless root has
+    /// no tour words at all.  The two slots a root's arcs would take,
+    /// `2r` and `2r + 1`, receive the caller's lists instead:
+    /// `root_words(i)` gives, for `r = roots[i]`, the successor of each
+    /// slot and whether the slot heads a list (nothing points to it).
+    /// `decompose` lays its broken-cycle chains out there, so one ranking
+    /// over exactly `2n` words ranks the tours and the chains together.
     ///
-    /// Charges exactly what [`EulerTour::arc_successors_into`] charges.
+    /// The ruler flags are ORed into each word as it is written — the Euler
+    /// half of the `has_pred` fold.  Terminals and the hash sample over the
+    /// `succ.len()`-word domain are flagged as each word is written, heads
+    /// as `root_words` reports them.  The tour heads — the first child's
+    /// down arc of every root, the only tree arcs nothing points to — are
+    /// flagged by a second pass over the roots, the one that also writes
+    /// the roots' slots, since the child writes that word in the first.
+    ///
+    /// `roots` must hold every root of `forest` once, in any order.
+    /// Charges one round of `2n − #roots` (one operation per tree arc plus
+    /// one per root visited) and one round of `#roots`.
     ///
     /// # Panics
-    /// Panics if `succ.len() != 2 * forest.len()` or
-    /// `domain_len >= 2^31` (the flag bit must stay out of the index
-    /// space).
-    pub fn arc_successors_flagged_into(
+    /// Panics if `succ.len() != 2 * forest.len()` or `succ.len() >= 2^31`
+    /// (the flag bit must stay out of the index space).
+    pub fn tree_arc_successors_flagged_into<W>(
         ctx: &Ctx,
         forest: &RootedForest,
+        roots: &[u32],
         succ: &mut [u32],
-        domain_len: usize,
-    ) {
+        root_words: W,
+    ) where
+        W: Fn(usize) -> [(u32, bool); 2] + Sync + Send,
+    {
         assert!(
-            domain_len < (1 << 31) && domain_len >= succ.len(),
+            succ.len() < (1 << 31),
             "flagged successor domains pack a flag bit above a 31-bit index"
         );
-        arc_successor_pass(ctx, forest, succ, move |slot, val, head| {
-            let ruler = head || val == slot || is_sampled_ruler(slot as usize, domain_len);
-            val | (u32::from(ruler) << 31)
+        let sampled = ruler_sample(succ.len());
+        let word = move |slot: u32, next: u32, head: bool| {
+            let ruler = head || next == slot || sampled(slot as usize);
+            next | (u32::from(ruler) << 31)
+        };
+        let tree_nodes = forest.len() - roots.len();
+        arc_successor_pass(
+            ctx,
+            forest,
+            succ,
+            false,
+            tree_nodes as u64,
+            move |slot, next| word(slot, next, false),
+        );
+        let succ_ptr = SendPtr(succ.as_mut_ptr());
+        ctx.par_for_idx(roots.len(), |i| {
+            let r = roots[i];
+            let [(first, first_head), (second, second_head)] = root_words(i);
+            let sp = succ_ptr;
+            // SAFETY: a root's own slots have no writer in the tour pass,
+            // and the roots are distinct.  Every node has one parent, so
+            // the first children of distinct roots are distinct too: one
+            // writer per slot.
+            unsafe {
+                *sp.0.add(down(r) as usize) = word(down(r), first, first_head);
+                *sp.0.add(up(r) as usize) = word(up(r), second, second_head);
+                if let Some(&c) = forest.children(r).first() {
+                    *sp.0.add(down(c) as usize) |= RULER_FLAG;
+                }
+            }
         });
     }
 
@@ -505,6 +555,96 @@ impl EulerTour {
                 unsafe {
                     *ep.0.add(v) = base - dist[down(v as u32) as usize];
                     *xp.0.add(v) = base - dist[up(v as u32) as usize];
+                }
+            });
+            ctx.charge_step(n as u64);
+        }
+
+        EulerTour { entry, exit }
+    }
+
+    /// Finish the tree-edge tour: `dist[a]` is, for every tree arc `a`, its
+    /// distance to the up arc of its root's last child — the ranking of
+    /// [`EulerTour::tree_arc_successors_flagged_into`]'s words (root slots
+    /// are never read).  `roots` lists every root of `forest` in ascending
+    /// order and `root_of` is the root array (as for
+    /// [`EulerTour::from_arc_ranks_with_roots`]).
+    ///
+    /// The result equals [`EulerTour::build`]'s tour bit for bit: a root
+    /// whose tree has `s` nodes, at global offset `o`, enters at `o` and
+    /// exits at `o + 2s − 1`, and its tree arcs fill the `2(s − 1)`
+    /// positions between.  Charges what
+    /// [`EulerTour::from_arc_ranks_with_roots`] charges: one round of
+    /// `#roots` for the offsets and two of `n` for the positions (entry and
+    /// exit are two maps in the model; one fused pass computes both).
+    ///
+    /// # Panics
+    /// Panics if `dist` or `root_of` are shorter than the forest requires.
+    #[must_use]
+    pub fn from_tree_arc_ranks(
+        ctx: &Ctx,
+        forest: &RootedForest,
+        roots: &[u32],
+        dist: &[u32],
+        root_of: &[u32],
+    ) -> Self {
+        let _span = ctx.pass("euler_from_ranks");
+        let n = forest.len();
+        if n == 0 {
+            return EulerTour {
+                entry: Vec::new(),
+                exit: Vec::new(),
+            };
+        }
+        assert!(dist.len() >= 2 * n, "arc ranking must cover all 2n arcs");
+        assert!(root_of.len() >= n, "root array must cover every node");
+        debug_assert!(roots.windows(2).all(|w| w[0] < w[1]), "roots ascend");
+        // The number of tree arcs of r's tour: 2(s − 1) for a tree of s
+        // nodes, which is the rank of its head plus one.
+        let tree_arcs = |r: u32| {
+            forest
+                .children(r)
+                .first()
+                .map_or(0, |&c| dist[down(c) as usize] + 1)
+        };
+
+        // Trees are concatenated by ascending root id, each 2s positions
+        // long; `last[r]` is the position just before the root's exit: its
+        // tour's terminal arc, or its entry when it has no child.  Only
+        // root slots are written and read (through `root_of`), so no fill
+        // is needed.
+        let ws = ctx.workspace();
+        let mut last = ws.take_u32(n);
+        let mut acc = 0u32;
+        for &r in roots {
+            let arcs = tree_arcs(r);
+            last[r as usize] = acc + arcs;
+            acc += arcs + 2;
+        }
+        debug_assert_eq!(acc as usize, 2 * n);
+        ctx.charge_step(roots.len() as u64);
+
+        // One fused pass computes both position arrays; the model's two
+        // parallel maps are both charged.
+        let mut entry = vec![0u32; n];
+        let mut exit = vec![0u32; n];
+        {
+            let entry_ptr = SendPtr(entry.as_mut_ptr());
+            let exit_ptr = SendPtr(exit.as_mut_ptr());
+            let last = &last;
+            ctx.par_for_idx(n, |v| {
+                let r = root_of[v];
+                let base = last[r as usize];
+                let (enter, leave) = if r as usize == v {
+                    (base - tree_arcs(r), base + 1)
+                } else {
+                    (base - dist[2 * v], base - dist[2 * v + 1])
+                };
+                let (ep, xp) = (entry_ptr, exit_ptr);
+                // SAFETY: each v writes its own slot in both arrays.
+                unsafe {
+                    *ep.0.add(v) = enter;
+                    *xp.0.add(v) = leave;
                 }
             });
             ctx.charge_step(n as u64);
@@ -930,6 +1070,46 @@ mod tests {
                 prop_assert_eq!(sizes[v as usize], count);
             }
         }
+    }
+
+    /// Miri target: the tree-edge tour's raw-pointer writes — tour arcs,
+    /// the roots' slots, the head flags and the position finish — at grain
+    /// 4, on a forest with childless and child-bearing roots, over a domain
+    /// past the tiny-list threshold.  Each root's slots hold a two-word list
+    /// `2r → 2r + 1`, as `decompose`'s cycle chains would.
+    #[test]
+    fn miri_tree_arc_tour_matches_build() {
+        let n = 600u32;
+        // Roots 0..40; a tree node hangs below an earlier tree node or an
+        // even root, so the odd roots stay childless.
+        let parent: Vec<u32> = (0..n)
+            .map(|i| match i {
+                0..40 => i,
+                _ => match (u64::from(i).wrapping_mul(2_654_435_761) % u64::from(i)) as u32 {
+                    h @ 0..40 => h & !1,
+                    h => h,
+                },
+            })
+            .collect();
+        let ctx = Ctx::parallel().with_grain(4);
+        let forest = RootedForest::from_parents_checked(&ctx, parent).unwrap();
+        let roots = forest.roots();
+        assert!(roots.iter().any(|&r| forest.children(r).is_empty()));
+        assert!(roots.iter().any(|&r| !forest.children(r).is_empty()));
+        let mut succ = vec![0u32; 2 * n as usize];
+        EulerTour::tree_arc_successors_flagged_into(&ctx, &forest, &roots, &mut succ, |i| {
+            let r = roots[i];
+            [(2 * r + 1, true), (2 * r + 1, false)]
+        });
+        let mut ranks = Vec::new();
+        crate::listrank::list_rank_flagged_into(&ctx, &succ, &mut ranks);
+        for &r in &roots {
+            assert_eq!(ranks[2 * r as usize..][..2], [1, 0], "root {r}'s own list");
+        }
+        let mut root_of = Vec::new();
+        crate::jump::find_roots_into(&ctx, forest.parents(), &mut root_of);
+        let tour = EulerTour::from_tree_arc_ranks(&ctx, &forest, &roots, &ranks, &root_of);
+        assert_eq!(tour, EulerTour::build(&ctx, &forest));
     }
 
     /// Miri target: the arc-layout scatters plus the fused Euler ranking at

@@ -26,10 +26,11 @@
 //! The input is a *successor* array: `next[i]` is the element after `i`, and
 //! terminal elements satisfy `next[i] == i`.  Several independent lists may
 //! share one array — the property the **fused Euler ranking** exploits:
-//! `decompose` lays the `2n` Euler-tour arcs and the `m` broken-cycle chain
-//! elements out in one successor array and ranks both with a single
-//! invocation (see DESIGN.md, "List ranking").  The output rank of an
-//! element is its distance (number of hops) to its terminal.
+//! `decompose` lays the tree-edge Euler tours and the broken-cycle chains
+//! out in one successor array of exactly `2n` words (two per node) and
+//! ranks both with a single invocation (see DESIGN.md, "List ranking").
+//! The output rank of an element is its distance (number of hops) to its
+//! terminal.
 
 mod bucket;
 mod ruling;
@@ -38,7 +39,9 @@ mod wyllie;
 pub use ruling::is_sampled_ruler;
 pub use wyllie::{list_rank_wyllie, list_rank_wyllie_into};
 
-pub(crate) use ruling::{cycle_min_contraction_flagged_core, cycle_min_contraction_into};
+pub(crate) use ruling::{
+    cycle_min_contraction_flagged_core, cycle_min_contraction_into, ruler_sample,
+};
 
 use ruling::{charge_sampling_model, sample_chain_rulers, segment_target, TINY_LIST_MAX};
 use sfcp_pram::Ctx;

@@ -55,7 +55,15 @@ pub(crate) fn segment_target(n: usize) -> usize {
 #[inline]
 #[must_use]
 pub fn is_sampled_ruler(i: usize, domain_len: usize) -> bool {
-    hash_u64(i as u64) < sample_threshold(segment_target(domain_len))
+    ruler_sample(domain_len)(i)
+}
+
+/// [`is_sampled_ruler`] for one domain length, with the threshold's
+/// division done once: passes whose per-element closures write through raw
+/// pointers use it, since there the compiler cannot hoist the division.
+pub(crate) fn ruler_sample(domain_len: usize) -> impl Fn(usize) -> bool + Copy + Send + Sync {
+    let threshold = sample_threshold(segment_target(domain_len));
+    move |i| hash_u64(i as u64) < threshold
 }
 
 /// The hash threshold of a `1/k` sample.

@@ -10,7 +10,7 @@
 use crate::cycles::{cycle_nodes, CycleMethod};
 use crate::graph::FunctionalGraph;
 use sfcp_parprim::euler::{EulerTour, RootedForest};
-use sfcp_parprim::listrank::{is_sampled_ruler, list_rank_flagged_into};
+use sfcp_parprim::listrank::list_rank_flagged_into;
 use sfcp_pram::{Ctx, Error};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -61,18 +61,17 @@ pub struct Decomposition {
 /// on the next successful run (see DESIGN.md, "Failure model and recovery").
 ///
 /// # Errors
-/// [`Error::TooLarge`] when `2 * g.len() + m` could reach `2^31` (the fused
-/// Euler + broken-cycle ranking domain must keep bit 31 free for the ruler
-/// flag, so `n` is capped at `2^30` up front); [`Error::Injected`] /
-/// [`Error::Panicked`] when the pipeline unwinds.
+/// [`Error::TooLarge`] when `2 * g.len()` reaches `2^31` (the fused
+/// Euler + broken-cycle ranking domain of `2n` words must keep bit 31 free
+/// for the ruler flag, so `n` is capped at `2^30` up front);
+/// [`Error::Injected`] / [`Error::Panicked`] when the pipeline unwinds.
 pub fn try_decompose(
     ctx: &Ctx,
     g: &FunctionalGraph,
     method: CycleMethod,
 ) -> Result<Decomposition, Error> {
-    // The fused ranking domain is 2n + m with m <= n, so n < 2^31 / 3 would
-    // be exact; the simpler n < 2^30 bound is what MAX_DOMAIN/2 gives and is
-    // already far beyond the u32 node-id space the structure retains.
+    // The fused ranking domain is exactly 2n words, so n < 2^30 =
+    // MAX_DOMAIN / 2 is the exact bound.
     if g.len() >= sfcp_pram::MAX_DOMAIN / 2 {
         return Err(Error::TooLarge {
             n: g.len(),
@@ -96,11 +95,14 @@ pub fn try_decompose(
 /// workspace, so repeated decompositions allocate only the returned structure
 /// once the pools are warm.
 ///
-/// The two rankings of the pipeline — the `2n` Euler-tour arcs and the `m`
-/// broken-cycle successor chains — are laid out back to back in **one**
-/// successor buffer and ranked with a **single** list-ranking invocation
-/// (the fused Euler ranking; see DESIGN.md, "List ranking"), so the
-/// sampling, walk, and contraction passes run once instead of twice.
+/// The two rankings of the pipeline — the Euler tours over the tree edges
+/// and the `m` broken-cycle successor chains — share **one** successor
+/// buffer of exactly `2n` words, numbered by node, and are ranked with a
+/// **single** list-ranking invocation (the fused Euler ranking; see
+/// DESIGN.md, "List ranking"), so the sampling, walk, and contraction
+/// passes run once instead of twice.  A tree node's two words are its tour
+/// arcs; a cycle node's two words carry its chain, so a root without
+/// children adds no tour words and no rulers.
 #[must_use]
 pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decomposition {
     let mut span_all = ctx.span("decompose");
@@ -160,50 +162,12 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     ctx.charge_step(num_cycles as u64);
     drop(span_phase);
 
-    // ---- Fused Euler ranking domain ---------------------------------------
-    // The pipeline needs two rankings: the 2n Euler-tour arcs (positions
-    // along each tree's tour) and the m broken-cycle chains (rank of every
-    // cycle node forward from its leader).  Both are successor lists, so
-    // they share one buffer — tour arcs in [..2n], chains (shifted by 2n)
-    // in [2n..] — and ONE ranking invocation ranks them together: one
-    // segment walk, one contracted doubling for both.  The ruler flags of
-    // the list ranking are ORed into each word as it is written — heads
-    // are known analytically (the down arc of every root; the leader of
-    // every chain), so the ranking's `has_pred` sampling passes disappear
-    // (the `has_pred` fold; see DESIGN.md §7).
-    let num_arcs = 2 * n;
-    let domain = num_arcs + m;
-    let span_phase = ctx.span("fused_successors");
-    let mut fused_succ = ws.take_u32(domain);
-    {
-        // Break each cycle just before its leader: the chain element j
-        // terminates when its successor is the leader.  Flags: a chain's
-        // head is its leader (nothing points to it — its predecessor
-        // terminated), terminals flag themselves, and the hash sample rides
-        // along.
-        let (cycle_succ, leader_compact) = (&cycle_succ, &leader_compact);
-        ctx.par_update(&mut fused_succ[num_arcs..], |j, b| {
-            let slot = (num_arcs + j) as u32;
-            let val = if leader_compact[cycle_succ[j] as usize] == cycle_succ[j] {
-                // The successor is the leader: terminate here.
-                slot
-            } else {
-                num_arcs as u32 + cycle_succ[j]
-            };
-            let ruler = leader_compact[j] as usize == j // head
-                || val == slot // terminal
-                || is_sampled_ruler(slot as usize, domain);
-            *b = val | (u32::from(ruler) << 31);
-        });
-    }
-
     // ---- Tree structure ---------------------------------------------------
     // Root every pseudo-tree at its cycle nodes: cycle nodes become roots of
     // the forest, tree nodes keep parent f(x).  The parents are acyclic by
     // construction (tree nodes point along f towards a cycle-node root), so
     // release builds take the unchecked fast path; debug builds run the
     // checked constructor, which charges identically by design.
-    drop(span_phase);
     let span_phase = ctx.span("tree_structure");
     let parents: Vec<u32> = ctx.par_map_idx(n, |x| if is_cycle[x] { x as u32 } else { f[x] });
     let forest = if cfg!(debug_assertions) {
@@ -212,7 +176,48 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     } else {
         RootedForest::from_parents(ctx, parents)
     };
-    EulerTour::arc_successors_flagged_into(ctx, &forest, &mut fused_succ[..num_arcs], domain);
+    drop(span_phase);
+
+    // ---- Fused Euler ranking domain ---------------------------------------
+    // The pipeline needs two rankings: the tree-edge Euler tours (positions
+    // along each tree's tour) and the m broken-cycle chains (rank of every
+    // cycle node forward from its leader).  Both are successor lists over
+    // one buffer of exactly 2n words, numbered by node, and ONE ranking
+    // invocation ranks them together: one segment walk, one contracted
+    // doubling for both.  A tree node v keeps 2v / 2v + 1 as its down and
+    // up arcs; a cycle node x, a root whose tour has no arcs of its own,
+    // lends its two slots to its chain, so a root without children costs
+    // the ranking no tour words and no rulers.  The ruler flags of the list
+    // ranking are ORed into each word as it is written — heads are known
+    // analytically (the first child's down arc of every root; the leader of
+    // every chain), so the ranking's `has_pred` sampling passes disappear
+    // (the `has_pred` fold; see DESIGN.md §7).
+    let span_phase = ctx.span("fused_successors");
+    let mut fused_succ = ws.take_u32(2 * n);
+    {
+        // The chain of a cycle runs 2x → 2x + 1 → 2f(x) and breaks just
+        // before its leader: 2x + 1 terminates when f(x) is the leader.  A
+        // chain's head is its leader's first word (nothing points to it —
+        // its predecessor terminated).  The cycle nodes are the roots,
+        // listed by `cycle_ids`, so root j is compacted cycle node j.
+        let (cycle_ids, cycle_succ, leader_compact) = (&cycle_ids, &cycle_succ, &leader_compact);
+        EulerTour::tree_arc_successors_flagged_into(
+            ctx,
+            &forest,
+            cycle_ids,
+            &mut fused_succ,
+            |j| {
+                let x = cycle_ids[j];
+                let leader = leader_compact[j];
+                let next = if cycle_succ[j] == leader {
+                    2 * x + 1 // the successor is the leader: terminate here
+                } else {
+                    2 * f[x as usize]
+                };
+                [(2 * x + 1, leader as usize == j), (next, false)]
+            },
+        );
+    }
     drop(span_phase);
 
     // The root array, computed ONCE per decomposition (pointer jumping) and
@@ -222,12 +227,12 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     let mut roots = Vec::new();
     sfcp_parprim::jump::find_roots_into(ctx, forest.parents(), &mut roots);
 
-    // The single fused ranking: arc a's tour rank lands in [..2n], chain
-    // element j's distance-to-chain-end in [2n + j].
+    // The single fused ranking: a tree arc's tour rank lands in its own
+    // slot, and cycle node x is dist[2x + 1] / 2 nodes from its chain end.
     let mut fused_ranks = ws.take_u32(0);
     list_rank_flagged_into(ctx, &fused_succ, &mut fused_ranks);
-    let tour = EulerTour::from_arc_ranks_with_roots(ctx, &forest, &fused_ranks[..num_arcs], &roots);
-    let dist_to_end = &fused_ranks[num_arcs..];
+    let tour = EulerTour::from_tree_arc_ranks(ctx, &forest, &cycle_ids, &fused_ranks, &roots);
+    let dist_to_end = |x: u32| fused_ranks[2 * x as usize + 1] / 2;
 
     // Cycle length = dist(leader) + 1; position = length - 1 - dist.
     let span_phase = ctx.span("cycle_csr");
@@ -235,16 +240,17 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     let mut cycle_of = vec![u32::MAX; n];
 
     // CSR offsets: cycle c (by ascending leader) has length
-    // dist_to_end[leader] + 1; exclusive prefix sums give the offsets.
+    // dist_to_end(leader) + 1; exclusive prefix sums give the offsets.
     let mut cycle_offsets = vec![0u32; num_cycles + 1];
     {
         let off_ptr = SendPtr(cycle_offsets.as_mut_ptr());
-        let (leaders, dist_to_end) = (&leaders, &dist_to_end);
+        let (leaders, cycle_ids) = (&leaders, &cycle_ids);
         ctx.par_for_idx(num_cycles, |c| {
             let p = off_ptr;
+            let leader = cycle_ids[leaders[c] as usize];
             // SAFETY: one write per cycle, at slot c + 1.
             unsafe {
-                *p.0.add(c + 1) = dist_to_end[leaders[c] as usize] + 1;
+                *p.0.add(c + 1) = dist_to_end(leader) + 1;
             }
         });
     }
@@ -260,18 +266,17 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     {
         let pos_ptr = SendPtr(cycle_pos.as_mut_ptr());
         let of_ptr = SendPtr(cycle_of.as_mut_ptr());
-        let (cycle_ids, leader_compact, cycle_number_of_leader, dist_to_end) = (
+        let (cycle_ids, leader_compact, cycle_number_of_leader, cycle_offsets) = (
             &cycle_ids,
             &leader_compact,
             &cycle_number_of_leader,
-            &dist_to_end,
+            &cycle_offsets,
         );
         ctx.par_for_idx(m, |j| {
             let x = cycle_ids[j] as usize;
-            let leader = leader_compact[j] as usize;
-            let c = cycle_number_of_leader[leader];
-            let len = dist_to_end[leader] + 1;
-            let pos = len - 1 - dist_to_end[j];
+            let c = cycle_number_of_leader[leader_compact[j] as usize];
+            let len = cycle_offsets[c as usize + 1] - cycle_offsets[c as usize];
+            let pos = len - 1 - dist_to_end(x as u32);
             let (pp, op) = (pos_ptr, of_ptr);
             // SAFETY: one write per cycle node.
             unsafe {
@@ -497,6 +502,21 @@ mod tests {
             let d = decompose(&ctx, &g, CycleMethod::Euler);
             check_invariants(&g, &d);
         }
+    }
+
+    /// Miri target: the fused successor writes — tour arcs, the cycle
+    /// chains in the roots' slots, the tour head flags — and the tour finish
+    /// at grain 4, on a graph with childless and child-bearing roots.
+    #[test]
+    fn miri_decompose_with_both_kinds_of_roots() {
+        let ctx = Ctx::parallel().with_grain(4);
+        let g = generators::random_function(300, 5);
+        let d = decompose(&ctx, &g, CycleMethod::Euler);
+        check_invariants(&g, &d);
+        assert_eq!(d.tour, EulerTour::build(&ctx, &d.forest));
+        let childless = |&x: &u32| d.forest.children(x).is_empty();
+        assert!(d.cycle_nodes.iter().any(childless));
+        assert!(!d.cycle_nodes.iter().all(childless));
     }
 
     /// Miri target: the full decomposition pipeline (cycle labeling, chain

@@ -72,6 +72,8 @@ pub fn try_minimal_starting_point(
 /// minimal rotation starts), using `method`.  Handles repeating inputs.
 #[must_use]
 pub fn minimal_starting_point(ctx: &Ctx, s: &[u32], method: MspMethod) -> usize {
+    let mut span = ctx.span("minimal_starting_point");
+    span.attr("n", s.len() as u64);
     let n = s.len();
     if n <= 1 {
         return 0;

@@ -55,6 +55,8 @@ pub fn smallest_period_seq(s: &[u32]) -> usize {
 /// Parallel smallest period (same contract as [`smallest_period_seq`]).
 #[must_use]
 pub fn smallest_period(ctx: &Ctx, s: &[u32]) -> usize {
+    let mut span = ctx.span("smallest_period");
+    span.attr("n", s.len() as u64);
     let n = s.len();
     if n == 0 {
         return 0;

@@ -195,18 +195,18 @@ fn decompose_charges_are_pinned_per_cycle_method() {
     // Per graph: [Sequential, Euler] × (sequential pin, parallel pin).
     type ModePins = ((u64, u64), (u64, u64));
     let pins: [[ModePins; 2]; 4] = [
-        [((1_460, 61), (1_460, 61)), ((2_036, 79), (2_036, 79))],
+        [((1_140, 59), (1_140, 59)), ((1_716, 77), (1_716, 77))],
         [
-            ((264_438, 98), (289_648, 101)),
-            ((624_438, 134), (649_648, 137)),
+            ((259_614, 98), (284_638, 101)),
+            ((619_614, 134), (644_638, 137)),
         ],
         [
-            ((2_132_978, 116), (2_333_406, 119)),
-            ((5_492_978, 158), (5_693_406, 161)),
+            ((2_125_294, 116), (2_325_444, 119)),
+            ((5_485_294, 158), (5_685_444, 161)),
         ],
         [
-            ((146_132, 80), (158_149, 82)),
-            ((350_132, 114), (362_149, 116)),
+            ((145_932, 80), (157_944, 82)),
+            ((349_932, 114), (361_944, 116)),
         ],
     ];
     for (g, pins) in graphs.iter().zip(pins) {
@@ -263,11 +263,11 @@ fn assert_parallel_pinned(inst: &Instance, blocks: usize, (seq, par): ((u64, u64
 fn coarsest_parallel_charges_are_pinned() {
     // (sequential pin, parallel pin) per instance.
     let pins = [
-        ((2_322, 102), (2_322, 102)),
-        ((623_692, 277), (641_744, 280)),
-        ((10_078, 150), (10_078, 150)),
-        ((42_190, 132), (42_190, 132)),
-        ((401_473, 224), (401_473, 224)),
+        ((1_779, 88), (1_779, 88)),
+        ((613_372, 265), (631_390, 268)),
+        ((7_724, 136), (7_724, 136)),
+        ((33_312, 118), (33_312, 118)),
+        ((395_207, 212), (395_207, 212)),
     ];
     for ((inst, blocks), pin) in pinned_instances().into_iter().zip(pins) {
         assert_parallel_pinned(&inst, blocks, pin);
@@ -279,7 +279,7 @@ fn coarsest_parallel_charges_are_pinned() {
 #[test]
 fn coarsest_parallel_charges_are_pinned_on_large_input_paths() {
     let (inst, blocks) = large_pinned_instance();
-    assert_parallel_pinned(&inst, blocks, ((4_448_499, 347), (4_757_339, 359)));
+    assert_parallel_pinned(&inst, blocks, ((4_383_161, 332), (4_671_867, 343)));
 }
 
 /// The label-doubling baseline end to end: pinned charges per instance in

@@ -9,10 +9,13 @@
 //! * `cycle_of` consistency with `f` (a node and its image share a cycle id),
 //! * `cycle_pos` being a valid rotation starting at the minimum-id leader,
 //! * `levels[x] == 0 ⟺ is_cycle[x]`, levels increasing away from cycles,
-//! * the CSR cycles partitioning exactly the cycle-node set.
+//! * the CSR cycles partitioning exactly the cycle-node set,
+//! * the forest rooted at the cycle nodes, every node's root, and the Euler
+//!   tour equal to the one [`EulerTour::build`] gives for that forest.
 
 use proptest::prelude::*;
 use sfcp_forest::{cycles::CycleMethod, decompose, Decomposition, FunctionalGraph};
+use sfcp_parprim::euler::EulerTour;
 use sfcp_pram::Ctx;
 
 /// Naive reference: cycle nodes by in-degree peeling, distances by walking.
@@ -20,6 +23,8 @@ struct Reference {
     is_cycle: Vec<bool>,
     /// Distance of every node to its cycle.
     levels: Vec<u32>,
+    /// The cycle node every node's walk along `f` reaches first.
+    roots: Vec<u32>,
     /// For cycle nodes, the members of their cycle in f-order starting at the
     /// smallest member; indexed by that smallest member (leader).
     cycles_by_leader: Vec<Vec<u32>>,
@@ -44,8 +49,8 @@ fn reference(f: &[u32]) -> Reference {
     }
     let is_cycle: Vec<bool> = removed.iter().map(|&r| !r).collect();
 
-    // Levels by walking until a cycle node is reached.
-    let levels: Vec<u32> = (0..n)
+    // Levels and roots by walking until a cycle node is reached.
+    let (levels, roots): (Vec<u32>, Vec<u32>) = (0..n)
         .map(|x| {
             let mut cur = x;
             let mut d = 0u32;
@@ -54,9 +59,9 @@ fn reference(f: &[u32]) -> Reference {
                 d += 1;
                 assert!(d as usize <= n, "walk escaped the graph");
             }
-            d
+            (d, cur as u32)
         })
-        .collect();
+        .unzip();
 
     // Cycles by walking from each leader (smallest member).
     let mut cycles_by_leader: Vec<Vec<u32>> = Vec::new();
@@ -82,6 +87,7 @@ fn reference(f: &[u32]) -> Reference {
     Reference {
         is_cycle,
         levels,
+        roots,
         cycles_by_leader,
     }
 }
@@ -93,6 +99,18 @@ fn check_against_reference(g: &FunctionalGraph, d: &Decomposition) {
 
     assert_eq!(d.is_cycle, r.is_cycle, "cycle-node marks");
     assert_eq!(d.levels, r.levels, "levels");
+    assert_eq!(d.roots, r.roots, "roots");
+    // The forest is rooted at the cycle nodes, and its tour is the one the
+    // standalone construction builds.
+    for (x, (&parent, &image)) in d.forest.parents().iter().zip(f).enumerate() {
+        let expected = if r.is_cycle[x] { x as u32 } else { image };
+        assert_eq!(parent, expected, "parent of {x}");
+    }
+    assert_eq!(
+        d.tour,
+        EulerTour::build(&Ctx::sequential(), &d.forest),
+        "tour"
+    );
     // levels[x] == 0 ⟺ is_cycle[x].
     for x in 0..n {
         assert_eq!(
@@ -177,6 +195,44 @@ fn structured_generators_match_reference() {
         let d = decompose(&ctx, &g, CycleMethod::Euler);
         check_against_reference(&g, &d);
     }
+}
+
+/// Whether some root of `d` has tree children and whether some has none.
+fn root_kinds(d: &Decomposition) -> (bool, bool) {
+    let with_children = |&x: &u32| !d.forest.children(x).is_empty();
+    (
+        d.cycle_nodes.iter().any(with_children),
+        !d.cycle_nodes.iter().all(with_children),
+    )
+}
+
+/// Cycles only, above the 1,024-word tiny-list bound of the ranking: every
+/// root is childless, so the fused ranking holds only cycle chains.
+#[test]
+fn all_cycle_input_matches_reference() {
+    let ctx = Ctx::parallel();
+    let g = sfcp_forest::generators::cycles_only(&[1024; 12], 7);
+    let d = decompose(&ctx, &g, CycleMethod::Euler);
+    check_against_reference(&g, &d);
+    assert_eq!(root_kinds(&d), (false, true));
+}
+
+/// Roots with and without trees in one ranking: cycles of 1,000 and 24
+/// nodes, with trees hanging off every third node of the first cycle.
+#[test]
+fn mixed_roots_match_reference() {
+    let ctx = Ctx::parallel();
+    let mut f: Vec<u32> = (0..1000).map(|x| (x + 1) % 1000).collect();
+    f.extend((0..24).map(|x| 1000 + (x + 1) % 24));
+    for i in 0..600u32 {
+        // Every 3rd node of the 1,000-cycle grows a tree: first children of
+        // the roots, then chains below them.
+        f.push(if i < 334 { 3 * i } else { 1024 + i - 334 });
+    }
+    let g = FunctionalGraph::new(f);
+    let d = decompose(&ctx, &g, CycleMethod::Euler);
+    check_against_reference(&g, &d);
+    assert_eq!(root_kinds(&d), (true, true));
 }
 
 /// Large enough to push the cycle-min labeling onto its contraction path and

@@ -117,7 +117,7 @@ fn decompose_returns_every_checkout() {
     );
 }
 
-/// The fused Euler ranking path — `decompose` assembling one `(2n + m)`
+/// The fused Euler ranking path — `decompose` assembling one `2n`-word
 /// successor buffer and ranking it with a single list-ranking invocation —
 /// must return every checkout, and once warm leave both the pool
 /// population and the pooled bytes (which capture growth-after-checkout of
