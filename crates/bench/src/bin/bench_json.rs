@@ -36,11 +36,13 @@
 //!   p50 ratio shows warm beating cold by at least the workspace pool
 //!   warm-up margin (the number the serving layer exists to bank).
 //! * `service_batch` — fixed work (128 partition requests at n = 2048)
-//!   pushed through explicit batch frames of 1, 8 and 64 members;
+//!   pushed through explicit batch frames of 1, 8 and 64 members, whose
+//!   members the worker serves one by one;
 //!   `p50_ms`/`p99_ms` are per-*frame* round trips and `rps` is requests
-//!   per second, so the rows chart the latency-vs-throughput trade the
-//!   batching policy buys.  An in-run gate asserts the largest batch
-//!   out-throughputs the unbatched drain.
+//!   per second, so the rows chart what fewer round trips buy.  One server
+//!   runs all three drains in alternating blocks; an in-run gate asserts
+//!   the median per-block throughput ratio of 64-member frames to the
+//!   unbatched drain stays at or above 0.95.
 //!
 //! Service rows carry `"batch"`, `"p50_ms"`, `"p99_ms"` and `"rps"`
 //! columns instead of `"ms"` (they measure the serving path), and their
@@ -358,19 +360,22 @@ fn measure_service_pair(
         }
         ratios.push(p50[1] / p50[0]);
     }
-    ratios.sort_by(f64::total_cmp);
-    let mid = ratios.len() / 2;
-    let margin = if ratios.len() % 2 == 0 {
-        (ratios[mid - 1] + ratios[mid]) / 2.0
-    } else {
-        ratios[mid]
-    };
     let [warm, cold] = sides;
     (
         finish_latency_row("service_warm", n, &req, warm),
         finish_latency_row("service_cold", n, &req, cold),
-        margin,
+        median(ratios),
     )
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
 }
 
 /// The row of one server of the latency pair; shuts the server down.
@@ -404,13 +409,21 @@ fn finish_latency_row(
     }
 }
 
-/// One throughput row: `total` partition workload requests at domain size
-/// `n`, pushed through frames of `batch` members (plain round trips when
-/// `batch == 1`, explicit batch frames otherwise — the worker fuses each
-/// frame's members into one solver invocation).  Work/rounds accumulate
-/// over every member reply, so the column records the charge cost of the
-/// fused plan actually served.
-fn measure_service_batch(n: usize, batch: usize, total: usize) -> ServiceRow {
+/// Members per frame of the throughput rows; the first is the unbatched
+/// drain and the last the largest frames, the two the batching gate
+/// compares.
+const FRAME_SIZES: [usize; 3] = [1, 8, 64];
+
+/// The throughput rows: `total` partition workload requests at domain size
+/// `n`, drained through frames of each of [`FRAME_SIZES`] members (plain
+/// round trips for one member, explicit batch frames otherwise; the worker
+/// serves a frame's members one by one).  One server serves every drain.
+/// The drains are timed in `blocks` blocks that each run every frame size
+/// once, the size that goes first rotating, so host noise that lands on a
+/// block hits all of its drains.  Work/rounds sum the member replies of one
+/// drain.  Returns one row per frame size and, per block, the requests per
+/// second of the largest frames over those of the unbatched drain.
+fn measure_service_batches(n: usize, total: usize, blocks: usize) -> (Vec<ServiceRow>, Vec<f64>) {
     let server = Server::start(ServerConfig::default()).expect("bind an ephemeral loopback port");
     let mut client = Client::connect(server.addr()).expect("connect to the in-process server");
     let members: Vec<ComputeRequest> = (0..total)
@@ -420,61 +433,81 @@ fn measure_service_batch(n: usize, batch: usize, total: usize) -> ServiceRow {
                 .no_cache()
         })
         .collect();
-    // Untimed warm-up pass over the same frames.
-    for chunk in members.chunks(batch) {
-        if batch == 1 {
-            expect_reply(client.request(&chunk[0]));
-        } else {
-            client
-                .batch(chunk)
-                .expect("batch transport")
-                .into_iter()
-                .for_each(|r| {
-                    expect_reply(Ok(r.outcome));
-                });
-        }
-    }
-    let mut lats = Vec::with_capacity(total.div_ceil(batch));
-    let (mut work, mut rounds) = (0u64, 0u64);
-    let t0 = Instant::now();
-    for chunk in members.chunks(batch) {
-        let t = Instant::now();
-        if batch == 1 {
-            let reply = expect_reply(client.request(&chunk[0]));
-            work += reply.work;
-            rounds += reply.rounds;
-        } else {
-            for response in client.batch(chunk).expect("batch transport") {
-                let reply = expect_reply(Ok(response.outcome));
+    // One drain through frames of `batch` members: appends the per-frame
+    // latencies and returns the summed charges of the member replies.
+    let drain = |client: &mut Client, batch: usize, lats: &mut Vec<f64>| {
+        let (mut work, mut rounds) = (0u64, 0u64);
+        for chunk in members.chunks(batch) {
+            let t = Instant::now();
+            let replies: Vec<Reply> = if batch == 1 {
+                vec![expect_reply(client.request(&chunk[0]))]
+            } else {
+                let responses = client.batch(chunk).expect("batch transport");
+                responses
+                    .into_iter()
+                    .map(|r| expect_reply(Ok(r.outcome)))
+                    .collect()
+            };
+            lats.push(t.elapsed().as_secs_f64() * 1e3);
+            for reply in replies {
                 work += reply.work;
                 rounds += reply.rounds;
             }
         }
-        lats.push(t.elapsed().as_secs_f64() * 1e3);
+        (work, rounds)
+    };
+    // Untimed warm-up: one drain per frame size.
+    for batch in FRAME_SIZES {
+        drain(&mut client, batch, &mut Vec::new());
     }
-    let rps = total as f64 / t0.elapsed().as_secs_f64();
-    lats.sort_by(f64::total_cmp);
-    let (p50_ms, p99_ms) = (percentile(&lats, 50), percentile(&lats, 99));
+    let sizes = FRAME_SIZES.len();
+    let mut lats: Vec<Vec<f64>> = vec![Vec::new(); sizes];
+    let mut busy_s = vec![0.0; sizes];
+    let mut charges = vec![(0, 0); sizes];
+    let mut ratios = Vec::with_capacity(blocks);
+    for block in 0..blocks {
+        let mut rps = vec![0.0; sizes];
+        for step in 0..sizes {
+            let side = (block + step) % sizes;
+            let t0 = Instant::now();
+            charges[side] = drain(&mut client, FRAME_SIZES[side], &mut lats[side]);
+            let secs = t0.elapsed().as_secs_f64();
+            busy_s[side] += secs;
+            rps[side] = total as f64 / secs;
+        }
+        ratios.push(rps[sizes - 1] / rps[0]);
+    }
     let traced = expect_reply(client.request(&members[0].clone().traced()));
     let trace = traced
         .trace_json
         .expect("a traced request must carry its summary");
     server.shutdown();
-    println!(
-        "{:>22} n={n:>8}: p50 {p50_ms:9.3} ms  p99 {p99_ms:9.3} ms  ({rps:8.1} req/s, batch {batch})",
-        "service_batch"
-    );
-    ServiceRow {
-        name: "service_batch",
-        n,
-        batch,
-        p50_ms,
-        p99_ms,
-        rps,
-        work,
-        rounds,
-        trace,
-    }
+    let rows = (0..sizes)
+        .map(|side| {
+            let batch = FRAME_SIZES[side];
+            let lats = &mut lats[side];
+            lats.sort_by(f64::total_cmp);
+            let (p50_ms, p99_ms) = (percentile(lats, 50), percentile(lats, 99));
+            let rps = (total * blocks) as f64 / busy_s[side];
+            println!(
+                "{:>22} n={n:>8}: p50 {p50_ms:9.3} ms  p99 {p99_ms:9.3} ms  \
+                 ({rps:8.1} req/s, batch {batch})",
+                "service_batch"
+            );
+            ServiceRow {
+                name: "service_batch",
+                n,
+                batch,
+                p50_ms,
+                p99_ms,
+                rps,
+                work: charges[side].0,
+                rounds: charges[side].1,
+                trace: trace.clone(),
+            }
+        })
+        .collect();
+    (rows, ratios)
 }
 
 /// The numeric `field` of the `results` row of a parsed bench file whose
@@ -683,10 +716,11 @@ fn main() {
     }
 
     // The service throughput tier: fixed work (128 partition requests at
-    // n = 2048) through frames of 1, 8 and 64 members.
-    for batch in [1, 8, 64] {
-        service_rows.push(measure_service_batch(2048, batch, 128));
-    }
+    // n = 2048) through frames of 1, 8 and 64 members, in 15 blocks so each
+    // frame size goes first in five of them: single blocks spread from
+    // 0.64x to 1.78x on a 2-core host, so the median needs that many.
+    let (batch_rows, batch_ratios) = measure_service_batches(2048, 128, 15);
+    service_rows.extend(batch_rows);
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"sfcp_parprim\",\n");
@@ -783,20 +817,25 @@ fn main() {
     );
 
     // The batching gate: pushing the same 128 requests through 64-member
-    // frames must out-throughput the one-request-per-round-trip drain
-    // (frame fusion plus round-trip amortization; small slack for runner
-    // noise on the millisecond-scale frames).
+    // frames must not cost throughput against the one-request-per-round-trip
+    // drain.  A frame's members are served one by one, so all it saves is
+    // round trips; the 0.95 floor is slack for runner noise on the
+    // millisecond-scale frames.  The gated statistic is the median of the
+    // per-block ratios, both drains of a block timed on one server.
     let rps_solo = service_at("service_batch", &|r| r.batch == 1).rps;
     let rps_batched = service_at("service_batch", &|r| r.batch == 64).rps;
+    let shown: Vec<String> = batch_ratios.iter().map(|r| format!("{r:.2}")).collect();
+    let batching = median(batch_ratios);
     println!(
-        "service batching: {rps_batched:.1} req/s at batch 64 vs {rps_solo:.1} req/s unbatched \
-         ({:.2}x)",
-        rps_batched / rps_solo
+        "service batching: median per-block rps ratio {batching:.2}x at batch 64 vs unbatched \
+         (blocks: {}; overall {rps_batched:.1} vs {rps_solo:.1} req/s)",
+        shown.join(" ")
     );
     assert!(
-        rps_batched > rps_solo * 0.95,
-        "batched serving ({rps_batched:.1} req/s at 64/frame) fails to out-throughput the \
-         unbatched drain ({rps_solo:.1} req/s) — batching must never cost throughput"
+        batching >= 0.95,
+        "batched serving at 64/frame reaches only {batching:.2}x the unbatched drain's \
+         throughput (median per-block ratio; must be >= 0.95 — batch frames must never \
+         cost throughput)"
     );
 
     // Smoke gate: the decompose, csr_build, list_rank, and euler_build

@@ -1,7 +1,7 @@
 //! `sfcp_serve` — run the partition service, or smoke-test it.
 //!
 //! ```text
-//! sfcp_serve [--port P] [--workers N] [--cache-mb M] [--cold] [--deadline-us U]
+//! sfcp_serve [--port P] [--workers N] [--cache-mb M] [--cold]
 //! sfcp_serve --smoke N [--workers N] [--cache-mb M]
 //! ```
 //!
@@ -14,10 +14,9 @@ use sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::{decompose, generators};
 use sfcp_pram::Ctx;
-use sfcp_service::batch::canonical_labels;
 use sfcp_service::snapshot::{decomposition_digest, labels_digest};
-use sfcp_service::worker::workload_string;
-use sfcp_service::{BatchPolicy, Client, ComputeRequest, Kind, ReplyPayload, Server, ServerConfig};
+use sfcp_service::worker::{canonical_labels, workload_string};
+use sfcp_service::{Client, ComputeRequest, Kind, ReplyPayload, Server, ServerConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -26,7 +25,6 @@ struct Args {
     workers: usize,
     cache_mb: usize,
     cold: bool,
-    deadline_us: u64,
     smoke: Option<usize>,
 }
 
@@ -36,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 1,
         cache_mb: 64,
         cold: false,
-        deadline_us: 0,
         smoke: None,
     };
     let mut it = std::env::args().skip(1);
@@ -58,11 +55,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--cache-mb: {e}"))?;
             }
-            "--deadline-us" => {
-                args.deadline_us = value("--deadline-us")?
-                    .parse()
-                    .map_err(|e| format!("--deadline-us: {e}"))?;
-            }
             "--cold" => args.cold = true,
             "--smoke" => {
                 args.smoke = Some(
@@ -74,7 +66,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: sfcp_serve [--port P] [--workers N] [--cache-mb M] [--cold] \
-                     [--deadline-us U] [--smoke N]"
+                     [--smoke N]"
                 );
                 std::process::exit(0);
             }
@@ -87,10 +79,6 @@ fn parse_args() -> Result<Args, String> {
 fn config_from(args: &Args, ephemeral: bool) -> ServerConfig {
     ServerConfig {
         workers: args.workers,
-        policy: BatchPolicy {
-            deadline: Duration::from_micros(args.deadline_us),
-            ..BatchPolicy::default()
-        },
         cache_bytes: args.cache_mb << 20,
         cold_ctx: args.cold,
         port: if ephemeral { 0 } else { args.port },
@@ -200,7 +188,7 @@ fn smoke(args: &Args, n: usize) -> ExitCode {
                     matches!(got, Ok(Ok(ref r)) if r.payload == ReplyPayload::Msp(expect)),
                 );
             }
-            // Explicit batch (fused) vs per-member direct solves.
+            // Explicit batch frame vs per-member direct solves.
             3 => {
                 let members: Vec<Instance> = (0..4)
                     .map(|j| Instance::random(200 + j * 57, 2 + j, seed + j as u64))

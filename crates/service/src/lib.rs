@@ -1,13 +1,14 @@
-//! # `sfcp_service` — the batched, warm, snapshot-cached serving layer
+//! # `sfcp_service` — the warm, snapshot-cached serving layer
 //!
 //! Every library entry point in this workspace pays a cold-start tax: a
 //! fresh [`sfcp_pram::Ctx`] arrives with empty workspace pools, and the
 //! measured warm-up margin at `n = 10^6` is ~20% of end-to-end latency
 //! (`decompose` vs `decompose_warm` in `BENCH_parprim.json`).  This crate
 //! is the long-running front-end that amortizes that tax to zero: worker
-//! threads own persistent contexts, answers are cached as versioned
-//! checksummed [`Snapshot`]s, and small requests fuse into one solver
-//! invocation (DESIGN.md §13).
+//! threads own persistent contexts, and answers are cached as versioned
+//! checksummed [`Snapshot`]s (DESIGN.md §13).  A `batch` frame carries many
+//! requests in one round trip; the worker serves each member as if it had
+//! arrived alone.
 //!
 //! The wire protocol is length-prefixed JSON over TCP ([`proto`]); the
 //! request surface covers coarsest partition, unary DFA minimization,
@@ -54,7 +55,6 @@
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 
-pub mod batch;
 pub mod client;
 pub mod error;
 pub mod json;
@@ -63,7 +63,6 @@ pub mod server;
 pub mod snapshot;
 pub mod worker;
 
-pub use batch::BatchPolicy;
 pub use client::{Client, ClientError};
 pub use error::{ErrorCode, ErrorReply};
 pub use proto::{ComputeRequest, Input, Kind, Reply, ReplyPayload, Request, Response};

@@ -541,16 +541,14 @@ pub struct Reply {
     pub kind: &'static str,
     /// The payload.
     pub payload: ReplyPayload,
-    /// Tracked work charge of the serving run (0 for cache hits?  No —
-    /// cache hits replay the stored charges; see DESIGN.md §13).
+    /// Tracked work charge of the run that computed the answer.  A cache
+    /// hit replays the charge stored with its snapshot, so it equals the
+    /// original run's; a probe reports 0 (DESIGN.md §13).
     pub work: u64,
-    /// Tracked rounds charge of the serving run.
+    /// Tracked rounds charge, under the same rule as [`Reply::work`].
     pub rounds: u64,
     /// Whether the answer came from the snapshot cache.
     pub cached: bool,
-    /// Cohort size of the fused engine invocation that served this reply
-    /// (1 when the request ran alone).
-    pub fused: u32,
     /// Trace summary JSON of the serving run, when requested.
     pub trace_json: Option<String>,
 }
@@ -647,7 +645,6 @@ impl Response {
                 members.push(("work".into(), Value::Int(reply.work as i64)));
                 members.push(("rounds".into(), Value::Int(reply.rounds as i64)));
                 members.push(("cached".into(), Value::Bool(reply.cached)));
-                members.push(("fused".into(), Value::Int(i64::from(reply.fused))));
                 if let Some(trace) = &reply.trace_json {
                     // Already-serialized JSON from the trace summary; splice
                     // it back in as a parsed value to keep the frame valid.
@@ -783,11 +780,6 @@ impl Response {
                     .get("cached")
                     .and_then(Value::as_bool)
                     .unwrap_or(false),
-                fused: value
-                    .get("fused")
-                    .and_then(Value::as_u64)
-                    .and_then(|v| u32::try_from(v).ok())
-                    .unwrap_or(1),
                 trace_json,
             }),
         })
@@ -883,7 +875,6 @@ mod tests {
                     work: 123,
                     rounds: 7,
                     cached: true,
-                    fused: 3,
                     trace_json: Some("{\"spans\":[]}".into()),
                 }),
             },
@@ -899,7 +890,6 @@ mod tests {
                     work: 1,
                     rounds: 1,
                     cached: false,
-                    fused: 1,
                     trace_json: None,
                 }),
             },
@@ -933,6 +923,26 @@ mod tests {
             panic!("expected a compute request, got {:?}", req.body);
         };
         assert_eq!(compute, ComputeRequest::partition(vec![1, 0], vec![0, 0]));
+    }
+
+    /// Servers that fused batch members sent a `"fused"` cohort size with
+    /// every reply; it is ignored like any unknown key.
+    #[test]
+    fn leftover_fused_reply_key_is_ignored() {
+        let resp = Response::decode(
+            br#"{"id":3,"ok":true,"kind":"partition","labels":[0,1,0],
+                "work":12,"rounds":4,"cached":false,"fused":8}"#,
+        )
+        .unwrap();
+        let expect = Reply {
+            kind: "partition",
+            payload: ReplyPayload::Labels(vec![0, 1, 0]),
+            work: 12,
+            rounds: 4,
+            cached: false,
+            trace_json: None,
+        };
+        assert_eq!(resp.outcome, Ok(expect));
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //!
 //! Readers decode frames and enqueue jobs; each worker thread owns one
 //! [`Worker`] (persistent context, snapshot cache) and drains the shared
-//! queue.  With a non-zero [`BatchPolicy::deadline`], a worker that pulls a
-//! fusable request holds it briefly to coalesce queued peers into one
-//! fused invocation (cross-connection batching); explicit `batch` frames
-//! fuse regardless of the deadline.
+//! queue one job at a time.  A `batch` frame is one job: its worker serves
+//! the members one by one and answers with one frame.
 //!
 //! Failure containment: a malformed payload answers with a typed error and
 //! the connection stays open; an oversized length prefix answers and then
@@ -14,11 +12,10 @@
 //! solver recovers the worker's context and answers with a typed error —
 //! the worker thread never dies with the request.
 
-use crate::batch::BatchPolicy;
 use crate::error::ErrorReply;
 use crate::proto::{
-    read_frame, write_frame, ComputeRequest, FrameError, Input, Kind, Request, RequestBody,
-    Response, DEFAULT_MAX_FRAME_BYTES,
+    read_frame, write_frame, ComputeRequest, FrameError, Request, RequestBody, Response,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::worker::Worker;
 use std::io::Write;
@@ -27,15 +24,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads (each with its own persistent context and cache).
     pub workers: usize,
-    /// Batching admission policy.
-    pub policy: BatchPolicy,
     /// Per-worker snapshot-cache budget in bytes (0 disables caching).
     pub cache_bytes: usize,
     /// Rebuild the context per request (benchmark cold baseline only).
@@ -50,7 +45,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 1,
-            policy: BatchPolicy::default(),
             cache_bytes: 64 << 20,
             cold_ctx: false,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -123,7 +117,7 @@ impl Server {
             // worker is a strictly single-threaded owner and never crosses
             // a thread boundary.
             threads.push(std::thread::spawn(move || {
-                let worker = Worker::new(index, config.cache_bytes, config.policy, config.cold_ctx);
+                let worker = Worker::new(index, config.cache_bytes, config.cold_ctx);
                 worker_loop(worker, &rx, &shutdown);
             }));
         }
@@ -269,24 +263,12 @@ fn connection_loop(
     }
 }
 
-/// Domain size of a request, for admission accounting (workloads declare
-/// it; inline inputs carry it).
-fn approx_n(req: &ComputeRequest) -> usize {
-    match &req.input {
-        Input::Inline { f, .. } => f.len(),
-        Input::Workload { n, .. } => *n,
-    }
-}
-
-fn is_fusable(req: &ComputeRequest) -> bool {
-    matches!(req.kind, Kind::Partition | Kind::MinimizeDfa) && !req.trace
-}
-
 fn worker_loop(mut worker: Worker, rx: &Arc<Mutex<Receiver<Job>>>, shutdown: &Arc<AtomicBool>) {
     loop {
-        // Hold the queue lock only while collecting; processing runs
-        // unlocked so other workers keep draining.
-        let jobs = {
+        // Hold the queue lock only while receiving; serving runs unlocked
+        // so other workers keep draining.  The timeout lets an idle worker
+        // see the shutdown flag.
+        let job = {
             let Ok(guard) = rx.lock() else { return };
             match guard.recv_timeout(Duration::from_millis(50)) {
                 Err(RecvTimeoutError::Timeout) => {
@@ -296,73 +278,9 @@ fn worker_loop(mut worker: Worker, rx: &Arc<Mutex<Receiver<Job>>>, shutdown: &Ar
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => return,
-                Ok(first) => {
-                    let policy = worker.policy();
-                    let mut jobs = vec![first];
-                    let fusable_first =
-                        matches!(&jobs[0], Job::Single { req, .. } if is_fusable(req));
-                    if fusable_first && policy.deadline > Duration::ZERO {
-                        let start = Instant::now();
-                        let mut total_n = match &jobs[0] {
-                            Job::Single { req, .. } => approx_n(req),
-                            _ => 0,
-                        };
-                        while jobs.len() < policy.max_batch {
-                            let remaining = policy.deadline.saturating_sub(start.elapsed());
-                            if remaining.is_zero() {
-                                break;
-                            }
-                            match guard.recv_timeout(remaining) {
-                                Err(_) => break,
-                                Ok(job) => {
-                                    let stop = match &job {
-                                        Job::Single { req, .. } if is_fusable(req) => {
-                                            total_n += approx_n(req);
-                                            total_n > policy.max_fused_n
-                                        }
-                                        _ => true,
-                                    };
-                                    jobs.push(job);
-                                    if stop {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    jobs
-                }
+                Ok(job) => job,
             }
         };
-        process_jobs(&mut worker, jobs);
-    }
-}
-
-fn process_jobs(worker: &mut Worker, jobs: Vec<Job>) {
-    // Coalesce the fusable singles into one implicit cohort; everything
-    // else runs solo in arrival order.
-    let mut cohort: Vec<(Arc<Conn>, u64, ComputeRequest)> = Vec::new();
-    let mut solo: Vec<Job> = Vec::new();
-    for job in jobs {
-        match job {
-            Job::Single { conn, id, req } if is_fusable(&req) => cohort.push((conn, id, req)),
-            other => solo.push(other),
-        }
-    }
-    if cohort.len() == 1 {
-        let (conn, id, req) = cohort.pop().expect("len checked");
-        conn.send(&worker.serve(id, &req).encode());
-    } else if !cohort.is_empty() {
-        let subs: Vec<(u64, ComputeRequest)> = cohort
-            .iter()
-            .map(|(_, id, req)| (*id, req.clone()))
-            .collect();
-        let batch = worker.serve_batch(0, &subs);
-        for ((conn, _, _), response) in cohort.iter().zip(batch.responses) {
-            conn.send(&response.encode());
-        }
-    }
-    for job in solo {
         match job {
             Job::Single { conn, id, req } => conn.send(&worker.serve(id, &req).encode()),
             Job::Batch { conn, id, subs } => conn.send(&worker.serve_batch(id, &subs).encode()),

@@ -8,7 +8,6 @@
 //! [`Ctx::recover`] before reporting [`ErrorCode::Internal`]: a poisoned
 //! request ends as a typed error on the wire and the worker keeps serving.
 
-use crate::batch::{canonical_labels, fuse_instances, split_canonical_labels, BatchPolicy};
 use crate::error::{ErrorCode, ErrorReply};
 use crate::proto::{BatchResponse, ComputeRequest, Input, Kind, Reply, ReplyPayload, Response};
 use crate::snapshot::{
@@ -17,6 +16,7 @@ use crate::snapshot::{
 use sfcp::{try_coarsest_partition, Algorithm, Instance};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::{generators, try_decompose, FunctionalGraph};
+use sfcp_pram::fxhash::FxHashMap;
 use sfcp_pram::{Ctx, Stats};
 use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,7 +60,6 @@ pub struct Worker {
     ctx: Ctx,
     cache: SnapshotCache,
     gen: Vec<((u8, u64, u64, u32), GenEntry)>,
-    policy: BatchPolicy,
     cold_ctx: bool,
 }
 
@@ -72,13 +71,12 @@ impl Worker {
     /// disables it); `cold_ctx` rebuilds the context per request (the
     /// benchmark's cold-path baseline — never what you want in production).
     #[must_use]
-    pub fn new(index: usize, cache_bytes: usize, policy: BatchPolicy, cold_ctx: bool) -> Worker {
+    pub fn new(index: usize, cache_bytes: usize, cold_ctx: bool) -> Worker {
         Worker {
             index,
             ctx: Ctx::parallel(),
             cache: SnapshotCache::new(cache_bytes),
             gen: Vec::new(),
-            policy,
             cold_ctx,
         }
     }
@@ -106,180 +104,14 @@ impl Worker {
         Response { id, outcome }
     }
 
-    /// Serve an explicit batch frame: partition-family members fuse into
-    /// cohort invocations under the admission policy; other kinds run solo.
+    /// Serve an explicit batch frame: each member is served on its own,
+    /// in request order, exactly as if it had arrived alone.
     pub fn serve_batch(&mut self, id: u64, subs: &[(u64, ComputeRequest)]) -> BatchResponse {
-        let mut responses: Vec<Option<Response>> = vec![None; subs.len()];
-
-        // Pass 1: solo kinds, cache hits, and input errors resolve
-        // immediately; fusable members queue up.
-        let mut fusable: Vec<(usize, Rc<Instance>)> = Vec::new();
-        for (slot, (sub_id, req)) in subs.iter().enumerate() {
-            let fuse_candidate = matches!(req.kind, Kind::Partition | Kind::MinimizeDfa)
-                && !req.trace
-                && subs.len() > 1;
-            if !fuse_candidate {
-                responses[slot] = Some(self.serve(*sub_id, req));
-                continue;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.resolve_instance(req)));
-            match outcome {
-                Err(payload) => {
-                    self.ctx.recover();
-                    let err = sfcp_pram::Error::from_panic(payload);
-                    responses[slot] = Some(Response {
-                        id: *sub_id,
-                        outcome: Err(ErrorReply {
-                            id: *sub_id,
-                            code: ErrorCode::Internal,
-                            message: err.to_string(),
-                            retryable: true,
-                        }),
-                    });
-                }
-                Ok(Err(mut e)) => {
-                    e.id = *sub_id;
-                    responses[slot] = Some(Response {
-                        id: *sub_id,
-                        outcome: Err(e),
-                    });
-                }
-                Ok(Ok(instance)) => {
-                    if req.use_cache {
-                        let key = partition_key(&instance);
-                        if let Some(snap) = self.cache.get(key) {
-                            responses[slot] = Some(cached_partition_response(*sub_id, req, &snap));
-                            continue;
-                        }
-                    }
-                    fusable.push((slot, instance));
-                }
-            }
-        }
-
-        // Pass 2: chunk the fusable members in request order under the size
-        // caps; singleton chunks fall back
-        // to the solo path (identical semantics AND identical charges —
-        // fusion canonicalizes initial blocks, which is only
-        // charge-transparent when the whole cohort is compared against a
-        // fused reference).
-        let mut chunks: Vec<Vec<(usize, Rc<Instance>)>> = Vec::new();
-        for (slot, instance) in fusable {
-            let fits = chunks.last().is_some_and(|chunk| {
-                let chunk_n: usize = chunk.iter().map(|(_, i)| i.len()).sum();
-                chunk.len() < self.policy.max_batch
-                    && chunk_n + instance.len() <= self.policy.max_fused_n
-            });
-            if fits {
-                chunks
-                    .last_mut()
-                    .expect("checked above")
-                    .push((slot, instance));
-            } else {
-                chunks.push(vec![(slot, instance)]);
-            }
-        }
-        for chunk in chunks {
-            if chunk.len() == 1 {
-                let (slot, _) = chunk[0];
-                let (sub_id, req) = &subs[slot];
-                responses[slot] = Some(self.serve(*sub_id, req));
-                continue;
-            }
-            self.serve_fused_chunk(subs, &chunk, &mut responses);
-        }
-
-        let responses = responses
-            .into_iter()
-            .enumerate()
-            .map(|(slot, r)| {
-                r.unwrap_or_else(|| Response {
-                    id: subs[slot].0,
-                    outcome: Err(ErrorReply {
-                        id: subs[slot].0,
-                        code: ErrorCode::Internal,
-                        message: "request fell through batch admission".into(),
-                        retryable: true,
-                    }),
-                })
-            })
+        let responses = subs
+            .iter()
+            .map(|(sub_id, req)| self.serve(*sub_id, req))
             .collect();
         BatchResponse { id, responses }
-    }
-
-    /// One fused solver invocation for a chunk of ≥ 2 members.
-    fn serve_fused_chunk(
-        &mut self,
-        subs: &[(u64, ComputeRequest)],
-        chunk: &[(usize, Rc<Instance>)],
-        responses: &mut [Option<Response>],
-    ) {
-        let members: Vec<Instance> = chunk.iter().map(|(_, i)| (**i).clone()).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let fused = fuse_instances(&members);
-            self.prepare_context();
-            self.ctx.reset_stats();
-            let result = try_coarsest_partition(&self.ctx, &fused.instance, Algorithm::Parallel);
-            let stats = self.ctx.stats();
-            result.map(|q| (split_canonical_labels(q.labels(), &fused.spans), stats))
-        }));
-        let fused_result = match outcome {
-            Ok(r) => r,
-            Err(payload) => {
-                self.ctx.recover();
-                let err = sfcp_pram::Error::from_panic(payload);
-                for &(slot, _) in chunk {
-                    let sub_id = subs[slot].0;
-                    responses[slot] = Some(Response {
-                        id: sub_id,
-                        outcome: Err(ErrorReply {
-                            id: sub_id,
-                            code: ErrorCode::Internal,
-                            message: err.to_string(),
-                            retryable: true,
-                        }),
-                    });
-                }
-                return;
-            }
-        };
-        match fused_result {
-            Err(e) => {
-                // One poisoned member fails its whole cohort; every member
-                // gets the typed (retryable) error, and the recovered
-                // context serves the next request with baseline charges.
-                for &(slot, _) in chunk {
-                    let sub_id = subs[slot].0;
-                    responses[slot] = Some(Response {
-                        id: sub_id,
-                        outcome: Err(ErrorReply::from_solver(sub_id, &e)),
-                    });
-                }
-            }
-            Ok((split, stats)) => {
-                let cohort = u32::try_from(chunk.len()).unwrap_or(u32::MAX);
-                for (&(slot, _), labels) in chunk.iter().zip(split) {
-                    let (sub_id, req) = &subs[slot];
-                    let payload = if req.digest_only {
-                        ReplyPayload::LabelsDigest(labels_digest(&labels))
-                    } else {
-                        ReplyPayload::Labels(labels)
-                    };
-                    responses[slot] = Some(Response {
-                        id: *sub_id,
-                        outcome: Ok(Reply {
-                            kind: req.kind.name(),
-                            payload,
-                            work: stats.work,
-                            rounds: stats.rounds,
-                            cached: false,
-                            fused: cohort,
-                            trace_json: None,
-                        }),
-                    });
-                }
-            }
-        }
     }
 
     fn dispatch(&mut self, req: &ComputeRequest) -> Result<Reply, ErrorReply> {
@@ -297,13 +129,7 @@ impl Worker {
         let key = partition_key(&instance);
         if req.use_cache {
             if let Some(snap) = self.cache.get(key) {
-                return match cached_partition_response(0, req, &snap).outcome {
-                    Ok(reply) => Ok(Reply {
-                        kind: req.kind.name(),
-                        ..reply
-                    }),
-                    Err(e) => Err(e),
-                };
+                return cached_partition_reply(req, &snap);
             }
         }
         self.prepare_context();
@@ -333,7 +159,6 @@ impl Worker {
             work: stats.work,
             rounds: stats.rounds,
             cached: false,
-            fused: 1,
             trace_json,
         })
     }
@@ -356,7 +181,6 @@ impl Worker {
                         work: snap.work,
                         rounds: snap.rounds,
                         cached: true,
-                        fused: 1,
                         trace_json: None,
                     });
                 }
@@ -383,7 +207,6 @@ impl Worker {
             work: stats.work,
             rounds: stats.rounds,
             cached: false,
-            fused: 1,
             trace_json,
         })
     }
@@ -410,7 +233,6 @@ impl Worker {
                         work: snap.work,
                         rounds: snap.rounds,
                         cached: true,
-                        fused: 1,
                         trace_json: None,
                     });
                 }
@@ -453,7 +275,6 @@ impl Worker {
             work: stats.work,
             rounds: stats.rounds,
             cached: false,
-            fused: 1,
             trace_json,
         })
     }
@@ -476,7 +297,6 @@ impl Worker {
             work: 0,
             rounds: 0,
             cached: false,
-            fused: 1,
             trace_json: None,
         })
     }
@@ -488,12 +308,6 @@ impl Worker {
     #[must_use]
     pub fn ctx(&self) -> &Ctx {
         &self.ctx
-    }
-
-    /// The admission policy this worker batches under.
-    #[must_use]
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
     }
 
     /// Ready the context for a run.  In cold mode the context (pools and
@@ -631,36 +445,48 @@ fn input_key(tag: u8, values: &[u32]) -> u64 {
     h.finish()
 }
 
-/// A response served from a cached snapshot (labels payload only).
-fn cached_partition_response(id: u64, req: &ComputeRequest, snap: &Snapshot) -> Response {
+/// A reply served from a cached snapshot (labels payload only).
+fn cached_partition_reply(req: &ComputeRequest, snap: &Snapshot) -> Result<Reply, ErrorReply> {
     let SnapshotPayload::Labels(labels) = &snap.payload else {
-        return Response {
-            id,
-            outcome: Err(ErrorReply {
-                id,
-                code: ErrorCode::Internal,
-                message: "cache entry kind mismatch".into(),
-                retryable: true,
-            }),
-        };
+        return Err(ErrorReply {
+            id: 0,
+            code: ErrorCode::Internal,
+            message: "cache entry kind mismatch".into(),
+            retryable: true,
+        });
     };
     let payload = if req.digest_only {
         ReplyPayload::LabelsDigest(labels_digest(labels))
     } else {
         ReplyPayload::Labels(labels.clone())
     };
-    Response {
-        id,
-        outcome: Ok(Reply {
-            kind: req.kind.name(),
-            payload,
-            work: snap.work,
-            rounds: snap.rounds,
-            cached: true,
-            fused: 1,
-            trace_json: None,
-        }),
+    Ok(Reply {
+        kind: req.kind.name(),
+        payload,
+        work: snap.work,
+        rounds: snap.rounds,
+        cached: true,
+        trace_json: None,
+    })
+}
+
+/// Canonical labels of a partition result, the service's wire form: labels
+/// renumbered by first occurrence, so equal partitions compare equal
+/// whatever labels the solver picked.
+#[must_use]
+pub fn canonical_labels(partition: &sfcp::Partition) -> Vec<u32> {
+    first_occurrence(partition.labels())
+}
+
+/// Canonical (first-occurrence) renumbering of arbitrary labels.
+fn first_occurrence(labels: &[u32]) -> Vec<u32> {
+    let mut map = FxHashMap::default();
+    let mut out = Vec::with_capacity(labels.len());
+    for &l in labels {
+        let next = map.len() as u32;
+        out.push(*map.entry(l).or_insert(next));
     }
+    out
 }
 
 #[cfg(test)]
@@ -668,7 +494,7 @@ mod tests {
     use super::*;
 
     fn worker() -> Worker {
-        Worker::new(0, 1 << 20, BatchPolicy::default(), false)
+        Worker::new(0, 1 << 20, false)
     }
 
     #[test]
@@ -714,27 +540,51 @@ mod tests {
         );
     }
 
+    /// Batch members go through the snapshot cache like solo requests: a
+    /// member answered inside a batch is a cache hit when it arrives alone,
+    /// and a replayed batch is served from the cache member by member.
     #[test]
-    fn batch_fusion_matches_solo_answers() {
+    fn batch_members_share_the_snapshot_cache() {
         let mut w = worker();
-        let make = |seed: u64| {
-            let inst = Instance::random(300, 3, seed);
-            ComputeRequest::partition(inst.f().to_vec(), inst.blocks().to_vec()).no_cache()
-        };
-        let subs: Vec<(u64, ComputeRequest)> = (0..5).map(|i| (100 + i, make(i))).collect();
+        let subs: Vec<(u64, ComputeRequest)> = (0..3)
+            .map(|i| {
+                let inst = Instance::random(300, 3, i);
+                let req = ComputeRequest::partition(inst.f().to_vec(), inst.blocks().to_vec());
+                (100 + i, req)
+            })
+            .collect();
         let batch = w.serve_batch(50, &subs);
-        assert_eq!(batch.responses.len(), 5);
-        for ((sub_id, req), resp) in subs.iter().zip(&batch.responses) {
-            assert_eq!(resp.id, *sub_id);
-            let reply = resp.outcome.as_ref().expect("fused member succeeds");
-            assert_eq!(reply.fused, 5, "all five members share one invocation");
-            let solo = w.serve(999, req);
-            assert_eq!(
-                solo.outcome.expect("solo solve").payload,
-                reply.payload,
-                "fused answer must equal the solo answer"
-            );
+        assert_eq!(batch.id, 50);
+        assert_eq!(batch.responses.len(), 3);
+        let first: Vec<Reply> = subs
+            .iter()
+            .zip(batch.responses)
+            .map(|((sub_id, _), resp)| {
+                assert_eq!(resp.id, *sub_id);
+                let reply = resp.outcome.expect("batch member succeeds");
+                assert!(!reply.cached, "a first sighting is computed");
+                reply
+            })
+            .collect();
+
+        let solo = w.serve(999, &subs[0].1).outcome.expect("solo request");
+        assert!(solo.cached, "the batch member's answer was cached");
+        assert_eq!(solo.payload, first[0].payload);
+        assert_eq!((solo.work, solo.rounds), (first[0].work, first[0].rounds));
+
+        let replay = w.serve_batch(51, &subs);
+        for (resp, reply) in replay.responses.iter().zip(&first) {
+            let again = resp.outcome.as_ref().expect("replayed member succeeds");
+            assert!(again.cached, "a replayed member hits the cache");
+            assert_eq!(again.payload, reply.payload);
+            assert_eq!((again.work, again.rounds), (reply.work, reply.rounds));
         }
+    }
+
+    #[test]
+    fn first_occurrence_is_canonical() {
+        assert_eq!(first_occurrence(&[9, 9, 4, 9, 1]), vec![0, 0, 1, 0, 2]);
+        assert!(first_occurrence(&[]).is_empty());
     }
 
     #[test]

@@ -199,6 +199,10 @@ mod protocol {
             b"{\"id\":2,\"kind\":\"partition\"}",
             b"{\"id\":3,\"kind\":\"partition\",\"f\":[0],\"blocks\":[true]}",
             b"{\"id\":4,\"kind\":\"partition\",\"f\":[0],\"blocks\":[0],\"digest\":\"yes\"}",
+            // Elements of `f` outside u32: too large, negative, fractional.
+            b"{\"id\":6,\"kind\":\"partition\",\"f\":[4294967296],\"blocks\":[0]}",
+            b"{\"id\":7,\"kind\":\"partition\",\"f\":[-1],\"blocks\":[0]}",
+            b"{\"id\":8,\"kind\":\"partition\",\"f\":[1.5],\"blocks\":[0]}",
             b"\xff\xfe invalid utf8 \xff",
         ] {
             let payload = client.call_raw(garbage).expect("error response expected");

@@ -248,19 +248,19 @@ fn disabled_layer_never_perturbs_results_or_charges() {
 }
 
 /// The service-path sweep: a fault armed at **every** checkout/engine-pass
-/// site of a batched request must fail every cohort member with a typed
-/// retryable error, leave the serving worker's workspace reconciled
-/// (`outstanding == 0`, observed via a probe on the same warm context), and
-/// the next identical request must reproduce the baseline answer and
-/// charges bit-identically.  The test drives a `Worker` directly and arms
+/// site of a batched request must fail exactly the member whose serve holds
+/// that event, with a typed retryable error, while every other member of the
+/// batch answers as in the baseline.  The serving worker's workspace stays
+/// reconciled (`outstanding == 0`, observed via a probe on the same warm
+/// context), and the next identical batch reproduces the baseline answers
+/// and charges bit-identically.  The test drives a `Worker` directly and arms
 /// that worker's own context; `proto`'s unit tests cover the wire encoding
 /// of the replies.
 #[test]
 fn service_path_sweep_recovers_warm_workers() {
-    use sfcp_repro::sfcp_service::batch::BatchPolicy;
     use sfcp_repro::sfcp_service::{ComputeRequest, ErrorCode, ReplyPayload, Worker};
 
-    let mut worker = Worker::new(0, 1 << 20, BatchPolicy::default(), false);
+    let mut worker = Worker::new(0, 1 << 20, false);
     let member_n = if cfg!(debug_assertions) { 400 } else { 4_000 };
     let subs: Vec<(u64, ComputeRequest)> = (0..5)
         .map(|j| {
@@ -271,21 +271,40 @@ fn service_path_sweep_recovers_warm_workers() {
         .collect();
     let run_batch = |worker: &mut Worker| worker.serve_batch(0, &subs).responses;
 
-    // Warm the worker, then record the baseline cohort (answers + charges).
+    // Warm the worker, then record the baseline batch (answers + charges).
     let _ = run_batch(&mut worker);
     let baseline: Vec<_> = run_batch(&mut worker)
         .into_iter()
         .map(|r| r.outcome.expect("baseline member"))
         .collect();
 
-    // Count the injection points of one warm batched serve.
-    worker.ctx().workspace().faults().start_counting();
-    let _ = run_batch(&mut worker);
-    let (checkouts, passes) = worker.ctx().workspace().faults().counts();
+    // Count the injection points of each member's warm serve.  A batch
+    // serves its members in order, so the k-th event of a batched serve
+    // belongs to the first member whose running total exceeds k.
+    let per_member: Vec<(u64, u64)> = subs
+        .iter()
+        .map(|(id, req)| {
+            worker.ctx().workspace().faults().start_counting();
+            let _ = worker.serve(*id, req);
+            worker.ctx().workspace().faults().counts()
+        })
+        .collect();
     assert!(
-        checkouts > 0 && passes > 0,
-        "hooks must see the fused serve"
+        per_member.iter().all(|&(c, p)| c > 0 && p > 0),
+        "hooks must see every member's serve: {per_member:?}"
     );
+    let owner = |site: FaultSite, k: u64| {
+        let mut end = 0;
+        per_member
+            .iter()
+            .position(|&(c, p)| {
+                end += if site == FaultSite::Checkout { c } else { p };
+                k < end
+            })
+            .expect("the event lies inside the batch")
+    };
+    let checkouts: u64 = per_member.iter().map(|&(c, _)| c).sum();
+    let passes: u64 = per_member.iter().map(|&(_, p)| p).sum();
 
     let points = (0..checkouts)
         .map(|k| (FaultSite::Checkout, k))
@@ -296,17 +315,33 @@ fn service_path_sweep_recovers_warm_workers() {
         } else {
             FaultKind::AllocFail
         };
+        let hit = owner(site, k);
         worker.ctx().workspace().faults().arm(site, k, kind);
         let responses = run_batch(&mut worker);
 
-        // Every cohort member fails typed and retryable.
-        for response in &responses {
-            let err = response
-                .outcome
-                .as_ref()
-                .expect_err("an armed fault must fail the cohort");
-            assert_eq!(err.code, ErrorCode::Execution, "{site:?} #{k}: {err}");
-            assert!(err.retryable, "{site:?} #{k} must be retryable");
+        // The member holding the event fails typed and retryable; the
+        // others answer as in the baseline.
+        for (j, (response, base)) in responses.iter().zip(&baseline).enumerate() {
+            if j == hit {
+                let err = response
+                    .outcome
+                    .as_ref()
+                    .expect_err("an armed fault must fail its member");
+                assert_eq!(err.code, ErrorCode::Execution, "{site:?} #{k}: {err}");
+                assert!(err.retryable, "{site:?} #{k} must be retryable");
+                assert_eq!(err.id, subs[j].0, "{site:?} #{k}: error id");
+            } else {
+                let reply = response
+                    .outcome
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{site:?} #{k} failed member {j}: {e}"));
+                assert_eq!(reply.payload, base.payload, "{site:?} #{k} member {j}");
+                assert_eq!(
+                    (reply.work, reply.rounds),
+                    (base.work, base.rounds),
+                    "{site:?} #{k} member {j} charges"
+                );
+            }
         }
 
         // The worker recovered: no outstanding checkouts.

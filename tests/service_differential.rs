@@ -5,20 +5,20 @@
 //! what makes this comparison meaningful: a warm service worker and a cold
 //! harness context must report identical `(work, rounds)`.
 //!
-//! Coverage: every request kind on three seeded inputs, batch sizes
-//! 1 / 7 / 64 (solo path, fused cohorts), and the same batch replayed after
-//! an injected mid-batch fault (recovery must not poison the differential
-//! property).  The fault test arms one `Worker`'s own context, so no test
-//! here needs a lock.
+//! Coverage: every request kind on three seeded inputs; batch frames of
+//! 1 / 7 / 64 members, each member checked against its own solo direct
+//! call; an injected fault in one member of a batch (that member fails, the
+//! others still match), then the same batch replayed on the recovered
+//! worker; and two workers serving four concurrent clients.  The fault test
+//! arms one `Worker`'s own context, so no test here needs a lock.
 
 use sfcp_pram::faults::{FaultKind, FaultSite};
 use sfcp_pram::{Ctx, Stats};
 use sfcp_repro::sfcp::{try_coarsest_partition, Algorithm, Instance};
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{generators, try_decompose};
-use sfcp_service::batch::{canonical_labels, fuse_instances, split_canonical_labels, BatchPolicy};
 use sfcp_service::snapshot::{decomposition_digest, labels_digest};
-use sfcp_service::worker::workload_string;
+use sfcp_service::worker::{canonical_labels, workload_string};
 use sfcp_service::{
     Client, ComputeRequest, ErrorCode, Kind, Reply, ReplyPayload, Response, Server, ServerConfig,
     Worker,
@@ -137,55 +137,35 @@ fn serve_on(worker: &mut Worker, members: &[Instance]) -> Vec<Response> {
     worker.serve_batch(0, &subs).responses
 }
 
-/// Differentially verify every member of one batch's `responses`: answers
-/// against solo direct solves, charges against the path the cohort actually
-/// took (solo charges for a batch of one, fused-reference charges otherwise).
+/// A member's solo direct call: its canonical labels and charges.
+fn direct(ctx: &Ctx, member: &Instance) -> (ReplyPayload, Stats) {
+    let (q, stats) = charged(ctx, |c| {
+        try_coarsest_partition(c, member, Algorithm::Parallel)
+    });
+    (
+        ReplyPayload::Labels(canonical_labels(&q.expect("direct"))),
+        stats,
+    )
+}
+
+/// Check one member's response against its solo direct call.
+fn verify_member(response: &Response, ctx: &Ctx, member: &Instance, what: &str) {
+    let reply = response
+        .outcome
+        .as_ref()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let (labels, stats) = direct(ctx, member);
+    assert_eq!(reply.payload, labels, "{what}: labels");
+    assert_charges(reply, stats, what);
+}
+
+/// Differentially verify every member of one batch's `responses`: each
+/// member's labels and charges equal its own solo direct call.
 fn verify_batch(responses: &[Response], ctx: &Ctx, members: &[Instance]) {
     assert_eq!(responses.len(), members.len());
-
-    let (expect_labels, expect_stats): (Vec<Vec<u32>>, Stats) = if members.len() == 1 {
-        let (q, stats) = charged(ctx, |c| {
-            try_coarsest_partition(c, &members[0], Algorithm::Parallel)
-        });
-        (vec![canonical_labels(&q.expect("direct"))], stats)
-    } else {
-        // The fused reference: the harness builds the same union instance
-        // the worker fuses, and the cohort's charges must equal one direct
-        // call on it.
-        let fused = fuse_instances(members);
-        let (q, stats) = charged(ctx, |c| {
-            try_coarsest_partition(c, &fused.instance, Algorithm::Parallel)
-        });
-        (
-            split_canonical_labels(q.expect("direct fused").labels(), &fused.spans),
-            stats,
-        )
-    };
-
     for (j, (member, response)) in members.iter().zip(responses).enumerate() {
-        let reply = response.outcome.as_ref().expect("member solve");
-        assert_eq!(
-            reply.fused as usize,
-            members.len(),
-            "batch of {} member {j}: cohort size",
-            members.len()
-        );
-        assert_charges(reply, expect_stats, "batch member");
-        assert_eq!(
-            reply.payload,
-            ReplyPayload::Labels(expect_labels[j].clone()),
-            "batch of {} member {j}: fused-path labels",
-            members.len()
-        );
-        // And the fused answer equals the member's *solo* direct solve —
-        // the answer-preservation property end to end.
-        let solo = try_coarsest_partition(ctx, member, Algorithm::Parallel).expect("solo");
-        assert_eq!(
-            reply.payload,
-            ReplyPayload::Labels(canonical_labels(&solo)),
-            "batch of {} member {j}: solo-equivalence",
-            members.len()
-        );
+        let what = format!("batch of {} member {j}", members.len());
+        verify_member(response, ctx, member, &what);
     }
 }
 
@@ -204,32 +184,113 @@ fn batch_sizes_round_trip_bit_for_bit() {
     server.shutdown();
 }
 
-/// An injected mid-batch fault fails the whole cohort with typed retryable
-/// errors, and the very same batch replayed on the recovered warm worker is
+/// An injected fault inside one member of a batch fails that member alone
+/// with a typed retryable error; the other six answer like direct calls,
+/// and the very same batch replayed on the recovered warm worker is
 /// differentially identical to direct calls.
 #[test]
 fn mid_batch_fault_then_replay_matches_direct_calls() {
-    let mut worker = Worker::new(0, 1 << 20, BatchPolicy::default(), false);
+    let mut worker = Worker::new(0, 1 << 20, false);
     let ctx = Ctx::parallel();
     let members = batch_members(7, 99);
+    let requests = batch_requests(&members);
 
-    worker
-        .ctx()
-        .workspace()
-        .faults()
-        .arm(FaultSite::EnginePass, 2, FaultKind::Panic);
+    // Arm the third engine pass of member 3: count the passes the members
+    // before it take.
+    let armed = 3;
+    worker.ctx().workspace().faults().start_counting();
+    for req in &requests[..armed] {
+        let _ = worker.serve(0, req);
+    }
+    let (_, passes_before) = worker.ctx().workspace().faults().counts();
+    worker.ctx().workspace().faults().arm(
+        FaultSite::EnginePass,
+        passes_before + 2,
+        FaultKind::Panic,
+    );
     let responses = serve_on(&mut worker, &members);
     assert_eq!(responses.len(), members.len());
-    for response in &responses {
-        let err = response
-            .outcome
-            .as_ref()
-            .expect_err("faulted cohort member");
-        assert_eq!(err.code, ErrorCode::Execution);
-        assert!(err.retryable, "an injected fault is retryable: {err}");
+    for (j, (member, response)) in members.iter().zip(&responses).enumerate() {
+        if j == armed {
+            let err = response
+                .outcome
+                .as_ref()
+                .expect_err("the armed member fails");
+            assert_eq!(err.code, ErrorCode::Execution);
+            assert!(err.retryable, "an injected fault is retryable: {err}");
+        } else {
+            verify_member(
+                response,
+                &ctx,
+                member,
+                &format!("member {j} beside the fault"),
+            );
+        }
     }
 
     // The worker recovered; the replay must still be bit-identical.
     let replay = serve_on(&mut worker, &members);
     verify_batch(&replay, &ctx, &members);
+}
+
+/// Two workers drain one queue while four clients send interleaved compute
+/// and batch frames: every answer and charge equals the direct call, and no
+/// worker is left holding a workspace checkout.  Instances repeat across
+/// clients, so some answers come from either worker's snapshot cache.
+#[test]
+fn two_workers_serve_concurrent_clients_like_direct_calls() {
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 24;
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let ctx = Ctx::parallel();
+    let pool = batch_members(12, 0xc0c0);
+    let expected: Vec<(ReplyPayload, Stats)> = pool.iter().map(|m| direct(&ctx, m)).collect();
+    let start = std::sync::Barrier::new(CLIENTS);
+
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (pool, expected, start) = (&pool, &expected, &start);
+            let addr = server.addr();
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let check = |reply: &Reply, m: usize, what: &str| {
+                    assert_eq!(reply.payload, expected[m].0, "client {c} {what}: labels");
+                    assert_charges(reply, expected[m].1, what);
+                };
+                start.wait();
+                for i in 0..REQUESTS {
+                    let first = (c * 5 + i * 7) % pool.len();
+                    if i % 3 == 2 {
+                        let picks: Vec<usize> =
+                            (0..5).map(|j| (first + j * 3) % pool.len()).collect();
+                        let frame: Vec<Instance> = picks.iter().map(|&m| pool[m].clone()).collect();
+                        let responses = client.batch(&batch_requests(&frame)).expect("transport");
+                        assert_eq!(responses.len(), picks.len());
+                        for (&m, response) in picks.iter().zip(&responses) {
+                            let reply = response.outcome.as_ref().expect("batch member");
+                            check(reply, m, "batch member");
+                        }
+                    } else {
+                        let m = &pool[first];
+                        let req = ComputeRequest::partition(m.f().to_vec(), m.blocks().to_vec());
+                        let reply = client.request(&req).expect("transport").expect("solve");
+                        check(&reply, first, "request");
+                    }
+                }
+            });
+        }
+    });
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let probe = client.probe().expect("transport").expect("probe");
+    assert!(
+        matches!(probe.payload, ReplyPayload::Probe { outstanding: 0, .. }),
+        "a worker holds a checkout after the run: {:?}",
+        probe.payload
+    );
+    server.shutdown();
 }

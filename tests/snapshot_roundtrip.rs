@@ -7,7 +7,6 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sfcp_repro::sfcp::Instance;
-use sfcp_service::batch::BatchPolicy;
 use sfcp_service::snapshot::{Snapshot, SnapshotCache, SnapshotPayload};
 use sfcp_service::worker::Worker;
 use sfcp_service::{ComputeRequest, ReplyPayload};
@@ -91,7 +90,7 @@ proptest! {
         blocks in 2usize..5,
         seed in 0u64..500,
     ) {
-        let mut worker = Worker::new(0, 1 << 20, BatchPolicy::default(), false);
+        let mut worker = Worker::new(0, 1 << 20, false);
         let inst = Instance::random(n, blocks, seed);
         let req = ComputeRequest::partition(inst.f().to_vec(), inst.blocks().to_vec());
 
