@@ -78,7 +78,7 @@
 
 use rand::prelude::*;
 use sfcp::{coarsest_partition, Algorithm, Instance};
-use sfcp_pram::{Ctx, Mode, Stats};
+use sfcp_pram::{Ctx, Stats};
 use sfcp_service::json::{self, Value};
 use sfcp_service::{Client, ComputeRequest, Kind, Reply, Server, ServerConfig, ServerHandle};
 use std::time::Instant;
@@ -87,7 +87,7 @@ use std::time::Instant;
 fn best_ms<F: FnMut(&Ctx)>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let ctx = Ctx::untracked(Mode::Parallel);
+        let ctx = Ctx::untracked();
         let t = Instant::now();
         f(&ctx);
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
@@ -191,7 +191,7 @@ where
 {
     let (best_a, best_b, paired_ratio) = {
         let (mut f, mut g) = (f.clone(), g.clone());
-        let ctx = Ctx::untracked(Mode::Parallel);
+        let ctx = Ctx::untracked();
         f(&ctx); // warm the pools (shared by both closures)
         g(&ctx);
         let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
@@ -653,10 +653,7 @@ fn main() {
             for i in 0..n {
                 shuffled[relabel[i] as usize] = relabel[parent[i] as usize];
             }
-            sfcp_parprim::euler::RootedForest::from_parents(
-                &Ctx::untracked(Mode::Parallel),
-                shuffled,
-            )
+            sfcp_parprim::euler::RootedForest::from_parents(&Ctx::untracked(), shuffled)
         };
         rows.push(measure("euler_build", n, reps, |ctx: &Ctx| {
             let tour = sfcp_parprim::euler::EulerTour::build(ctx, &forest);
@@ -747,7 +744,7 @@ fn main() {
     if let Some(path) = &trace_path {
         let n = *sizes.last().expect("at least one size");
         let g = sfcp_forest::generators::random_function(n, 0xDECADE);
-        let ctx = Ctx::untracked(Mode::Parallel);
+        let ctx = Ctx::untracked();
         let d = sfcp_forest::decompose(&ctx, &g, sfcp_forest::cycles::CycleMethod::Euler);
         std::hint::black_box(d.num_cycles()); // warm the pools, untraced
         ctx.trace().enable();

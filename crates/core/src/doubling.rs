@@ -77,18 +77,15 @@ mod tests {
     use crate::naive::coarsest_naive;
     use crate::verify::assert_valid;
     use proptest::prelude::*;
-    use sfcp_pram::Mode;
 
     #[test]
     fn paper_example() {
         let inst = Instance::paper_example();
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            let q = coarsest_doubling(&ctx, &inst);
-            let expected = Partition::new(sfcp_forest::generators::paper_example_expected_q());
-            assert!(q.same_partition(&expected));
-            assert_valid(&inst, &q);
-        }
+        let ctx = Ctx::parallel();
+        let q = coarsest_doubling(&ctx, &inst);
+        let expected = Partition::new(sfcp_forest::generators::paper_example_expected_q());
+        assert!(q.same_partition(&expected));
+        assert_valid(&inst, &q);
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub enum Algorithm {
 
 /// Solve the coarsest partition problem with the chosen algorithm.
 ///
-/// The sequential algorithms ignore the execution mode of `ctx` but still
-/// charge their work to its tracker, so all algorithms can be compared in the
+/// The sequential algorithms run no parallel loops but still charge their
+/// work to the tracker of `ctx`, so all algorithms can be compared in the
 /// same work/depth tables.
 #[must_use]
 pub fn coarsest_partition(ctx: &Ctx, instance: &Instance, algorithm: Algorithm) -> Partition {

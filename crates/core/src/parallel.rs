@@ -557,7 +557,6 @@ mod tests {
     use crate::naive::coarsest_naive;
     use crate::verify::assert_valid;
     use proptest::prelude::*;
-    use sfcp_pram::Mode;
 
     fn configs() -> Vec<ParallelConfig> {
         let mut out = Vec::new();
@@ -581,16 +580,14 @@ mod tests {
     fn paper_example_all_configs() {
         let inst = Instance::paper_example();
         let expected = Partition::new(sfcp_forest::generators::paper_example_expected_q());
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            for config in configs() {
-                let q = coarsest_parallel_with(&ctx, &inst, config);
-                assert!(
-                    q.same_partition(&expected),
-                    "config {config:?} gave {:?}",
-                    q.labels()
-                );
-            }
+        let ctx = Ctx::parallel();
+        for config in configs() {
+            let q = coarsest_parallel_with(&ctx, &inst, config);
+            assert!(
+                q.same_partition(&expected),
+                "config {config:?} gave {:?}",
+                q.labels()
+            );
         }
     }
 
@@ -648,20 +645,18 @@ mod tests {
             Instance::deep(500, 1, 2, 5),
             twin_chains(),
         ];
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            for inst in &instances {
-                let expected = coarsest_naive(inst);
-                for config in configs() {
-                    let q = coarsest_parallel_with(&ctx, inst, config);
-                    assert!(
-                        q.same_partition(&expected),
-                        "config {config:?} mismatched on n = {} ({mode:?})",
-                        inst.len()
-                    );
-                }
-                assert_valid(inst, &expected);
+        let ctx = Ctx::parallel();
+        for inst in &instances {
+            let expected = coarsest_naive(inst);
+            for config in configs() {
+                let q = coarsest_parallel_with(&ctx, inst, config);
+                assert!(
+                    q.same_partition(&expected),
+                    "config {config:?} mismatched on n = {}",
+                    inst.len()
+                );
             }
+            assert_valid(inst, &expected);
         }
     }
 
@@ -700,26 +695,6 @@ mod tests {
         };
         let q = coarsest_parallel_with(&ctx, &inst, config);
         assert!(q.same_partition(&coarsest_naive(&inst)));
-    }
-
-    #[test]
-    fn work_tracks_are_nearly_mode_independent() {
-        // The Ctx loop helpers charge identically in both modes; the only
-        // divergence comes from block-count choices inside the blocked scan
-        // and radix passes, which stay within a small constant.  The result
-        // must be identical.
-        let inst = Instance::random(4000, 3, 9);
-        let seq = Ctx::sequential();
-        let par = Ctx::parallel();
-        let a = coarsest_parallel(&seq, &inst);
-        let b = coarsest_parallel(&par, &inst);
-        assert!(a.same_partition(&b));
-        let (ws, wp) = (seq.stats().work as f64, par.stats().work as f64);
-        let ratio = wp.max(ws) / wp.min(ws);
-        assert!(
-            ratio < 1.5,
-            "work diverged across modes by {ratio:.2}× ({ws} vs {wp})"
-        );
     }
 
     proptest! {

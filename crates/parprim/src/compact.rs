@@ -102,15 +102,12 @@ unsafe impl<T> Sync for SendPtr<T> {}
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sfcp_pram::Mode;
 
     #[test]
     fn collects_even_indices() {
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            let idx = compact_indices(&ctx, 10, |i| i % 2 == 0);
-            assert_eq!(idx, vec![0, 2, 4, 6, 8]);
-        }
+        let ctx = Ctx::parallel();
+        let idx = compact_indices(&ctx, 10, |i| i % 2 == 0);
+        assert_eq!(idx, vec![0, 2, 4, 6, 8]);
     }
 
     #[test]

@@ -232,16 +232,12 @@ fn build_csr_direct<F>(
     // one block — the sequential baseline with zero overhead.  Tracking
     // `current_num_threads` here is safe because the builder's charges are
     // the fixed documented model, never a function of the block plan.
-    let num_blocks = if ctx.is_parallel() {
-        let budget = (DIRECT_BUILD_MAX_KEYS / num_keys.max(1)).clamp(1, 256);
-        let amortized = (4 * num_slots / num_keys.max(1)).max(1);
-        (num_slots / 8192)
-            .clamp(1, rayon::current_num_threads().max(1))
-            .min(budget)
-            .min(amortized)
-    } else {
-        1
-    };
+    let budget = (DIRECT_BUILD_MAX_KEYS / num_keys.max(1)).clamp(1, 256);
+    let amortized = (4 * num_slots / num_keys.max(1)).max(1);
+    let num_blocks = (num_slots / 8192)
+        .clamp(1, rayon::current_num_threads().max(1))
+        .min(budget)
+        .min(amortized);
     let block_size = num_slots.div_ceil(num_blocks);
     let mut hist = ws.take_u32(num_blocks * num_keys);
 
@@ -262,7 +258,7 @@ fn build_csr_direct<F>(
     {
         let hist_ptr = SendPtr(hist.as_mut_ptr());
         let stage_ptr = stage.as_mut().map(|s| SendPtr(s.as_mut_ptr()));
-        for_each_block(ctx, num_blocks, |b| {
+        for_each_block(num_blocks, |b| {
             let hp = hist_ptr;
             let start = b * block_size;
             let end = (start + block_size).min(num_slots);
@@ -339,7 +335,7 @@ fn build_csr_direct<F>(
     let total = items.len();
     let hist_ptr = SendPtr(hist.as_mut_ptr());
     let items_ptr = SendPtr(items.as_mut_ptr());
-    for_each_block(ctx, num_blocks, |b| {
+    for_each_block(num_blocks, |b| {
         let (hp, ip) = (hist_ptr, items_ptr);
         let start = b * block_size;
         let end = (start + block_size).min(num_slots);
@@ -423,11 +419,7 @@ fn build_csr_bucketed<F>(
     // fills `offsets[j] = i` for every key `j` in the gap between the
     // previous word's key and its own).  Blocks only peek one word to the
     // left of their range, so the pass parallelizes without a scan.
-    let num_blocks = if ctx.is_parallel() {
-        (kept / 8192).clamp(1, 256)
-    } else {
-        1
-    };
+    let num_blocks = (kept / 8192).clamp(1, 256);
     let block_size = kept.div_ceil(num_blocks).max(1);
     let offsets_ptr = SendPtr(offsets.as_mut_ptr());
     let items_ptr = SendPtr(items.as_mut_ptr());
@@ -457,7 +449,7 @@ fn build_csr_bucketed<F>(
             }
         }
     };
-    for_each_block(ctx, num_blocks, run_block);
+    for_each_block(num_blocks, run_block);
     // Keys past the last real word (always at least the `num_keys` slot).
     let tail_from = if kept == 0 {
         0
@@ -486,7 +478,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::prelude::*;
-    use sfcp_pram::Mode;
 
     /// Straight-line reference: push every pair into per-key vectors.
     fn naive_csr(num_keys: usize, stream: &[Option<(u32, u32)>]) -> (Vec<u32>, Vec<u32>) {
@@ -524,7 +515,7 @@ mod tests {
     /// The sequential count/prefix/scatter build on the same stream — the
     /// baseline every blocked regime must reproduce byte for byte.
     fn sequential_baseline(num_keys: usize, stream: &[Option<(u32, u32)>]) -> (Vec<u32>, Vec<u32>) {
-        let ctx = Ctx::untracked(Mode::Sequential);
+        let ctx = Ctx::untracked();
         let (mut offsets, mut items) = (Vec::new(), Vec::new());
         build_csr_sequential(
             &ctx,
@@ -579,7 +570,7 @@ mod tests {
 
     /// The blocked direct path (above the sequential threshold) must match
     /// the naive reference and the sequential baseline exactly, and charge
-    /// the closed-form model in both modes.
+    /// the closed-form model.
     #[test]
     fn large_streams_match_reference_and_baseline() {
         for (num_keys, num_slots, seed) in [
@@ -590,12 +581,10 @@ mod tests {
             let stream = random_stream(num_keys, num_slots, seed);
             let expected = naive_csr(num_keys, &stream);
             assert_eq!(sequential_baseline(num_keys, &stream), expected);
-            for mode in [Mode::Sequential, Mode::Parallel] {
-                let ctx = Ctx::new(mode);
-                let got = build_csr(&ctx, num_keys, num_slots, |s| stream[s]);
-                assert_eq!(got, expected, "csr mismatch ({mode:?}, keys={num_keys})");
-                assert_eq!(ctx.stats(), model_charges(num_keys, num_slots), "{mode:?}");
-            }
+            let ctx = Ctx::parallel();
+            let got = build_csr(&ctx, num_keys, num_slots, |s| stream[s]);
+            assert_eq!(got, expected, "csr mismatch (keys={num_keys})");
+            assert_eq!(ctx.stats(), model_charges(num_keys, num_slots));
         }
     }
 

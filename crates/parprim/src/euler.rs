@@ -14,11 +14,10 @@
 //!   [`EulerTour::from_tree_arc_ranks`] — the same tour ranked over its tree
 //!   edges only, leaving the roots' arc slots to the caller;
 //! * [`EulerTour::levels`] — depth of every node below its root;
-//! * [`EulerTour::ancestor_sums`] — for every node, the sum of a per-node
-//!   value over its *proper ancestors*.  With 0/1 values this implements
-//!   step 3 of *Algorithm tree node labeling* ("for each unmarked node,
-//!   unmark all of its descendants") in `O(n)` work;
-//! * [`EulerTour::subtree_sizes`] — number of nodes in every subtree.
+//! * [`EulerTour::ancestor_counts_into`] — for every node, the number of
+//!   its *proper ancestors* whose 0/1 flag is set.  This implements step 3
+//!   of *Algorithm tree node labeling* ("for each unmarked node, unmark all
+//!   of its descendants") in `O(n)` work.
 //!
 //! Work `O(n)` (plus the list-ranking cost), depth `O(log n)`.
 
@@ -357,9 +356,9 @@ impl EulerTour {
     /// (consecutive children chain up→down, the last child bounces to
     /// up(v)).  Every arc is written exactly once — down(v) at v; up(v) at
     /// v's parent, or at v itself when v is a root (the tree's terminal arc)
-    /// — and, unlike the former per-arc formulation, no arc has to *search*
-    /// for its position among its siblings, so the pass is linear even on
-    /// star-shaped trees (one round, `2n` operations: one per arc).
+    /// — and no arc has to *search* for its position among its siblings, so
+    /// the pass is linear even on star-shaped trees (one round, `2n`
+    /// operations: one per arc).
     ///
     /// # Panics
     /// Panics if `succ.len() != 2 * forest.len()`.
@@ -465,46 +464,14 @@ impl EulerTour {
     /// Finish the tour from the arc ranking: `dist[a]` is the distance of
     /// arc `a` (in the `down`/`up` arc numbering) to its tree's terminal
     /// arc, i.e. the output of ranking [`EulerTour::arc_successors_into`].
+    /// The root array comes from [`crate::jump::find_roots_into`] on
+    /// `forest.parents()`; `decompose`, which computes its root array once,
+    /// finishes its tour with [`EulerTour::from_tree_arc_ranks`] instead.
     ///
     /// # Panics
     /// Panics if `dist.len() < 2 * forest.len()`.
     #[must_use]
     pub fn from_arc_ranks(ctx: &Ctx, forest: &RootedForest, dist: &[u32]) -> Self {
-        if forest.is_empty() {
-            return EulerTour {
-                entry: Vec::new(),
-                exit: Vec::new(),
-            };
-        }
-        // Standalone callers have no root array at hand; compute one here.
-        // `decompose` threads its once-computed roots through
-        // [`EulerTour::from_arc_ranks_with_roots`] instead.
-        let ws = ctx.workspace();
-        let mut root_of = ws.take_u32(0);
-        crate::jump::find_roots_into(ctx, forest.parents(), &mut root_of);
-        Self::from_arc_ranks_with_roots(ctx, forest, dist, &root_of)
-    }
-
-    /// [`EulerTour::from_arc_ranks`] with a caller-provided root array
-    /// (`root_of[v]` = the root of `v`'s tree, i.e. the output of
-    /// [`crate::jump::find_roots`] on `forest.parents()`).  This is the
-    /// root-threading entry: `decompose` computes the root array **once**
-    /// and reuses it here, for the `cycle_of` propagation, and for tree
-    /// labelling, instead of re-running pointer jumping three times.
-    ///
-    /// Charges [`EulerTour::from_arc_ranks`]'s cost minus the root
-    /// computation the caller already paid for.
-    ///
-    /// # Panics
-    /// Panics if `dist` or `root_of` are shorter than the forest requires.
-    #[must_use]
-    pub fn from_arc_ranks_with_roots(
-        ctx: &Ctx,
-        forest: &RootedForest,
-        dist: &[u32],
-        root_of: &[u32],
-    ) -> Self {
-        let _span = ctx.pass("euler_from_ranks");
         let n = forest.len();
         if n == 0 {
             return EulerTour {
@@ -512,11 +479,13 @@ impl EulerTour {
                 exit: Vec::new(),
             };
         }
+        let ws = ctx.workspace();
+        let mut root_of = ws.take_u32(0);
+        crate::jump::find_roots_into(ctx, forest.parents(), &mut root_of);
+        let _span = ctx.pass("euler_from_ranks");
         let num_arcs = 2 * n;
         assert!(dist.len() >= num_arcs, "arc ranking must cover all 2n arcs");
-        assert!(root_of.len() >= n, "root array must cover every node");
         let dist = &dist[..num_arcs];
-        let ws = ctx.workspace();
 
         // Tour length of the tree containing v = dist[down(root)] + 1; the
         // position of an arc inside its own tree is length - 1 - dist.
@@ -545,7 +514,7 @@ impl EulerTour {
         {
             let entry_ptr = SendPtr(entry.as_mut_ptr());
             let exit_ptr = SendPtr(exit.as_mut_ptr());
-            let (dist, tree_offset) = (&dist, &tree_offset);
+            let (dist, tree_offset, root_of) = (&dist, &tree_offset, &root_of);
             ctx.par_for_idx(n, |v| {
                 let r = root_of[v];
                 let len = dist[down(r) as usize] + 1;
@@ -567,16 +536,19 @@ impl EulerTour {
     /// distance to the up arc of its root's last child — the ranking of
     /// [`EulerTour::tree_arc_successors_flagged_into`]'s words (root slots
     /// are never read).  `roots` lists every root of `forest` in ascending
-    /// order and `root_of` is the root array (as for
-    /// [`EulerTour::from_arc_ranks_with_roots`]).
+    /// order and `root_of[v]` is the root of `v`'s tree (the output of
+    /// [`crate::jump::find_roots`] on `forest.parents()`).  This is the
+    /// root-threading entry: `decompose` computes the root array **once**
+    /// and reuses it here, for the `cycle_of` propagation, and for tree
+    /// labelling.
     ///
     /// The result equals [`EulerTour::build`]'s tour bit for bit: a root
     /// whose tree has `s` nodes, at global offset `o`, enters at `o` and
     /// exits at `o + 2s − 1`, and its tree arcs fill the `2(s − 1)`
-    /// positions between.  Charges what
-    /// [`EulerTour::from_arc_ranks_with_roots`] charges: one round of
-    /// `#roots` for the offsets and two of `n` for the positions (entry and
-    /// exit are two maps in the model; one fused pass computes both).
+    /// positions between.  Charges what [`EulerTour::from_arc_ranks`]
+    /// charges after its root computation: one round of `#roots` for the
+    /// offsets and two of `n` for the positions (entry and exit are two maps
+    /// in the model; one fused pass computes both).
     ///
     /// # Panics
     /// Panics if `dist` or `root_of` are shorter than the forest requires.
@@ -677,67 +649,18 @@ impl EulerTour {
         self.exit[v as usize]
     }
 
-    /// `true` iff `u` is an ancestor of `v` (every node is its own ancestor).
-    #[must_use]
-    pub fn is_ancestor(&self, u: u32, v: u32) -> bool {
-        self.entry(u) <= self.entry(v) && self.exit(v) <= self.exit(u)
-    }
-
-    /// Number of nodes in the subtree rooted at every node.
-    #[must_use]
-    pub fn subtree_sizes(&self, ctx: &Ctx) -> Vec<u32> {
-        ctx.par_map_idx(self.len(), |v| (self.exit[v] - self.entry[v]).div_ceil(2))
-    }
-
-    /// For every node `v`, the sum of `values[u]` over all *proper* ancestors
-    /// `u` of `v` (not including `v` itself).
+    /// For every node, the number of its *proper* ancestors (not `v`
+    /// itself) whose 0/1 flag is set, written into a reusable output buffer.
     ///
-    /// Values must be small enough that the total fits in `i64`.
-    #[must_use]
-    pub fn ancestor_sums(&self, ctx: &Ctx, values: &[u64]) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.ancestor_sums_into(ctx, values, &mut out);
-        out
-    }
-
-    /// [`EulerTour::ancestor_sums`] writing into a reusable output buffer;
-    /// the delta and prefix intermediates are workspace checkouts, so the
-    /// whole pass is allocation-free once the pools are warm.
-    pub fn ancestor_sums_into(&self, ctx: &Ctx, values: &[u64], out: &mut Vec<u64>) {
-        let _span = ctx.pass("ancestor_sums");
-        let n = self.len();
-        assert_eq!(values.len(), n);
-        out.clear();
-        if n == 0 {
-            return;
-        }
-        // Scatter +value at entry positions and -value at exit positions,
-        // then an exclusive prefix sum evaluated at entry(v) counts exactly
-        // the currently-open nodes, i.e. v's proper ancestors (v's own +value
-        // sits *at* entry(v) and is excluded by exclusivity).  The entry/exit
-        // positions cover 0..2n exactly, so the scatter fully overwrites the
-        // checked-out delta buffer.
-        let ws = ctx.workspace();
-        let mut deltas = ws.take_i64(2 * n);
-        scatter_entry_exit_deltas(ctx, &self.entry, &self.exit, &mut deltas, |v| {
-            (values[v] as i64, -(values[v] as i64))
-        });
-        let mut prefix = ws.take_i64(0);
-        scan_generic_into(ctx, &deltas, 0i64, |a, b| a + b, false, &mut prefix);
-        out.resize(n, 0);
-        ctx.par_update(out, |v, s| {
-            let sum = prefix[self.entry[v] as usize];
-            debug_assert!(sum >= 0);
-            *s = sum as u64;
-        });
-    }
-
-    /// Specialization of [`EulerTour::ancestor_sums_into`] for 0/1 flag
-    /// values: for every node, the number of *proper* ancestors whose flag is
-    /// set.  Counts are bounded by `n`, so the deltas and the prefix scan run
-    /// over u32 words in two's complement (wrapping adds), halving the
-    /// memory traffic of the i64 general case.  The passes and charges are
-    /// identical to [`EulerTour::ancestor_sums_into`].
+    /// Scatter `+flag` at entry positions and `−flag` at exit positions;
+    /// an exclusive prefix sum evaluated at `entry(v)` then counts exactly
+    /// the currently open flagged nodes, i.e. `v`'s flagged proper ancestors
+    /// (`v`'s own `+flag` sits *at* `entry(v)` and is excluded by
+    /// exclusivity).  The entry/exit positions cover `0..2n` exactly, so the
+    /// scatter fully overwrites the checked-out delta buffer.  Counts are
+    /// bounded by `n`, so the deltas and the scan run over u32 words in
+    /// two's complement (wrapping adds).  Charges one scatter round of `n`,
+    /// a scan of `2n` and one gather round of `n`.
     ///
     /// # Panics
     /// Debug-asserts every flag is 0 or 1.
@@ -857,6 +780,14 @@ mod tests {
         out
     }
 
+    /// Subtree sizes read off the tour positions: a subtree of `s` nodes
+    /// spans `2s` consecutive positions, from its root's entry to its exit.
+    fn subtree_sizes(tour: &EulerTour) -> Vec<u32> {
+        (0..tour.len() as u32)
+            .map(|v| (tour.exit(v) + 1 - tour.entry(v)) / 2)
+            .collect()
+    }
+
     fn reference_levels(parent: &[u32]) -> Vec<u32> {
         let n = parent.len();
         (0..n)
@@ -889,13 +820,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn forest_rejects_out_of_range_parents() {
-        let ctx = Ctx::sequential();
+        let ctx = Ctx::parallel();
         let _ = RootedForest::from_parents(&ctx, vec![0, 5, 1]);
     }
 
     #[test]
     fn forest_rejects_cycles() {
-        let ctx = Ctx::sequential();
+        let ctx = Ctx::parallel();
         // 1 -> 2 -> 1 cycle.
         let err = RootedForest::from_parents_checked(&ctx, vec![0, 2, 1]).unwrap_err();
         assert!(matches!(err, Error::CycleDetected { .. }));
@@ -906,7 +837,7 @@ mod tests {
 
     #[test]
     fn checked_constructor_rejects_out_of_range_with_typed_error() {
-        let ctx = Ctx::sequential();
+        let ctx = Ctx::parallel();
         let err = RootedForest::from_parents_checked(&ctx, vec![0, 5, 1]).unwrap_err();
         assert!(matches!(err, Error::OutOfRange { index: 1, .. }));
         assert!(err.to_string().contains("out of range"));
@@ -980,12 +911,15 @@ mod tests {
         let forest = RootedForest::from_parents(&ctx, parent);
         let tour = EulerTour::build(&ctx, &forest);
         assert_eq!(tour.levels(&ctx), vec![0, 1, 1, 2, 2, 2, 0]);
-        assert_eq!(tour.subtree_sizes(&ctx), vec![6, 3, 2, 1, 1, 1, 1]);
-        assert!(tour.is_ancestor(0, 3));
-        assert!(tour.is_ancestor(1, 4));
-        assert!(!tour.is_ancestor(2, 3));
-        assert!(tour.is_ancestor(6, 6));
-        assert!(!tour.is_ancestor(0, 6));
+        assert_eq!(subtree_sizes(&tour), vec![6, 3, 2, 1, 1, 1, 1]);
+        // `u` is an ancestor of `v` iff `v`'s interval nests in `u`'s.
+        let is_ancestor =
+            |u: u32, v: u32| tour.entry(u) <= tour.entry(v) && tour.exit(v) <= tour.exit(u);
+        assert!(is_ancestor(0, 3));
+        assert!(is_ancestor(1, 4));
+        assert!(!is_ancestor(2, 3));
+        assert!(is_ancestor(6, 6));
+        assert!(!is_ancestor(0, 6));
     }
 
     #[test]
@@ -997,7 +931,9 @@ mod tests {
         let tour = EulerTour::build(&ctx, &forest);
         // Flag nodes 1 and 3.
         let flags = vec![0u64, 1, 0, 1, 0];
-        assert_eq!(tour.ancestor_sums(&ctx, &flags), vec![0, 0, 1, 1, 2]);
+        let mut counts = Vec::new();
+        tour.ancestor_counts_into(&ctx, &flags, &mut counts);
+        assert_eq!(counts, vec![0, 0, 1, 1, 2]);
     }
 
     /// The split entry points must reproduce `build` exactly, including when
@@ -1034,7 +970,7 @@ mod tests {
         let forest = RootedForest::from_parents(&ctx, parent);
         let tour = EulerTour::build(&ctx, &forest);
         assert_eq!(tour.levels(&ctx), vec![0; 10]);
-        assert_eq!(tour.subtree_sizes(&ctx), vec![1; 10]);
+        assert_eq!(subtree_sizes(&tour), vec![1; 10]);
     }
 
     proptest! {
@@ -1053,7 +989,7 @@ mod tests {
             let ctx = Ctx::parallel().with_grain(32);
             let forest = RootedForest::from_parents_checked(&ctx, parent.clone()).unwrap();
             let tour = EulerTour::build(&ctx, &forest);
-            let sizes = tour.subtree_sizes(&ctx);
+            let sizes = subtree_sizes(&tour);
             // Reference by counting descendants.
             for v in 0..n as u32 {
                 let mut count = 0;
@@ -1068,6 +1004,32 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(sizes[v as usize], count);
+            }
+        }
+
+        /// Step 3's count against a walk up every node's parent chain.
+        #[test]
+        fn ancestor_counts_match_reference(
+            n in 1usize..300,
+            roots in 1usize..6,
+            seed in 0u64..40,
+            flag_mask in any::<u64>(),
+        ) {
+            let parent = random_forest(n, roots, seed);
+            let flags: Vec<u64> = (0..n).map(|v| (flag_mask >> (v % 64)) & 1).collect();
+            let ctx = Ctx::parallel().with_grain(32);
+            let forest = RootedForest::from_parents_checked(&ctx, parent.clone()).unwrap();
+            let tour = EulerTour::build(&ctx, &forest);
+            let mut counts = Vec::new();
+            tour.ancestor_counts_into(&ctx, &flags, &mut counts);
+            for (v, &count) in counts.iter().enumerate() {
+                let mut expected = 0;
+                let mut cur = v;
+                while parent[cur] as usize != cur {
+                    cur = parent[cur] as usize;
+                    expected += flags[cur];
+                }
+                prop_assert_eq!(count, expected, "node {}", v);
             }
         }
     }

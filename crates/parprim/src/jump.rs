@@ -354,7 +354,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a permutation")]
     fn rejects_non_permutation() {
-        let ctx = Ctx::sequential();
+        let ctx = Ctx::parallel();
         let _ = permutation_cycle_min(&ctx, &[0, 0, 1]);
     }
 
@@ -381,47 +381,40 @@ mod tests {
     }
 
     /// The contraction path (n > threshold) must agree with the reference on
-    /// large shuffled permutations, in both modes.
+    /// large shuffled permutations.
     #[test]
     fn contraction_path_matches_reference_large() {
-        use sfcp_pram::Mode;
         for seed in 0..3 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = 20_000 + seed as usize * 7;
             let mut succ: Vec<u32> = (0..n as u32).collect();
             succ.shuffle(&mut rng);
-            let expected = reference_cycle_min(&succ);
-            for mode in [Mode::Sequential, Mode::Parallel] {
-                let ctx = Ctx::new(mode);
-                assert_eq!(
-                    permutation_cycle_min(&ctx, &succ),
-                    expected,
-                    "seed {seed}, {mode:?}"
-                );
-            }
+            let ctx = Ctx::parallel();
+            assert_eq!(
+                permutation_cycle_min(&ctx, &succ),
+                reference_cycle_min(&succ),
+                "seed {seed}"
+            );
         }
     }
 
     /// The doubling path (at or below the threshold) and the contraction
     /// path (above it) both charge the pinned pointer-jumping model —
-    /// validation + init + two steps of n per round — in both modes.
+    /// validation + init + two steps of n per round.
     #[test]
     fn cycle_min_engines_charge_identically() {
-        use sfcp_pram::Mode;
         let mut rng = StdRng::seed_from_u64(31);
         for n in [CYCLE_MIN_CONTRACTION_THRESHOLD, 30_000] {
             let mut succ: Vec<u32> = (0..n as u32).collect();
             succ.shuffle(&mut rng);
             let rounds = (sfcp_pram::ceil_log2(n) + 1) as u64;
-            for mode in [Mode::Sequential, Mode::Parallel] {
-                let ctx = Ctx::new(mode);
-                let _ = permutation_cycle_min(&ctx, &succ);
-                assert_eq!(
-                    (ctx.stats().work, ctx.stats().rounds),
-                    ((n as u64) * (2 + 2 * rounds), 2 + 2 * rounds),
-                    "n={n}, {mode:?}"
-                );
-            }
+            let ctx = Ctx::parallel();
+            let _ = permutation_cycle_min(&ctx, &succ);
+            assert_eq!(
+                (ctx.stats().work, ctx.stats().rounds),
+                ((n as u64) * (2 + 2 * rounds), 2 + 2 * rounds),
+                "n={n}"
+            );
         }
     }
 

@@ -107,7 +107,7 @@ fn chain_walk_bucketed(
     let wave = ctx.topology().wavefront_lanes().min(WAVE);
     let interior_ptr = SendPtr(interior.as_mut_ptr());
     let seg_ptr = SendPtr(seg_state.as_mut_ptr());
-    crate::intsort::for_each_block(ctx, num_tasks, |t| {
+    crate::intsort::for_each_block(num_tasks, |t| {
         let lo = t * WALKS_PER_TASK;
         let hi = ((t + 1) * WALKS_PER_TASK).min(m);
         let (ip, sp) = (interior_ptr, seg_ptr);
@@ -198,7 +198,7 @@ pub(crate) fn cycle_walk_bucketed(
     let wave = ctx.topology().wavefront_lanes().min(WAVE);
     let end_ptr = SendPtr(end_ruler.as_mut_ptr());
     let state_ptr = SendPtr(state.as_mut_ptr());
-    crate::intsort::for_each_block(ctx, num_tasks, |t| {
+    crate::intsort::for_each_block(num_tasks, |t| {
         let lo = t * WALKS_PER_TASK;
         let hi = ((t + 1) * WALKS_PER_TASK).min(m);
         let (ep, sp) = (end_ptr, state_ptr);

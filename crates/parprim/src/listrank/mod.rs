@@ -141,7 +141,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::prelude::*;
-    use sfcp_pram::Mode;
 
     /// Reference ranking by walking each list.
     #[allow(clippy::needless_range_loop)]
@@ -191,11 +190,9 @@ mod tests {
     fn single_chain() {
         // 0 -> 1 -> 2 -> 3 (terminal)
         let next = vec![1u32, 2, 3, 3];
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            assert_eq!(list_rank_wyllie(&ctx, &next), vec![3, 2, 1, 0]);
-            assert_eq!(list_rank(&ctx, &next), vec![3, 2, 1, 0]);
-        }
+        let ctx = Ctx::parallel();
+        assert_eq!(list_rank_wyllie(&ctx, &next), vec![3, 2, 1, 0]);
+        assert_eq!(list_rank(&ctx, &next), vec![3, 2, 1, 0]);
     }
 
     #[test]
@@ -206,17 +203,15 @@ mod tests {
         assert_eq!(list_rank_wyllie(&ctx, &next), vec![0, 0, 1, 1, 2]);
     }
 
-    /// Ranking on large inputs matches the reference in both modes, and so
-    /// does the Wyllie path run at the same size.
+    /// Ranking on large inputs matches the reference, and so does the
+    /// Wyllie path run at the same size.
     #[test]
     fn large_random_lists_all_engines() {
         let next = random_lists(20_000, 7, 42);
         let expected = reference_ranks(&next);
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            assert_eq!(list_rank(&ctx, &next), expected, "{mode:?}");
-            assert_eq!(list_rank_wyllie(&ctx, &next), expected, "{mode:?}");
-        }
+        let ctx = Ctx::parallel();
+        assert_eq!(list_rank(&ctx, &next), expected);
+        assert_eq!(list_rank_wyllie(&ctx, &next), expected);
     }
 
     #[test]
@@ -246,30 +241,27 @@ mod tests {
         );
     }
 
-    /// The ruling-set charges are pinned to exact (work, rounds) values in
-    /// both execution modes, across the tiny/contraction threshold: up to
-    /// 1,024 elements the Wyllie model, above it the ruling-set model.
+    /// The ruling-set charges are pinned to exact (work, rounds) values
+    /// across the tiny/contraction threshold: up to 1,024 elements the
+    /// Wyllie model, above it the ruling-set model.
     #[test]
     fn cache_bucket_charges_match_ruling_set() {
-        // (n, lists, seed, sequential pin, parallel pin) as (work, rounds).
-        for (n, lists, seed, seq, par) in [
-            (12usize, 2usize, 3u64, (132, 11), (132, 11)), // tiny path (Wyllie)
-            (1024, 1, 4, (23_552, 23), (23_552, 23)),      // threshold boundary
-            (1025, 1, 5, (7_991, 22), (7_991, 22)),
-            (30_000, 5, 6, (236_702, 35), (266_726, 36)),
-            (60_000, 1, 7, (469_114, 36), (529_159, 37)),
+        // (n, lists, seed, pin) as (work, rounds).
+        for (n, lists, seed, pin) in [
+            (12usize, 2usize, 3u64, (132, 11)), // tiny path (Wyllie)
+            (1024, 1, 4, (23_552, 23)),         // threshold boundary
+            (1025, 1, 5, (7_991, 22)),
+            (30_000, 5, 6, (266_726, 36)),
+            (60_000, 1, 7, (529_159, 37)),
         ] {
             let next = random_lists(n, lists, seed);
-            let expected = reference_ranks(&next);
-            for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
-                let ctx = Ctx::new(mode);
-                assert_eq!(list_rank(&ctx, &next), expected, "n={n}, mode={mode:?}");
-                assert_eq!(
-                    (ctx.stats().work, ctx.stats().rounds),
-                    pin,
-                    "charges moved at n={n}, mode={mode:?}"
-                );
-            }
+            let ctx = Ctx::parallel();
+            assert_eq!(list_rank(&ctx, &next), reference_ranks(&next), "n={n}");
+            assert_eq!(
+                (ctx.stats().work, ctx.stats().rounds),
+                pin,
+                "charges moved at n={n}"
+            );
         }
     }
 
@@ -335,8 +327,8 @@ mod tests {
     }
 
     /// The flagged entry point must produce the identical ranks and the
-    /// identical charges as the sampling entry point, in both modes, across
-    /// the tiny-list threshold.
+    /// identical charges as the sampling entry point, across the tiny-list
+    /// threshold.
     #[test]
     fn flagged_entry_matches_sampling_entry() {
         for (n, lists, seed) in [
@@ -347,20 +339,18 @@ mod tests {
         ] {
             let next = random_lists(n, lists, seed);
             let flagged = flag_successors(&next);
-            for mode in [Mode::Sequential, Mode::Parallel] {
-                let sampled = Ctx::new(mode);
-                let direct = Ctx::new(mode);
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                list_rank_into(&sampled, &next, &mut a);
-                list_rank_flagged_into(&direct, &flagged, &mut b);
-                assert_eq!(a, b, "ranks diverged (n={n}, {mode:?})");
-                assert_eq!(
-                    sampled.stats(),
-                    direct.stats(),
-                    "flagged charges diverged (n={n}, {mode:?})"
-                );
-            }
+            let sampled = Ctx::parallel();
+            let direct = Ctx::parallel();
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            list_rank_into(&sampled, &next, &mut a);
+            list_rank_flagged_into(&direct, &flagged, &mut b);
+            assert_eq!(a, b, "ranks diverged (n={n})");
+            assert_eq!(
+                sampled.stats(),
+                direct.stats(),
+                "flagged charges diverged (n={n})"
+            );
         }
     }
 

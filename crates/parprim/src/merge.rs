@@ -42,10 +42,6 @@ pub fn parallel_merge_sort<T: Ord + Copy + Send + Sync>(ctx: &Ctx, data: &mut [T
     let log_n = sfcp_pram::ceil_log2(n).max(1) as u64;
     ctx.charge_work(n as u64 * log_n);
     ctx.charge_rounds(log_n * log_n);
-    if !ctx.is_parallel() {
-        data.sort();
-        return;
-    }
     msort(data);
 }
 
@@ -69,7 +65,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::prelude::*;
-    use sfcp_pram::Mode;
 
     #[test]
     fn merge_basic() {
@@ -92,14 +87,12 @@ mod tests {
     fn sorts_large_random() {
         let mut rng = StdRng::seed_from_u64(99);
         let original: Vec<u64> = (0..100_000).map(|_| rng.gen_range(0..1_000)).collect();
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            let mut data = original.clone();
-            parallel_merge_sort(&ctx, &mut data);
-            let mut expected = original.clone();
-            expected.sort();
-            assert_eq!(data, expected);
-        }
+        let ctx = Ctx::parallel();
+        let mut data = original.clone();
+        parallel_merge_sort(&ctx, &mut data);
+        let mut expected = original;
+        expected.sort();
+        assert_eq!(data, expected);
     }
 
     #[test]

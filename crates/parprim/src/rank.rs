@@ -3,15 +3,12 @@
 //! Both recursive contractions in the paper — step 3 of *Algorithm efficient
 //! m.s.p.* and step 3 of *Algorithm sorting strings* — sort a multiset of
 //! ordered pairs and then replace every pair by its rank in the sorted order,
-//! so that the next round works over a dense alphabet `[0, 2n/3)`.  The
-//! label-doubling algorithms (cycle equivalence, tree labelling) also need a
-//! renaming step, but there only *distinctness* matters, not order.
+//! so that the next round works over a dense alphabet `[0, 2n/3)`.
 //!
 //! * [`dense_ranks_by_sort`] — **order-preserving**: equal keys get equal
 //!   ranks and the ranks respect the key order.  Backed by the radix sort.
-//! * [`dense_ranks`] — order-arbitrary renaming by first occurrence, `O(n)`
-//!   expected work with a hash map (the practical stand-in for the arbitrary
-//!   CRCW `BB` table).
+//! * [`dense_ranks_of_pairs`] — the same for ordered pairs, ranked
+//!   lexicographically.
 //!
 //! The order-preserving pipeline is fused and allocation-free: the keys are
 //! packed into `(key, index)` records, radix-sorted by streaming passes, and
@@ -29,7 +26,6 @@
 use crate::intsort::{idx_bits_for, radix_sort_recs_prebounded, radix_sort_words, sig_bits};
 use crate::scan::{charge_scan_cost, SCAN_BLOCK};
 use rayon::prelude::*;
-use sfcp_pram::fxhash::FxHashMap;
 use sfcp_pram::{Ctx, Rec};
 
 /// Order-preserving dense ranks of `keys`: returns `(ranks, distinct)`, where
@@ -113,7 +109,7 @@ where
     charge_scan_cost(ctx, n); // group ids (an inclusive scan)
     ctx.charge_step(n as u64); // rank scatter
 
-    if !ctx.is_parallel() || n <= SCAN_BLOCK {
+    if n <= SCAN_BLOCK {
         // Single sequential sweep.
         let mut group = 0u32;
         let mut prev = key(&items[0]);
@@ -263,24 +259,6 @@ pub fn dense_ranks_of_pairs_into(ctx: &Ctx, pairs: &[(u64, u64)], ranks: &mut Ve
     }
 }
 
-/// Order-arbitrary dense renaming: equal keys get equal labels, distinct keys
-/// get distinct labels in `[0, distinct)`, but the numeric order of labels is
-/// unspecified (first occurrence wins).  `O(n)` expected work.
-#[must_use]
-pub fn dense_ranks(ctx: &Ctx, keys: &[u64]) -> (Vec<u32>, usize) {
-    let _span = ctx.pass("dense_ranks");
-    let n = keys.len();
-    ctx.charge_step(n as u64);
-    let mut map: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut out = Vec::with_capacity(n);
-    for &k in keys {
-        let next = map.len() as u32;
-        let id = *map.entry(k).or_insert(next);
-        out.push(id);
-    }
-    (out, map.len())
-}
-
 #[derive(Clone, Copy)]
 struct SendPtr<T>(*mut T);
 // SAFETY: `SendPtr` only smuggles a raw base pointer into parallel tasks
@@ -298,9 +276,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::prelude::*;
-    use sfcp_pram::Mode;
 
-    fn check_consistent(keys: &[u64], ranks: &[u32], distinct: usize, ordered: bool) {
+    fn check_consistent(keys: &[u64], ranks: &[u32], distinct: usize) {
         assert_eq!(keys.len(), ranks.len());
         if !keys.is_empty() {
             let max_rank = ranks.iter().copied().max().unwrap() as usize + 1;
@@ -313,9 +290,7 @@ mod tests {
                     ranks[i] == ranks[j],
                     "equality preserved"
                 );
-                if ordered {
-                    assert_eq!(keys[i] < keys[j], ranks[i] < ranks[j], "order preserved");
-                }
+                assert_eq!(keys[i] < keys[j], ranks[i] < ranks[j], "order preserved");
             }
         }
     }
@@ -340,7 +315,7 @@ mod tests {
         let (ranks, distinct) = dense_ranks_by_sort(&ctx, &keys);
         assert_eq!(distinct, 3);
         assert_eq!(ranks, vec![2, 0, 1, 0, 2, 2]);
-        check_consistent(&keys, &ranks, distinct, true);
+        check_consistent(&keys, &ranks, distinct);
     }
 
     #[test]
@@ -391,51 +366,34 @@ mod tests {
                 .collect::<Vec<_>>(),
             &ranks,
             distinct,
-            true,
         );
-    }
-
-    #[test]
-    fn arbitrary_ranks_preserve_equality_only() {
-        let ctx = Ctx::parallel();
-        let keys = [7u64, 7, 2, 9, 2, 7];
-        let (ranks, distinct) = dense_ranks(&ctx, &keys);
-        assert_eq!(distinct, 3);
-        check_consistent(&keys, &ranks, distinct, false);
-        // First-occurrence numbering.
-        assert_eq!(ranks[0], 0);
-        assert_eq!(ranks[2], 1);
-        assert_eq!(ranks[3], 2);
     }
 
     /// The fused finish must match the reference ranks — including at the
     /// block boundaries around `SCAN_BLOCK` — and charge the exact pinned
     /// (work, rounds) of the §8 model (radix sort plus boundary, scan and
-    /// scatter rounds) in both modes.
+    /// scatter rounds).
     #[test]
     fn engines_agree_and_charge_identically() {
         let mut rng = StdRng::seed_from_u64(23);
-        // (n, sequential pin, parallel pin) as (work, rounds).
-        for (n, seq, par) in [
-            (1usize, (4, 4), (4, 4)),
-            (2, (30, 8), (30, 8)),
-            (SCAN_BLOCK - 1, (26_620, 8), (26_620, 8)),
-            (SCAN_BLOCK, (28_804, 11), (28_804, 11)),
-            (SCAN_BLOCK + 1, (28_811, 12), (32_914, 13)),
-            (40_000, (280_516, 15), (322_094, 16)),
+        // (n, pin) as (work, rounds).
+        for (n, pin) in [
+            (1usize, (4, 4)),
+            (2, (30, 8)),
+            (SCAN_BLOCK - 1, (26_620, 8)),
+            (SCAN_BLOCK, (28_804, 11)),
+            (SCAN_BLOCK + 1, (32_914, 13)),
+            (40_000, (322_094, 16)),
         ] {
             let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1 + n as u64 / 2)).collect();
-            let expected = reference_ranks(&keys);
-            for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
-                let ctx = Ctx::new(mode);
-                let got = dense_ranks_by_sort(&ctx, &keys);
-                assert_eq!(got, expected, "rank mismatch at n={n}, mode={mode:?}");
-                assert_eq!(
-                    (ctx.stats().work, ctx.stats().rounds),
-                    pin,
-                    "charges moved at n={n}, mode={mode:?}"
-                );
-            }
+            let ctx = Ctx::parallel();
+            let got = dense_ranks_by_sort(&ctx, &keys);
+            assert_eq!(got, reference_ranks(&keys), "rank mismatch at n={n}");
+            assert_eq!(
+                (ctx.stats().work, ctx.stats().rounds),
+                pin,
+                "charges moved at n={n}"
+            );
         }
     }
 
@@ -466,18 +424,15 @@ mod tests {
                 )
             })
             .collect();
-        // (pairs, sequential pin, parallel pin) as (work, rounds).
-        for (pairs, seq, par) in [
-            (&narrow, (201_028, 16), (222_071, 17)),
-            (&mid, (286_156, 28), (312_327, 29)),
-            (&wide, (80_000, 15), (80_000, 15)),
+        // (pairs, pin) as (work, rounds).
+        for (pairs, pin) in [
+            (&narrow, (222_071, 17)),
+            (&mid, (312_327, 29)),
+            (&wide, (80_000, 15)),
         ] {
-            let expected = reference_ranks(pairs);
-            for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
-                let ctx = Ctx::new(mode);
-                assert_eq!(dense_ranks_of_pairs(&ctx, pairs), expected, "mode={mode:?}");
-                assert_eq!((ctx.stats().work, ctx.stats().rounds), pin, "mode={mode:?}");
-            }
+            let ctx = Ctx::parallel();
+            assert_eq!(dense_ranks_of_pairs(&ctx, pairs), reference_ranks(pairs));
+            assert_eq!((ctx.stats().work, ctx.stats().rounds), pin);
         }
     }
 
@@ -505,21 +460,6 @@ mod tests {
         fn sort_ranks_match_reference(keys in proptest::collection::vec(0u64..200, 0..1500)) {
             let ctx = Ctx::parallel().with_grain(64);
             prop_assert_eq!(dense_ranks_by_sort(&ctx, &keys), reference_ranks(&keys));
-        }
-
-        #[test]
-        fn hash_ranks_preserve_equality(keys in proptest::collection::vec(0u64..50, 0..1000)) {
-            let ctx = Ctx::parallel();
-            let (ranks, distinct) = dense_ranks(&ctx, &keys);
-            let mut uniq: Vec<u64> = keys.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            prop_assert_eq!(distinct, uniq.len());
-            for i in 0..keys.len() {
-                for j in (i + 1)..keys.len() {
-                    prop_assert_eq!(keys[i] == keys[j], ranks[i] == ranks[j]);
-                }
-            }
         }
     }
 

@@ -73,7 +73,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn min_index_empty_panics() {
-        let ctx = Ctx::sequential();
+        let ctx = Ctx::parallel();
         let _ = min_index::<u32>(&ctx, &[]);
     }
 

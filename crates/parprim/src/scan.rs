@@ -52,7 +52,7 @@ pub fn charge_scan_cost(ctx: &Ctx, n: usize) {
     }
     let num_blocks = n.div_ceil(SCAN_BLOCK).max(1);
     ctx.charge_rounds(sfcp_pram::ceil_log2(num_blocks) as u64);
-    if !ctx.is_parallel() || n <= SCAN_BLOCK {
+    if n <= SCAN_BLOCK {
         ctx.charge_step(n as u64);
     } else {
         ctx.charge_work(2 * n as u64); // the two per-element passes
@@ -102,7 +102,7 @@ pub fn scan_generic_into<T, F>(
     // Depth of the implicit block-sum combine tree.
     ctx.charge_rounds(sfcp_pram::ceil_log2(n.div_ceil(SCAN_BLOCK).max(1)) as u64);
 
-    if !ctx.is_parallel() || n <= SCAN_BLOCK {
+    if n <= SCAN_BLOCK {
         // Straight sequential scan (still charges n work via the step).
         ctx.charge_step(n as u64);
         out.reserve(n);
@@ -184,40 +184,10 @@ unsafe impl<T> Send for SendPtr<T> {}
 // pointee can never originate from the `Sync` impl itself.
 unsafe impl<T> Sync for SendPtr<T> {}
 
-/// Segmented inclusive scan: `flags[i] == true` marks the start of a new
-/// segment; the running sum restarts at every segment head.
-///
-/// Used for per-cycle and per-tree aggregations where many independent
-/// sequences are stored back to back in one array.
-#[must_use]
-pub fn segmented_inclusive_scan(ctx: &Ctx, values: &[u64], flags: &[bool]) -> Vec<u64> {
-    assert_eq!(values.len(), flags.len());
-    // Implemented via the generic scan over (value, carries-across-boundary)
-    // pairs: the operator resets when the right operand starts a segment.
-    let pairs: Vec<(u64, bool)> = ctx.par_map_idx(values.len(), |i| (values[i], flags[i]));
-    let scanned = scan_generic(
-        ctx,
-        &pairs,
-        (0u64, false),
-        |a, b| {
-            if b.1 {
-                // b starts a segment: discard the left accumulation.
-                (b.0, true)
-            } else {
-                (a.0 + b.0, a.1 || b.1)
-            }
-        },
-        true,
-    );
-    ctx.charge_step(values.len() as u64);
-    scanned.into_iter().map(|(v, _)| v).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sfcp_pram::Mode;
 
     fn reference_inclusive(values: &[u64]) -> Vec<u64> {
         let mut acc = 0;
@@ -242,7 +212,7 @@ mod tests {
 
     #[test]
     fn small_known_values() {
-        let ctx = Ctx::sequential();
+        let ctx = Ctx::parallel();
         let v = [1u64, 2, 3, 4, 5];
         assert_eq!(inclusive_scan(&ctx, &v), vec![1, 3, 6, 10, 15]);
         let (ex, total) = exclusive_scan(&ctx, &v);
@@ -252,11 +222,9 @@ mod tests {
 
     #[test]
     fn large_crosses_block_boundaries() {
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            let v: Vec<u64> = (0..3 * SCAN_BLOCK as u64 + 17).map(|i| i % 7).collect();
-            assert_eq!(inclusive_scan(&ctx, &v), reference_inclusive(&v));
-        }
+        let ctx = Ctx::parallel();
+        let v: Vec<u64> = (0..3 * SCAN_BLOCK as u64 + 17).map(|i| i % 7).collect();
+        assert_eq!(inclusive_scan(&ctx, &v), reference_inclusive(&v));
     }
 
     #[test]
@@ -267,55 +235,30 @@ mod tests {
         assert_eq!(out, vec![3, 3, 4, 4, 5, 9, 9, 9]);
     }
 
-    #[test]
-    fn segmented_scan_restarts_at_flags() {
-        let ctx = Ctx::parallel();
-        let values = [1u64, 1, 1, 1, 1, 1];
-        let flags = [true, false, false, true, false, false];
-        assert_eq!(
-            segmented_inclusive_scan(&ctx, &values, &flags),
-            vec![1, 2, 3, 1, 2, 3]
-        );
-    }
-
-    #[test]
-    fn segmented_scan_large() {
-        let ctx = Ctx::parallel();
-        let n = 2 * SCAN_BLOCK + 100;
-        let values: Vec<u64> = vec![1; n];
-        let flags: Vec<bool> = (0..n).map(|i| i % 1000 == 0).collect();
-        let out = segmented_inclusive_scan(&ctx, &values, &flags);
-        for (i, &o) in out.iter().enumerate() {
-            assert_eq!(o, (i % 1000) as u64 + 1, "at index {i}");
-        }
-    }
-
     /// `charge_scan_cost` must mirror the real scan's charges exactly: the
     /// fused dense-rank finish depends on this to stay charge-identical to
     /// the unfused pipeline.
     #[test]
     fn charge_scan_cost_matches_real_scan() {
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            for n in [
-                0usize,
-                1,
-                100,
-                SCAN_BLOCK,
-                SCAN_BLOCK + 1,
-                3 * SCAN_BLOCK + 17,
-                100_000,
-            ] {
-                let real = Ctx::new(mode);
-                let v: Vec<u64> = vec![1; n];
-                let _ = inclusive_scan(&real, &v);
-                let model = Ctx::new(mode);
-                charge_scan_cost(&model, n);
-                assert_eq!(
-                    real.stats(),
-                    model.stats(),
-                    "charge model diverged at n={n}, mode={mode:?}"
-                );
-            }
+        for n in [
+            0usize,
+            1,
+            100,
+            SCAN_BLOCK,
+            SCAN_BLOCK + 1,
+            3 * SCAN_BLOCK + 17,
+            100_000,
+        ] {
+            let real = Ctx::parallel();
+            let v: Vec<u64> = vec![1; n];
+            let _ = inclusive_scan(&real, &v);
+            let model = Ctx::parallel();
+            charge_scan_cost(&model, n);
+            assert_eq!(
+                real.stats(),
+                model.stats(),
+                "charge model diverged at n={n}"
+            );
         }
     }
 
@@ -352,9 +295,7 @@ mod tests {
     proptest! {
         #[test]
         fn matches_reference(v in proptest::collection::vec(0u64..1000, 0..3000)) {
-            let seq = Ctx::sequential();
             let par = Ctx::parallel().with_grain(64);
-            prop_assert_eq!(inclusive_scan(&seq, &v), reference_inclusive(&v));
             prop_assert_eq!(inclusive_scan(&par, &v), reference_inclusive(&v));
             let (ex, total) = exclusive_scan(&par, &v);
             prop_assert_eq!(total, v.iter().sum::<u64>());

@@ -1,31 +1,20 @@
-//! Execution context: one code path, two execution modes, one cost model.
+//! Execution context: one code path, one cost model.
 //!
 //! Every algorithm in the workspace is written against [`Ctx`]: a bundle of
-//! an execution [`Mode`] (sequential or rayon-parallel) and a [`Tracker`].
-//! The helpers on `Ctx` express the canonical PRAM idiom — "for all `i` in
-//! parallel do …" — and charge one round plus `n` operations per invocation
+//! a [`Tracker`], the task grain, the probed [`Topology`], a scratch
+//! [`Workspace`] and a span [`Trace`].  The helpers on `Ctx` express the
+//! canonical PRAM idiom — "for all `i` in parallel do …" — run it on the
+//! rayon pool, and charge one round plus `n` operations per invocation
 //! (callers charge extra work explicitly when the per-item body is not
-//! constant-time).  Because the charges do not depend on the mode, the
-//! measured work/depth of a run is identical whether it executed on one
-//! thread or sixteen; only the wall-clock time differs.
+//! constant-time).  The charges depend only on the input: the measured
+//! work/depth of a run is identical whether it executed on one thread or
+//! sixteen, at any grain; only the wall-clock time differs.
 
 use crate::topology::Topology;
 use crate::trace::{Span, Trace};
 use crate::tracker::{Stats, Tracker};
 use crate::workspace::Workspace;
 use rayon::prelude::*;
-
-/// How parallel loops are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Run every parallel loop as a plain sequential loop on the calling
-    /// thread.  Useful for baselines, debugging, and measuring the pure
-    /// operation counts without scheduling noise.
-    Sequential,
-    /// Run parallel loops on the global rayon thread pool.
-    #[default]
-    Parallel,
-}
 
 /// Reference task grain (minimum items per rayon task) on hosts with
 /// 64-byte cache lines.  The live default is derived per-host by
@@ -34,11 +23,10 @@ pub enum Mode {
 /// as the documented reference point.
 pub const DEFAULT_GRAIN: usize = 2048;
 
-/// Execution context shared by all algorithms: execution mode + cost tracker
-/// + scratch-buffer workspace.
+/// Execution context shared by all algorithms: cost tracker + task grain +
+/// host topology + scratch-buffer workspace + span trace.
 #[derive(Debug)]
 pub struct Ctx {
-    mode: Mode,
     tracker: Tracker,
     grain: usize,
     topology: Topology,
@@ -48,17 +36,17 @@ pub struct Ctx {
 
 impl Default for Ctx {
     fn default() -> Self {
-        Ctx::new(Mode::Parallel)
+        Ctx::parallel()
     }
 }
 
 impl Ctx {
-    /// A context with the given mode and a fresh enabled [`Tracker`].
+    /// A context with a fresh enabled [`Tracker`], the probed host
+    /// [`Topology`] and the task grain derived from it.
     #[must_use]
-    pub fn new(mode: Mode) -> Self {
+    pub fn parallel() -> Self {
         let topology = Topology::probe();
         Ctx {
-            mode,
             tracker: Tracker::new(),
             grain: topology.default_grain(),
             topology,
@@ -67,25 +55,13 @@ impl Ctx {
         }
     }
 
-    /// A sequential context (enabled tracker).
+    /// A context whose tracker is disabled — the configuration used for pure
+    /// wall-clock benchmarking.
     #[must_use]
-    pub fn sequential() -> Self {
-        Ctx::new(Mode::Sequential)
-    }
-
-    /// A parallel context (enabled tracker).
-    #[must_use]
-    pub fn parallel() -> Self {
-        Ctx::new(Mode::Parallel)
-    }
-
-    /// A parallel context whose tracker is disabled — the configuration used
-    /// for pure wall-clock benchmarking.
-    #[must_use]
-    pub fn untracked(mode: Mode) -> Self {
+    pub fn untracked() -> Self {
         Ctx {
             tracker: Tracker::disabled(),
-            ..Ctx::new(mode)
+            ..Ctx::parallel()
         }
     }
 
@@ -127,20 +103,6 @@ impl Ctx {
     #[must_use]
     pub fn workspace(&self) -> &Workspace {
         &self.workspace
-    }
-
-    /// The execution mode.
-    #[inline]
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Whether parallel loops actually run on the thread pool.
-    #[inline]
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.mode == Mode::Parallel
     }
 
     /// The task grain size (minimum items per rayon task).
@@ -253,14 +215,11 @@ impl Ctx {
         F: Fn(usize) -> T + Sync + Send,
     {
         self.charge_step(n as u64);
-        match self.mode {
-            Mode::Sequential => (0..n).map(f).collect(),
-            Mode::Parallel => (0..n)
-                .into_par_iter()
-                .with_min_len(self.grain)
-                .map(f)
-                .collect(),
-        }
+        (0..n)
+            .into_par_iter()
+            .with_min_len(self.grain)
+            .map(f)
+            .collect()
     }
 
     /// `for all i in 0..n pardo f(i)` (side effects only) — one round, `n` ops.
@@ -269,10 +228,7 @@ impl Ctx {
         F: Fn(usize) + Sync + Send,
     {
         self.charge_step(n as u64);
-        match self.mode {
-            Mode::Sequential => (0..n).for_each(f),
-            Mode::Parallel => (0..n).into_par_iter().with_min_len(self.grain).for_each(f),
-        }
+        (0..n).into_par_iter().with_min_len(self.grain).for_each(f);
     }
 
     /// Parallel map over a slice — one round, `items.len()` operations.
@@ -283,10 +239,7 @@ impl Ctx {
         F: Fn(&T) -> U + Sync + Send,
     {
         self.charge_step(items.len() as u64);
-        match self.mode {
-            Mode::Sequential => items.iter().map(f).collect(),
-            Mode::Parallel => items.par_iter().with_min_len(self.grain).map(f).collect(),
-        }
+        items.par_iter().with_min_len(self.grain).map(f).collect()
     }
 
     /// Parallel in-place update of a mutable slice; `f` receives the index and
@@ -297,18 +250,11 @@ impl Ctx {
         F: Fn(usize, &mut T) + Sync + Send,
     {
         self.charge_step(items.len() as u64);
-        match self.mode {
-            Mode::Sequential => {
-                for (i, item) in items.iter_mut().enumerate() {
-                    f(i, item);
-                }
-            }
-            Mode::Parallel => items
-                .par_iter_mut()
-                .with_min_len(self.grain)
-                .enumerate()
-                .for_each(|(i, item)| f(i, item)),
-        }
+        items
+            .par_iter_mut()
+            .with_min_len(self.grain)
+            .enumerate()
+            .for_each(|(i, item)| f(i, item));
     }
 
     /// Parallel loop over equally sized chunks of a mutable slice; `f`
@@ -319,58 +265,17 @@ impl Ctx {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync + Send,
     {
-        let chunk = chunk.max(1);
         self.charge_step(items.len() as u64);
-        match self.mode {
-            Mode::Sequential => {
-                for (i, c) in items.chunks_mut(chunk).enumerate() {
-                    f(i, c);
-                }
-            }
-            Mode::Parallel => items
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(i, c)| f(i, c)),
-        }
+        items
+            .par_chunks_mut(chunk.max(1))
+            .enumerate()
+            .for_each(|(i, c)| f(i, c));
     }
 
-    /// Parallel loop over equally sized chunks of a shared slice.
-    pub fn par_chunks<T, F>(&self, items: &[T], chunk: usize, f: F)
-    where
-        T: Sync,
-        F: Fn(usize, &[T]) + Sync + Send,
-    {
-        let chunk = chunk.max(1);
-        self.charge_step(items.len() as u64);
-        match self.mode {
-            Mode::Sequential => {
-                for (i, c) in items.chunks(chunk).enumerate() {
-                    f(i, c);
-                }
-            }
-            Mode::Parallel => items
-                .par_chunks(chunk)
-                .enumerate()
-                .for_each(|(i, c)| f(i, c)),
-        }
-    }
-
-    /// Parallel unstable sort — charged as a sorting step
-    /// (`n` operations per round over `ceil(log2 n)` rounds, the comparison
-    /// model cost; integer sorting in `sfcp-parprim` charges less work, which
-    /// is exactly the difference the paper exploits).
-    pub fn par_sort_unstable<T: Ord + Send>(&self, items: &mut [T]) {
-        let n = items.len() as u64;
-        let rounds = crate::ceil_log2(items.len()) as u64;
-        self.tracker.charge_work(n.saturating_mul(rounds.max(1)));
-        self.tracker.charge_rounds(rounds.max(1));
-        match self.mode {
-            Mode::Sequential => items.sort_unstable(),
-            Mode::Parallel => items.par_sort_unstable(),
-        }
-    }
-
-    /// Parallel unstable sort by key, charged like [`Ctx::par_sort_unstable`].
+    /// Parallel unstable sort by key — charged as a sorting step (`n`
+    /// operations per round over `ceil(log2 n)` rounds, the comparison model
+    /// cost; integer sorting in `sfcp-parprim` charges less work, which is
+    /// exactly the difference the paper exploits).
     pub fn par_sort_unstable_by_key<T, K, F>(&self, items: &mut [T], key: F)
     where
         T: Send,
@@ -381,27 +286,7 @@ impl Ctx {
         let rounds = crate::ceil_log2(items.len()) as u64;
         self.tracker.charge_work(n.saturating_mul(rounds.max(1)));
         self.tracker.charge_rounds(rounds.max(1));
-        match self.mode {
-            Mode::Sequential => items.sort_unstable_by_key(key),
-            Mode::Parallel => items.par_sort_unstable_by_key(key),
-        }
-    }
-
-    /// Parallel stable sort by key.
-    pub fn par_sort_by_key<T, K, F>(&self, items: &mut [T], key: F)
-    where
-        T: Send,
-        K: Ord + Send,
-        F: Fn(&T) -> K + Sync + Send,
-    {
-        let n = items.len() as u64;
-        let rounds = crate::ceil_log2(items.len()) as u64;
-        self.tracker.charge_work(n.saturating_mul(rounds.max(1)));
-        self.tracker.charge_rounds(rounds.max(1));
-        match self.mode {
-            Mode::Sequential => items.sort_by_key(key),
-            Mode::Parallel => items.par_sort_by_key(key),
-        }
+        items.par_sort_unstable_by_key(key);
     }
 
     /// Parallel reduce with an associative combiner over `0..n` mapped through
@@ -415,14 +300,11 @@ impl Ctx {
     {
         self.charge_step(n as u64);
         self.charge_rounds(crate::ceil_log2(n) as u64);
-        match self.mode {
-            Mode::Sequential => (0..n).map(map).fold(identity, reduce),
-            Mode::Parallel => (0..n)
-                .into_par_iter()
-                .with_min_len(self.grain)
-                .map(map)
-                .reduce(|| identity.clone(), reduce),
-        }
+        (0..n)
+            .into_par_iter()
+            .with_min_len(self.grain)
+            .map(map)
+            .reduce(|| identity.clone(), reduce)
     }
 }
 
@@ -430,98 +312,78 @@ impl Ctx {
 mod tests {
     use super::*;
 
-    fn both_modes() -> [Ctx; 2] {
-        [Ctx::sequential(), Ctx::parallel()]
-    }
-
     #[test]
     fn par_map_idx_matches_sequential_semantics() {
-        for ctx in both_modes() {
-            let v = ctx.par_map_idx(100, |i| i * 2);
-            assert_eq!(v, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        }
+        let ctx = Ctx::parallel();
+        let v = ctx.par_map_idx(100, |i| i * 2);
+        assert_eq!(v, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_for_idx_side_effects() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        for ctx in both_modes() {
-            let acc = AtomicU64::new(0);
-            ctx.par_for_idx(1000, |i| {
-                acc.fetch_add(i as u64, Ordering::Relaxed);
-            });
-            assert_eq!(acc.load(Ordering::Relaxed), 999 * 1000 / 2);
-        }
+        let ctx = Ctx::parallel();
+        let acc = AtomicU64::new(0);
+        ctx.par_for_idx(1000, |i| {
+            acc.fetch_add(i as u64, Ordering::Relaxed);
+        });
+        assert_eq!(acc.load(Ordering::Relaxed), 999 * 1000 / 2);
     }
 
     #[test]
     fn par_map_slice_and_update() {
-        for ctx in both_modes() {
-            let input: Vec<u32> = (0..257).collect();
-            let doubled = ctx.par_map_slice(&input, |&x| x * 2);
-            assert_eq!(doubled[200], 400);
+        let ctx = Ctx::parallel();
+        let input: Vec<u32> = (0..257).collect();
+        let doubled = ctx.par_map_slice(&input, |&x| x * 2);
+        assert_eq!(doubled[200], 400);
 
-            let mut data: Vec<u32> = vec![0; 513];
-            ctx.par_update(&mut data, |i, x| *x = i as u32 + 1);
-            assert_eq!(data[0], 1);
-            assert_eq!(data[512], 513);
-        }
+        let mut data: Vec<u32> = vec![0; 513];
+        ctx.par_update(&mut data, |i, x| *x = i as u32 + 1);
+        assert_eq!(data[0], 1);
+        assert_eq!(data[512], 513);
     }
 
     #[test]
     fn par_chunks_cover_everything() {
-        for ctx in both_modes() {
-            let mut data = vec![0u32; 1000];
-            ctx.par_chunks_mut(&mut data, 64, |ci, chunk| {
-                for x in chunk.iter_mut() {
-                    *x = ci as u32;
-                }
-            });
-            assert_eq!(data[0], 0);
-            assert_eq!(data[63], 0);
-            assert_eq!(data[64], 1);
-            assert_eq!(data[999], (999 / 64) as u32);
-        }
+        let ctx = Ctx::parallel();
+        let mut data = vec![0u32; 1000];
+        ctx.par_chunks_mut(&mut data, 64, |ci, chunk| {
+            for x in chunk.iter_mut() {
+                *x = ci as u32;
+            }
+        });
+        assert_eq!(data[0], 0);
+        assert_eq!(data[63], 0);
+        assert_eq!(data[64], 1);
+        assert_eq!(data[999], (999 / 64) as u32);
     }
 
     #[test]
-    fn sorts_work_in_both_modes() {
-        for ctx in both_modes() {
-            let mut v: Vec<i64> = (0..500).rev().collect();
-            ctx.par_sort_unstable(&mut v);
-            assert!(v.windows(2).all(|w| w[0] <= w[1]));
-
-            let mut pairs: Vec<(u32, u32)> = (0..300).map(|i| (300 - i, i)).collect();
-            ctx.par_sort_by_key(&mut pairs, |p| p.0);
-            assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
-        }
+    fn sort_by_key_sorts_and_charges_the_comparison_model() {
+        let ctx = Ctx::parallel();
+        let mut pairs: Vec<(u32, u32)> = (0..300).map(|i| (300 - i, i)).collect();
+        ctx.par_sort_unstable_by_key(&mut pairs, |p| p.0);
+        assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
+        // 300 items over ceil(log2 300) = 9 rounds.
+        assert_eq!(
+            ctx.stats(),
+            Stats {
+                work: 300 * 9,
+                rounds: 9
+            }
+        );
     }
 
     #[test]
     fn reduce_matches() {
-        for ctx in both_modes() {
-            let total = ctx.par_reduce_idx(1000, 0u64, |i| i as u64, |a, b| a + b);
-            assert_eq!(total, 999 * 1000 / 2);
-        }
-    }
-
-    #[test]
-    fn work_and_rounds_are_mode_independent() {
-        let seq = Ctx::sequential();
-        let par = Ctx::parallel();
-        for ctx in [&seq, &par] {
-            let _ = ctx.par_map_idx(1024, |i| i + 1);
-            ctx.par_for_idx(512, |_| ());
-            let mut v: Vec<u32> = (0..256).rev().collect();
-            ctx.par_sort_unstable(&mut v);
-        }
-        assert_eq!(seq.stats(), par.stats());
-        assert!(seq.stats().work >= 1024 + 512);
+        let ctx = Ctx::parallel();
+        let total = ctx.par_reduce_idx(1000, 0u64, |i| i as u64, |a, b| a + b);
+        assert_eq!(total, 999 * 1000 / 2);
     }
 
     #[test]
     fn untracked_records_nothing() {
-        let ctx = Ctx::untracked(Mode::Parallel);
+        let ctx = Ctx::untracked();
         let _ = ctx.par_map_idx(4096, |i| i);
         assert_eq!(ctx.stats(), Stats::ZERO);
     }

@@ -8,10 +8,10 @@
 //!
 //! * a [`Tracker`] that counts **operations** (total work) and **rounds**
 //!   (parallel steps ≈ depth), the two quantities the paper's theorems bound;
-//! * an execution context [`Ctx`] that lets the *same* algorithm code run
-//!   either sequentially or thread-parallel (via rayon) while charging the
-//!   identical work/depth costs, so that measured operation counts are
-//!   deterministic and independent of the thread count;
+//! * an execution context [`Ctx`] whose loop helpers run the algorithm code
+//!   thread-parallel (via rayon) and charge work/depth costs that depend
+//!   only on the input, so that measured operation counts are deterministic
+//!   and independent of the thread count and the task grain;
 //! * an arbitrary-CRCW insert-if-absent table ([`crcw::CrcwTable`]) standing
 //!   in for the paper's `BB[1..n, 1..n]` auxiliary array;
 //! * a scratch-buffer [`Workspace`] on every [`Ctx`] — checkout/return pools
@@ -31,9 +31,9 @@
 //! ## Quick example
 //!
 //! ```
-//! use sfcp_pram::{Ctx, Mode};
+//! use sfcp_pram::Ctx;
 //!
-//! let ctx = Ctx::new(Mode::Parallel);
+//! let ctx = Ctx::parallel();
 //! let squares: Vec<u64> = ctx.par_map_idx(1000, |i| (i * i) as u64);
 //! assert_eq!(squares[31], 961);
 //! let stats = ctx.stats();
@@ -59,7 +59,7 @@ pub mod tracker;
 pub mod workspace;
 
 pub use crcw::CrcwTable;
-pub use ctx::{Ctx, Mode};
+pub use ctx::Ctx;
 pub use error::{check_index_width, Error, MAX_DOMAIN};
 pub use topology::Topology;
 pub use trace::{Span, Trace, TraceSnapshot, TraceSummary};

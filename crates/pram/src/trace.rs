@@ -15,7 +15,7 @@
 //! layer charges nothing to the cost model — span open/close only reads the
 //! tracker, workspace counters, and the monotonic clock — so tracked
 //! work/depth is bit-identical with tracing on or off
-//! (`tests/charge_determinism.rs` pins this in both modes).  Engine passes
+//! (`tests/charge_determinism.rs` pins this).  Engine passes
 //! open their spans through [`Ctx::pass`], which fires the fault injector's
 //! engine-pass hook first, so every pass an injection can target is in the
 //! phase tree.

@@ -11,7 +11,7 @@
 //! overhead negligible, algorithms charge work **in bulk**: a parallel loop
 //! over `n` items performing a constant amount of per-item work charges `n`
 //! (or `c·n`) operations once, and one round.  This makes the counts
-//! deterministic (identical in sequential and parallel mode) and keeps the
+//! deterministic (identical at every thread count) and keeps the
 //! perturbation of wall-clock benchmarks well under the measurement noise.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -16,6 +16,7 @@
 //! every round, including prefix cases (`"ab" < "abc"`), because the blank
 //! sorts strictly below every real symbol.
 
+use rayon::prelude::*;
 use sfcp_parprim::merge::parallel_merge_sort;
 use sfcp_parprim::rank::dense_ranks_of_pairs_into;
 use sfcp_pram::Ctx;
@@ -150,12 +151,7 @@ fn sort_keyed(ctx: &Ctx, keyed: &mut [(Vec<u64>, u32)]) {
         let total: u64 = keyed.iter().map(|(s, _)| s.len() as u64).sum();
         ctx.charge_work(total * u64::from(sfcp_pram::ceil_log2(keyed.len().max(2))));
         ctx.charge_rounds(u64::from(sfcp_pram::ceil_log2(keyed.len().max(2))));
-        if ctx.is_parallel() {
-            use rayon::prelude::*;
-            keyed.par_sort();
-        } else {
-            keyed.sort();
-        }
+        keyed.par_sort();
     }
 }
 

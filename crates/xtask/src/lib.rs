@@ -18,6 +18,11 @@
 //! Suppression: `// lint:allow(rule-id): justification` on (or directly
 //! above) the offending line.  The justification is mandatory.
 //!
+//! The file-gated rules' own lists (`charge-taint`'s allowlist,
+//! `alloc-hot-path`'s hot files) are checked against the tree: an entry
+//! naming a missing file or function is a finding of its rule, so a
+//! deleted or renamed module cannot drop out of a rule unnoticed.
+//!
 //! Span coverage of engine passes needs no rule: the engine-pass fault hook
 //! is crate-private to `sfcp-pram` and fires only through `Ctx::pass`,
 //! which opens the pass's span, so the compiler enforces the pairing.
@@ -31,7 +36,7 @@ pub mod rules;
 pub mod scan;
 
 use rules::facade_coverage::FacadeState;
-use scan::{FileScan, Finding};
+use scan::{Defined, FileScan, Finding};
 use std::path::{Path, PathBuf};
 
 /// Directories (repo-relative) whose `.rs` files are first-party sources.
@@ -92,6 +97,7 @@ pub fn run_lint(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
 
     let mut findings = Vec::new();
     let mut facades = FacadeState::default();
+    let mut defined = Defined::new();
     for path in &files {
         let src = std::fs::read_to_string(path)?;
         let rel_path = rel(root, path);
@@ -103,8 +109,11 @@ pub fn run_lint(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
         findings.extend(rules::workspace_pairing::check(&scan));
         findings.extend(rules::alloc_hot_path::check(&scan));
         facades.ingest(&scan);
+        defined.insert(rel_path, scan.defined_fns());
     }
     findings.extend(facades.finish());
+    findings.extend(rules::charge_taint::check_entries(&defined));
+    findings.extend(rules::alloc_hot_path::check_entries(&defined));
 
     let mut bench_files: Vec<PathBuf> = std::fs::read_dir(root)?
         .filter_map(|e| e.ok().map(|e| e.path()))

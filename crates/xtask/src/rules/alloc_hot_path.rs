@@ -16,7 +16,7 @@
 //!    Deliberate copies in the allocating baseline engines carry a
 //!    justified `lint:allow`.
 
-use crate::scan::{FileScan, Finding};
+use crate::scan::{stale_entries, Defined, FileScan, Finding};
 
 /// Rule identifier.
 pub const RULE: &str = "alloc-hot-path";
@@ -31,7 +31,6 @@ pub const HOT_FILES: &[&str] = &[
     "crates/parprim/src/compact.rs",
     "crates/parprim/src/csr.rs",
     "crates/parprim/src/euler.rs",
-    "crates/parprim/src/scatter.rs",
     "crates/parprim/src/jump.rs",
     "crates/parprim/src/listrank/mod.rs",
     "crates/parprim/src/listrank/wyllie.rs",
@@ -43,6 +42,13 @@ pub const HOT_FILES: &[&str] = &[
 
 const ALLOC_ANY: &[&str] = &["Vec::new(", "Vec::with_capacity(", "vec!["];
 const ALLOC_COPY: &[&str] = &[".to_vec()", ".collect::<Vec"];
+
+/// Every [`HOT_FILES`] entry must name a scanned file.
+#[must_use]
+pub fn check_entries(defined: &Defined) -> Vec<Finding> {
+    let entries: Vec<(&str, &str)> = HOT_FILES.iter().map(|f| (*f, "*")).collect();
+    stale_entries(RULE, "HOT_FILES", &entries, defined)
+}
 
 /// Run the rule over one scanned file.
 pub fn check(scan: &FileScan) -> Vec<Finding> {

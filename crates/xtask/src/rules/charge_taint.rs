@@ -15,7 +15,7 @@
 //! extending the allowlist here (reviewed, with the charge-neutrality
 //! argument) or a justified inline `lint:allow(charge-taint)`.
 
-use crate::scan::{FileScan, Finding};
+use crate::scan::{stale_entries, Defined, FileScan, Finding};
 
 /// Rule identifier.
 pub const RULE: &str = "charge-taint";
@@ -27,12 +27,12 @@ pub const RULE: &str = "charge-taint";
 /// `tests/charge_determinism.rs`, which runs decompose under the probed
 /// topology and under tiny-LLC / huge-LLC mocks and asserts bit-identical
 /// charges — none of the functions below may feed the tracker.
-const ALLOWLIST: &[(&str, &str)] = &[
+pub const ALLOWLIST: &[(&str, &str)] = &[
     // The probe layer itself.
     ("crates/pram/src/topology.rs", "*"),
     // Ctx construction snapshots the probe and derives the physical task
     // grain; the accessors hand the snapshot out without charging.
-    ("crates/pram/src/ctx.rs", "new"),
+    ("crates/pram/src/ctx.rs", "parallel"),
     ("crates/pram/src/ctx.rs", "topology"),
     ("crates/pram/src/ctx.rs", "with_topology"),
     // Radix block plan: the physical clamp on the *model* plan; charges
@@ -53,6 +53,13 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "cycle_walk_bucketed",
     ),
 ];
+
+/// Every [`ALLOWLIST`] entry must name a scanned file and, unless it is
+/// `"*"`, a function that file defines.
+#[must_use]
+pub fn check_entries(defined: &Defined) -> Vec<Finding> {
+    stale_entries(RULE, "ALLOWLIST", ALLOWLIST, defined)
+}
 
 fn allowlisted(rel_path: &str, func: &str) -> bool {
     ALLOWLIST

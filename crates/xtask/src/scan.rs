@@ -3,6 +3,11 @@
 //! `// lint:allow(rule): justification` escape hatch.
 
 use crate::lexer::{scan_source, LineView};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// The names of the functions every scanned file defines, by repo-relative
+/// path: what a rule's list of files and functions is checked against.
+pub type Defined = BTreeMap<String, BTreeSet<String>>;
 
 /// A lint finding: machine-readable, deterministic, sortable.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -186,6 +191,53 @@ impl FileScan {
     pub fn fn_at(&self, idx: usize) -> &str {
         self.enclosing_fn.get(idx).map_or("", |s| s.as_str())
     }
+
+    /// The names of the functions this file defines (every function with a
+    /// body, nested and test functions included).
+    #[must_use]
+    pub fn defined_fns(&self) -> BTreeSet<String> {
+        self.enclosing_fn
+            .iter()
+            .filter(|f| !f.is_empty())
+            .cloned()
+            .collect()
+    }
+}
+
+/// Findings for the entries of a rule's `list` (named in the messages) that
+/// name no scanned file, or a function their file does not define.  Each
+/// entry is a (path suffix, function name) pair; `"*"` names the whole
+/// file.  A deleted or renamed module would otherwise drop out of the rule
+/// without notice.
+#[must_use]
+pub(crate) fn stale_entries(
+    rule: &'static str,
+    list: &str,
+    entries: &[(&str, &str)],
+    defined: &Defined,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for &(file, func) in entries {
+        let fns: Vec<&BTreeSet<String>> = defined
+            .iter()
+            .filter(|(path, _)| path.ends_with(file))
+            .map(|(_, fns)| fns)
+            .collect();
+        let message = if fns.is_empty() {
+            format!("`{list}` names this file, but no scanned file has this path")
+        } else if func != "*" && !fns.iter().any(|f| f.contains(func)) {
+            format!("`{list}` names function `{func}`, which this file does not define")
+        } else {
+            continue;
+        };
+        out.push(Finding {
+            file: file.to_string(),
+            line: 0,
+            rule,
+            message: format!("{message} — update the entry in the `{rule}` rule"),
+        });
+    }
+    out
 }
 
 /// Parse every `lint:allow(...)` directive in the file.  Directives must

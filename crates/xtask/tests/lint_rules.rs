@@ -8,10 +8,22 @@ use xtask::rules::{
     alloc_hot_path, bench_schema, charge_taint, facade_coverage::FacadeState, unsafe_hygiene,
     workspace_pairing,
 };
-use xtask::scan::FileScan;
+use xtask::scan::{Defined, FileScan};
 
 fn scan(rel_path: &str, src: &str) -> FileScan {
     FileScan::new(rel_path, src, false)
+}
+
+/// The defined-function map of a tree holding `files`, each scanned from a
+/// source that defines exactly the listed functions.
+fn tree(files: &[(&str, Vec<&str>)]) -> Defined {
+    files
+        .iter()
+        .map(|(path, fns)| {
+            let src: String = fns.iter().map(|f| format!("fn {f}() {{}}\n")).collect();
+            (path.to_string(), scan(path, &src).defined_fns())
+        })
+        .collect()
 }
 
 #[test]
@@ -33,6 +45,30 @@ fn charge_taint_allows_plan_functions_and_tests() {
         include_str!("fixtures/charge_taint_clean.rs"),
     );
     assert_eq!(charge_taint::check(&s), vec![]);
+}
+
+#[test]
+fn charge_taint_flags_allowlist_entries_naming_no_function() {
+    // A tree defining every allowlisted function, and the same tree with
+    // `Ctx::parallel` renamed away.
+    let mut files: Vec<(&str, Vec<&str>)> = Vec::new();
+    for &(file, func) in charge_taint::ALLOWLIST {
+        match files.iter_mut().find(|(f, _)| *f == file) {
+            Some((_, fns)) => fns.push(func),
+            None => files.push((file, vec![func])),
+        }
+    }
+    assert_eq!(charge_taint::check_entries(&tree(&files)), vec![]);
+    for (file, fns) in &mut files {
+        if *file == "crates/pram/src/ctx.rs" {
+            fns.retain(|f| *f != "parallel");
+        }
+    }
+    let findings = charge_taint::check_entries(&tree(&files));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, charge_taint::RULE);
+    assert_eq!(findings[0].file, "crates/pram/src/ctx.rs");
+    assert!(findings[0].message.contains("`parallel`"));
 }
 
 #[test]
@@ -133,6 +169,24 @@ fn alloc_hot_path_accepts_workspace_scratch_and_justified_copies() {
         include_str!("fixtures/alloc_hot_path_clean.rs"),
     );
     assert_eq!(alloc_hot_path::check(&s), vec![]);
+}
+
+#[test]
+fn alloc_hot_path_flags_hot_files_entries_naming_no_file() {
+    let all: Vec<(&str, Vec<&str>)> = alloc_hot_path::HOT_FILES
+        .iter()
+        .map(|f| (*f, vec![]))
+        .collect();
+    assert_eq!(alloc_hot_path::check_entries(&tree(&all)), vec![]);
+    let without_scan: Vec<_> = all
+        .into_iter()
+        .filter(|(f, _)| *f != "crates/parprim/src/scan.rs")
+        .collect();
+    let findings = alloc_hot_path::check_entries(&tree(&without_scan));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, alloc_hot_path::RULE);
+    assert_eq!(findings[0].file, "crates/parprim/src/scan.rs");
+    assert!(findings[0].message.contains("HOT_FILES"));
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! ```
 
 use sfcp_forest::cycles::CycleMethod;
-use sfcp_pram::{Ctx, Mode};
+use sfcp_pram::Ctx;
 
 /// Sampling stride for the per-node invariant checks: a prime, so the
 /// sampled ids sweep all residues and chunk offsets of the generator
@@ -25,7 +25,7 @@ fn decompose_invariants_hold_at_1e8() {
     const N: usize = 100_000_000;
     let g = sfcp_bench::workloads::bign_function(N);
     let f = g.table();
-    let ctx = Ctx::untracked(Mode::Parallel);
+    let ctx = Ctx::untracked();
     let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
 
     // Global shape: the cycle CSR is well-formed and consistent with the

@@ -1,24 +1,25 @@
-//! Charge-determinism regression: tracked work/depth must be bit-identical
-//! across thread counts.
+//! Charge-determinism regression: tracked work/depth must depend only on
+//! the input — bit-identical across thread counts, task grains, host
+//! topologies and tracing.
 //!
 //! DESIGN.md's "Charge discipline" demands that the complexity tables be a
 //! property of the algorithm, never of the machine: the same run on 1, 2,
-//! all hardware threads, or twice that (more pool workers than cores) must
-//! charge exactly the same work and depth (only wall-clock may differ).  This guards the invariant before any NUMA/grain
-//! tuning lands — a charge that accidentally depends on
-//! `current_num_threads` (e.g. a per-thread block count leaking into a
-//! charged loop) breaks this test immediately: the wavefront chunking of
-//! the list ranking, the contraction walks, and the CSR / radix block plans
-//! are all thread-count-sensitive *physically* and must stay
-//! thread-count-invisible in charges.
+//! all hardware threads, or twice that (more pool workers than cores), and
+//! at any task grain, must charge exactly the same work and depth (only
+//! wall-clock may differ).  A charge that accidentally depends on
+//! `current_num_threads` or on the grain (e.g. a per-thread block count
+//! leaking into a charged loop) breaks this test immediately: the wavefront
+//! chunking of the list ranking, the contraction walks, and the CSR / radix
+//! block plans are all thread-count-sensitive *physically* and must stay
+//! invisible in charges.
 //!
 //! The pipeline pins at the end of this file hold the charges themselves to
-//! exact `(work, rounds)` values on fixed seeded inputs, in both modes: any
-//! change to a charged pass anywhere in the stack moves them.
+//! exact `(work, rounds)` values on fixed seeded inputs: any change to a
+//! charged pass anywhere in the stack moves them.
 
 use sfcp::{coarsest_partition, Algorithm, Instance};
 use sfcp_forest::cycles::CycleMethod;
-use sfcp_pram::{Ctx, Mode, Stats, Topology};
+use sfcp_pram::{Ctx, Stats, Topology};
 
 /// Run `f` under a virtual rayon pool of `threads` workers and return the
 /// charges it reports.
@@ -38,6 +39,24 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
+/// The `(threads, grain)` legs a charge must not depend on: every thread
+/// count at the probed default grain, then a tiny, a small and an
+/// input-sized task grain at two threads.
+fn legs() -> Vec<(usize, Option<usize>)> {
+    let threads = thread_counts().into_iter().map(|t| (t, None));
+    let grains = [4, 64, 1 << 20].map(|g| (2, Some(g)));
+    threads.chain(grains).collect()
+}
+
+/// A fresh tracked context at `grain` (the probed default when `None`).
+fn ctx_with_grain(grain: Option<usize>) -> Ctx {
+    let ctx = Ctx::parallel();
+    match grain {
+        Some(g) => ctx.with_grain(g),
+        None => ctx,
+    }
+}
+
 #[test]
 fn coarsest_parallel_charges_are_thread_count_independent() {
     for inst in [
@@ -46,9 +65,9 @@ fn coarsest_parallel_charges_are_thread_count_independent() {
         Instance::deep(5_000, 5, 2, 4),
     ] {
         let mut baseline: Option<Stats> = None;
-        for threads in thread_counts() {
+        for (threads, grain) in legs() {
             let stats = charges_with_threads(threads, || {
-                let ctx = Ctx::new(Mode::Parallel);
+                let ctx = ctx_with_grain(grain);
                 let q = coarsest_partition(&ctx, &inst, Algorithm::Parallel);
                 std::hint::black_box(q.num_blocks());
                 ctx.stats()
@@ -58,7 +77,7 @@ fn coarsest_parallel_charges_are_thread_count_independent() {
                 Some(b) => assert_eq!(
                     *b,
                     stats,
-                    "charges diverged at {threads} threads (n={})",
+                    "charges diverged at {threads} threads, grain {grain:?} (n={})",
                     inst.len()
                 ),
             }
@@ -84,12 +103,12 @@ fn topology_probe_is_charge_invisible() {
             std::hint::black_box(d.num_cycles());
             ctx.stats()
         };
-        let probed = run(Ctx::new(Mode::Parallel));
+        let probed = run(Ctx::parallel());
         for (label, topo) in [
             ("tiny-LLC", Topology::fallback().with_llc_bytes(1)),
             ("huge-LLC", Topology::fallback().with_llc_bytes(1 << 40)),
         ] {
-            let mocked = run(Ctx::new(Mode::Parallel).with_topology(topo));
+            let mocked = run(Ctx::parallel().with_topology(topo));
             assert_eq!(
                 probed, mocked,
                 "charges diverged on the {label} mock (n={n})"
@@ -100,29 +119,27 @@ fn topology_probe_is_charge_invisible() {
 
 /// Tracing must be charge-invisible: the span guards read the tracker and
 /// the clock but never feed them, so a traced decompose must charge
-/// bit-identically to an untraced one, in both modes (the spans sit inside
-/// every engine pass, so the whole pass structure is exercised).  This is
-/// the contract that lets `bench_json` harvest its per-row span summaries
-/// from the same tracked pass that labels the charge columns.
+/// bit-identically to an untraced one (the spans sit inside every engine
+/// pass, so the whole pass structure is exercised).  This is the contract
+/// that lets `bench_json` harvest its per-row span summaries from the same
+/// tracked pass that labels the charge columns.
 #[test]
 fn tracing_is_charge_invisible_across_engine_grid() {
     let g = sfcp_forest::generators::random_function(20_000, 17);
-    for mode in [Mode::Sequential, Mode::Parallel] {
-        let run = |traced: bool| {
-            let mut ctx = Ctx::new(mode);
-            if traced {
-                ctx = ctx.with_tracing();
-            }
-            let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
-            std::hint::black_box(d.num_cycles());
-            (ctx.stats(), ctx.trace().snapshot().spans.len())
-        };
-        let (untraced, no_spans) = run(false);
-        let (traced, spans) = run(true);
-        assert_eq!(untraced, traced, "tracing changed charges ({mode:?})");
-        assert_eq!(no_spans, 0, "untraced run must record nothing");
-        assert!(spans > 0, "traced run must record the phase spans");
-    }
+    let run = |traced: bool| {
+        let mut ctx = Ctx::parallel();
+        if traced {
+            ctx = ctx.with_tracing();
+        }
+        let d = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
+        std::hint::black_box(d.num_cycles());
+        (ctx.stats(), ctx.trace().snapshot().spans.len())
+    };
+    let (untraced, no_spans) = run(false);
+    let (traced, spans) = run(true);
+    assert_eq!(untraced, traced, "tracing changed charges");
+    assert_eq!(no_spans, 0, "untraced run must record nothing");
+    assert!(spans > 0, "traced run must record the phase spans");
 }
 
 #[test]
@@ -130,9 +147,9 @@ fn decompose_charges_are_thread_count_independent() {
     let g = sfcp_forest::generators::random_function(50_000, 23);
     for method in [CycleMethod::Sequential, CycleMethod::Euler] {
         let mut baseline: Option<Stats> = None;
-        for threads in thread_counts() {
+        for (threads, grain) in legs() {
             let stats = charges_with_threads(threads, || {
-                let ctx = Ctx::new(Mode::Parallel);
+                let ctx = ctx_with_grain(grain);
                 let d = sfcp_forest::decompose(&ctx, &g, method);
                 std::hint::black_box(d.num_cycles());
                 ctx.stats()
@@ -141,49 +158,23 @@ fn decompose_charges_are_thread_count_independent() {
                 None => baseline = Some(stats),
                 Some(b) => assert_eq!(
                     *b, stats,
-                    "decompose charges diverged at {threads} threads ({method:?})"
+                    "decompose charges diverged at {threads} threads, grain {grain:?} ({method:?})"
                 ),
             }
         }
     }
 }
 
-/// Sequential mode must also charge exactly like 1-thread parallel mode for
-/// the decomposition pipeline (the loops are the same code path).
-#[test]
-fn decompose_sequential_mode_matches_parallel_charges() {
-    let g = sfcp_forest::generators::random_function(30_000, 7);
-    let seq = Ctx::sequential();
-    let _ = sfcp_forest::decompose(&seq, &g, CycleMethod::Euler);
-    let par = charges_with_threads(1, || {
-        let ctx = Ctx::new(Mode::Parallel);
-        let _ = sfcp_forest::decompose(&ctx, &g, CycleMethod::Euler);
-        ctx.stats()
-    });
-    // The blocked scan charges differ between modes by design (see scan.rs);
-    // everything else is identical, so the two must stay within a tight
-    // band and the parallel charges must be thread-count independent (the
-    // strict equality across thread counts is asserted above).
-    let ratio = seq.stats().work as f64 / par.work as f64;
-    assert!(
-        (0.5..=2.0).contains(&ratio),
-        "sequential/parallel work diverged: {} vs {}",
-        seq.stats().work,
-        par.work
-    );
-}
-
-/// `(work, rounds)` of a tracked run of `f` on a fresh context in `mode`.
-fn charged(mode: Mode, f: impl FnOnce(&Ctx)) -> (u64, u64) {
-    let ctx = Ctx::new(mode);
+/// `(work, rounds)` of a tracked run of `f` on a fresh context.
+fn charged(f: impl FnOnce(&Ctx)) -> (u64, u64) {
+    let ctx = Ctx::parallel();
     f(&ctx);
     (ctx.stats().work, ctx.stats().rounds)
 }
 
 /// `decompose` charges, pinned per `CycleMethod` on four graphs (the paper
 /// example, a small and a contraction-sized random function, and a long
-/// tail), in both modes.  Every method yields the identical
-/// `Decomposition`.
+/// tail).  Every method yields the identical `Decomposition`.
 #[test]
 fn decompose_charges_are_pinned_per_cycle_method() {
     let graphs = [
@@ -192,34 +183,22 @@ fn decompose_charges_are_pinned_per_cycle_method() {
         sfcp_forest::generators::random_function(40_000, 17), // contraction path
         sfcp_forest::generators::long_tail(3000, 5, 2),
     ];
-    // Per graph: [Sequential, Euler] × (sequential pin, parallel pin).
-    type ModePins = ((u64, u64), (u64, u64));
-    let pins: [[ModePins; 2]; 4] = [
-        [((1_140, 59), (1_140, 59)), ((1_716, 77), (1_716, 77))],
-        [
-            ((259_614, 98), (284_638, 101)),
-            ((619_614, 134), (644_638, 137)),
-        ],
-        [
-            ((2_125_294, 116), (2_325_444, 119)),
-            ((5_485_294, 158), (5_685_444, 161)),
-        ],
-        [
-            ((145_932, 80), (157_944, 82)),
-            ((349_932, 114), (361_944, 116)),
-        ],
+    // Per graph: [Sequential, Euler] pins.
+    let pins: [[(u64, u64); 2]; 4] = [
+        [(1_140, 59), (1_716, 77)],
+        [(284_638, 101), (644_638, 137)],
+        [(2_325_444, 119), (5_685_444, 161)],
+        [(157_944, 82), (361_944, 116)],
     ];
     for (g, pins) in graphs.iter().zip(pins) {
-        let reference = sfcp_forest::decompose(&Ctx::sequential(), g, CycleMethod::Sequential);
+        let reference = sfcp_forest::decompose(&Ctx::parallel(), g, CycleMethod::Sequential);
         let methods = [CycleMethod::Sequential, CycleMethod::Euler];
-        for (method, (seq, par)) in methods.into_iter().zip(pins) {
-            for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
-                let got = charged(mode, |ctx| {
-                    let d = sfcp_forest::decompose(ctx, g, method);
-                    assert_eq!(d, reference, "n={}, {method:?}, {mode:?}", g.len());
-                });
-                assert_eq!(got, pin, "n={}, {method:?}, {mode:?}", g.len());
-            }
+        for (method, pin) in methods.into_iter().zip(pins) {
+            let got = charged(|ctx| {
+                let d = sfcp_forest::decompose(ctx, g, method);
+                assert_eq!(d, reference, "n={}, {method:?}", g.len());
+            });
+            assert_eq!(got, pin, "n={}, {method:?}", g.len());
         }
     }
 }
@@ -242,32 +221,28 @@ fn large_pinned_instance() -> (Instance, usize) {
     (Instance::random(20_000, 4, 29), 16_909)
 }
 
-/// Runs the paper's algorithm on `inst` in both modes: the partition must be
-/// Hopcroft's, with `blocks` blocks, and the charges must equal the
-/// `(sequential, parallel)` pins.
-fn assert_parallel_pinned(inst: &Instance, blocks: usize, (seq, par): ((u64, u64), (u64, u64))) {
-    let reference = coarsest_partition(&Ctx::sequential(), inst, Algorithm::Hopcroft);
+/// Runs the paper's algorithm on `inst`: the partition must be Hopcroft's,
+/// with `blocks` blocks, and the charges must equal `pin`.
+fn assert_parallel_pinned(inst: &Instance, blocks: usize, pin: (u64, u64)) {
+    let reference = coarsest_partition(&Ctx::parallel(), inst, Algorithm::Hopcroft);
     assert_eq!(reference.num_blocks(), blocks, "n={}", inst.len());
-    for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
-        let got = charged(mode, |ctx| {
-            let q = coarsest_partition(ctx, inst, Algorithm::Parallel);
-            assert!(q.same_partition(&reference), "n={}, {mode:?}", inst.len());
-        });
-        assert_eq!(got, pin, "n={}, {mode:?}", inst.len());
-    }
+    let got = charged(|ctx| {
+        let q = coarsest_partition(ctx, inst, Algorithm::Parallel);
+        assert!(q.same_partition(&reference), "n={}", inst.len());
+    });
+    assert_eq!(got, pin, "n={}", inst.len());
 }
 
 /// The paper's algorithm end to end on the small instances: pinned charges
-/// per instance in both modes, and the same partition in both.
+/// and Hopcroft's partition per instance.
 #[test]
 fn coarsest_parallel_charges_are_pinned() {
-    // (sequential pin, parallel pin) per instance.
     let pins = [
-        ((1_779, 88), (1_779, 88)),
-        ((613_372, 265), (631_390, 268)),
-        ((7_724, 136), (7_724, 136)),
-        ((33_312, 118), (33_312, 118)),
-        ((395_207, 212), (395_207, 212)),
+        (1_779, 88),
+        (631_390, 268),
+        (7_724, 136),
+        (33_312, 118),
+        (395_207, 212),
     ];
     for ((inst, blocks), pin) in pinned_instances().into_iter().zip(pins) {
         assert_parallel_pinned(&inst, blocks, pin);
@@ -279,33 +254,30 @@ fn coarsest_parallel_charges_are_pinned() {
 #[test]
 fn coarsest_parallel_charges_are_pinned_on_large_input_paths() {
     let (inst, blocks) = large_pinned_instance();
-    assert_parallel_pinned(&inst, blocks, ((4_383_161, 332), (4_671_867, 343)));
+    assert_parallel_pinned(&inst, blocks, (4_671_867, 343));
 }
 
-/// The label-doubling baseline end to end: pinned charges per instance in
-/// both modes, and the same partition as Hopcroft's.
+/// The label-doubling baseline end to end: pinned charges per instance,
+/// and the same partition as Hopcroft's.
 #[test]
 fn coarsest_doubling_charges_are_pinned() {
-    // (sequential pin, parallel pin) per instance.
     let pins = [
-        ((502, 32), (502, 32)),
-        ((200_358, 83), (200_358, 83)),
-        ((4_167, 74), (4_167, 74)),
-        ((9_552, 44), (9_552, 44)),
-        ((159_028, 89), (159_028, 89)),
-        ((1_326_966, 101), (1_454_022, 107)),
+        (502, 32),
+        (200_358, 83),
+        (4_167, 74),
+        (9_552, 44),
+        (159_028, 89),
+        (1_454_022, 107),
     ];
     let instances = pinned_instances()
         .into_iter()
         .chain([large_pinned_instance()]);
-    for ((inst, _), (seq, par)) in instances.zip(pins) {
-        let reference = coarsest_partition(&Ctx::sequential(), &inst, Algorithm::Hopcroft);
-        for (mode, pin) in [(Mode::Sequential, seq), (Mode::Parallel, par)] {
-            let got = charged(mode, |ctx| {
-                let q = coarsest_partition(ctx, &inst, Algorithm::Doubling);
-                assert!(q.same_partition(&reference), "n={}, {mode:?}", inst.len());
-            });
-            assert_eq!(got, pin, "n={}, {mode:?}", inst.len());
-        }
+    for ((inst, _), pin) in instances.zip(pins) {
+        let reference = coarsest_partition(&Ctx::parallel(), &inst, Algorithm::Hopcroft);
+        let got = charged(|ctx| {
+            let q = coarsest_partition(ctx, &inst, Algorithm::Doubling);
+            assert!(q.same_partition(&reference), "n={}", inst.len());
+        });
+        assert_eq!(got, pin, "n={}", inst.len());
     }
 }

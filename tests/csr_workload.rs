@@ -10,7 +10,7 @@
 
 use sfcp_bench::workloads::sharded_multigraph;
 use sfcp_parprim::csr::{DIRECT_BUILD_MAX_KEYS, SEQUENTIAL_BUILD_MAX};
-use sfcp_pram::{Ctx, Mode, Stats};
+use sfcp_pram::{Ctx, Stats};
 
 /// Straight-line reference: push every pair into per-key vectors.
 fn naive_csr(
@@ -45,7 +45,7 @@ fn workload_lands_in_the_bucketed_regime() {
 
 /// The bucketed build must agree with the naive baseline and charge the
 /// §8 closed form of a CSR build — `2·num_slots + num_keys` work in 3
-/// rounds — in both modes.
+/// rounds.
 #[test]
 fn bucketed_build_matches_baseline_end_to_end() {
     let g = sharded_multigraph(60_000, 2);
@@ -54,12 +54,10 @@ fn bucketed_build_matches_baseline_end_to_end() {
         work: (2 * g.num_slots() + g.num_keys) as u64,
         rounds: 3,
     };
-    for mode in [Mode::Sequential, Mode::Parallel] {
-        let ctx = Ctx::new(mode);
-        let got = g.build_csr(&ctx);
-        assert_eq!(got, expected, "{mode:?}");
-        assert_eq!(ctx.stats(), model, "{mode:?}");
-    }
+    let ctx = Ctx::parallel();
+    let got = g.build_csr(&ctx);
+    assert_eq!(got, expected);
+    assert_eq!(ctx.stats(), model);
     // Sanity: the stream really exercises grouping (non-empty, with gaps).
     let (offsets, items) = expected;
     assert!(!items.is_empty());

@@ -108,7 +108,7 @@ fn check_against_reference(g: &FunctionalGraph, d: &Decomposition) {
     }
     assert_eq!(
         d.tour,
-        EulerTour::build(&Ctx::sequential(), &d.forest),
+        EulerTour::build(&Ctx::parallel(), &d.forest),
         "tour"
     );
     // levels[x] == 0 ⟺ is_cycle[x].

@@ -5,22 +5,20 @@
 use sfcp::{coarsest_partition, Algorithm, Instance, Partition, ALL_ALGORITHMS};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::generators;
-use sfcp_pram::{Ctx, Mode};
+use sfcp_pram::Ctx;
 
 fn check_all_algorithms_agree(instance: &Instance) -> Partition {
     let ctx = Ctx::parallel();
     let reference = coarsest_partition(&ctx, instance, Algorithm::Naive);
     sfcp::verify::assert_valid(instance, &reference);
     for algorithm in ALL_ALGORITHMS {
-        for mode in [Mode::Sequential, Mode::Parallel] {
-            let ctx = Ctx::new(mode);
-            let q = coarsest_partition(&ctx, instance, algorithm);
-            assert!(
-                q.same_partition(&reference),
-                "{algorithm:?} in {mode:?} mode disagrees with the oracle on n = {}",
-                instance.len()
-            );
-        }
+        let ctx = Ctx::parallel();
+        let q = coarsest_partition(&ctx, instance, algorithm);
+        assert!(
+            q.same_partition(&reference),
+            "{algorithm:?} disagrees with the oracle on n = {}",
+            instance.len()
+        );
     }
     reference
 }
@@ -133,10 +131,9 @@ fn output_refines_input_blocks() {
 }
 
 /// The headline complexity shape of the paper, one row per solver input
-/// family: run at n = 2^12 and n = 2^16 in parallel mode, the work per
-/// element grows far slower than linearly (`O(n · polyloglog)`-style, not
-/// `O(n²)` or worse), and the rounds stay within a constant factor of
-/// `log n`.  The `decompose` rows cover step 1 (the Euler cycle finder of
+/// family: run at n = 2^12 and n = 2^16, the work per element grows far
+/// slower than linearly (`O(n · polyloglog)`-style, not `O(n²)` or worse),
+/// and the rounds stay within a constant factor of `log n`.  The `decompose` rows cover step 1 (the Euler cycle finder of
 /// Section 5) on its own.
 #[test]
 fn work_depth_accounting_shapes() {

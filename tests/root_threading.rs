@@ -2,7 +2,7 @@
 //!
 //! The pointer-jumping root computation runs a single time per
 //! decomposition and is threaded through the Euler-tour finish
-//! (`EulerTour::from_arc_ranks_with_roots`), the `cycle_of` propagation,
+//! (`EulerTour::from_tree_arc_ranks`), the `cycle_of` propagation,
 //! and — via `Decomposition::roots` — the tree labelling of the parallel
 //! algorithm.  Every `find_roots_into` call opens a `find_roots` span, so a
 //! traced context counts the calls of one run without any process-global
