@@ -9,6 +9,7 @@
 use rand::prelude::*;
 use sfcp_forest::generators;
 use sfcp_forest::FunctionalGraph;
+use sfcp_pram::fxhash::FxHashMap;
 
 /// An instance of the coarsest partition problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -263,7 +264,7 @@ impl Partition {
     /// describe the same partition iff their canonical forms are equal.
     #[must_use]
     pub fn canonical(&self) -> Partition {
-        let mut map = std::collections::HashMap::new();
+        let mut map = FxHashMap::default();
         let mut out = Vec::with_capacity(self.labels.len());
         for &l in &self.labels {
             let next = map.len() as u32;
@@ -333,6 +334,13 @@ mod tests {
         assert_eq!(p.num_blocks(), 3);
         assert_eq!(p.canonical().labels(), q.labels());
         assert_eq!(p.label(3), 9);
+    }
+
+    #[test]
+    fn canonical_renumbers_by_first_occurrence() {
+        let p = Partition::new(vec![9, 9, 4, 9, 1]);
+        assert_eq!(p.canonical().labels(), [0, 0, 1, 0, 2]);
+        assert!(Partition::new(vec![]).canonical().is_empty());
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub struct Workspace {
     u8s: Mutex<Vec<Vec<u8>>>,
     u32s: Mutex<Vec<Vec<u32>>>,
     u64s: Mutex<Vec<Vec<u64>>>,
-    i64s: Mutex<Vec<Vec<i64>>>,
     recs: Mutex<Vec<Vec<Rec>>>,
     pairs: Mutex<Vec<Vec<(u64, u64)>>>,
     checkouts: AtomicU64,
@@ -96,12 +95,6 @@ impl Poolable for u8 {
 impl Poolable for u32 {
     fn pool(ws: &Workspace) -> &Mutex<Vec<Vec<u32>>> {
         &ws.u32s
-    }
-}
-
-impl Poolable for i64 {
-    fn pool(ws: &Workspace) -> &Mutex<Vec<Vec<i64>>> {
-        &ws.i64s
     }
 }
 
@@ -171,12 +164,6 @@ impl Workspace {
         self.take(len)
     }
 
-    /// Check out a `Vec<i64>` of length `len` (signed scan deltas).
-    #[must_use]
-    pub fn take_i64(&self, len: usize) -> Scratch<'_, i64> {
-        self.take(len)
-    }
-
     /// Check out a `Vec<u64>` of length `len`.
     #[must_use]
     pub fn take_u64(&self, len: usize) -> Scratch<'_, u64> {
@@ -215,7 +202,6 @@ impl Workspace {
         self.u8s.lock().len()
             + self.u32s.lock().len()
             + self.u64s.lock().len()
-            + self.i64s.lock().len()
             + self.recs.lock().len()
             + self.pairs.lock().len()
     }
@@ -273,7 +259,6 @@ impl Workspace {
         let bytes = pool_capacity_bytes(&self.u8s)
             + pool_capacity_bytes(&self.u32s)
             + pool_capacity_bytes(&self.u64s)
-            + pool_capacity_bytes(&self.i64s)
             + pool_capacity_bytes(&self.recs)
             + pool_capacity_bytes(&self.pairs);
         self.pooled_bytes.store(bytes, Ordering::Relaxed);
@@ -403,20 +388,16 @@ mod tests {
     }
 
     #[test]
-    fn u8_and_i64_pools_work() {
+    fn u8_pool_works() {
         let ws = Workspace::new();
         {
             let mut f = ws.take_u8(64);
             f.fill(1);
-            let mut d = ws.take_i64(64);
-            d[0] = -5;
-            assert_eq!(d[0], -5);
             assert_eq!(f[63], 1);
         }
-        // Warm re-checkout hits the pools.
+        // Warm re-checkout hits the pool.
         let before = ws.stats();
         drop(ws.take_u8(32));
-        drop(ws.take_i64(32));
         assert_eq!(ws.stats().misses, before.misses);
     }
 
@@ -535,8 +516,7 @@ mod tests {
         let run = |ws: &Workspace| {
             let a = ws.take_u32(100);
             let b = ws.take_u8(100);
-            let c = ws.take_i64(100);
-            drop((a, b, c));
+            drop((a, b));
         };
         run(&ws);
         let warm = ws.pooled_buffers();

@@ -15,7 +15,7 @@ use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::{decompose, generators};
 use sfcp_pram::Ctx;
 use sfcp_service::snapshot::{decomposition_digest, labels_digest};
-use sfcp_service::worker::{canonical_labels, workload_string};
+use sfcp_service::worker::workload_string;
 use sfcp_service::{Client, ComputeRequest, Kind, ReplyPayload, Server, ServerConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -147,8 +147,9 @@ fn smoke(args: &Args, n: usize) -> ExitCode {
                 let inst = Instance::random(500 + (i % 7) * 131, 2 + i % 4, seed);
                 let req = ComputeRequest::partition(inst.f().to_vec(), inst.blocks().to_vec());
                 let got = client.request(&req);
-                let expect =
-                    canonical_labels(&coarsest_partition(&ctx, &inst, Algorithm::Parallel));
+                let expect = coarsest_partition(&ctx, &inst, Algorithm::Parallel)
+                    .canonical()
+                    .into_labels();
                 check(
                     "partition",
                     matches!(
@@ -205,11 +206,11 @@ fn smoke(args: &Args, n: usize) -> ExitCode {
                 let ok = match got {
                     Ok(responses) if responses.len() == members.len() => {
                         members.iter().zip(&responses).all(|(m, resp)| {
-                            let expect = labels_digest(&canonical_labels(&coarsest_partition(
-                                &ctx,
-                                m,
-                                Algorithm::Parallel,
-                            )));
+                            let expect = labels_digest(
+                                &coarsest_partition(&ctx, m, Algorithm::Parallel)
+                                    .canonical()
+                                    .into_labels(),
+                            );
                             matches!(
                                 &resp.outcome,
                                 Ok(r) if r.payload == ReplyPayload::LabelsDigest(expect)

@@ -73,11 +73,11 @@ impl std::error::Error for ErrorReply {}
 impl ErrorReply {
     /// A request-decoding failure.
     #[must_use]
-    pub fn bad_request(message: String) -> ErrorReply {
+    pub fn bad_request(message: impl Into<String>) -> ErrorReply {
         ErrorReply {
             id: 0,
             code: ErrorCode::BadRequest,
-            message,
+            message: message.into(),
             retryable: false,
         }
     }

@@ -1,20 +1,34 @@
-//! Minimal RFC 8259 JSON tree: recursive-descent parser and serializer.
+//! Minimal RFC 8259 JSON: one lexer, the [`Value`] tree built on it, and
+//! the writer primitives every encoder appends with.
 //!
 //! The build environment has no registry access, so the wire format is
-//! hand-rolled: a recursive-descent parser that builds a [`Value`] tree and
-//! returns typed errors instead of panicking, since the decoder faces
-//! untrusted bytes off a socket.  The same parser validates the trace
-//! exporters' output (`tests/trace_observability.rs`) and reads the
-//! committed `BENCH_parprim.json` back (`bench_json --smoke`).
+//! hand-rolled.  The lexer faces untrusted bytes off a socket, so it
+//! returns typed errors instead of panicking.  Two readers share it:
 //!
-//! Deliberate limits (each is a typed error, never a panic):
+//! * [`parse`] builds a [`Value`] tree.  It validates the trace exporters'
+//!   output (`tests/trace_observability.rs`), reads the committed
+//!   `BENCH_parprim.json` back (`bench_json --smoke`), parses perfbench's
+//!   records, and re-serializes the `trace` member of a traced reply.
+//! * The wire codec in [`crate::proto`] walks an object's members straight
+//!   off the bytes and reads each into its own type: a request's arrays
+//!   land in `Vec<u32>` without one `Value` per element.
+//!
+//! Deliberate limits, enforced by the lexer for both readers (each is a
+//! typed error, never a panic):
 //!
 //! * nesting deeper than [`MAX_DEPTH`] is rejected (a 1 MiB `[[[[…` frame
-//!   must not overflow the parser stack);
-//! * numbers must be finite; integers outside `i64` fall back to `f64`;
+//!   must not overflow the stack);
+//! * numbers must be finite.  A token of digits with an optional leading
+//!   `-` is an integer when it fits `i64` (so `01` and `-0` are integers);
+//!   any other number, `1.5`, `1e2` or an integer past `i64`, is a float;
 //! * only complete, single values parse — trailing bytes are an error.
+//!
+//! Writing appends to a `Vec<u8>`: [`Value::to_json`] and the protocol
+//! encoders share the string escaper, and the encoders write array
+//! elements with a digit writer that converts eight digits at a time.
 
 use std::fmt;
+use std::io::Write;
 
 /// Maximum nesting depth the parser accepts.
 pub const MAX_DEPTH: usize = 64;
@@ -110,64 +124,97 @@ impl Value {
     /// Serialize to a compact JSON string.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out);
-        out
+        String::from_utf8(out).expect("the writer emits UTF-8 only")
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact JSON text of this value to `out`.
+    pub(crate) fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Int(v) => out.push_str(&v.to_string()),
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(b) => write_bool(out, *b),
+            Value::Int(v) => write_i64(out, *v),
             Value::Float(v) => {
                 // RFC 8259 has no NaN/Inf; the serializer never receives
                 // them (responses carry only counters and latencies).
                 debug_assert!(v.is_finite());
-                out.push_str(&format!("{v}"));
+                write!(out, "{v}").expect("writing to a Vec cannot fail");
             }
-            Value::Str(s) => write_json_string(s, out),
+            Value::Str(s) => write_str(out, s),
             Value::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Value::Object(members) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    write_json_string(k, out);
-                    out.push(':');
+                    write_str(out, k);
+                    out.push(b':');
                     v.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
+/// Append `s` as a JSON string literal.
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    for &c in s.as_bytes() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            c if c < 0x20 => write!(out, "\\u{c:04x}").expect("writing to a Vec cannot fail"),
             c => out.push(c),
         }
     }
-    out.push('"');
+    out.push(b'"');
+}
+
+/// Append `true` or `false`.
+pub(crate) fn write_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Append `v` in decimal, eight digits at a time below 10^8.
+pub(crate) fn write_u32(out: &mut Vec<u8>, v: u32) {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    if v >= 100_000_000 {
+        return write!(out, "{v}").expect("writing to a Vec cannot fail");
+    }
+    // Split v into 4 + 4 digits in two 32-bit lanes, each lane into 2 + 2
+    // in 16-bit lanes, and each of those into 1 + 1 in bytes, dividing by
+    // multiply-and-shift (exact below 43,699 and 179).  The first digit
+    // lands in the lowest byte, so the leading zeros are the trailing zero
+    // bytes.
+    let x = u64::from(v / 10_000) | (u64::from(v % 10_000) << 32);
+    let hundreds = ((x * 5243) >> 19) & 0x0000_007f_0000_007f;
+    let x = hundreds | ((x - hundreds * 100) << 16);
+    let tens = ((x * 103) >> 10) & 0x000f_000f_000f_000f;
+    let x = tens | ((x - tens * 10) << 8);
+    let lead = (x.trailing_zeros() / 8).min(7) as usize;
+    let len = out.len();
+    out.extend_from_slice(&((x >> (8 * lead)) + 0x30 * ONES).to_le_bytes());
+    out.truncate(len + 8 - lead);
+}
+
+/// Append `v` in decimal.
+pub(crate) fn write_i64(out: &mut Vec<u8>, v: i64) {
+    write!(out, "{v}").expect("writing to a Vec cannot fail");
 }
 
 /// A JSON syntax error: byte position and a static description.
@@ -193,21 +240,31 @@ impl std::error::Error for JsonError {}
 /// [`JsonError`] on any syntax violation, non-UTF-8 string content, depth
 /// beyond [`MAX_DEPTH`], or trailing bytes after the value.
 pub fn parse(bytes: &[u8]) -> Result<Value, JsonError> {
-    let mut p = Parser { b: bytes, i: 0 };
-    let v = p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing bytes after JSON value"));
-    }
+    let mut lx = Lexer::new(bytes);
+    let v = lx.value(0)?;
+    lx.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// The one JSON lexer: a cursor over untrusted bytes.
+///
+/// Every reader consumes exactly one value at a given nesting depth, so
+/// the depth limit, the string escapes and the number grammar are checked
+/// in one place, and a document that [`parse`] rejects fails every reader
+/// with the same error at the same byte.  A typed reader (`uint`, `bool`,
+/// `str`, `u32s`) returns `None` for a well-formed value of another type,
+/// which it has consumed all the same.
+pub(crate) struct Lexer<'a> {
     b: &'a [u8],
     i: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `b`.
+    pub(crate) fn new(b: &'a [u8]) -> Self {
+        Lexer { b, i: 0 }
+    }
+
     fn err(&self, msg: &'static str) -> JsonError {
         JsonError { pos: self.i, msg }
     }
@@ -233,61 +290,200 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+    /// End the document: only whitespace may follow its value.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.ws();
+        if self.i != self.b.len() {
+            return Err(self.err("trailing bytes after JSON value"));
+        }
+        Ok(())
+    }
+
+    /// Start the value at `depth`: check the depth limit, skip whitespace
+    /// and return the value's first byte.
+    fn enter(&mut self, depth: usize) -> Result<u8, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         self.ws();
-        match self.peek()? {
+        self.peek()
+    }
+
+    /// One value at `depth`, as a tree.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+        Ok(match self.enter(depth)? {
             b'{' => {
-                self.eat(b'{')?;
-                self.ws();
                 let mut members = Vec::new();
-                if self.peek()? != b'}' {
-                    loop {
-                        self.ws();
-                        let key = self.string()?;
-                        self.ws();
-                        self.eat(b':')?;
-                        let v = self.value(depth + 1)?;
-                        members.push((key, v));
-                        self.ws();
-                        if self.peek()? == b',' {
-                            self.i += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.ws();
-                self.eat(b'}')?;
-                Ok(Value::Object(members))
+                self.members(depth, |lx, key| {
+                    members.push((key, lx.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Value::Object(members)
             }
             b'[' => {
-                self.eat(b'[')?;
-                self.ws();
                 let mut items = Vec::new();
-                if self.peek()? != b']' {
-                    loop {
-                        items.push(self.value(depth + 1)?);
-                        self.ws();
-                        if self.peek()? == b',' {
-                            self.i += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.ws();
-                self.eat(b']')?;
-                Ok(Value::Array(items))
+                self.elements(depth, |lx| {
+                    items.push(lx.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Value::Array(items)
             }
-            b'"' => self.string().map(Value::Str),
-            b't' => self.lit(b"true").map(|()| Value::Bool(true)),
-            b'f' => self.lit(b"false").map(|()| Value::Bool(false)),
-            b'n' => self.lit(b"null").map(|()| Value::Null),
-            _ => self.number(),
+            b'"' => Value::Str(self.string()?),
+            b't' => self.lit(b"true").map(|()| Value::Bool(true))?,
+            b'f' => self.lit(b"false").map(|()| Value::Bool(false))?,
+            b'n' => self.lit(b"null").map(|()| Value::Null)?,
+            _ => self.number()?,
+        })
+    }
+
+    /// Lex one value at `depth` and drop it.
+    pub(crate) fn skip(&mut self, depth: usize) -> Result<(), JsonError> {
+        match self.enter(depth)? {
+            b'{' => self.members(depth, |lx, _| lx.skip(depth + 1)).map(drop),
+            b'[' => self.elements(depth, |lx| lx.skip(depth + 1)).map(drop),
+            b'"' => self.string().map(drop),
+            b't' => self.lit(b"true"),
+            b'f' => self.lit(b"false"),
+            b'n' => self.lit(b"null"),
+            _ => self.number().map(drop),
         }
+    }
+
+    /// Walk the object at `depth`, calling `member(lexer, key)` with the
+    /// lexer at each member's value, which `member` must consume at
+    /// `depth + 1`.  Any other value is skipped.  Returns whether the value
+    /// was an object.
+    pub(crate) fn members(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if self.enter(depth)? != b'{' {
+            return self.skip(depth).map(|()| false);
+        }
+        self.i += 1;
+        self.ws();
+        if self.peek()? != b'}' {
+            loop {
+                self.ws();
+                let key = self.string()?;
+                self.ws();
+                self.eat(b':')?;
+                member(self, key)?;
+                self.ws();
+                if self.peek()? == b',' {
+                    self.i += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+        self.ws();
+        self.eat(b'}').map(|()| true)
+    }
+
+    /// Walk the array at `depth`, calling `element(lexer)` at each element,
+    /// which `element` must consume at `depth + 1`.  Any other value is
+    /// skipped.  Returns whether the value was an array.
+    pub(crate) fn elements(
+        &mut self,
+        depth: usize,
+        mut element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if self.enter(depth)? != b'[' {
+            return self.skip(depth).map(|()| false);
+        }
+        self.i += 1;
+        self.ws();
+        if self.peek()? != b']' {
+            loop {
+                element(self)?;
+                self.ws();
+                if self.peek()? == b',' {
+                    self.i += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+        self.ws();
+        self.eat(b']').map(|()| true)
+    }
+
+    /// The value at `depth` as [`Value::as_u64`] reads it.
+    pub(crate) fn uint(&mut self, depth: usize) -> Result<Option<u64>, JsonError> {
+        match self.enter(depth)? {
+            b'{' | b'[' | b'"' | b't' | b'f' | b'n' => self.skip(depth).map(|()| None),
+            _ => Ok(self.number()?.as_u64()),
+        }
+    }
+
+    /// The value at `depth` as [`Value::as_bool`] reads it.
+    pub(crate) fn bool(&mut self, depth: usize) -> Result<Option<bool>, JsonError> {
+        match self.enter(depth)? {
+            b't' => self.lit(b"true").map(|()| Some(true)),
+            b'f' => self.lit(b"false").map(|()| Some(false)),
+            _ => self.skip(depth).map(|()| None),
+        }
+    }
+
+    /// The value at `depth` as [`Value::as_str`] reads it.
+    pub(crate) fn str(&mut self, depth: usize) -> Result<Option<String>, JsonError> {
+        if self.enter(depth)? == b'"' {
+            self.string().map(Some)
+        } else {
+            self.skip(depth).map(|()| None)
+        }
+    }
+
+    /// The value at `depth` when it is an array of integers in `u32`
+    /// range, read straight into a `Vec<u32>`.
+    pub(crate) fn u32s(&mut self, depth: usize) -> Result<Option<Vec<u32>>, JsonError> {
+        let mut out = Vec::new();
+        let mut all_u32 = true;
+        let is_array = self.elements(depth, |lx| {
+            let v = match lx.short_uint(depth + 1) {
+                Some(v) => Some(v),
+                None => lx.uint(depth + 1)?.and_then(|v| u32::try_from(v).ok()),
+            };
+            match v {
+                Some(v) => out.push(v),
+                None => all_u32 = false,
+            }
+            Ok(())
+        })?;
+        Ok((is_array && all_u32).then_some(out))
+    }
+
+    /// The fast path of [`Lexer::uint`] for an array element: one to seven
+    /// digits right at the cursor that end the number token, converted
+    /// eight bytes at a time.  Anything else — whitespace first, a longer
+    /// or non-integer token, the last eight bytes of the input — returns
+    /// `None` with the cursor unmoved, for [`Lexer::uint`] to read.
+    fn short_uint(&mut self, depth: usize) -> Option<u32> {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        if depth > MAX_DEPTH {
+            return None;
+        }
+        let word: [u8; 8] = self.b.get(self.i..self.i + 8)?.try_into().ok()?;
+        // Digit bytes become their values 0..=9; every other byte becomes
+        // a value of 10 or more, flagged by bit 7 of its lane (adding 0x76
+        // to the low seven bits cannot carry out of a lane).
+        let t = u64::from_le_bytes(word) ^ (0x30 * ONES);
+        let non_digit = (((t & (0x7f * ONES)) + 0x76 * ONES) | t) & (0x80 * ONES);
+        let k = (non_digit.trailing_zeros() / 8) as usize;
+        if k == 0 || k == 8 || matches!(word[k], b'.' | b'e' | b'E' | b'+' | b'-') {
+            return None;
+        }
+        self.i += k;
+        // The k digits move to the top lanes (the first digit is the most
+        // significant; the zeroed lanes below are leading zeros), then
+        // adjacent lanes merge pairwise: 8 → 4 → 2 → 1.
+        let v = t << (8 * (8 - k));
+        let v = (v & (0x0f * ONES)).wrapping_mul(10 * 256 + 1) >> 8;
+        let v = (v & 0x00ff_00ff_00ff_00ff).wrapping_mul(100 * 65_536 + 1) >> 16;
+        let v = (v & 0x0000_ffff_0000_ffff).wrapping_mul(10_000 * (1 << 32) + 1) >> 32;
+        Some(v as u32)
     }
 
     fn lit(&mut self, lit: &'static [u8]) -> Result<(), JsonError> {
@@ -354,6 +550,7 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// A number token: `Value::Int` or `Value::Float`.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.i;
         if self.peek()? == b'-' {
@@ -370,10 +567,11 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| JsonError {
+        let bad = JsonError {
             pos: start,
             msg: "bad number",
-        })?;
+        };
+        let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| bad)?;
         if is_int {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Value::Int(v));
@@ -381,10 +579,7 @@ impl Parser<'_> {
         }
         match text.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(Value::Float(v)),
-            _ => Err(JsonError {
-                pos: start,
-                msg: "bad number",
-            }),
+            _ => Err(bad),
         }
     }
 }
@@ -440,5 +635,79 @@ mod tests {
         assert_eq!(parse(b"1.5").unwrap(), Value::Float(1.5));
         assert_eq!(parse(b"1e3").unwrap(), Value::Float(1000.0));
         assert!(parse(b"1e999").is_err(), "infinite numbers are rejected");
+    }
+
+    /// Digits after an optional `-` are an integer while they fit `i64`;
+    /// everything else the number grammar takes is a float.
+    #[test]
+    fn integers_and_floats_split_where_i64_ends() {
+        for (text, want) in [
+            ("0", Value::Int(0)),
+            ("-0", Value::Int(0)),
+            ("01", Value::Int(1)),
+            ("-007", Value::Int(-7)),
+            ("999999999999999999", Value::Int(999_999_999_999_999_999)),
+            ("9223372036854775807", Value::Int(i64::MAX)),
+            ("-9223372036854775808", Value::Int(i64::MIN)),
+            (
+                "9223372036854775808",
+                Value::Float(9_223_372_036_854_775_808.0),
+            ),
+            ("4294967296", Value::Int(1 << 32)),
+            ("+1", Value::Float(1.0)),
+            (".5", Value::Float(0.5)),
+            ("1E2", Value::Float(100.0)),
+        ] {
+            assert_eq!(parse(text.as_bytes()), Ok(want), "{text}");
+        }
+        for bad in ["-", "1-2", "1.5.5", "0x10", "1e"] {
+            assert!(parse(bad.as_bytes()).is_err(), "{bad} must not parse");
+        }
+    }
+
+    #[test]
+    fn typed_readers_consume_values_of_other_types() {
+        let mut lx = Lexer::new(br#"[{"a":[1]},-1,1.5,"s",true,7,[1,2,4294967295],[1,-2]]"#);
+        let mut got = Vec::new();
+        assert!(lx
+            .elements(0, |lx| {
+                got.push(format!("{:?}", lx.uint(1)?));
+                Ok(())
+            })
+            .unwrap());
+        assert_eq!(
+            got[..6],
+            ["None", "None", "None", "None", "None", "Some(7)"]
+        );
+        let mut lx = Lexer::new(b"[1,2,4294967295] [1,-2] 3");
+        assert_eq!(lx.u32s(0).unwrap(), Some(vec![1, 2, u32::MAX]));
+        assert_eq!(lx.u32s(0).unwrap(), None);
+        assert_eq!(lx.u32s(0).unwrap(), None);
+        lx.finish().unwrap();
+        // The depth limit holds on the fast path too.
+        let element = b"[12345, 6789012]       ";
+        assert!(Lexer::new(element).u32s(MAX_DEPTH - 1).is_ok());
+        let err = Lexer::new(element).u32s(MAX_DEPTH).unwrap_err();
+        assert_eq!((err.pos, err.msg), (1, "nesting too deep"));
+        assert!(Lexer::new(b"[]").u32s(MAX_DEPTH).is_ok());
+    }
+
+    #[test]
+    fn digit_writer_matches_display() {
+        let mut edges = vec![0, 1, 9, 10, 99, 100, 9_999, 10_000, 10_001, u32::MAX];
+        for p in 1..=9 {
+            let p10 = 10u32.pow(p);
+            edges.extend([p10 - 1, p10, p10 + 1, p10 / 3 * 7]);
+        }
+        let mut x = 1u64;
+        edges.extend((0..10_000).map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 33) as u32 >> (x % 32)
+        }));
+        for v in edges {
+            let mut out = Vec::new();
+            write_u32(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes(), "{v}");
+        }
     }
 }

@@ -29,9 +29,34 @@
 //!
 //! `u64` fingerprints ride as `"0x…"` hex strings: JSON numbers are f64 and
 //! lose integer precision past 2^53.
+//!
+//! ## The codec
+//!
+//! One typed reader and one writer, no `Value` tree on the frame path:
+//!
+//! * **Reading.**  Each kind of object has a schema, a table of the
+//!   members the decoder reads and their types (`REQUEST`, `RESPONSE`,
+//!   `BATCH_RESPONSE`).  The reader walks an object's members in any order
+//!   straight off the bytes, on the lexer that [`json::parse`] also runs
+//!   on.  It reads array members into `Vec<u32>`, integers, flags and
+//!   strings into their own types, and lexes and drops every unknown
+//!   member.  A repeated key keeps its first occurrence, as
+//!   [`Value::get`] does.  The whole payload is lexed before any field is
+//!   checked, so a syntax error anywhere is a malformed-JSON bad request
+//!   with id 0, and a well-formed frame with a bad field echoes its id.
+//! * **Writing.**  Every frame is appended to one buffer reserved up
+//!   front, array elements through a digit writer.  The bytes are exactly
+//!   those of the frame's `Value` tree under [`Value::to_json`]: the same
+//!   key order and compact spelling, and `u64` counters written as `i64`,
+//!   as that tree held them.
+//!
+//! Only a traced reply's `trace` member goes through a [`Value`]: the
+//! summary is already-serialized JSON, which the writer re-parses so the
+//! frame stays valid whatever the string holds, and which the reader reads
+//! as a tree and hands back as text.
 
 use crate::error::{ErrorCode, ErrorReply};
-use crate::json::{self, Value};
+use crate::json::{self, JsonError, Lexer, Value};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -151,6 +176,37 @@ impl Kind {
             Kind::Decompose => "decompose",
         }
     }
+
+    fn from_name(name: &str) -> Option<Kind> {
+        [
+            Kind::Partition,
+            Kind::MinimizeDfa,
+            Kind::Canonize,
+            Kind::Decompose,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
+    }
+
+    /// The keys of an inline input's arrays: the function (or string) and,
+    /// for the partition kinds, the initial blocks.
+    fn array_keys(self) -> (&'static str, Option<&'static str>) {
+        match self {
+            Kind::Partition => ("f", Some("blocks")),
+            Kind::MinimizeDfa => ("delta", Some("accepting")),
+            Kind::Canonize => ("s", None),
+            Kind::Decompose => ("f", None),
+        }
+    }
+
+    /// The workload member that holds [`Input::Workload`]'s `param`.
+    fn param_key(self) -> Option<&'static str> {
+        match self {
+            Kind::Partition | Kind::MinimizeDfa => Some("blocks"),
+            Kind::Canonize => Some("alphabet"),
+            Kind::Decompose => None,
+        }
+    }
 }
 
 /// The input payload of a compute request: inline arrays, or a server-side
@@ -193,6 +249,14 @@ pub struct ComputeRequest {
 }
 
 impl ComputeRequest {
+    /// Roughly the encoded size, to allocate the frame once.
+    fn len_hint(&self) -> usize {
+        match &self.input {
+            Input::Inline { f, blocks } => 64 + U32_HINT * (f.len() + blocks.len()),
+            Input::Workload { .. } => 128,
+        }
+    }
+
     fn new(kind: Kind, input: Input) -> Self {
         ComputeRequest {
             kind,
@@ -301,10 +365,10 @@ impl Request {
     /// [`ErrorReply`] with [`ErrorCode::BadRequest`] on garbage JSON or a
     /// structurally invalid request (the connection stays usable).
     pub fn decode(payload: &[u8]) -> Result<Request, ErrorReply> {
-        let value = json::parse(payload)
+        let mut fields = Fields::read_document(payload, &REQUEST)
             .map_err(|e| ErrorReply::bad_request(format!("malformed JSON: {e}")))?;
-        let id = req_id(&value);
-        let body = decode_body(&value, true).map_err(|mut e| {
+        let id = fields.uint("id").unwrap_or(0);
+        let body = decode_body(&mut fields, true).map_err(|mut e| {
             e.id = id;
             e
         })?;
@@ -314,189 +378,139 @@ impl Request {
     /// Serialize to a frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut members = vec![("id".to_string(), Value::Int(self.id as i64))];
+        let hint = match &self.body {
+            RequestBody::Compute(req) => req.len_hint(),
+            RequestBody::Batch(subs) => subs.iter().map(|(_, req)| req.len_hint()).sum(),
+            RequestBody::Probe => 0,
+        };
+        let mut out = Vec::with_capacity(64 + hint);
+        let mut obj = Obj::open(&mut out, "id", self.id as i64);
         match &self.body {
-            RequestBody::Probe => {
-                members.push(("kind".into(), Value::Str("probe".into())));
-            }
-            RequestBody::Compute(req) => encode_compute(req, &mut members),
+            RequestBody::Probe => obj.str("kind", "probe"),
+            RequestBody::Compute(req) => encode_compute(&mut obj, req),
             RequestBody::Batch(subs) => {
-                members.push(("kind".into(), Value::Str("batch".into())));
-                let reqs = subs
-                    .iter()
-                    .map(|(id, req)| {
-                        let mut m = vec![("id".to_string(), Value::Int(*id as i64))];
-                        encode_compute(req, &mut m);
-                        Value::Object(m)
-                    })
-                    .collect();
-                members.push(("requests".into(), Value::Array(reqs)));
+                obj.str("kind", "batch");
+                obj.list("requests", subs, |out, (id, req)| {
+                    let mut sub = Obj::open(out, "id", *id as i64);
+                    encode_compute(&mut sub, req);
+                    sub.close();
+                });
             }
         }
-        Value::Object(members).to_json().into_bytes()
+        obj.close();
+        out
     }
 }
 
-/// Best-effort id extraction so error replies can still correlate.
-fn req_id(value: &Value) -> u64 {
-    value.get("id").and_then(Value::as_u64).unwrap_or(0)
-}
-
-fn decode_body(value: &Value, allow_batch: bool) -> Result<RequestBody, ErrorReply> {
-    let kind = value
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ErrorReply::bad_request("missing \"kind\"".into()))?;
-    let kind = match kind {
-        "probe" => return Ok(RequestBody::Probe),
-        "batch" => {
-            if !allow_batch {
-                return Err(ErrorReply::bad_request("nested batch".into()));
-            }
-            let reqs = value
-                .get("requests")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ErrorReply::bad_request("batch without \"requests\"".into()))?;
-            let mut subs = Vec::with_capacity(reqs.len());
-            for sub in reqs {
-                let sub_id = req_id(sub);
-                match decode_body(sub, false)? {
-                    RequestBody::Compute(req) => subs.push((sub_id, req)),
-                    _ => {
-                        return Err(ErrorReply::bad_request(
-                            "batch members must be compute requests".into(),
-                        ))
-                    }
-                }
-            }
-            return Ok(RequestBody::Batch(subs));
-        }
-        "partition" => Kind::Partition,
-        "minimize_dfa" => Kind::MinimizeDfa,
-        "canonize" => Kind::Canonize,
-        "decompose" => Kind::Decompose,
-        other => {
-            return Err(ErrorReply::bad_request(format!("unknown kind {other:?}")));
+fn decode_body(fields: &mut Fields, allow_batch: bool) -> Result<RequestBody, ErrorReply> {
+    let kind = match fields.str("kind") {
+        None => return Err(ErrorReply::bad_request("missing \"kind\"")),
+        Some("probe") => return Ok(RequestBody::Probe),
+        Some("batch") if !allow_batch => return Err(ErrorReply::bad_request("nested batch")),
+        Some("batch") => return decode_batch(fields),
+        Some(name) => Kind::from_name(name)
+            .ok_or_else(|| ErrorReply::bad_request(format!("unknown kind {name:?}")))?,
+    };
+    let input = match fields.get("workload") {
+        Some(Field::Object(w)) => Input::Workload {
+            n: w.uint("n")
+                .and_then(|v| usize::try_from(v).ok())
+                .ok_or_else(|| ErrorReply::bad_request("workload needs \"n\""))?,
+            seed: w
+                .uint("seed")
+                .ok_or_else(|| ErrorReply::bad_request("workload needs \"seed\""))?,
+            param: kind.param_key().map_or(0, |key| {
+                w.uint(key)
+                    .and_then(|v| u32::try_from(v).ok())
+                    .unwrap_or(2)
+                    .max(1)
+            }),
+        },
+        _ => {
+            let (f_key, blocks_key) = kind.array_keys();
+            let f = take_u32s(fields, f_key)?;
+            let blocks = match blocks_key {
+                Some(key) => take_u32s(fields, key)?,
+                None => Vec::new(),
+            };
+            Input::Inline { f, blocks }
         }
     };
-    let input = decode_input(kind, value)?;
     Ok(RequestBody::Compute(ComputeRequest {
         kind,
         input,
-        digest_only: flag(value, "digest", false)?,
-        use_cache: flag(value, "cache", true)?,
-        trace: flag(value, "trace", false)?,
+        digest_only: flag(fields, "digest", false)?,
+        use_cache: flag(fields, "cache", true)?,
+        trace: flag(fields, "trace", false)?,
     }))
 }
 
-fn flag(value: &Value, key: &str, default: bool) -> Result<bool, ErrorReply> {
-    match value.get(key) {
+fn decode_batch(fields: &mut Fields) -> Result<RequestBody, ErrorReply> {
+    let Some(Field::Objects(subs)) = fields.take("requests") else {
+        return Err(ErrorReply::bad_request("batch without \"requests\""));
+    };
+    subs.into_iter()
+        .map(|mut sub| {
+            let sub_id = sub.uint("id").unwrap_or(0);
+            match decode_body(&mut sub, false)? {
+                RequestBody::Compute(req) => Ok((sub_id, req)),
+                _ => Err(ErrorReply::bad_request(
+                    "batch members must be compute requests",
+                )),
+            }
+        })
+        .collect::<Result<_, _>>()
+        .map(RequestBody::Batch)
+}
+
+fn flag(fields: &Fields, key: &str, default: bool) -> Result<bool, ErrorReply> {
+    match fields.get(key) {
         None => Ok(default),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| ErrorReply::bad_request(format!("\"{key}\" must be a boolean"))),
+        Some(Field::Bool(b)) => Ok(*b),
+        Some(_) => Err(ErrorReply::bad_request(format!(
+            "\"{key}\" must be a boolean"
+        ))),
     }
 }
 
-fn u32_array(value: &Value, key: &str) -> Result<Vec<u32>, ErrorReply> {
-    let items = value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| ErrorReply::bad_request(format!("missing \"{key}\" array")))?;
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let v = item
-            .as_u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| ErrorReply::bad_request(format!("\"{key}\" must hold u32 values")))?;
-        out.push(v);
+fn take_u32s(fields: &mut Fields, key: &str) -> Result<Vec<u32>, ErrorReply> {
+    match fields.take(key) {
+        Some(Field::U32s(values)) => Ok(values),
+        Some(_) => Err(ErrorReply::bad_request(format!(
+            "\"{key}\" must hold u32 values"
+        ))),
+        None => Err(ErrorReply::bad_request(format!("missing \"{key}\" array"))),
     }
-    Ok(out)
 }
 
-fn decode_input(kind: Kind, value: &Value) -> Result<Input, ErrorReply> {
-    if let Some(w) = value.get("workload") {
-        let n = w
-            .get("n")
-            .and_then(Value::as_usize)
-            .ok_or_else(|| ErrorReply::bad_request("workload needs \"n\"".into()))?;
-        let seed = w
-            .get("seed")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ErrorReply::bad_request("workload needs \"seed\"".into()))?;
-        let param_key = match kind {
-            Kind::Partition | Kind::MinimizeDfa => Some("blocks"),
-            Kind::Canonize => Some("alphabet"),
-            Kind::Decompose => None,
-        };
-        let param = match param_key {
-            None => 0,
-            Some(key) => w
-                .get(key)
-                .and_then(Value::as_u64)
-                .and_then(|v| u32::try_from(v).ok())
-                .unwrap_or(2)
-                .max(1),
-        };
-        return Ok(Input::Workload { n, seed, param });
-    }
-    let (f_key, blocks_key) = match kind {
-        Kind::Partition => ("f", Some("blocks")),
-        Kind::MinimizeDfa => ("delta", Some("accepting")),
-        Kind::Canonize => ("s", None),
-        Kind::Decompose => ("f", None),
-    };
-    let f = u32_array(value, f_key)?;
-    let blocks = match blocks_key {
-        Some(key) => u32_array(value, key)?,
-        None => Vec::new(),
-    };
-    Ok(Input::Inline { f, blocks })
-}
-
-fn encode_compute(req: &ComputeRequest, members: &mut Vec<(String, Value)>) {
-    members.push(("kind".into(), Value::Str(req.kind.name().into())));
+fn encode_compute(obj: &mut Obj<'_>, req: &ComputeRequest) {
+    obj.str("kind", req.kind.name());
     match &req.input {
         Input::Inline { f, blocks } => {
-            let (f_key, blocks_key) = match req.kind {
-                Kind::Partition => ("f", Some("blocks")),
-                Kind::MinimizeDfa => ("delta", Some("accepting")),
-                Kind::Canonize => ("s", None),
-                Kind::Decompose => ("f", None),
-            };
-            members.push((f_key.into(), u32_values(f)));
+            let (f_key, blocks_key) = req.kind.array_keys();
+            obj.u32s(f_key, f);
             if let Some(key) = blocks_key {
-                members.push((key.into(), u32_values(blocks)));
+                obj.u32s(key, blocks);
             }
         }
         Input::Workload { n, seed, param } => {
-            let mut w = vec![
-                ("n".to_string(), Value::Int(*n as i64)),
-                ("seed".to_string(), Value::Int(*seed as i64)),
-            ];
-            match req.kind {
-                Kind::Partition | Kind::MinimizeDfa => {
-                    w.push(("blocks".into(), Value::Int(i64::from(*param))));
-                }
-                Kind::Canonize => w.push(("alphabet".into(), Value::Int(i64::from(*param)))),
-                Kind::Decompose => {}
+            let mut w = Obj::open(obj.key("workload"), "n", *n as i64);
+            w.int("seed", *seed as i64);
+            if let Some(key) = req.kind.param_key() {
+                w.int(key, i64::from(*param));
             }
-            members.push(("workload".into(), Value::Object(w)));
+            w.close();
         }
     }
     if req.digest_only {
-        members.push(("digest".into(), Value::Bool(true)));
+        obj.bool("digest", true);
     }
     if !req.use_cache {
-        members.push(("cache".into(), Value::Bool(false)));
+        obj.bool("cache", false);
     }
     if req.trace {
-        members.push(("trace".into(), Value::Bool(true)));
+        obj.bool("trace", true);
     }
-}
-
-fn u32_values(values: &[u32]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::Int(i64::from(v))).collect())
 }
 
 /// A successful reply body.
@@ -572,55 +586,53 @@ pub struct BatchResponse {
     pub responses: Vec<Response>,
 }
 
-fn hex_u64(v: u64) -> Value {
-    Value::Str(format!("{v:#018x}"))
-}
-
-fn parse_hex_u64(v: &Value) -> Option<u64> {
-    let s = v.as_str()?.strip_prefix("0x")?;
-    u64::from_str_radix(s, 16).ok()
-}
-
 impl Response {
     /// Serialize to a frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        self.to_value().to_json().into_bytes()
+        let mut out = Vec::with_capacity(self.len_hint());
+        self.write(&mut out);
+        out
     }
 
-    fn to_value(&self) -> Value {
-        let mut members = vec![("id".to_string(), Value::Int(self.id as i64))];
+    /// Roughly the encoded size, to allocate the frame once.
+    fn len_hint(&self) -> usize {
+        match &self.outcome {
+            Err(err) => 128 + err.message.len(),
+            Ok(reply) => {
+                let labels = match &reply.payload {
+                    ReplyPayload::Labels(labels) => labels.len(),
+                    _ => 0,
+                };
+                256 + U32_HINT * labels + reply.trace_json.as_ref().map_or(0, String::len)
+            }
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        let mut obj = Obj::open(out, "id", self.id as i64);
         match &self.outcome {
             Err(err) => {
-                members.push(("ok".into(), Value::Bool(false)));
-                members.push(("code".into(), Value::Str(err.code.name().into())));
-                members.push(("message".into(), Value::Str(err.message.clone())));
-                members.push(("retryable".into(), Value::Bool(err.retryable)));
+                obj.bool("ok", false);
+                obj.str("code", err.code.name());
+                obj.str("message", &err.message);
+                obj.bool("retryable", err.retryable);
             }
             Ok(reply) => {
-                members.push(("ok".into(), Value::Bool(true)));
-                members.push(("kind".into(), Value::Str(reply.kind.into())));
+                obj.bool("ok", true);
+                obj.str("kind", reply.kind);
                 match &reply.payload {
-                    ReplyPayload::Labels(labels) => {
-                        members.push(("labels".into(), u32_values(labels)));
-                    }
-                    ReplyPayload::LabelsDigest(d) => {
-                        members.push(("labels_digest".into(), hex_u64(*d)));
-                    }
-                    ReplyPayload::Msp(k) => {
-                        members.push(("msp".into(), Value::Int(*k as i64)));
-                    }
+                    ReplyPayload::Labels(labels) => obj.u32s("labels", labels),
+                    ReplyPayload::LabelsDigest(d) => obj.hex("labels_digest", *d),
+                    ReplyPayload::Msp(k) => obj.int("msp", *k as i64),
                     ReplyPayload::Decomposition {
                         num_cycles,
                         num_cycle_nodes,
                         digest,
                     } => {
-                        members.push(("num_cycles".into(), Value::Int(*num_cycles as i64)));
-                        members.push((
-                            "num_cycle_nodes".into(),
-                            Value::Int(*num_cycle_nodes as i64),
-                        ));
-                        members.push(("digest".into(), hex_u64(*digest)));
+                        obj.int("num_cycles", *num_cycles as i64);
+                        obj.int("num_cycle_nodes", *num_cycle_nodes as i64);
+                        obj.hex("digest", *digest);
                     }
                     ReplyPayload::Probe {
                         worker,
@@ -638,22 +650,23 @@ impl Response {
                             ("cache_misses", cache_misses),
                             ("cache_bytes", cache_bytes),
                         ] {
-                            members.push((key.into(), Value::Int(*v as i64)));
+                            obj.int(key, *v as i64);
                         }
                     }
                 }
-                members.push(("work".into(), Value::Int(reply.work as i64)));
-                members.push(("rounds".into(), Value::Int(reply.rounds as i64)));
-                members.push(("cached".into(), Value::Bool(reply.cached)));
+                obj.int("work", reply.work as i64);
+                obj.int("rounds", reply.rounds as i64);
+                obj.bool("cached", reply.cached);
                 if let Some(trace) = &reply.trace_json {
-                    // Already-serialized JSON from the trace summary; splice
-                    // it back in as a parsed value to keep the frame valid.
+                    // Already-serialized JSON from the trace summary; it
+                    // goes through the parser so the frame stays valid
+                    // whatever the string holds.
                     let spliced = json::parse(trace.as_bytes()).unwrap_or(Value::Null);
-                    members.push(("trace".into(), spliced));
+                    spliced.write(obj.key("trace"));
                 }
             }
         }
-        Value::Object(members)
+        obj.close();
     }
 
     /// Parse a response frame payload.
@@ -662,124 +675,79 @@ impl Response {
     /// A human-readable description when the payload is not a valid
     /// response object (client-side use).
     pub fn decode(payload: &[u8]) -> Result<Response, String> {
-        let value = json::parse(payload).map_err(|e| format!("malformed response JSON: {e}"))?;
-        Response::from_value(&value)
+        let mut fields = Fields::read_document(payload, RESPONSE)
+            .map_err(|e| format!("malformed response JSON: {e}"))?;
+        Response::from_fields(&mut fields)
     }
 
-    fn from_value(value: &Value) -> Result<Response, String> {
-        let id = req_id(value);
-        let ok = value
-            .get("ok")
-            .and_then(Value::as_bool)
-            .ok_or("response missing \"ok\"")?;
-        if !ok {
-            let code = value
-                .get("code")
-                .and_then(Value::as_str)
-                .map(ErrorCode::from_name)
-                .ok_or("error response missing \"code\"")?;
-            let message = value
-                .get("message")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string();
-            let retryable = value
-                .get("retryable")
-                .and_then(Value::as_bool)
-                .unwrap_or(false);
+    fn from_fields(f: &mut Fields) -> Result<Response, String> {
+        let id = f.uint("id").unwrap_or(0);
+        if !f.bool("ok").ok_or("response missing \"ok\"")? {
+            let err = ErrorReply {
+                id,
+                code: f
+                    .str("code")
+                    .map(ErrorCode::from_name)
+                    .ok_or("error response missing \"code\"")?,
+                message: f.str("message").unwrap_or_default().to_string(),
+                retryable: f.bool("retryable").unwrap_or(false),
+            };
             return Ok(Response {
                 id,
-                outcome: Err(ErrorReply {
-                    id,
-                    code,
-                    message,
-                    retryable,
-                }),
+                outcome: Err(err),
             });
         }
-        let kind_name = value
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("missing \"kind\"")?;
-        let (kind, payload) = match kind_name {
-            "probe" => {
-                let get = |key: &str| value.get(key).and_then(Value::as_u64).unwrap_or(0);
-                (
-                    "probe",
-                    ReplyPayload::Probe {
-                        worker: get("worker"),
-                        outstanding: get("outstanding"),
-                        pooled_bytes: get("pooled_bytes"),
-                        cache_hits: get("cache_hits"),
-                        cache_misses: get("cache_misses"),
-                        cache_bytes: get("cache_bytes"),
-                    },
-                )
-            }
-            "canonize" => {
-                let k = value
-                    .get("msp")
-                    .and_then(Value::as_u64)
-                    .ok_or("missing \"msp\"")?;
-                ("canonize", ReplyPayload::Msp(k))
-            }
-            "decompose" => (
-                "decompose",
-                ReplyPayload::Decomposition {
-                    num_cycles: value
-                        .get("num_cycles")
-                        .and_then(Value::as_u64)
-                        .ok_or("missing \"num_cycles\"")?,
-                    num_cycle_nodes: value
-                        .get("num_cycle_nodes")
-                        .and_then(Value::as_u64)
-                        .ok_or("missing \"num_cycle_nodes\"")?,
-                    digest: value
-                        .get("digest")
-                        .and_then(parse_hex_u64)
-                        .ok_or("missing \"digest\"")?,
-                },
+        // `None` is a probe.
+        let kind = match f.str("kind").ok_or("missing \"kind\"")? {
+            "probe" => None,
+            name => Some(
+                Kind::from_name(name).ok_or_else(|| format!("unknown response kind {name:?}"))?,
             ),
-            "partition" | "minimize_dfa" => {
-                let kind = if kind_name == "partition" {
-                    "partition"
-                } else {
-                    "minimize_dfa"
-                };
-                if let Some(d) = value.get("labels_digest") {
-                    (
-                        kind,
-                        ReplyPayload::LabelsDigest(parse_hex_u64(d).ok_or("bad digest")?),
-                    )
-                } else {
-                    let labels = value
-                        .get("labels")
-                        .and_then(Value::as_array)
-                        .ok_or("missing \"labels\"")?
-                        .iter()
-                        .map(|v| {
-                            v.as_u64()
-                                .and_then(|v| u32::try_from(v).ok())
-                                .ok_or("labels must hold u32 values")
-                        })
-                        .collect::<Result<Vec<u32>, _>>()?;
-                    (kind, ReplyPayload::Labels(labels))
+        };
+        let payload = match kind {
+            None => {
+                let get = |key| f.uint(key).unwrap_or(0);
+                ReplyPayload::Probe {
+                    worker: get("worker"),
+                    outstanding: get("outstanding"),
+                    pooled_bytes: get("pooled_bytes"),
+                    cache_hits: get("cache_hits"),
+                    cache_misses: get("cache_misses"),
+                    cache_bytes: get("cache_bytes"),
                 }
             }
-            other => return Err(format!("unknown response kind {other:?}")),
+            Some(Kind::Canonize) => ReplyPayload::Msp(f.uint("msp").ok_or("missing \"msp\"")?),
+            Some(Kind::Decompose) => ReplyPayload::Decomposition {
+                num_cycles: f.uint("num_cycles").ok_or("missing \"num_cycles\"")?,
+                num_cycle_nodes: f
+                    .uint("num_cycle_nodes")
+                    .ok_or("missing \"num_cycle_nodes\"")?,
+                digest: f.hex("digest").ok_or("missing \"digest\"")?,
+            },
+            Some(Kind::Partition | Kind::MinimizeDfa) => {
+                if f.get("labels_digest").is_some() {
+                    ReplyPayload::LabelsDigest(f.hex("labels_digest").ok_or("bad digest")?)
+                } else {
+                    match f.take("labels") {
+                        Some(Field::U32s(labels)) => ReplyPayload::Labels(labels),
+                        Some(_) => return Err("labels must hold u32 values".into()),
+                        None => return Err("missing \"labels\"".into()),
+                    }
+                }
+            }
         };
-        let trace_json = value.get("trace").map(Value::to_json);
+        let trace_json = match f.take("trace") {
+            Some(Field::Json(trace)) => Some(trace.to_json()),
+            _ => None,
+        };
         Ok(Response {
             id,
             outcome: Ok(Reply {
-                kind,
+                kind: kind.map_or("probe", Kind::name),
                 payload,
-                work: value.get("work").and_then(Value::as_u64).unwrap_or(0),
-                rounds: value.get("rounds").and_then(Value::as_u64).unwrap_or(0),
-                cached: value
-                    .get("cached")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
+                work: f.uint("work").unwrap_or(0),
+                rounds: f.uint("rounds").unwrap_or(0),
+                cached: f.bool("cached").unwrap_or(false),
                 trace_json,
             }),
         })
@@ -790,16 +758,14 @@ impl BatchResponse {
     /// Serialize to a frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let members = vec![
-            ("id".to_string(), Value::Int(self.id as i64)),
-            ("ok".to_string(), Value::Bool(true)),
-            ("kind".to_string(), Value::Str("batch".into())),
-            (
-                "responses".to_string(),
-                Value::Array(self.responses.iter().map(Response::to_value).collect()),
-            ),
-        ];
-        Value::Object(members).to_json().into_bytes()
+        let hint: usize = self.responses.iter().map(Response::len_hint).sum();
+        let mut out = Vec::with_capacity(64 + hint);
+        let mut obj = Obj::open(&mut out, "id", self.id as i64);
+        obj.bool("ok", true);
+        obj.str("kind", "batch");
+        obj.list("responses", &self.responses, |out, r| r.write(out));
+        obj.close();
+        out
     }
 
     /// Parse a batch response frame payload.
@@ -808,21 +774,280 @@ impl BatchResponse {
     /// A human-readable description when the payload is not a valid batch
     /// response.
     pub fn decode(payload: &[u8]) -> Result<BatchResponse, String> {
-        let value = json::parse(payload).map_err(|e| format!("malformed response JSON: {e}"))?;
-        if value.get("kind").and_then(Value::as_str) != Some("batch") {
+        let mut fields = Fields::read_document(payload, BATCH_RESPONSE)
+            .map_err(|e| format!("malformed response JSON: {e}"))?;
+        if fields.str("kind") != Some("batch") {
             return Err("not a batch response".into());
         }
-        let responses = value
-            .get("responses")
-            .and_then(Value::as_array)
-            .ok_or("batch response missing \"responses\"")?
-            .iter()
-            .map(Response::from_value)
+        let Some(Field::Objects(items)) = fields.take("responses") else {
+            return Err("batch response missing \"responses\"".into());
+        };
+        let responses = items
+            .into_iter()
+            .map(|mut r| Response::from_fields(&mut r))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(BatchResponse {
-            id: req_id(&value),
+            id: fields.uint("id").unwrap_or(0),
             responses,
         })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The reader: each object's members, straight off the frame bytes.
+// ---------------------------------------------------------------------------
+
+/// How the reader takes one member's value.
+#[derive(Clone, Copy)]
+enum Ty {
+    /// A non-negative integer, as [`Value::as_u64`] reads it.
+    Uint,
+    /// `true` or `false`.
+    Bool,
+    /// A string.
+    Str,
+    /// An array of integers in `u32` range, read into a `Vec<u32>`.
+    U32s,
+    /// An object, read by its own schema.
+    Object(Schema),
+    /// An array of objects, each read by the schema.
+    Objects(Schema),
+    /// Any value, kept as a [`Value`] tree.
+    Json,
+}
+
+/// The members the decoder reads from one kind of object, by key.  Every
+/// other member is lexed and dropped.
+type Schema = &'static [(&'static str, Ty)];
+
+/// A request object, at the top level or as a batch member.  A member's
+/// own `"requests"` is read but never used: a nested batch is rejected.
+static REQUEST: [(&str, Ty); 12] = [
+    ("id", Ty::Uint),
+    ("kind", Ty::Str),
+    ("f", Ty::U32s),
+    ("blocks", Ty::U32s),
+    ("delta", Ty::U32s),
+    ("accepting", Ty::U32s),
+    ("s", Ty::U32s),
+    (
+        "workload",
+        Ty::Object(&[
+            ("n", Ty::Uint),
+            ("seed", Ty::Uint),
+            ("blocks", Ty::Uint),
+            ("alphabet", Ty::Uint),
+        ]),
+    ),
+    ("digest", Ty::Bool),
+    ("cache", Ty::Bool),
+    ("trace", Ty::Bool),
+    ("requests", Ty::Objects(&REQUEST)),
+];
+
+/// A response object, at the top level or as a batch member.
+const RESPONSE: Schema = &[
+    ("id", Ty::Uint),
+    ("ok", Ty::Bool),
+    ("code", Ty::Str),
+    ("message", Ty::Str),
+    ("retryable", Ty::Bool),
+    ("kind", Ty::Str),
+    ("labels", Ty::U32s),
+    ("labels_digest", Ty::Str),
+    ("msp", Ty::Uint),
+    ("num_cycles", Ty::Uint),
+    ("num_cycle_nodes", Ty::Uint),
+    ("digest", Ty::Str),
+    ("worker", Ty::Uint),
+    ("outstanding", Ty::Uint),
+    ("pooled_bytes", Ty::Uint),
+    ("cache_hits", Ty::Uint),
+    ("cache_misses", Ty::Uint),
+    ("cache_bytes", Ty::Uint),
+    ("work", Ty::Uint),
+    ("rounds", Ty::Uint),
+    ("cached", Ty::Bool),
+    ("trace", Ty::Json),
+];
+
+/// A batch response frame.
+const BATCH_RESPONSE: Schema = &[
+    ("id", Ty::Uint),
+    ("kind", Ty::Str),
+    ("responses", Ty::Objects(RESPONSE)),
+];
+
+/// One member's value as its [`Ty`] reads it.
+enum Field {
+    Uint(u64),
+    Bool(bool),
+    Str(String),
+    U32s(Vec<u32>),
+    Object(Fields),
+    Objects(Vec<Fields>),
+    Json(Value),
+    /// A member holding a value of another type: present, but unreadable.
+    Wrong,
+}
+
+impl Field {
+    fn read(lx: &mut Lexer<'_>, depth: usize, ty: Ty) -> Result<Field, JsonError> {
+        Ok(match ty {
+            Ty::Uint => lx.uint(depth)?.map_or(Field::Wrong, Field::Uint),
+            Ty::Bool => lx.bool(depth)?.map_or(Field::Wrong, Field::Bool),
+            Ty::Str => lx.str(depth)?.map_or(Field::Wrong, Field::Str),
+            Ty::U32s => lx.u32s(depth)?.map_or(Field::Wrong, Field::U32s),
+            Ty::Object(schema) => Field::Object(Fields::read(lx, depth, schema)?),
+            Ty::Objects(schema) => {
+                let mut items = Vec::new();
+                let is_array = lx.elements(depth, |lx| {
+                    items.push(Fields::read(lx, depth + 1, schema)?);
+                    Ok(())
+                })?;
+                if is_array {
+                    Field::Objects(items)
+                } else {
+                    Field::Wrong
+                }
+            }
+            Ty::Json => Field::Json(lx.value(depth)?),
+        })
+    }
+}
+
+/// The schema members of one object, each at its first occurrence (the
+/// one [`Value::get`] finds).  A value that is not an object has none.
+#[derive(Default)]
+struct Fields(Vec<(&'static str, Field)>);
+
+impl Fields {
+    /// Read a whole payload: one value, and nothing but whitespace after it.
+    fn read_document(payload: &[u8], schema: Schema) -> Result<Fields, JsonError> {
+        let mut lx = Lexer::new(payload);
+        let fields = Fields::read(&mut lx, 0, schema)?;
+        lx.finish()?;
+        Ok(fields)
+    }
+
+    fn read(lx: &mut Lexer<'_>, depth: usize, schema: Schema) -> Result<Fields, JsonError> {
+        let mut fields = Fields::default();
+        lx.members(depth, |lx, key| {
+            match schema.iter().find(|(name, _)| *name == key) {
+                Some(&(name, ty)) if fields.get(name).is_none() => {
+                    let field = Field::read(lx, depth + 1, ty)?;
+                    fields.0.push((name, field));
+                    Ok(())
+                }
+                _ => lx.skip(depth + 1),
+            }
+        })?;
+        Ok(fields)
+    }
+
+    fn get(&self, key: &str) -> Option<&Field> {
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, f)| f)
+    }
+
+    fn take(&mut self, key: &str) -> Option<Field> {
+        let at = self.0.iter().position(|(k, _)| *k == key)?;
+        Some(self.0.swap_remove(at).1)
+    }
+
+    fn uint(&self, key: &str) -> Option<u64> {
+        match self.get(key)? {
+            Field::Uint(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn bool(&self, key: &str) -> Option<bool> {
+        match self.get(key)? {
+            Field::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    fn str(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// A `"0x…"` hex string.
+    fn hex(&self, key: &str) -> Option<u64> {
+        u64::from_str_radix(self.str(key)?.strip_prefix("0x")?, 16).ok()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The writer: every frame appended to one buffer.
+// ---------------------------------------------------------------------------
+
+/// Bytes to reserve per `u32` of an array: a hint, not a bound (up to six
+/// digits and a comma; the arrays a solvable instance sends hold values
+/// below its size).
+const U32_HINT: usize = 8;
+
+/// Appends one object to a frame buffer: [`Obj::open`] writes `{` and the
+/// first member, each later member goes out as `,"key":value`, and
+/// [`Obj::close`] writes `}`.
+struct Obj<'o>(&'o mut Vec<u8>);
+
+impl<'o> Obj<'o> {
+    fn open(out: &'o mut Vec<u8>, key: &str, v: i64) -> Obj<'o> {
+        out.push(b'{');
+        json::write_str(out, key);
+        out.push(b':');
+        json::write_i64(out, v);
+        Obj(out)
+    }
+
+    /// Write `,"key":` and return the buffer for the value.
+    fn key(&mut self, key: &str) -> &mut Vec<u8> {
+        self.0.push(b',');
+        json::write_str(self.0, key);
+        self.0.push(b':');
+        self.0
+    }
+
+    fn int(&mut self, key: &str, v: i64) {
+        json::write_i64(self.key(key), v);
+    }
+
+    fn bool(&mut self, key: &str, v: bool) {
+        json::write_bool(self.key(key), v);
+    }
+
+    fn str(&mut self, key: &str, v: &str) {
+        json::write_str(self.key(key), v);
+    }
+
+    /// A `u64` fingerprint as a `"0x…"` string of 16 hex digits.
+    fn hex(&mut self, key: &str, v: u64) {
+        write!(self.key(key), "\"{v:#018x}\"").expect("writing to a Vec cannot fail");
+    }
+
+    /// An array, each item written by `item`.
+    fn list<T>(&mut self, key: &str, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
+        let out = self.key(key);
+        out.push(b'[');
+        for (i, x) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            item(out, x);
+        }
+        out.push(b']');
+    }
+
+    fn u32s(&mut self, key: &str, values: &[u32]) {
+        self.list(key, values, |out, &v| json::write_u32(out, v));
+    }
+
+    fn close(self) {
+        self.0.push(b'}');
     }
 }
 

@@ -16,7 +16,6 @@ use crate::snapshot::{
 use sfcp::{try_coarsest_partition, Algorithm, Instance};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::{generators, try_decompose, FunctionalGraph};
-use sfcp_pram::fxhash::FxHashMap;
 use sfcp_pram::{Ctx, Stats};
 use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,7 +136,7 @@ impl Worker {
             try_coarsest_partition(ctx, &instance, Algorithm::Parallel)
         });
         let q = result.map_err(|e| ErrorReply::from_solver(0, &e))?;
-        let labels = canonical_labels(&q);
+        let labels = q.canonical().into_labels();
         if req.use_cache {
             self.cache.insert(
                 key,
@@ -470,25 +469,6 @@ fn cached_partition_reply(req: &ComputeRequest, snap: &Snapshot) -> Result<Reply
     })
 }
 
-/// Canonical labels of a partition result, the service's wire form: labels
-/// renumbered by first occurrence, so equal partitions compare equal
-/// whatever labels the solver picked.
-#[must_use]
-pub fn canonical_labels(partition: &sfcp::Partition) -> Vec<u32> {
-    first_occurrence(partition.labels())
-}
-
-/// Canonical (first-occurrence) renumbering of arbitrary labels.
-fn first_occurrence(labels: &[u32]) -> Vec<u32> {
-    let mut map = FxHashMap::default();
-    let mut out = Vec::with_capacity(labels.len());
-    for &l in labels {
-        let next = map.len() as u32;
-        out.push(*map.entry(l).or_insert(next));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,12 +559,6 @@ mod tests {
             assert_eq!(again.payload, reply.payload);
             assert_eq!((again.work, again.rounds), (reply.work, reply.rounds));
         }
-    }
-
-    #[test]
-    fn first_occurrence_is_canonical() {
-        assert_eq!(first_occurrence(&[9, 9, 4, 9, 1]), vec![0, 0, 1, 0, 2]);
-        assert!(first_occurrence(&[]).is_empty());
     }
 
     #[test]

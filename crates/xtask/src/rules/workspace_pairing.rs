@@ -22,7 +22,6 @@ pub const RULE: &str = "workspace-pairing";
 const TAKE_CALLS: &[&str] = &[
     "take_u8(",
     "take_u32(",
-    "take_i64(",
     "take_u64(",
     "take_recs(",
     "take_pairs(",

@@ -18,7 +18,7 @@ use sfcp_repro::sfcp::{try_coarsest_partition, Algorithm, Instance};
 use sfcp_repro::sfcp_forest::cycles::CycleMethod;
 use sfcp_repro::sfcp_forest::{generators, try_decompose};
 use sfcp_service::snapshot::{decomposition_digest, labels_digest};
-use sfcp_service::worker::{canonical_labels, workload_string};
+use sfcp_service::worker::workload_string;
 use sfcp_service::{
     Client, ComputeRequest, ErrorCode, Kind, Reply, ReplyPayload, Response, Server, ServerConfig,
     Worker,
@@ -66,7 +66,7 @@ fn every_kind_matches_direct_calls_across_the_engine_grid() {
         let (q, stats) = charged(&ctx, |c| {
             try_coarsest_partition(c, &inst, Algorithm::Parallel)
         });
-        let expect = canonical_labels(&q.expect("direct solve"));
+        let expect = q.expect("direct solve").canonical().into_labels();
         assert_eq!(
             reply.payload,
             ReplyPayload::Labels(expect.clone()),
@@ -143,7 +143,7 @@ fn direct(ctx: &Ctx, member: &Instance) -> (ReplyPayload, Stats) {
         try_coarsest_partition(c, member, Algorithm::Parallel)
     });
     (
-        ReplyPayload::Labels(canonical_labels(&q.expect("direct"))),
+        ReplyPayload::Labels(q.expect("direct").canonical().into_labels()),
         stats,
     )
 }
