@@ -49,7 +49,7 @@ pub mod verify;
 
 pub use cycle_equivalence::GroupingMethod;
 pub use error::DecomposeError;
-pub use parallel::{try_coarsest_parallel, ParallelConfig, TreeLabelMethod};
+pub use parallel::{try_coarsest_parallel, ParallelConfig};
 pub use problem::{Instance, Partition};
 pub use verify::{verify, VerifyError};
 

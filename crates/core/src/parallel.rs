@@ -27,27 +27,11 @@ use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::{decompose, Decomposition};
 use sfcp_parprim::rank::{dense_ranks_by_sort, dense_ranks_of_pairs_into};
 use sfcp_parprim::scan::scan_generic;
-use sfcp_pram::fxhash::FxHashMap;
 use sfcp_pram::Ctx;
 use sfcp_strings::canonical::booth_msp;
 use sfcp_strings::msp::{minimal_starting_point, MspMethod};
 use sfcp_strings::period::{smallest_period, smallest_period_seq};
 use sfcp_strings::rotation;
-
-/// How the residual (unmarked) tree nodes are labelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeLabelMethod {
-    /// Doubling over root paths, stopped at the first round that splits no
-    /// class: `O(log k)` rounds and `O(n log k)` work, where `k ≤ d + 2` is
-    /// the longest path prefix two classes need to separate and `d` the
-    /// residual forest depth (the paper reaches `O(n)` work with Kedem–Palem
-    /// scheduling; this is the documented substitution).
-    #[default]
-    Doubling,
-    /// Level-by-level labelling, Step 3's oracle: `O(n)` work but depth
-    /// proportional to the tree height.
-    Levelwise,
-}
 
 /// Tunables of the parallel algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +47,6 @@ pub struct ParallelConfig {
     pub parallel_strings_threshold: usize,
     /// How equivalent cycles are grouped (Section 3.2).
     pub grouping: GroupingMethod,
-    /// How the residual tree nodes are labelled (Section 4, step 5).
-    pub tree_method: TreeLabelMethod,
 }
 
 impl Default for ParallelConfig {
@@ -74,7 +56,6 @@ impl Default for ParallelConfig {
             msp_method: MspMethod::Efficient,
             parallel_strings_threshold: 1 << 13,
             grouping: GroupingMethod::Partition,
-            tree_method: TreeLabelMethod::Doubling,
         }
     }
 }
@@ -148,7 +129,11 @@ pub fn coarsest_parallel_with(ctx: &Ctx, instance: &Instance, config: ParallelCo
 
     // ---- Step 3: tree node labelling ---------------------------------------
     if dec.levels.iter().any(|&l| l > 0) {
-        label_tree_nodes(ctx, instance, &dec, config, &mut labels, &mut next_label);
+        let mut span = ctx.span("label_tree_nodes");
+        let (unmarked, terminals) =
+            label_tree_nodes(ctx, instance, &dec, &mut labels, &mut next_label);
+        span.attr("unmarked", unmarked as u64);
+        span.attr("terminals", terminals as u64);
     }
 
     debug_assert!(labels.iter().all(|&l| l != u32::MAX), "every node labelled");
@@ -227,98 +212,11 @@ fn label_cycle_nodes(
     (labels, num_labels)
 }
 
-/// Step 3: label the tree nodes, either by the paper's marked/doubling route
-/// or level by level.
+/// Step 3: label the tree nodes by the paper's route — Lemma 4.1 marking +
+/// Euler-tour descendant unmarking, then Lemma 4.2 doubling over the
+/// residual forest.  Returns the number of unmarked nodes and of terminals
+/// (distinct anchor labels).
 fn label_tree_nodes(
-    ctx: &Ctx,
-    instance: &Instance,
-    dec: &Decomposition,
-    config: ParallelConfig,
-    labels: &mut [u32],
-    next_label: &mut u32,
-) {
-    let mut span = ctx.span("label_tree_nodes");
-    match config.tree_method {
-        TreeLabelMethod::Levelwise => {
-            label_tree_nodes_levelwise(ctx, instance, dec, labels, next_label);
-        }
-        TreeLabelMethod::Doubling => {
-            let (unmarked, terminals) =
-                label_tree_nodes_doubling(ctx, instance, dec, labels, next_label);
-            span.attr("unmarked", unmarked as u64);
-            span.attr("terminals", terminals as u64);
-        }
-    }
-}
-
-/// Level-by-level labelling: `Q(x)` is determined by `(B(x), Q(f(x)))`
-/// (Lemma 2.1(i)); levels are processed in increasing order so the image is
-/// always labelled first.
-#[allow(clippy::needless_range_loop)] // level indexes a per-level bucket list
-fn label_tree_nodes_levelwise(
-    ctx: &Ctx,
-    instance: &Instance,
-    dec: &Decomposition,
-    labels: &mut [u32],
-    next_label: &mut u32,
-) {
-    let n = instance.len();
-    let f = instance.f();
-    let b = instance.blocks();
-    let ws = ctx.workspace();
-
-    // Bucket the tree nodes by level: a CSR build keyed by level (ascending
-    // node order inside each level, matching the former per-level push
-    // loop).  Charged at the builder's count/prefix/scatter model instead of
-    // the push loop's single round — the levelwise ablation is not charge-
-    // pinned to any baseline.
-    let max_level = *dec.levels.iter().max().unwrap() as usize;
-    let mut level_start = ws.take_u32(0);
-    let mut level_nodes = ws.take_u32(0);
-    sfcp_parprim::csr::build_csr_into(
-        ctx,
-        max_level + 1,
-        n,
-        |x| (!dec.is_cycle[x]).then(|| (dec.levels[x], x as u32)),
-        &mut level_start,
-        &mut level_nodes,
-    );
-
-    // Seed the signature map with the cycle nodes so tree nodes that are
-    // equivalent to cycle nodes merge with them.
-    let mut pair_class: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-    for x in 0..n {
-        if dec.is_cycle[x] {
-            pair_class.insert((b[x], labels[f[x] as usize]), labels[x]);
-        }
-    }
-    ctx.charge_step(n as u64);
-
-    for level in 1..=max_level {
-        let nodes = &level_nodes[level_start[level] as usize..level_start[level + 1] as usize];
-        if nodes.is_empty() {
-            continue;
-        }
-        // Keys can be computed in parallel; the dense assignment walks the
-        // level sequentially (the map is shared across levels).
-        let keys: Vec<(u32, u32)> =
-            ctx.par_map_slice(nodes, |&x| (b[x as usize], labels[f[x as usize] as usize]));
-        for (i, &x) in nodes.iter().enumerate() {
-            let label = *pair_class.entry(keys[i]).or_insert_with(|| {
-                let l = *next_label;
-                *next_label += 1;
-                l
-            });
-            labels[x as usize] = label;
-        }
-        ctx.charge_step(nodes.len() as u64);
-    }
-}
-
-/// The paper's route: Lemma 4.1 marking + Euler-tour descendant unmarking,
-/// then Lemma 4.2 doubling over the residual forest.  Returns the number of
-/// unmarked nodes and of terminals (distinct anchor labels).
-fn label_tree_nodes_doubling(
     ctx: &Ctx,
     instance: &Instance,
     dec: &Decomposition,
@@ -557,23 +455,91 @@ mod tests {
     use crate::naive::coarsest_naive;
     use crate::verify::assert_valid;
     use proptest::prelude::*;
+    use sfcp_pram::fxhash::FxHashMap;
 
     fn configs() -> Vec<ParallelConfig> {
         let mut out = Vec::new();
-        for tree_method in [TreeLabelMethod::Doubling, TreeLabelMethod::Levelwise] {
-            for grouping in [GroupingMethod::Partition, GroupingMethod::Hash] {
-                for cycle_method in [CycleMethod::Euler, CycleMethod::Sequential] {
-                    out.push(ParallelConfig {
-                        cycle_method,
-                        msp_method: MspMethod::Efficient,
-                        parallel_strings_threshold: 1 << 13,
-                        grouping,
-                        tree_method,
-                    });
-                }
+        for grouping in [GroupingMethod::Partition, GroupingMethod::Hash] {
+            for cycle_method in [CycleMethod::Euler, CycleMethod::Sequential] {
+                out.push(ParallelConfig {
+                    cycle_method,
+                    grouping,
+                    ..ParallelConfig::default()
+                });
             }
         }
         out
+    }
+
+    /// The pipeline of [`coarsest_parallel_with`] with Step 3's oracle in
+    /// place of the doubling.
+    fn coarsest_levelwise(ctx: &Ctx, instance: &Instance, config: ParallelConfig) -> Partition {
+        let dec = decompose(ctx, instance.graph(), config.cycle_method);
+        let (mut labels, mut next_label) = label_cycle_nodes(ctx, instance, &dec, config);
+        if dec.levels.iter().any(|&l| l > 0) {
+            label_tree_nodes_levelwise(ctx, instance, &dec, &mut labels, &mut next_label);
+        }
+        Partition::new(labels)
+    }
+
+    /// Step 3's oracle, level-by-level labelling: `Q(x)` is determined by
+    /// `(B(x), Q(f(x)))` (Lemma 2.1(i)); levels are processed in increasing
+    /// order so the image is always labelled first.  `O(n)` work, but depth
+    /// proportional to the tree height.
+    #[allow(clippy::needless_range_loop)] // level indexes a per-level bucket list
+    fn label_tree_nodes_levelwise(
+        ctx: &Ctx,
+        instance: &Instance,
+        dec: &Decomposition,
+        labels: &mut [u32],
+        next_label: &mut u32,
+    ) {
+        let n = instance.len();
+        let f = instance.f();
+        let b = instance.blocks();
+        let ws = ctx.workspace();
+
+        // Bucket the tree nodes by level: a CSR build keyed by level
+        // (ascending node order inside each level).
+        let max_level = *dec.levels.iter().max().unwrap() as usize;
+        let mut level_start = ws.take_u32(0);
+        let mut level_nodes = ws.take_u32(0);
+        sfcp_parprim::csr::build_csr_into(
+            ctx,
+            max_level + 1,
+            n,
+            |x| (!dec.is_cycle[x]).then(|| (dec.levels[x], x as u32)),
+            &mut level_start,
+            &mut level_nodes,
+        );
+
+        // Seed the signature map with the cycle nodes so tree nodes that are
+        // equivalent to cycle nodes merge with them.
+        let mut pair_class: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+        for x in 0..n {
+            if dec.is_cycle[x] {
+                pair_class.insert((b[x], labels[f[x] as usize]), labels[x]);
+            }
+        }
+
+        for level in 1..=max_level {
+            let nodes = &level_nodes[level_start[level] as usize..level_start[level + 1] as usize];
+            if nodes.is_empty() {
+                continue;
+            }
+            // Keys can be computed in parallel; the dense assignment walks the
+            // level sequentially (the map is shared across levels).
+            let keys: Vec<(u32, u32)> =
+                ctx.par_map_slice(nodes, |&x| (b[x as usize], labels[f[x as usize] as usize]));
+            for (i, &x) in nodes.iter().enumerate() {
+                let label = *pair_class.entry(keys[i]).or_insert_with(|| {
+                    let l = *next_label;
+                    *next_label += 1;
+                    l
+                });
+                labels[x as usize] = label;
+            }
+        }
     }
 
     #[test]
@@ -582,12 +548,16 @@ mod tests {
         let expected = Partition::new(sfcp_forest::generators::paper_example_expected_q());
         let ctx = Ctx::parallel();
         for config in configs() {
-            let q = coarsest_parallel_with(&ctx, &inst, config);
-            assert!(
-                q.same_partition(&expected),
-                "config {config:?} gave {:?}",
-                q.labels()
-            );
+            for q in [
+                coarsest_parallel_with(&ctx, &inst, config),
+                coarsest_levelwise(&ctx, &inst, config),
+            ] {
+                assert!(
+                    q.same_partition(&expected),
+                    "config {config:?} gave {:?}",
+                    q.labels()
+                );
+            }
         }
     }
 
@@ -649,12 +619,16 @@ mod tests {
         for inst in &instances {
             let expected = coarsest_naive(inst);
             for config in configs() {
-                let q = coarsest_parallel_with(&ctx, inst, config);
-                assert!(
-                    q.same_partition(&expected),
-                    "config {config:?} mismatched on n = {}",
-                    inst.len()
-                );
+                for q in [
+                    coarsest_parallel_with(&ctx, inst, config),
+                    coarsest_levelwise(&ctx, inst, config),
+                ] {
+                    assert!(
+                        q.same_partition(&expected),
+                        "config {config:?} mismatched on n = {}",
+                        inst.len()
+                    );
+                }
             }
             assert_valid(inst, &expected);
         }
@@ -707,8 +681,7 @@ mod tests {
             let expected = coarsest_naive(&inst);
             let q = coarsest_parallel(&ctx, &inst);
             prop_assert!(q.same_partition(&expected), "default config");
-            let q2 = coarsest_parallel_with(&ctx, &inst, ParallelConfig {
-                tree_method: TreeLabelMethod::Levelwise,
+            let q2 = coarsest_levelwise(&ctx, &inst, ParallelConfig {
                 grouping: GroupingMethod::Hash,
                 ..ParallelConfig::default()
             });

@@ -60,28 +60,18 @@ pub(crate) fn sig_bits(x: u64) -> u32 {
     (64 - x.leading_zeros()).max(1)
 }
 
-/// The block decomposition the sort **charges** for: enough blocks to
-/// parallelise, few enough that the histogram matrix (blocks × radix) stays
-/// cheap (≤ ~4M counters).  A pure function of `(n, radix)` — never of the
-/// host — because its output enters tracked charges, which must be
-/// machine-independent (DESIGN.md, "Charge discipline").
-fn model_block_plan(n: usize, radix: usize) -> (usize, usize) {
-    let max_blocks = ((1usize << 22) / radix).clamp(1, 256);
-    let num_blocks = (n / 8192).clamp(1, max_blocks);
-    (num_blocks, n.div_ceil(num_blocks))
-}
+/// Counter budget of a per-block histogram matrix (`blocks × radix` `u32`
+/// cells): the sort's block plan and the CSR builder's both stay within it.
+pub(crate) const MAX_HIST_COUNTERS: usize = 1 << 22;
 
-/// The block decomposition the sort **executes**: the model plan, further
-/// clamped so the histogram matrix fits the probed cache budget
-/// ([`sfcp_pram::Topology::radix_counter_budget`]).  Physical only — every
-/// charge uses [`model_block_plan`], so shrinking the matrix on a
-/// small-cache host never changes tracked work/depth.  On hosts with ≥ 32 MB
-/// of LLC the budget exceeds the model's 256-block cap at every digit width
-/// used here, so the two plans coincide.
-fn block_plan(ctx: &Ctx, n: usize, radix: usize) -> (usize, usize) {
-    let (model_blocks, _) = model_block_plan(n, radix);
-    let budget_blocks = (ctx.topology().radix_counter_budget() / radix).max(1);
-    let num_blocks = model_blocks.min(budget_blocks);
+/// The sort's block decomposition: enough blocks to parallelise, few enough
+/// that the histogram matrix (blocks × radix) stays within
+/// [`MAX_HIST_COUNTERS`].  A pure function of `(n, radix)` — never of the
+/// host or the thread count — because its output enters tracked charges,
+/// which must be machine-independent (DESIGN.md, "Charge discipline").
+fn model_block_plan(n: usize, radix: usize) -> (usize, usize) {
+    let max_blocks = (MAX_HIST_COUNTERS / radix).clamp(1, 256);
+    let num_blocks = (n / 8192).clamp(1, max_blocks);
     (num_blocks, n.div_ceil(num_blocks))
 }
 
@@ -426,32 +416,8 @@ pub(crate) fn counting_pass_items<T: RadixItem>(
     let mut span = ctx.span("radix_pass");
     span.attr("shift", u64::from(shift));
     let radix = 1usize << digit_bits;
-    let (model_blocks, _) = model_block_plan(n, radix);
-    counting_pass_items_uncharged(ctx, src, dst, shift, digit_bits);
-    // The model cost of one counting pass: a histogram round over the
-    // blocks, the sequential transpose-scan over the offset matrix, and a
-    // scatter round over the whole input.  Charged at the model plan so the
-    // physical (topology-clamped) block count stays charge-invisible.
-    ctx.charge_step(model_blocks as u64);
-    ctx.charge_step((radix * model_blocks) as u64);
-    ctx.charge_step(model_blocks as u64);
-    ctx.charge_work(n as u64);
-}
-
-/// The machinery of [`counting_pass_items`] without any tracker charges —
-/// for callers (the CSR builder) whose documented model cost is charged
-/// explicitly and treats the physical radix passes as uncharged glue.
-pub(crate) fn counting_pass_items_uncharged<T: RadixItem>(
-    ctx: &Ctx,
-    src: &[T],
-    dst: &mut [T],
-    shift: u32,
-    digit_bits: u32,
-) {
-    let n = src.len();
-    let radix = 1usize << digit_bits;
     let mask = (radix - 1) as u64;
-    let (num_blocks, block_size) = block_plan(ctx, n, radix);
+    let (num_blocks, block_size) = model_block_plan(n, radix);
 
     // Flat histogram matrix [block][digit], reused across passes and calls.
     let ws = ctx.workspace();
@@ -503,6 +469,14 @@ pub(crate) fn counting_pass_items_uncharged<T: RadixItem>(
             }
         });
     }
+
+    // The model cost of one counting pass: a histogram round over the
+    // blocks, the sequential transpose-scan over the offset matrix, and a
+    // scatter round over the whole input.
+    ctx.charge_step(num_blocks as u64);
+    ctx.charge_step((radix * num_blocks) as u64);
+    ctx.charge_step(num_blocks as u64);
+    ctx.charge_work(n as u64);
 }
 
 /// Copy the payload column out of a sorted record buffer (the permutation).
@@ -526,8 +500,8 @@ fn extract_payload_words(ctx: &Ctx, words: &[u64], idx_bits: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Fill `items[i] = make(i)` without charging (the CSR builder's
-/// word-packing pass, which is glue under its documented model charge).
+/// Fill `items[i] = make(i)` without charging (representation glue under
+/// the caller's documented model charge).
 pub(crate) fn fill_items_uncharged<T, F>(ctx: &Ctx, items: &mut [T], make: F)
 where
     T: Send,

@@ -24,14 +24,10 @@ use sfcp_pram::Ctx;
 
 use super::ruling::{contracted_rank_doubling, index_rulers, SendPtr, FLAGGED_LOW};
 
-/// Upper bound on walks advanced in lockstep per bucket, and the
-/// compile-time size of the lane-state arrays.  The *runtime* lane count is
-/// probed from the host's L1d via [`sfcp_pram::Topology::wavefront_lanes`]
-/// (64 on the 48 KB-L1d reference host, i.e. exactly this bound): enough to
-/// cover the memory latency × bandwidth product of one core; past ~64 the
-/// lane state stops fitting comfortably in L1 and the refill bookkeeping
-/// starts to show.  Lane count is physical geometry only — charges never
-/// depend on it.
+/// Walks advanced in lockstep per bucket: enough to cover the memory
+/// latency × bandwidth product of one core; past ~64 the lane state stops
+/// fitting comfortably in L1 and the refill bookkeeping starts to show.
+/// Lane count is physical geometry only — charges never depend on it.
 const WAVE: usize = 64;
 
 /// Rulers handed to one wavefront task: coarse enough that the per-task
@@ -58,7 +54,6 @@ pub(crate) fn rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
     let mut interior = ws.take_u64(n);
     let mut state = ws.take_u64(m);
     chain_walk_bucketed(
-        ctx,
         flagged_next,
         &ruler_ids,
         &ruler_index,
@@ -95,7 +90,6 @@ pub(crate) fn rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
 /// packed `(segment length << 32) | end ruler` contracted state at `j`.
 /// Uncharged — callers charge the documented walk cost explicitly.
 fn chain_walk_bucketed(
-    ctx: &Ctx,
     flagged_next: &[u32],
     ruler_ids: &[u32],
     ruler_index: &[u32],
@@ -104,7 +98,6 @@ fn chain_walk_bucketed(
 ) {
     let m = ruler_ids.len();
     let num_tasks = m.div_ceil(WALKS_PER_TASK).max(1);
-    let wave = ctx.topology().wavefront_lanes().min(WAVE);
     let interior_ptr = SendPtr(interior.as_mut_ptr());
     let seg_ptr = SendPtr(seg_state.as_mut_ptr());
     crate::intsort::for_each_block(num_tasks, |t| {
@@ -116,7 +109,7 @@ fn chain_walk_bucketed(
         let mut lane_word = [0u32; WAVE];
         let mut lane_steps = [0u32; WAVE];
         let mut active = [false; WAVE];
-        let lanes = wave.min(hi - lo);
+        let lanes = WAVE.min(hi - lo);
         let mut fill = lo;
         let mut live = 0usize;
         for l in 0..lanes {
@@ -186,7 +179,6 @@ fn chain_walk_bucketed(
 /// `(segment minimum << 32) | next ruler` contracted state at `j`.
 /// Uncharged — the cycle-min caller is topped up to its pinned model.
 pub(crate) fn cycle_walk_bucketed(
-    ctx: &Ctx,
     flagged_succ: &[u32],
     ruler_ids: &[u32],
     ruler_index: &[u32],
@@ -195,7 +187,6 @@ pub(crate) fn cycle_walk_bucketed(
 ) {
     let m = ruler_ids.len();
     let num_tasks = m.div_ceil(WALKS_PER_TASK).max(1);
-    let wave = ctx.topology().wavefront_lanes().min(WAVE);
     let end_ptr = SendPtr(end_ruler.as_mut_ptr());
     let state_ptr = SendPtr(state.as_mut_ptr());
     crate::intsort::for_each_block(num_tasks, |t| {
@@ -207,7 +198,7 @@ pub(crate) fn cycle_walk_bucketed(
         let mut lane_cur = [0u32; WAVE];
         let mut lane_min = [0u32; WAVE];
         let mut active = [false; WAVE];
-        let lanes = wave.min(hi - lo);
+        let lanes = WAVE.min(hi - lo);
         let mut fill = lo;
         let mut live = 0usize;
         for l in 0..lanes {

@@ -257,7 +257,6 @@ pub(crate) fn cycle_min_contraction_flagged_core(
     end_ruler.fill(u32::MAX);
     let mut state = ws.take_u64(m);
     bucket::cycle_walk_bucketed(
-        ctx,
         flagged,
         &ruler_ids,
         &ruler_index,

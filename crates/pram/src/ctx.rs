@@ -1,35 +1,31 @@
 //! Execution context: one code path, one cost model.
 //!
 //! Every algorithm in the workspace is written against [`Ctx`]: a bundle of
-//! a [`Tracker`], the task grain, the probed [`Topology`], a scratch
-//! [`Workspace`] and a span [`Trace`].  The helpers on `Ctx` express the
-//! canonical PRAM idiom — "for all `i` in parallel do …" — run it on the
-//! rayon pool, and charge one round plus `n` operations per invocation
-//! (callers charge extra work explicitly when the per-item body is not
-//! constant-time).  The charges depend only on the input: the measured
-//! work/depth of a run is identical whether it executed on one thread or
-//! sixteen, at any grain; only the wall-clock time differs.
+//! a [`Tracker`], the task grain, a scratch [`Workspace`] and a span
+//! [`Trace`].  The helpers on `Ctx` express the canonical PRAM idiom — "for
+//! all `i` in parallel do …" — run it on the rayon pool, and charge one
+//! round plus `n` operations per invocation (callers charge extra work
+//! explicitly when the per-item body is not constant-time).  The charges
+//! depend only on the input: the measured work/depth of a run is identical
+//! whether it executed on one thread or sixteen, at any grain; only the
+//! wall-clock time differs.  Nothing here reads the host's caches: what a
+//! pass executes depends only on its input, the grain and the thread count.
 
-use crate::topology::Topology;
 use crate::trace::{Span, Trace};
 use crate::tracker::{Stats, Tracker};
 use crate::workspace::Workspace;
 use rayon::prelude::*;
 
-/// Reference task grain (minimum items per rayon task) on hosts with
-/// 64-byte cache lines.  The live default is derived per-host by
-/// [`Topology::default_grain`] — 32 cache lines of 4-byte elements per task —
-/// which reproduces this value on mainstream hardware; the constant remains
-/// as the documented reference point.
+/// Default task grain (minimum items per rayon task): 32 cache lines of
+/// 4-byte elements on 64-byte lines.
 pub const DEFAULT_GRAIN: usize = 2048;
 
 /// Execution context shared by all algorithms: cost tracker + task grain +
-/// host topology + scratch-buffer workspace + span trace.
+/// scratch-buffer workspace + span trace.
 #[derive(Debug)]
 pub struct Ctx {
     tracker: Tracker,
     grain: usize,
-    topology: Topology,
     workspace: Workspace,
     trace: Trace,
 }
@@ -41,15 +37,13 @@ impl Default for Ctx {
 }
 
 impl Ctx {
-    /// A context with a fresh enabled [`Tracker`], the probed host
-    /// [`Topology`] and the task grain derived from it.
+    /// A context with a fresh enabled [`Tracker`] and the
+    /// [`DEFAULT_GRAIN`].
     #[must_use]
     pub fn parallel() -> Self {
-        let topology = Topology::probe();
         Ctx {
             tracker: Tracker::new(),
-            grain: topology.default_grain(),
-            topology,
+            grain: DEFAULT_GRAIN,
             workspace: Workspace::new(),
             trace: Trace::new(),
         }
@@ -79,22 +73,6 @@ impl Ctx {
     pub fn with_grain(mut self, grain: usize) -> Self {
         self.grain = grain.max(1);
         self
-    }
-
-    /// Replace the probed host topology (tests: mock the cache sizes so the
-    /// radix and CSR regimes flip without a 100 MB input).
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// The host topology snapshot this context consults for physical tuning
-    /// (never for charges).
-    #[inline]
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// The scratch-buffer workspace: checkout/return of reusable vectors so

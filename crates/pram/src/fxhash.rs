@@ -101,28 +101,27 @@ pub fn hash_u64(x: u64) -> u64 {
     h.finish()
 }
 
-/// Hash a pair of `u64`s (the shape used by the doubling algorithms).
-#[must_use]
-pub fn hash_pair(a: u64, b: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(a);
-    h.write_u64(b);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// FxHash of the words `a` then `b`.
+    fn hash_words(a: u64, b: u64) -> u64 {
+        let mut h = FxHasher::default();
+        h.write_u64(a);
+        h.write_u64(b);
+        h.finish()
+    }
+
     #[test]
     fn deterministic() {
         assert_eq!(hash_u64(12345), hash_u64(12345));
-        assert_eq!(hash_pair(1, 2), hash_pair(1, 2));
+        assert_eq!(hash_words(1, 2), hash_words(1, 2));
     }
 
     #[test]
     fn distinguishes_order() {
-        assert_ne!(hash_pair(1, 2), hash_pair(2, 1));
+        assert_ne!(hash_words(1, 2), hash_words(2, 1));
     }
 
     #[test]

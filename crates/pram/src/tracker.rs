@@ -39,16 +39,6 @@ impl Stats {
             rounds: self.rounds + other.rounds,
         }
     }
-
-    /// Work per element, useful for checking near-linear work empirically.
-    #[must_use]
-    pub fn work_per(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.work as f64 / n as f64
-        }
-    }
 }
 
 /// Shared work/depth counters.
@@ -181,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_plus_and_work_per() {
+    fn stats_plus() {
         let a = Stats {
             work: 10,
             rounds: 1,
@@ -198,8 +188,7 @@ mod tests {
                 rounds: 5
             }
         );
-        assert!((c.work_per(10) - 4.0).abs() < 1e-12);
-        assert_eq!(Stats::ZERO.work_per(0), 0.0);
+        assert_eq!(c.plus(Stats::ZERO), c);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * nesting deeper than [`MAX_DEPTH`] is rejected (a 1 MiB `[[[[…` frame
 //!   must not overflow the stack);
 //! * numbers must be finite.  A token of digits with an optional leading
-//!   `-` is an integer when it fits `i64` (so `01` and `-0` are integers);
-//!   any other number, `1.5`, `1e2` or an integer past `i64`, is a float;
+//!   `-` is an integer when it fits `i64` or, without the `-`, `u64` (so
+//!   `01` and `-0` are integers); any other number, `1.5`, `1e2` or an
+//!   integer past both, is a float;
 //! * only complete, single values parse — trailing bytes are an error.
 //!
 //! Writing appends to a `Vec<u8>`: [`Value::to_json`] and the protocol
@@ -42,6 +43,8 @@ pub enum Value {
     Bool(bool),
     /// A number that fits `i64` exactly (no fraction, no exponent).
     Int(i64),
+    /// A non-negative integer past `i64::MAX`, up to `u64::MAX`.
+    UInt(u64),
     /// Any other finite number.
     Float(f64),
     /// A string.
@@ -75,7 +78,11 @@ impl Value {
     /// The value as a non-negative integer.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|v| u64::try_from(v).ok())
+        match self {
+            Value::Int(v) => u64::try_from(*v).ok(),
+            Value::UInt(v) => Some(*v),
+            _ => None,
+        }
     }
 
     /// The value as a `usize`.
@@ -89,6 +96,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(v) => Some(*v as f64),
+            Value::UInt(v) => Some(*v as f64),
             Value::Float(v) => Some(*v),
             _ => None,
         }
@@ -134,7 +142,8 @@ impl Value {
         match self {
             Value::Null => out.extend_from_slice(b"null"),
             Value::Bool(b) => write_bool(out, *b),
-            Value::Int(v) => write_i64(out, *v),
+            Value::Int(v) => write_int(out, v),
+            Value::UInt(v) => write_int(out, v),
             Value::Float(v) => {
                 // RFC 8259 has no NaN/Inf; the serializer never receives
                 // them (responses carry only counters and latencies).
@@ -212,8 +221,8 @@ pub(crate) fn write_u32(out: &mut Vec<u8>, v: u32) {
     out.truncate(len + 8 - lead);
 }
 
-/// Append `v` in decimal.
-pub(crate) fn write_i64(out: &mut Vec<u8>, v: i64) {
+/// Append the integer `v` in decimal.
+pub(crate) fn write_int(out: &mut Vec<u8>, v: impl fmt::Display) {
     write!(out, "{v}").expect("writing to a Vec cannot fail");
 }
 
@@ -550,7 +559,7 @@ impl<'a> Lexer<'a> {
         Ok(v)
     }
 
-    /// A number token: `Value::Int` or `Value::Float`.
+    /// A number token: `Value::Int`, `Value::UInt` or `Value::Float`.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.i;
         if self.peek()? == b'-' {
@@ -575,6 +584,9 @@ impl<'a> Lexer<'a> {
         if is_int {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Value::Int(v));
+            }
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Value::UInt(v));
             }
         }
         match text.parse::<f64>() {
@@ -637,8 +649,9 @@ mod tests {
         assert!(parse(b"1e999").is_err(), "infinite numbers are rejected");
     }
 
-    /// Digits after an optional `-` are an integer while they fit `i64`;
-    /// everything else the number grammar takes is a float.
+    /// Digits after an optional `-` are a `Value::Int` while they fit
+    /// `i64`; past it, digits without the `-` are a `Value::UInt` up to
+    /// `u64::MAX`.  Everything else the number grammar takes is a float.
     #[test]
     fn integers_and_floats_split_where_i64_ends() {
         for (text, want) in [
@@ -649,9 +662,15 @@ mod tests {
             ("999999999999999999", Value::Int(999_999_999_999_999_999)),
             ("9223372036854775807", Value::Int(i64::MAX)),
             ("-9223372036854775808", Value::Int(i64::MIN)),
+            ("9223372036854775808", Value::UInt(1 << 63)),
+            ("18446744073709551615", Value::UInt(u64::MAX)),
             (
-                "9223372036854775808",
-                Value::Float(9_223_372_036_854_775_808.0),
+                "18446744073709551616",
+                Value::Float(18_446_744_073_709_551_616.0),
+            ),
+            (
+                "-9223372036854775809",
+                Value::Float(-9_223_372_036_854_775_809.0),
             ),
             ("4294967296", Value::Int(1 << 32)),
             ("+1", Value::Float(1.0)),

@@ -47,8 +47,8 @@
 //! * **Writing.**  Every frame is appended to one buffer reserved up
 //!   front, array elements through a digit writer.  The bytes are exactly
 //!   those of the frame's `Value` tree under [`Value::to_json`]: the same
-//!   key order and compact spelling, and `u64` counters written as `i64`,
-//!   as that tree held them.
+//!   key order and compact spelling, with ids and counters written as
+//!   unsigned digits.
 //!
 //! Only a traced reply's `trace` member goes through a [`Value`]: the
 //! summary is already-serialized JSON, which the writer re-parses so the
@@ -384,14 +384,14 @@ impl Request {
             RequestBody::Probe => 0,
         };
         let mut out = Vec::with_capacity(64 + hint);
-        let mut obj = Obj::open(&mut out, "id", self.id as i64);
+        let mut obj = Obj::open(&mut out, "id", self.id);
         match &self.body {
             RequestBody::Probe => obj.str("kind", "probe"),
             RequestBody::Compute(req) => encode_compute(&mut obj, req),
             RequestBody::Batch(subs) => {
                 obj.str("kind", "batch");
                 obj.list("requests", subs, |out, (id, req)| {
-                    let mut sub = Obj::open(out, "id", *id as i64);
+                    let mut sub = Obj::open(out, "id", *id);
                     encode_compute(&mut sub, req);
                     sub.close();
                 });
@@ -494,10 +494,10 @@ fn encode_compute(obj: &mut Obj<'_>, req: &ComputeRequest) {
             }
         }
         Input::Workload { n, seed, param } => {
-            let mut w = Obj::open(obj.key("workload"), "n", *n as i64);
-            w.int("seed", *seed as i64);
+            let mut w = Obj::open(obj.key("workload"), "n", *n as u64);
+            w.int("seed", *seed);
             if let Some(key) = req.kind.param_key() {
-                w.int(key, i64::from(*param));
+                w.int(key, u64::from(*param));
             }
             w.close();
         }
@@ -610,7 +610,7 @@ impl Response {
     }
 
     fn write(&self, out: &mut Vec<u8>) {
-        let mut obj = Obj::open(out, "id", self.id as i64);
+        let mut obj = Obj::open(out, "id", self.id);
         match &self.outcome {
             Err(err) => {
                 obj.bool("ok", false);
@@ -624,14 +624,14 @@ impl Response {
                 match &reply.payload {
                     ReplyPayload::Labels(labels) => obj.u32s("labels", labels),
                     ReplyPayload::LabelsDigest(d) => obj.hex("labels_digest", *d),
-                    ReplyPayload::Msp(k) => obj.int("msp", *k as i64),
+                    ReplyPayload::Msp(k) => obj.int("msp", *k),
                     ReplyPayload::Decomposition {
                         num_cycles,
                         num_cycle_nodes,
                         digest,
                     } => {
-                        obj.int("num_cycles", *num_cycles as i64);
-                        obj.int("num_cycle_nodes", *num_cycle_nodes as i64);
+                        obj.int("num_cycles", *num_cycles);
+                        obj.int("num_cycle_nodes", *num_cycle_nodes);
                         obj.hex("digest", *digest);
                     }
                     ReplyPayload::Probe {
@@ -650,12 +650,12 @@ impl Response {
                             ("cache_misses", cache_misses),
                             ("cache_bytes", cache_bytes),
                         ] {
-                            obj.int(key, *v as i64);
+                            obj.int(key, *v);
                         }
                     }
                 }
-                obj.int("work", reply.work as i64);
-                obj.int("rounds", reply.rounds as i64);
+                obj.int("work", reply.work);
+                obj.int("rounds", reply.rounds);
                 obj.bool("cached", reply.cached);
                 if let Some(trace) = &reply.trace_json {
                     // Already-serialized JSON from the trace summary; it
@@ -760,7 +760,7 @@ impl BatchResponse {
     pub fn encode(&self) -> Vec<u8> {
         let hint: usize = self.responses.iter().map(Response::len_hint).sum();
         let mut out = Vec::with_capacity(64 + hint);
-        let mut obj = Obj::open(&mut out, "id", self.id as i64);
+        let mut obj = Obj::open(&mut out, "id", self.id);
         obj.bool("ok", true);
         obj.str("kind", "batch");
         obj.list("responses", &self.responses, |out, r| r.write(out));
@@ -996,11 +996,11 @@ const U32_HINT: usize = 8;
 struct Obj<'o>(&'o mut Vec<u8>);
 
 impl<'o> Obj<'o> {
-    fn open(out: &'o mut Vec<u8>, key: &str, v: i64) -> Obj<'o> {
+    fn open(out: &'o mut Vec<u8>, key: &str, v: u64) -> Obj<'o> {
         out.push(b'{');
         json::write_str(out, key);
         out.push(b':');
-        json::write_i64(out, v);
+        json::write_int(out, v);
         Obj(out)
     }
 
@@ -1012,8 +1012,8 @@ impl<'o> Obj<'o> {
         self.0
     }
 
-    fn int(&mut self, key: &str, v: i64) {
-        json::write_i64(self.key(key), v);
+    fn int(&mut self, key: &str, v: u64) {
+        json::write_int(self.key(key), v);
     }
 
     fn bool(&mut self, key: &str, v: bool) {

@@ -6,7 +6,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `charge-taint` | topology probe reads only in allowlisted physical-plan functions |
+//! | `charge-taint` | topology probe reads only in the probe's own module or test code |
 //! | `unsafe-safety` | every `unsafe` carries an adjacent `// SAFETY:` invariant |
 //! | `unsafe-attr` | crate roots declare `deny(unsafe_op_in_unsafe_fn)` / `forbid(unsafe_code)` |
 //! | `workspace-pairing` | workspace checkouts are bound or handed off; no `mem::forget` |

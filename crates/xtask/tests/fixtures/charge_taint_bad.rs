@@ -1,6 +1,6 @@
 // Fixture: a charged engine pass reading the topology probe directly.
 pub fn rank_pass_into(ctx: &Ctx, out: &mut [u32]) {
-    let lanes = ctx.topology().l1d_bytes / 64;
-    let line = Topology::probe().cache_line;
-    drive(out, lanes, line);
+    let lanes = ctx.topology().l2_bytes() / 64;
+    let cores = Topology::probe().cores();
+    drive(out, lanes, cores);
 }

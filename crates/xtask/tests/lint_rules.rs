@@ -39,36 +39,36 @@ fn charge_taint_flags_probe_reads_in_engine_code() {
 }
 
 #[test]
-fn charge_taint_allows_plan_functions_and_tests() {
-    let s = scan(
-        "crates/parprim/src/intsort.rs",
-        include_str!("fixtures/charge_taint_clean.rs"),
-    );
-    assert_eq!(charge_taint::check(&s), vec![]);
+fn charge_taint_allows_the_probe_module_and_tests() {
+    // The same source: clean in the probe's own module, and in library
+    // code only its non-test read is flagged.
+    let src = include_str!("fixtures/charge_taint_clean.rs");
+    let probe = scan("crates/pram/src/topology.rs", src);
+    assert_eq!(charge_taint::check(&probe), vec![]);
+    let engine = scan("crates/parprim/src/intsort.rs", src);
+    let findings = charge_taint::check(&engine);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("`probe`"));
 }
 
 #[test]
-fn charge_taint_flags_allowlist_entries_naming_no_function() {
-    // A tree defining every allowlisted function, and the same tree with
-    // `Ctx::parallel` renamed away.
-    let mut files: Vec<(&str, Vec<&str>)> = Vec::new();
-    for &(file, func) in charge_taint::ALLOWLIST {
-        match files.iter_mut().find(|(f, _)| *f == file) {
-            Some((_, fns)) => fns.push(func),
-            None => files.push((file, vec![func])),
-        }
-    }
+fn charge_taint_flags_allowlist_entries_naming_no_file() {
+    // A tree holding every allowlisted file, and the same tree without the
+    // probe module.
+    let mut files: Vec<(&str, Vec<&str>)> = charge_taint::ALLOWLIST
+        .iter()
+        .map(|&(file, _)| (file, vec!["probe"]))
+        .collect();
+    files.push(("crates/pram/src/ctx.rs", vec!["parallel"]));
     assert_eq!(charge_taint::check_entries(&tree(&files)), vec![]);
-    for (file, fns) in &mut files {
-        if *file == "crates/pram/src/ctx.rs" {
-            fns.retain(|f| *f != "parallel");
-        }
-    }
+    files.retain(|(f, _)| *f != "crates/pram/src/topology.rs");
     let findings = charge_taint::check_entries(&tree(&files));
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, charge_taint::RULE);
-    assert_eq!(findings[0].file, "crates/pram/src/ctx.rs");
-    assert!(findings[0].message.contains("`parallel`"));
+    assert_eq!(findings[0].file, "crates/pram/src/topology.rs");
+    assert!(findings[0]
+        .message
+        .contains("no scanned file has this path"));
 }
 
 #[test]

@@ -477,7 +477,7 @@ mod codec {
     }
 
     fn int(v: u64) -> Value {
-        Value::Int(v as i64)
+        i64::try_from(v).map_or(Value::UInt(v), Value::Int)
     }
 
     fn u32_values(values: &[u32]) -> Value {
@@ -790,30 +790,16 @@ mod codec {
             let tree = request_tree(&req);
             let frame = req.encode();
             assert_eq!(frame, tree.to_json().into_bytes(), "{req:?}");
-            // A `u64` past `i64::MAX` goes out negative and reads back as
-            // 0 (an id) or as a bad request (a workload's n or seed), as
-            // the tree's `Value::Int` spelling always did.
-            let faithful = req.id <= i64::MAX as u64
-                && !matches!(&req.body, RequestBody::Batch(subs) if subs.iter().any(|(_, c)| wide(c)))
-                && !matches!(&req.body, RequestBody::Compute(c) if wide(c));
-            let read = same_reading(&frame);
-            if faithful {
-                assert_eq!(read.as_ref(), Ok(&req));
-            }
+            // Every request round-trips, `u64` fields up to `u64::MAX`
+            // included (`same_reading` returns `Request::decode`'s reading).
+            assert_eq!(same_reading(&frame).as_ref(), Ok(&req));
             for _ in 0..4 {
                 let scrambled = scramble(&mut rng, &tree);
                 let mut text = String::new();
                 respell(&mut rng, &scrambled, &mut text);
-                let read = same_reading(text.as_bytes());
-                if faithful {
-                    assert_eq!(read.as_ref(), Ok(&req), "{text}");
-                }
+                assert_eq!(same_reading(text.as_bytes()).as_ref(), Ok(&req), "{text}");
             }
         }
-    }
-
-    fn wide(req: &ComputeRequest) -> bool {
-        matches!(req.input, Input::Workload { n, seed, .. } if n as u64 > i64::MAX as u64 || seed > i64::MAX as u64)
     }
 
     #[test]
@@ -842,6 +828,8 @@ mod codec {
             "123456789",
             "9223372036854775807",
             "9223372036854775808",
+            "18446744073709551615",
+            "18446744073709551616",
             "123456789012345678901234567890",
             "1-2",
             "\"3\"",
