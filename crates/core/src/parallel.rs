@@ -11,12 +11,16 @@
 //! then minimal starting point via *Algorithm efficient m.s.p.*), groups
 //! equivalent cycles with *Algorithm partition*, and labels every cycle node
 //! by (cycle class, offset along the period): the class's base, an
-//! exclusive scan of the class periods, plus the offset.  Step 3 first
-//! inherits cycle labels along matching paths (Lemma 4.1, implemented with
-//! Euler-tour ancestor sums), then labels the remaining "unmarked" nodes by
-//! a doubling computation over their root paths (Lemma 4.2) that stops at
-//! the first round splitting no class: `O(n log k)` work for `k` the longest
-//! path prefix two classes need to separate.  A level-by-level work-optimal
+//! exclusive scan of the class periods, plus the offset, written in node
+//! order.  Step 3 first inherits cycle labels along matching paths
+//! (Lemma 4.1, implemented with Euler-tour ancestor sums), then labels the
+//! remaining "unmarked" nodes by a doubling computation over their root
+//! paths (Lemma 4.2).  Each round ranks only the nodes of classes that can
+//! still split (Larsson–Sadakane prefix doubling): a class settles once it
+//! is a singleton or its members' targets lie in one settled class, and the
+//! loop stops at the first round that splits no class or leaves no node
+//! unsettled, so its work is at most `O(n log k)` for `k` the longest path
+//! prefix two classes need to separate.  A level-by-level work-optimal
 //! labelling is Step 3's oracle (the paper gets both bounds at once via
 //! Kedem–Palem scheduling — see DESIGN.md).
 
@@ -25,7 +29,10 @@ use crate::error::DecomposeError;
 use crate::problem::{Instance, Partition};
 use sfcp_forest::cycles::CycleMethod;
 use sfcp_forest::{decompose, Decomposition};
-use sfcp_parprim::rank::{dense_ranks_by_sort, dense_ranks_of_pairs_into};
+use sfcp_parprim::compact::compact_with_into;
+use sfcp_parprim::rank::{
+    dense_ranks_by_key_into, dense_ranks_by_sort, refine_classes_into, Listed, SETTLED,
+};
 use sfcp_parprim::scan::scan_generic;
 use sfcp_pram::Ctx;
 use sfcp_strings::canonical::booth_msp;
@@ -192,23 +199,16 @@ fn label_cycle_nodes(
     let base = scan_generic(ctx, &class_period, 0u32, |x, y| x + y, false);
     let num_labels: u32 = class_period.iter().sum();
 
-    let mut labels = vec![u32::MAX; n];
-    {
-        let ptr = SendPtr(labels.as_mut_ptr());
-        let (base, shapes, cycle_class) = (&base, &shapes, &cycle_class);
-        ctx.par_for_idx(dec.cycle_nodes.len(), |i| {
-            let x = dec.cycle_nodes[i] as usize;
-            let c = dec.cycle_of[x] as usize;
-            let (period, msp) = shapes[c];
-            let offset = (i as u32 - dec.cycle_offsets[c] + period - msp) % period;
-            let p = ptr;
-            // SAFETY: the cycle CSR lists every cycle node once, so distinct
-            // indices write distinct slots.
-            unsafe {
-                *p.0.add(x) = base[cycle_class[c] as usize] + offset;
-            }
-        });
-    }
+    // Written in node order: a cycle node's offset is its position along
+    // its cycle, shifted to the m.s.p. and taken modulo the period.
+    let labels = ctx.par_map_idx(n, |x| {
+        if !dec.is_cycle[x] {
+            return u32::MAX;
+        }
+        let c = dec.cycle_of[x] as usize;
+        let (period, msp) = shapes[c];
+        base[cycle_class[c] as usize] + (dec.cycle_pos[x] + period - msp) % period
+    });
     (labels, num_labels)
 }
 
@@ -338,102 +338,158 @@ fn label_tree_nodes(
         (expanded, count)
     };
 
-    // Extended node set: unmarked nodes 0..u, then terminals u..u+T.
-    // All per-round scratch below is workspace-backed and ping-ponged across
-    // the doubling rounds (O(1) buffers per run, not per round).
+    // Extended node set: unmarked nodes 0..u, then terminals u..u+T, each
+    // terminal a fixed point of `jump`.  The doubling's buffers are
+    // workspace checkouts (O(1) buffers per run, not per round).
     let total = u + num_terminals;
-    let mut jump: Vec<u32> = ctx.par_map_idx(total, |i| {
-        if i < u {
-            let x = unmarked_ids[i] as usize;
-            let parent = f[x] as usize;
-            if marked[parent] {
-                (u + anchor_terminal[i] as usize) as u32
-            } else {
-                compact[parent]
-            }
-        } else {
-            i as u32 // terminals are fixed points
-        }
-    });
-    // Initial labels: tag B-labels and terminal ids apart.
-    let mut pairs = ws.take_pairs(total);
+    let mut jump = ws.take_u32(total);
     {
-        let unmarked_ids = &unmarked_ids;
-        ctx.par_update(&mut pairs, |i, p| {
-            *p = if i < u {
-                (0, u64::from(b[unmarked_ids[i] as usize]))
+        let (ids, anchor_terminal, compact, marked) =
+            (&unmarked_ids, &anchor_terminal, &compact, &marked);
+        ctx.par_update(&mut jump, |i, j| {
+            *j = if i < u {
+                let parent = f[ids[i] as usize] as usize;
+                if marked[parent] {
+                    (u + anchor_terminal[i] as usize) as u32
+                } else {
+                    compact[parent]
+                }
             } else {
-                (1, (i - u) as u64)
+                i as u32
             };
         });
     }
+    // Initial classes: the dense ranks of the unmarked nodes' B-labels,
+    // then one settled class per terminal above them.
     let mut lab = ws.take_u32(0);
-    let mut distinct = dense_ranks_of_pairs_into(ctx, &pairs, &mut lab);
+    let unmarked_classes = {
+        let ids = &unmarked_ids;
+        dense_ranks_by_key_into(ctx, u, |i| u64::from(b[ids[i] as usize]), &mut lab)
+    };
+    lab.resize(total, 0);
+    ctx.par_update(&mut lab[u..], |t, w| {
+        *w = (unmarked_classes + t) as u32 | SETTLED
+    });
+    let first_fresh = (unmarked_classes + num_terminals) as u32;
 
-    // Round r ranks (label, label of the 2^r-th successor), so afterwards a
-    // label encodes the first 2^(r+1) B-labels of the node's path, padded
-    // with its terminal.  Every pair leads with the previous label, so labels
-    // only refine, and an equal class count means an equal partition:
-    // P_2k = P_k.  Nodes with equal k-prefixes then have equal 2k-prefixes,
-    // hence successors with equal k-prefixes: P_k is stable under f, so
-    // P_(k+1) = P_k, the fixpoint, and no later round splits a class.  The
-    // loop therefore stops at the first round that splits nothing (or once
-    // every class is a singleton).  Once 2^(r+1) ≥ d + 2, for d the residual
-    // depth, every label includes its terminal, so round r + 1 splits
-    // nothing: the loop runs at most ⌈lg(d + 2)⌉ + 1 rounds.
-    let mut next_lab = ws.take_u32(0);
+    // Round r keys every listed node of an unsettled class by (its class,
+    // the class of its 2^r-th successor), so afterwards a class holds the
+    // nodes that agree on the first 2^(r+1) B-labels of their paths, padded
+    // with their terminal.  Keys lead with the old class, so classes only
+    // refine (`refine_classes_into` keeps the ids of unsplit classes).
+    //
+    // * A settled class is final.  A terminal's class, or a class that
+    //   settles as a singleton, has one node.  Any other class settles when
+    //   its members share a 2^r-prefix and their 2^r-th successors lie in
+    //   one settled class S, final by induction: the successors' whole
+    //   paths agree, so the members' whole paths agree too.  A final class
+    //   is a class of every later partition, so skipping it leaves each
+    //   round's partition exactly that of ranking every node, as the
+    //   doubling over all nodes did.
+    // * `jump[x]` is x's 2^r-th successor for every node x that is
+    //   unsettled when round r starts.  After round r - 1, the jump pass set
+    //   `jump[x] = jump[jump[x]]` for every node still unsettled.  x's
+    //   target was unsettled when round r - 1 started: had it settled, x's
+    //   key would have named a settled class, and x would have settled in
+    //   that same round.  So by induction the target's jump was current,
+    //   and so is x's now.  A node that settles keeps a stale jump, which
+    //   no round reads, and the last round advances no jump.
+    // * The loop stops at the first round that splits nothing: classes
+    //   only refine, so an equal class count means an equal partition,
+    //   P_2k = P_k.  Nodes with equal k-prefixes then have equal
+    //   2k-prefixes, hence successors with equal k-prefixes: P_k is stable
+    //   under f, so P_(k+1) = P_k, the fixpoint.  It also stops once no
+    //   node is unsettled.  Its partitions match the all-node doubling's
+    //   round by round, so it stops no later than that loop: once
+    //   2^(r+1) ≥ d + 2, for d the residual depth, every class includes its
+    //   terminal, so round r + 1 splits nothing, and the loop runs at most
+    //   ⌈lg(d + 2)⌉ + 1 rounds.
+    // * The list holds the nodes a round ranks, in node order: all of
+    //   0..u, left implicit, until its first compaction.  It is compacted
+    //   to its unsettled nodes only once at most half of it is unsettled,
+    //   so all compactions together touch at most 2u entries.
+    let mut classes = first_fresh;
+    let (mut list, mut kept) = (ws.take_u32(0), ws.take_u32(0));
+    let mut compacted = false;
     let mut next_jump = ws.take_u32(total);
     for round in 0u64.. {
-        if distinct == total {
-            break;
-        }
+        let listed = if compacted {
+            Listed::Nodes(&list)
+        } else {
+            Listed::Prefix(u)
+        };
         let mut span_round = ctx.span("doubling_round");
         span_round.attr("round", round);
-        {
-            let lab = &lab;
-            let jump = &jump;
-            ctx.par_update(&mut pairs, |i, p| {
-                *p = (u64::from(lab[i]), u64::from(lab[jump[i] as usize]));
-            });
-        }
-        let count = dense_ranks_of_pairs_into(ctx, &pairs, &mut next_lab);
-        span_round.attr("classes", count as u64);
-        if count == distinct {
+        span_round.attr("listed", listed.len() as u64);
+        let r = refine_classes_into(ctx, listed, &jump, &mut lab, classes);
+        span_round.attr("classes", u64::from(r.classes));
+        span_round.attr("open", r.open as u64);
+        let split = r.classes > classes;
+        classes = r.classes;
+        if !split || r.open == 0 {
             break;
         }
-        distinct = count;
+        let listed = if 2 * r.open <= listed.len() {
+            let lab = &lab;
+            compact_with_into(
+                ctx,
+                listed.len(),
+                |i| lab[listed.node(i) as usize] & SETTLED == 0,
+                |i| listed.node(i),
+                &mut kept,
+            );
+            std::mem::swap(&mut *list, &mut *kept);
+            compacted = true;
+            Listed::Nodes(&list)
+        } else {
+            listed
+        };
         {
-            let jump_ref = &jump;
-            ctx.par_update(&mut next_jump, |i, j| *j = jump_ref[jump_ref[i] as usize]);
+            let ptr = SendPtr(next_jump.as_mut_ptr());
+            let (lab, jump) = (&lab, &jump);
+            ctx.par_for_idx(listed.len(), |i| {
+                let x = listed.node(i) as usize;
+                if lab[x] & SETTLED == 0 {
+                    let p = ptr;
+                    // SAFETY: `x < lab.len() == next_jump.len()` (the
+                    // bounds check of `lab[x]` above), and no node is listed
+                    // twice, so each slot is written by one index only.
+                    unsafe {
+                        *p.0.add(x) = jump[jump[x] as usize];
+                    }
+                }
+            });
         }
-        std::mem::swap(&mut *lab, &mut *next_lab);
-        std::mem::swap(&mut jump, &mut *next_jump);
+        std::mem::swap(&mut *jump, &mut *next_jump);
     }
 
-    // Ranks are order-preserving, the terminals start as (1, t) above every
-    // (0, b), and every later pair leads with the previous label: the T
-    // terminal classes keep the top T labels, so the unmarked classes are
-    // exactly 0..distinct - T.  Unmarked nodes are never equivalent to
-    // already-labelled nodes (a node equivalent to any cycle node is marked),
-    // so they take these classes offset past the labels already handed out.
-    let classes = distinct - num_terminals;
+    // The unmarked classes hold the ids [0, first_fresh - T) of the initial
+    // ranking and the fresh ids from `first_fresh` up: the T terminals keep
+    // the ids between, since they never split.  Shifting the fresh ids down
+    // past them leaves the unmarked classes dense.  Unmarked nodes are never
+    // equivalent to already-labelled nodes (a node equivalent to any cycle
+    // node is marked), so they take these classes offset past the labels
+    // already handed out.
+    let t = num_terminals as u32;
     debug_assert!(
-        (0..num_terminals).all(|t| lab[u + t] as usize == classes + t),
-        "terminals must hold the top labels"
+        (0..t).all(|k| lab[u + k as usize] == (first_fresh - t + k) | SETTLED),
+        "terminals keep their ids"
     );
     {
         let ptr = SendPtr(labels.as_mut_ptr());
         let base = *next_label;
         let (ids, lab) = (&unmarked_ids, &lab);
         ctx.par_for_idx(u, |i| {
+            let id = lab[i] & !SETTLED;
+            let class = if id >= first_fresh { id - t } else { id };
             let p = ptr;
             // SAFETY: distinct unmarked nodes write distinct slots.
             unsafe {
-                *p.0.add(ids[i] as usize) = base + lab[i];
+                *p.0.add(ids[i] as usize) = base + class;
             }
         });
     }
-    *next_label += classes as u32;
+    *next_label += classes - t;
     (u, num_terminals)
 }
 
@@ -453,8 +509,10 @@ unsafe impl<T> Sync for SendPtr<T> {}
 mod tests {
     use super::*;
     use crate::naive::coarsest_naive;
-    use crate::verify::assert_valid;
+    use crate::sequential::coarsest_sequential;
+    use crate::verify::{assert_valid, verify_stable_refinement};
     use proptest::prelude::*;
+    use sfcp_parprim::scan::SCAN_BLOCK;
     use sfcp_pram::fxhash::FxHashMap;
 
     fn configs() -> Vec<ParallelConfig> {
@@ -644,17 +702,54 @@ mod tests {
         let ctx = Ctx::parallel().with_tracing();
         let _ = coarsest_parallel(&ctx, &inst);
         let snap = ctx.trace().snapshot();
-        let classes: Vec<u64> = snap
-            .spans_named("doubling_round")
-            .iter()
-            .map(|r| r.attrs.iter().find(|(k, _)| *k == "classes").unwrap().1)
-            .collect();
-        // The bound ⌈lg(d + 2)⌉ + 1 for the residual depth d = 999: every
-        // round before it splits a class, so the exit cannot fire early.
-        assert_eq!(classes.len(), 11, "{classes:?}");
-        let (last, grew) = classes.split_last().unwrap();
-        assert!(grew.windows(2).all(|w| w[0] < w[1]), "{classes:?}");
-        assert_eq!(Some(last), grew.last(), "{classes:?}");
+        let rounds = snap.spans_named("doubling_round");
+        let attr = |r: &sfcp_pram::trace::SpanRecord, key: &str| {
+            r.attrs.iter().find(|(k, _)| *k == key).unwrap().1
+        };
+        // One B-label class and two terminals before the first round, then
+        // a split in every round.  For the residual depth d = 999, the
+        // tenth round's classes span 2^10 ≥ d + 2 path symbols, terminal
+        // included, and that round settles every node, so no round runs to
+        // confirm the fixpoint (the bound ⌈lg(d + 2)⌉ + 1 is 11).
+        let mut classes: Vec<u64> = vec![3];
+        classes.extend(rounds.iter().map(|r| attr(r, "classes")));
+        assert_eq!(rounds.len(), 10, "{classes:?}");
+        assert!(classes.windows(2).all(|w| w[0] < w[1]), "{classes:?}");
+        assert_eq!(attr(rounds.last().unwrap(), "open"), 0);
+    }
+
+    /// Residual forests of at least `3 · SCAN_BLOCK` unmarked nodes run the
+    /// blocked finish of `refine_classes_into` and the halving compaction
+    /// of the list, at grain 4 and at the default grain.
+    #[test]
+    fn large_residual_forests_match_the_sequential_solver() {
+        let attr = |r: &sfcp_pram::trace::SpanRecord, key: &str| {
+            r.attrs.iter().find(|(k, _)| *k == key).unwrap().1
+        };
+        for inst in [
+            Instance::random(20_000, 3, 11),
+            Instance::deep(20_000, 8, 4, 1),
+        ] {
+            let expected = coarsest_sequential(&inst);
+            for ctx in [Ctx::parallel(), Ctx::parallel().with_grain(4)] {
+                let ctx = ctx.with_tracing();
+                let q = coarsest_parallel(&ctx, &inst);
+                assert!(q.same_partition(&expected), "n = {}", inst.len());
+                verify_stable_refinement(&inst, &q).unwrap();
+                let snap = ctx.trace().snapshot();
+                let tree = snap.spans_named("label_tree_nodes")[0];
+                assert!(attr(tree, "unmarked") >= 3 * SCAN_BLOCK as u64);
+                let listed: Vec<u64> = snap
+                    .spans_named("doubling_round")
+                    .iter()
+                    .map(|r| attr(r, "listed"))
+                    .collect();
+                assert!(
+                    listed.windows(2).any(|w| w[1] < w[0]),
+                    "the list was never compacted: {listed:?}"
+                );
+            }
+        }
     }
 
     #[test]

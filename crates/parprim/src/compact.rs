@@ -5,7 +5,8 @@
 //! positions" and "write the groups of each substring contiguously"; both
 //! are compactions driven by an exclusive prefix sum of 0/1 flags.
 
-use crate::scan::scan_generic_into;
+use crate::scan::{charge_scan_cost, SCAN_BLOCK};
+use rayon::prelude::*;
 use sfcp_pram::Ctx;
 
 /// Indices `i` (in increasing order) for which `keep(i)` is true.
@@ -46,6 +47,12 @@ where
 }
 
 /// [`compact_with`] writing into a reusable output buffer.
+///
+/// One fused pass per side of the model's scan: a count of the kept
+/// indices per scan block, a sequential prefix over the block counts, and
+/// a write of each block's kept projections.  `keep` runs twice per index,
+/// so it must be cheap and pure.  Charges the model it stands for: a flag
+/// round, the offset scan and a scatter round.
 pub fn compact_with_into<T, F, P>(ctx: &Ctx, n: usize, keep: F, project: P, out: &mut Vec<T>)
 where
     T: Send + Sync + Copy + Default,
@@ -57,30 +64,38 @@ where
     if n == 0 {
         return;
     }
-    // u32 flag/offset intermediates (counts are bounded by the index range),
-    // halving the scan's memory traffic; the scan charges are element-type
-    // independent, so this is charge-identical to a u64 scan.
     assert!(
         n <= u32::MAX as usize,
-        "compact_with_into runs its offsets as u32 words"
+        "compact_with_into counts its offsets in u32 words"
     );
-    let ws = ctx.workspace();
-    let mut flags = ws.take_u32(n);
-    ctx.par_update(&mut flags, |i, f| *f = u32::from(keep(i)));
-    let mut offsets = ws.take_u32(n);
-    scan_generic_into(ctx, &flags, 0u32, |a, b| a + b, false, &mut offsets);
-    // The kept count falls out of the exclusive scan for free.
-    let total = offsets[n - 1] + flags[n - 1];
+    ctx.charge_step(n as u64); // flags
+    charge_scan_cost(ctx, n); // offsets
+    ctx.charge_step(n as u64); // scatter
+    let num_blocks = n.div_ceil(SCAN_BLOCK);
+    let block = |b: usize| b * SCAN_BLOCK..((b + 1) * SCAN_BLOCK).min(n);
+    let mut offsets = ctx.workspace().take_u32(num_blocks);
+    offsets.par_iter_mut().enumerate().for_each(|(b, count)| {
+        *count = block(b).map(|i| u32::from(keep(i))).sum();
+    });
+    let mut total = 0u32;
+    for offset in offsets.iter_mut() {
+        total += std::mem::replace(offset, total);
+    }
     out.resize(total as usize, T::default());
-    // Each kept index writes its own slot — disjoint writes.
     let out_ptr = SendPtr(out.as_mut_ptr());
-    ctx.par_for_idx(n, |i| {
-        if flags[i] == 1 {
-            let ptr = out_ptr;
-            // SAFETY: offsets are strictly increasing over kept indices, so
-            // each destination slot is written exactly once.
-            unsafe {
-                *ptr.0.add(offsets[i] as usize) = project(i);
+    let offsets = &offsets;
+    (0..num_blocks).into_par_iter().for_each(|b| {
+        let ptr = out_ptr;
+        let mut slot = offsets[b] as usize;
+        for i in block(b) {
+            if keep(i) {
+                // SAFETY: block b owns the slots from its offset up to the
+                // next block's, one per kept index, so each slot is written
+                // exactly once.
+                unsafe {
+                    *ptr.0.add(slot) = project(i);
+                }
+                slot += 1;
             }
         }
     });

@@ -13,7 +13,7 @@
 //! | [`compact`] | stream compaction (stable filter with output offsets) | collecting marked positions, building contracted strings |
 //! | [`csr`] | parallel CSR construction from `(key, value)` streams | children lists, buddy-edge incidence rotations, level buckets |
 //! | [`intsort`] | stable LSD radix sort (block-parallel counting passes) | the Bhatt-et-al. integer sorting the paper charges `O(n log log n)` work to |
-//! | [`rank`] | sorting-based renaming: map items to dense ranks | "replace each pair by its rank" steps of m.s.p. / string sorting |
+//! | [`rank`] | sorting-based renaming: map items to dense ranks; doubling rounds over the classes that can still split | "replace each pair by its rank" steps of m.s.p. / string sorting; the Lemma 4.2 doubling of Step 3 |
 //! | [`listrank`] | list ranking (sparse ruling set with wavefront walks; Wyllie pointer jumping for tiny lists) | Step 1 of *cycle node labeling*, fused Euler-tour + cycle-chain ranking |
 //! | [`jump`] | pointer jumping on rooted forests and permutations | roots of the hanging trees, labelling the Euler cycles of Section 5 |
 //! | [`euler`] | Euler tours of rooted forests (levels, entry/exit, flagged-ancestor counts) | Section 4 tree labelling and Section 5 cycle finding |
@@ -45,7 +45,8 @@ pub use jump::find_roots;
 pub use listrank::{list_rank, list_rank_into, list_rank_wyllie};
 pub use merge::{merge_sorted, parallel_merge_sort};
 pub use rank::{
-    dense_ranks_by_sort, dense_ranks_by_sort_into, dense_ranks_of_pairs, dense_ranks_of_pairs_into,
+    dense_ranks_by_key_into, dense_ranks_by_sort, dense_ranks_by_sort_into, dense_ranks_of_pairs,
+    dense_ranks_of_pairs_into, refine_classes_into, Listed, Refinement,
 };
 pub use reduce::{min_index, min_value};
 pub use scan::{

@@ -21,9 +21,9 @@ use crate::scan::{stale_entries, Defined, FileScan, Finding};
 /// Rule identifier.
 pub const RULE: &str = "alloc-hot-path";
 
-/// The hot-path modules: the parprim engine passes and the pseudoforest
-/// decomposition passes (ROADMAP "zero-allocation workspace-backed hot
-/// paths").
+/// The hot-path modules: the parprim engine passes, the pseudoforest
+/// decomposition passes and the paper's pipeline (ROADMAP
+/// "zero-allocation workspace-backed hot paths").
 pub const HOT_FILES: &[&str] = &[
     "crates/parprim/src/intsort.rs",
     "crates/parprim/src/rank.rs",
@@ -38,6 +38,7 @@ pub const HOT_FILES: &[&str] = &[
     "crates/parprim/src/listrank/bucket.rs",
     "crates/pseudoforest/src/cycles.rs",
     "crates/pseudoforest/src/structure.rs",
+    "crates/core/src/parallel.rs",
 ];
 
 const ALLOC_ANY: &[&str] = &["Vec::new(", "Vec::with_capacity(", "vec!["];

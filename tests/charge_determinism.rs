@@ -208,10 +208,10 @@ fn assert_parallel_pinned(inst: &Instance, blocks: usize, pin: (u64, u64)) {
 fn coarsest_parallel_charges_are_pinned() {
     let pins = [
         (1_779, 88),
-        (631_390, 268),
+        (517_789, 252),
         (7_724, 136),
         (33_312, 118),
-        (395_207, 212),
+        (330_113, 192),
     ];
     for ((inst, blocks), pin) in pinned_instances().into_iter().zip(pins) {
         assert_parallel_pinned(&inst, blocks, pin);
@@ -223,7 +223,7 @@ fn coarsest_parallel_charges_are_pinned() {
 #[test]
 fn coarsest_parallel_charges_are_pinned_on_large_input_paths() {
     let (inst, blocks) = large_pinned_instance();
-    assert_parallel_pinned(&inst, blocks, (4_671_867, 343));
+    assert_parallel_pinned(&inst, blocks, (3_958_978, 329));
 }
 
 /// The label-doubling baseline end to end: pinned charges per instance,
