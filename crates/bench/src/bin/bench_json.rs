@@ -71,10 +71,12 @@
 //! failing on a >10% machine-normalized wall-clock regression of `"ms"` —
 //! the CI gate for the decomposition pipeline, the CSR subsystem and the
 //! list ranking.  The committed file is parsed as JSON and its rows are
-//! looked up by `"name"` and `"n"`.  The comparison only runs when the
-//! committed file's `"threads"` matches this host's available parallelism;
-//! otherwise the two files are not comparable and only the in-run gates
-//! apply.
+//! looked up by `"name"`, `"n"` and `"batch"`.  The wall-clock comparison
+//! only runs when the committed file's `"threads"` matches this host's
+//! available parallelism; otherwise the two files are not comparable and
+//! only the in-run gates apply.  Charges do not depend on the thread count,
+//! so on every host the smoke also demands that each fresh row's
+//! `"work"`/`"rounds"` equal the committed row's exactly.
 
 use rand::prelude::*;
 use sfcp::{coarsest_partition, Algorithm, Instance};
@@ -510,19 +512,30 @@ fn measure_service_batches(n: usize, total: usize, blocks: usize) -> (Vec<Servic
     (rows, ratios)
 }
 
-/// The numeric `field` of the `results` row of a parsed bench file whose
-/// `name` and `n` match.
-fn committed_value(bench: &Value, name: &str, n: usize, field: &str) -> Option<f64> {
-    bench
-        .get("results")?
-        .as_array()?
-        .iter()
-        .find(|row| {
-            row.get("name").and_then(Value::as_str) == Some(name)
-                && row.get("n").and_then(Value::as_usize) == Some(n)
-        })?
-        .get(field)?
-        .as_f64()
+/// The `results` row of a parsed bench file whose `name`, `n` and `batch`
+/// match (library rows carry no `batch`).
+fn committed_row<'a>(
+    bench: &'a Value,
+    name: &str,
+    n: usize,
+    batch: Option<usize>,
+) -> Option<&'a Value> {
+    bench.get("results")?.as_array()?.iter().find(|row| {
+        row.get("name").and_then(Value::as_str) == Some(name)
+            && row.get("n").and_then(Value::as_usize) == Some(n)
+            && row.get("batch").and_then(Value::as_usize) == batch
+    })
+}
+
+/// The numeric `field` of [`committed_row`].
+fn committed_value(
+    bench: &Value,
+    name: &str,
+    n: usize,
+    batch: Option<usize>,
+    field: &str,
+) -> Option<f64> {
+    committed_row(bench, name, n, batch)?.get(field)?.as_f64()
 }
 
 fn main() {
@@ -862,6 +875,42 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read committed bench {committed_path}: {e}"));
         let committed = json::parse(&committed)
             .unwrap_or_else(|e| panic!("committed bench {committed_path} is not JSON: {e}"));
+        // Charges depend only on the input, never on the host or its thread
+        // count, so every fresh row's work/rounds must equal the committed
+        // row's exactly: a charge model change that does not re-record its
+        // rows fails here.
+        let fresh = rows
+            .iter()
+            .map(|r| (r.name, r.n, None, r.work, r.rounds))
+            .chain(
+                service_rows
+                    .iter()
+                    .map(|r| (r.name, r.n, Some(r.batch), r.work, r.rounds)),
+            );
+        let mut moved = Vec::new();
+        for (name, n, batch, work, rounds) in fresh {
+            let row = committed_row(&committed, name, n, batch).unwrap_or_else(|| {
+                panic!("no {name} n={n} batch={batch:?} entry in {committed_path}")
+            });
+            let pinned = ["work", "rounds"].map(|f| row.get(f).and_then(Value::as_u64));
+            if pinned != [Some(work), Some(rounds)] {
+                moved.push(format!(
+                    "{name} n={n} batch={batch:?}: work/rounds {work}/{rounds}, committed {}/{}",
+                    pinned[0].map_or("-".into(), |w| w.to_string()),
+                    pinned[1].map_or("-".into(), |r| r.to_string()),
+                ));
+            }
+        }
+        assert!(
+            moved.is_empty(),
+            "charges differ from {committed_path} (re-record the rows of a deliberate model \
+             change):\n{}",
+            moved.join("\n")
+        );
+        println!(
+            "smoke: work/rounds of all {} rows equal {committed_path}'s",
+            rows.len() + service_rows.len()
+        );
         let committed_threads = committed.get("threads").and_then(Value::as_usize);
         if committed_threads != Some(threads) {
             println!(
@@ -876,13 +925,15 @@ fn main() {
             .iter()
             .find(|r| r.name == "radix_sort_pairs")
             .expect("calibration row present");
-        let committed_calib_ms = committed_value(&committed, "radix_sort_pairs", calib.n, "ms")
-            .unwrap_or_else(|| {
-                panic!(
-                    "no radix_sort_pairs n={} entry in {committed_path}",
-                    calib.n
-                )
-            });
+        let committed_calib_ms =
+            committed_value(&committed, "radix_sort_pairs", calib.n, None, "ms").unwrap_or_else(
+                || {
+                    panic!(
+                        "no radix_sort_pairs n={} entry in {committed_path}",
+                        calib.n
+                    )
+                },
+            );
         let machine = calib.ms / committed_calib_ms;
         for gated in [
             "decompose",
@@ -896,7 +947,7 @@ fn main() {
                 .iter()
                 .find(|r| r.name == gated)
                 .unwrap_or_else(|| panic!("{gated} row present"));
-            let committed_ms = committed_value(&committed, gated, fresh.n, "ms")
+            let committed_ms = committed_value(&committed, gated, fresh.n, None, "ms")
                 .unwrap_or_else(|| panic!("no {gated} n={} entry in {committed_path}", fresh.n));
             let raw = fresh.ms / committed_ms;
             let ratio = raw / machine;
@@ -929,7 +980,7 @@ fn main() {
             .iter()
             .find(|r| r.name == "service_warm")
             .expect("service_warm row present");
-        let committed_ms = committed_value(&committed, "service_warm", fresh.n, "p50_ms")
+        let committed_ms = committed_value(&committed, "service_warm", fresh.n, Some(1), "p50_ms")
             .unwrap_or_else(|| panic!("no service_warm n={} entry in {committed_path}", fresh.n));
         let raw = fresh.p50_ms / committed_ms;
         let ratio = raw / machine;

@@ -465,8 +465,9 @@ impl EulerTour {
     /// arc `a` (in the `down`/`up` arc numbering) to its tree's terminal
     /// arc, i.e. the output of ranking [`EulerTour::arc_successors_into`].
     /// The root array comes from [`crate::jump::find_roots_into`] on
-    /// `forest.parents()`; `decompose`, which computes its root array once,
-    /// finishes its tour with [`EulerTour::from_tree_arc_ranks`] instead.
+    /// `forest.parents()`; `decompose`, which reads its root array off its
+    /// ranking's list tails, finishes its tour with
+    /// [`EulerTour::from_tree_arc_ranks`] instead.
     ///
     /// # Panics
     /// Panics if `dist.len() < 2 * forest.len()`.
@@ -536,11 +537,11 @@ impl EulerTour {
     /// distance to the up arc of its root's last child — the ranking of
     /// [`EulerTour::tree_arc_successors_flagged_into`]'s words (root slots
     /// are never read).  `roots` lists every root of `forest` in ascending
-    /// order and `root_of[v]` is the root of `v`'s tree (the output of
-    /// [`crate::jump::find_roots`] on `forest.parents()`).  This is the
-    /// root-threading entry: `decompose` computes the root array **once**
-    /// and reuses it here, for the `cycle_of` propagation, and for tree
-    /// labelling.
+    /// order and `root_of[v]` is the root of `v`'s tree.  This is the
+    /// root-threading entry: `decompose` reads the root array off the list
+    /// tails of the same ranking
+    /// ([`crate::listrank::list_rank_flagged_into`]) and reuses it here,
+    /// for the `cycle_of` propagation, and for tree labelling.
     ///
     /// The result equals [`EulerTour::build`]'s tour bit for bit: a root
     /// whose tree has `s` nodes, at global offset `o`, enters at `o` and
@@ -1063,13 +1064,19 @@ mod tests {
             let r = roots[i];
             [(2 * r + 1, true), (2 * r + 1, false)]
         });
-        let mut ranks = Vec::new();
-        crate::listrank::list_rank_flagged_into(&ctx, &succ, &mut ranks);
+        let (mut ranks, mut tails) = (Vec::new(), Vec::new());
+        crate::listrank::list_rank_flagged_into(&ctx, &succ, &mut ranks, &mut tails);
         for &r in &roots {
             assert_eq!(ranks[2 * r as usize..][..2], [1, 0], "root {r}'s own list");
         }
-        let mut root_of = Vec::new();
-        crate::jump::find_roots_into(&ctx, forest.parents(), &mut root_of);
+        let root_of = crate::jump::find_roots(&ctx, forest.parents());
+        for (v, &r) in root_of.iter().enumerate() {
+            let tail = match forest.children(r).last() {
+                Some(&c) if r as usize != v => 2 * c + 1, // the tour's end
+                _ => 2 * r + 1,                           // the root's own list
+            };
+            assert_eq!(tails[v], tail, "tail of slot {}", 2 * v);
+        }
         let tour = EulerTour::from_tree_arc_ranks(&ctx, &forest, &roots, &ranks, &root_of);
         assert_eq!(tour, EulerTour::build(&ctx, &forest));
     }

@@ -5,9 +5,10 @@
 //! for two jobs:
 //!
 //! * [`find_roots`] — locate, for each node of a rooted forest
-//!   (`parent[r] == r` for roots), the root of its tree.  This backs the
-//!   tree-labelling step of Section 4 and serves as a cross-check for the
-//!   Euler-tour computations.
+//!   (`parent[r] == r` for roots), the root of its tree.  `EulerTour::build`
+//!   uses it to place each tree in the global tour, which makes that build
+//!   the independent oracle for `decompose`'s tour; `decompose` itself reads
+//!   its roots off the list tails of its Euler ranking instead.
 //! * [`permutation_cycle_min`] — for a permutation given as a successor
 //!   array, the minimum element of each cycle.  This labels the Euler cycles
 //!   produced by *Algorithm finding cycle nodes* (Section 5) and elects cycle

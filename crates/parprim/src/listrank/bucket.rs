@@ -14,15 +14,20 @@
 //! The bucket also changes what a walk records: instead of a two-pass
 //! measure-then-scatter layout, one pass stores per interior node the packed
 //! word `(steps from segment start) << 32 | (start ruler)`, and the final
-//! rank falls out as `rank(start ruler) − steps`.  The charges are the §8
-//! ruling-set model: the walk pass charges one round of `m` (the
-//! per-segment dispatch) plus `n` work (one operation per hop), and the
+//! rank falls out as `rank(start ruler) − steps`.  The same expand pass
+//! can report each element's list tail: the contracted doubling leaves
+//! every ruler's packed word pointing at its list's terminal ruler.  The
+//! charges are the §8 ruling-set model: the walk pass charges one round of
+//! `m` (the per-segment dispatch) plus `n` work (one operation per hop), the
 //! packed contracted doubling charges the two weighted-Wyllie steps per
-//! round.
+//! round, and each reported tail one operation of the expand round.
 
 use sfcp_pram::Ctx;
 
 use super::ruling::{contracted_rank_doubling, index_rulers, SendPtr, FLAGGED_LOW};
+
+/// The low half of a packed contracted-state or interior word.
+const LOW: u64 = u32::MAX as u64;
 
 /// Walks advanced in lockstep per bucket: enough to cover the memory
 /// latency × bandwidth product of one core; past ~64 the lane state stops
@@ -36,8 +41,15 @@ const WALKS_PER_TASK: usize = 4096;
 
 /// The ranking body over a flagged successor array of more than
 /// `TINY_LIST_MAX` elements (the entry points in `mod.rs` sample or trust
-/// the flags and charge the sampling passes).
-pub(crate) fn rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
+/// the flags and charge the sampling passes).  With `tails`, the expand
+/// pass also writes `tails[k]`, the terminal of the list through slot
+/// `2k`, for every even slot (`tails.len() == n.div_ceil(2)`).
+pub(crate) fn rank_core(
+    ctx: &Ctx,
+    flagged_next: &[u32],
+    out: &mut Vec<u32>,
+    tails: Option<&mut [u32]>,
+) {
     let n = flagged_next.len();
     let ws = ctx.workspace();
     let (ruler_ids, ruler_index) = {
@@ -64,25 +76,49 @@ pub(crate) fn rank_core(ctx: &Ctx, flagged_next: &[u32], out: &mut Vec<u32>) {
     ctx.charge_work(n as u64);
 
     // Contracted list over rulers, as packed (rank, jump) words; the walk
-    // wrote the initial (segment length, end ruler) state directly.
+    // wrote the initial (segment length, end ruler) state directly.  Once
+    // it converges, every jump is the terminal ruler of the ruler's list.
     contracted_rank_doubling(ctx, &mut state);
 
     // Final rank: a ruler takes its contracted rank; an interior node is
     // `steps` hops past its segment's start ruler, so it ranks exactly
-    // `steps` below that ruler.
+    // `steps` below that ruler, and its tail is that ruler's tail.
     out.resize(n, 0);
-    {
-        let (flagged_next, ruler_index) = (&flagged_next, &ruler_index);
-        let (state, interior) = (&state, &interior);
+    let (flagged_next, ruler_index, ruler_ids) = (&flagged_next, &ruler_index, &ruler_ids);
+    let (state, interior) = (&state, &interior);
+    // The contracted word of `i`'s segment ruler, and `i`'s steps past it.
+    let segment = |i: usize| {
+        if flagged_next[i] >> 31 == 1 {
+            (state[ruler_index[i] as usize], 0)
+        } else {
+            let w = interior[i];
+            (state[(w & LOW) as usize], (w >> 32) as u32)
+        }
+    };
+    let Some(tails) = tails else {
         ctx.par_update(out, |i, r| {
-            *r = if flagged_next[i] >> 31 == 1 {
-                (state[ruler_index[i] as usize] >> 32) as u32
-            } else {
-                let w = interior[i];
-                (state[(w & u64::from(u32::MAX)) as usize] >> 32) as u32 - (w >> 32) as u32
-            };
+            let (word, steps) = segment(i);
+            *r = (word >> 32) as u32 - steps;
         });
-    }
+        return;
+    };
+    assert_eq!(tails.len(), n.div_ceil(2), "one tail per even slot");
+    let reported = tails.len() as u64;
+    let tails_ptr = SendPtr(tails.as_mut_ptr());
+    ctx.par_update(out, |i, r| {
+        let (word, steps) = segment(i);
+        *r = (word >> 32) as u32 - steps;
+        if i % 2 == 0 {
+            let tp = tails_ptr;
+            // SAFETY: `i / 2 < n.div_ceil(2) == tails.len()`, and each even
+            // slot `i` is the only writer of `tails[i / 2]`.
+            unsafe {
+                *tp.0.add(i / 2) = ruler_ids[(word & LOW) as usize];
+            }
+        }
+    });
+    // One write per reported tail, inside the expand round.
+    ctx.charge_work(reported);
 }
 
 /// The wavefront chain walk: for every ruler `j`, walk to the next ruler (or

@@ -30,7 +30,13 @@
 //! out in one successor array of exactly `2n` words (two per node) and
 //! ranks both with a single invocation (see DESIGN.md, "List ranking").
 //! The output rank of an element is its distance (number of hops) to its
-//! terminal.
+//! terminal.  The flagged entry ([`list_rank_flagged_into`]) also reports
+//! that terminal — the list's **tail** — for every even slot, read off the
+//! state the ranking converges to anyway (the contracted doubling ends
+//! with every ruler pointing at its list's terminal ruler; Wyllie's
+//! successors end at the terminals).  `decompose` reads each tree node's
+//! root off the tail of its down arc, so no pointer jumping runs for
+//! roots.
 
 mod bucket;
 mod ruling;
@@ -84,7 +90,7 @@ pub fn list_rank_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
         assert!((s as usize) < n, "next[{i}] = {s} out of range");
     }
     let flagged_next = sample_chain_rulers(ctx, next, segment_target(n));
-    bucket::rank_core(ctx, &flagged_next, out);
+    bucket::rank_core(ctx, &flagged_next, out, None);
 }
 
 /// [`list_rank_into`] over a **flagged** successor array the caller built —
@@ -92,8 +98,16 @@ pub fn list_rank_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
 /// lists out anyway (the fused Euler ranking of `decompose`) OR the ruler
 /// flag into each word as they write it, and the ranking skips its
 /// `has_pred` sampling passes entirely (charging them without executing, so
-/// the flagged and sampling entry points are charge-identical — see
-/// DESIGN.md, "Charge discipline").
+/// the ranks cost what the sampling entry charges — see DESIGN.md, "Charge
+/// discipline").
+///
+/// It also reports list **tails**: `tails[k]` is the terminal of the list
+/// through slot `2k`, for `k < flagged.len().div_ceil(2)`.  `decompose`
+/// lays a tree node `v`'s down arc out at `2v`, so these are the tour ends
+/// it reads its roots off.  The tails come out of passes the ranking runs
+/// anyway — the expand pass reads each slot's terminal ruler off the
+/// converged contracted state, and the Wyllie path off its converged
+/// successor array — and charge one operation each, no round.
 ///
 /// Contract on `flagged[i] = next[i] | RULER_FLAG·ruler(i)`:
 ///
@@ -105,35 +119,44 @@ pub fn list_rank_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
 ///     ([`is_sampled_ruler`]`(i, flagged.len())`).
 ///
 /// The flag contract mirrors the internal `sample_chain_rulers` exactly, so
-/// the flagged entries produce the same rulers, the same ranks, and the
-/// same charges as the sampling entries.  The input is trusted: the range
-/// invariant is *not* re-validated here (an out-of-range successor panics
-/// on a bounds-checked gather instead of being reported up front), which is
-/// what deletes the sampling pre-passes from the hot path.
+/// the flagged entries produce the same rulers and the same ranks as the
+/// sampling entries.  The input is trusted: the range invariant is *not*
+/// re-validated here (an out-of-range successor panics on a bounds-checked
+/// gather instead of being reported up front), which is what deletes the
+/// sampling pre-passes from the hot path.
 ///
 /// For tiny inputs the flags are stripped into a scratch copy and Wyllie
 /// runs as usual.
-pub fn list_rank_flagged_into(ctx: &Ctx, flagged: &[u32], out: &mut Vec<u32>) {
+pub fn list_rank_flagged_into(
+    ctx: &Ctx,
+    flagged: &[u32],
+    out: &mut Vec<u32>,
+    tails: &mut Vec<u32>,
+) {
     let mut span = ctx.pass("list_rank_flagged");
     span.attr("n", flagged.len() as u64);
     let n = flagged.len();
     out.clear();
+    tails.clear();
     if n == 0 {
         return;
     }
+    tails.resize(n.div_ceil(2), 0);
     if n <= TINY_LIST_MAX {
         // Strip the flag bits (uncharged glue, parallel like the other
         // packing passes) and run the Wyllie path the sampling entries
-        // would also take.
+        // would also take; its converged successors are the tails.
         let ws = ctx.workspace();
         let mut plain = ws.take_u32(n);
         crate::intsort::fill_items_uncharged(ctx, &mut plain, |i| flagged[i] & !RULER_FLAG);
-        list_rank_wyllie_into(ctx, &plain, out);
+        let terminal = wyllie::rank_to_terminals(ctx, &plain, out);
+        crate::intsort::fill_items_uncharged(ctx, tails, |k| terminal[2 * k]);
+        ctx.charge_work(tails.len() as u64);
         return;
     }
     // The sampling entry's two passes, charged without being executed.
     charge_sampling_model(ctx, n);
-    bucket::rank_core(ctx, flagged, out);
+    bucket::rank_core(ctx, flagged, out, Some(tails));
 }
 
 #[cfg(test)]
@@ -158,6 +181,37 @@ mod tests {
             rank[start] = steps;
         }
         rank
+    }
+
+    /// Reference tails: the terminal each element's list walk reaches.
+    fn reference_tails(next: &[u32]) -> Vec<u32> {
+        (0..next.len())
+            .map(|start| {
+                let mut cur = start;
+                while next[cur] as usize != cur {
+                    cur = next[cur] as usize;
+                }
+                cur as u32
+            })
+            .collect()
+    }
+
+    /// A successor array over a shuffled permutation cut into lists of 1 to
+    /// `max_len` elements: many singletons and short lists.
+    fn short_lists(n: usize, max_len: usize, seed: u64) -> Vec<u32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.shuffle(&mut rng);
+        let mut next: Vec<u32> = (0..n as u32).collect();
+        let mut rest = &perm[..];
+        while !rest.is_empty() {
+            let (part, tail) = rest.split_at(rng.gen_range(1..=max_len).min(rest.len()));
+            for w in part.windows(2) {
+                next[w[0] as usize] = w[1];
+            }
+            rest = tail;
+        }
+        next
     }
 
     /// Build a successor array for a random permutation split into `lists`
@@ -326,9 +380,9 @@ mod tests {
             .collect()
     }
 
-    /// The flagged entry point must produce the identical ranks and the
-    /// identical charges as the sampling entry point, across the tiny-list
-    /// threshold.
+    /// The flagged entry point must produce the identical ranks as the
+    /// sampling entry point, and charge what it charges plus one operation
+    /// (no round) per reported tail, across the tiny-list threshold.
     #[test]
     fn flagged_entry_matches_sampling_entry() {
         for (n, lists, seed) in [
@@ -341,14 +395,16 @@ mod tests {
             let flagged = flag_successors(&next);
             let sampled = Ctx::parallel();
             let direct = Ctx::parallel();
-            let mut a = Vec::new();
-            let mut b = Vec::new();
+            let (mut a, mut b, mut tails) = (Vec::new(), Vec::new(), Vec::new());
             list_rank_into(&sampled, &next, &mut a);
-            list_rank_flagged_into(&direct, &flagged, &mut b);
+            list_rank_flagged_into(&direct, &flagged, &mut b, &mut tails);
             assert_eq!(a, b, "ranks diverged (n={n})");
+            let even: Vec<u32> = reference_tails(&next).into_iter().step_by(2).collect();
+            assert_eq!(tails, even, "tails diverged (n={n})");
+            let (s, d) = (sampled.stats(), direct.stats());
             assert_eq!(
-                sampled.stats(),
-                direct.stats(),
+                (d.work, d.rounds),
+                (s.work + n.div_ceil(2) as u64, s.rounds),
                 "flagged charges diverged (n={n})"
             );
         }
@@ -371,6 +427,45 @@ mod tests {
             let ctx = Ctx::parallel();
             prop_assert_eq!(list_rank(&ctx, &next), expected);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every tail the flagged entry reports is the terminal a walk from
+        /// its slot reaches, over many short and singleton lists, on both
+        /// sides of the tiny-list threshold (Wyllie at 1,023 and 1,024
+        /// words, the ruling set at 1,025 and 1,026), at grain 4 and at the
+        /// default grain.
+        #[test]
+        fn flagged_tails_match_reference_walk(max_len in 1usize..10, seed in 0u64..1000) {
+            for n in 1023..=1026 {
+                let next = short_lists(n, max_len, seed);
+                let flagged = flag_successors(&next);
+                let expected_ranks = reference_ranks(&next);
+                let expected: Vec<u32> = reference_tails(&next).into_iter().step_by(2).collect();
+                for ctx in [Ctx::parallel().with_grain(4), Ctx::parallel()] {
+                    let (mut ranks, mut tails) = (Vec::new(), Vec::new());
+                    list_rank_flagged_into(&ctx, &flagged, &mut ranks, &mut tails);
+                    prop_assert_eq!(&ranks, &expected_ranks, "ranks, n={}", n);
+                    prop_assert_eq!(&tails, &expected, "tails, n={}", n);
+                }
+            }
+        }
+    }
+
+    /// Miri target: the expand pass's tail writes through a raw pointer, at
+    /// grain 4 over an odd domain past the tiny-list threshold (the last
+    /// tail comes from the domain's last slot).
+    #[test]
+    fn miri_flagged_ranking_writes_tails() {
+        let next = short_lists(1101, 40, 8);
+        let ctx = Ctx::parallel().with_grain(4);
+        let (mut ranks, mut tails) = (Vec::new(), Vec::new());
+        list_rank_flagged_into(&ctx, &flag_successors(&next), &mut ranks, &mut tails);
+        assert_eq!(ranks, reference_ranks(&next));
+        let expected: Vec<u32> = reference_tails(&next).into_iter().step_by(2).collect();
+        assert_eq!(tails, expected);
     }
 
     /// Miri target: the wavefront ranking internals (the segment walks and

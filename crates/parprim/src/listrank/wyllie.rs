@@ -4,7 +4,7 @@
 //! ruling-set ranking is measured against, and the execution path for tiny
 //! inputs, where the ruling-set machinery is pure overhead.
 
-use sfcp_pram::Ctx;
+use sfcp_pram::{Ctx, Scratch};
 
 /// Wyllie's pointer-jumping list ranking.
 ///
@@ -19,11 +19,23 @@ pub fn list_rank_wyllie(ctx: &Ctx, next: &[u32]) -> Vec<u32> {
 
 /// [`list_rank_wyllie`] writing into a reusable output buffer.
 pub fn list_rank_wyllie_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
-    let n = next.len();
     out.clear();
-    if n == 0 {
+    if next.is_empty() {
         return;
     }
+    rank_to_terminals(ctx, next, out);
+}
+
+/// The Wyllie body over a non-empty successor array: writes the ranks into
+/// `out` and returns the converged successor array, whose entry `i` is the
+/// terminal of `i`'s list — after `ceil_log2(n) + 1` doubling rounds every
+/// pointer has reached its terminal.
+pub(super) fn rank_to_terminals<'c>(
+    ctx: &'c Ctx,
+    next: &[u32],
+    out: &mut Vec<u32>,
+) -> Scratch<'c, u32> {
+    let n = next.len();
     for (i, &s) in next.iter().enumerate() {
         assert!((s as usize) < n, "next[{i}] = {s} out of range");
     }
@@ -58,4 +70,5 @@ pub fn list_rank_wyllie_into(ctx: &Ctx, next: &[u32], out: &mut Vec<u32>) {
             break;
         }
     }
+    succ
 }

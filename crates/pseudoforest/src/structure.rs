@@ -45,11 +45,11 @@ pub struct Decomposition {
     pub tour: EulerTour,
     /// Distance of every node to its cycle (0 for cycle nodes).
     pub levels: Vec<u32>,
-    /// The root (cycle node) of every node's pseudo-tree — the root array
-    /// computed **once** per decomposition and threaded through the tour
-    /// finish, the `cycle_of` propagation, and (by `sfcp-core`'s tree
-    /// labelling) the Lemma 4.1 correspondence, instead of re-running
-    /// pointer jumping at each consumer.
+    /// The root (cycle node) of every node's pseudo-tree — read off the
+    /// list tails the fused Euler ranking reports (a tree node's tour ends
+    /// at the up arc of its root's last child), and threaded through the
+    /// tour finish, the `cycle_of` propagation, and (by `sfcp-core`'s tree
+    /// labelling) the Lemma 4.1 correspondence.
     pub roots: Vec<u32>,
 }
 
@@ -102,7 +102,9 @@ pub fn try_decompose(
 /// DESIGN.md, "List ranking"), so the sampling, walk, and contraction
 /// passes run once instead of twice.  A tree node's two words are its tour
 /// arcs; a cycle node's two words carry its chain, so a root without
-/// children adds no tour words and no rulers.
+/// children adds no tour words and no rulers.  The same invocation reports
+/// each tree node's tour end, which names its root, so no pointer jumping
+/// runs.
 #[must_use]
 pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decomposition {
     let mut span_all = ctx.span("decompose");
@@ -220,17 +222,24 @@ pub fn decompose(ctx: &Ctx, g: &FunctionalGraph, method: CycleMethod) -> Decompo
     }
     drop(span_phase);
 
-    // The root array, computed ONCE per decomposition (pointer jumping) and
-    // threaded through the tour finish, the cycle_of propagation below, and
-    // tree labelling (retained on the returned structure) — formerly three
-    // independent find_roots runs per coarsest invocation.
-    let mut roots = Vec::new();
-    sfcp_parprim::jump::find_roots_into(ctx, forest.parents(), &mut roots);
-
     // The single fused ranking: a tree arc's tour rank lands in its own
     // slot, and cycle node x is dist[2x + 1] / 2 nodes from its chain end.
+    // It also reports the tail of every even slot, which gives the root
+    // array: a tree node's down arc 2v lies on its root's tour, which ends
+    // at the up arc 2c + 1 of the root's last child c, so root(v) = f(c); a
+    // cycle node is its own root.  The array is threaded through the tour
+    // finish, the cycle_of propagation below, and tree labelling (retained
+    // on the returned structure).
     let mut fused_ranks = ws.take_u32(0);
-    list_rank_flagged_into(ctx, &fused_succ, &mut fused_ranks);
+    let mut roots = Vec::new();
+    list_rank_flagged_into(ctx, &fused_succ, &mut fused_ranks, &mut roots);
+    ctx.par_update(&mut roots, |v, r| {
+        *r = if is_cycle[v] {
+            v as u32
+        } else {
+            f[(*r / 2) as usize]
+        };
+    });
     let tour = EulerTour::from_tree_arc_ranks(ctx, &forest, &cycle_ids, &fused_ranks, &roots);
     let dist_to_end = |x: u32| fused_ranks[2 * x as usize + 1] / 2;
 
@@ -396,6 +405,9 @@ mod tests {
     fn check_invariants(g: &FunctionalGraph, d: &Decomposition) {
         let n = g.len();
         assert_eq!(d.len(), n);
+        // The roots read off the ranking's tails are the forest's roots.
+        let roots = sfcp_parprim::jump::find_roots(&Ctx::parallel(), d.forest.parents());
+        assert_eq!(d.roots, roots);
         // CSR well-formedness: offsets are monotone and cover cycle_nodes.
         assert_eq!(d.cycle_offsets.len(), d.num_cycles() + 1);
         assert_eq!(d.cycle_offsets[0], 0);

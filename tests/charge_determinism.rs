@@ -154,10 +154,10 @@ fn decompose_charges_are_pinned_per_cycle_method() {
     ];
     // Per graph: [Sequential, Euler] pins.
     let pins: [[(u64, u64); 2]; 4] = [
-        [(1_140, 59), (1_716, 77)],
-        [(284_638, 101), (644_638, 137)],
-        [(2_325_444, 119), (5_685_444, 161)],
-        [(157_944, 82), (361_944, 116)],
+        [(1_092, 55), (1_668, 73)],
+        [(224_638, 88), (584_638, 124)],
+        [(1_725_444, 103), (5_085_444, 145)],
+        [(124_944, 70), (328_944, 104)],
     ];
     for (g, pins) in graphs.iter().zip(pins) {
         let reference = sfcp_forest::decompose(&Ctx::parallel(), g, CycleMethod::Sequential);
@@ -207,11 +207,11 @@ fn assert_parallel_pinned(inst: &Instance, blocks: usize, pin: (u64, u64)) {
 #[test]
 fn coarsest_parallel_charges_are_pinned() {
     let pins = [
-        (1_779, 88),
-        (517_789, 252),
-        (7_724, 136),
-        (33_312, 118),
-        (330_113, 192),
+        (1_731, 84),
+        (484_789, 240),
+        (7_439, 130),
+        (31_800, 110),
+        (310_113, 181),
     ];
     for ((inst, blocks), pin) in pinned_instances().into_iter().zip(pins) {
         assert_parallel_pinned(&inst, blocks, pin);
@@ -223,7 +223,7 @@ fn coarsest_parallel_charges_are_pinned() {
 #[test]
 fn coarsest_parallel_charges_are_pinned_on_large_input_paths() {
     let (inst, blocks) = large_pinned_instance();
-    assert_parallel_pinned(&inst, blocks, (3_958_978, 329));
+    assert_parallel_pinned(&inst, blocks, (3_678_978, 314));
 }
 
 /// The label-doubling baseline end to end: pinned charges per instance,

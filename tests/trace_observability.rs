@@ -68,7 +68,6 @@ fn traced_warm_decompose_covers_every_engine_pass() {
         "fused_successors",
         "tree_structure",
         "arc_successors",
-        "find_roots",
         "list_rank_flagged",
         "euler_from_ranks",
         "cycle_csr",
